@@ -64,6 +64,21 @@ func oracleLogits(t *testing.T, dataPath, modelPath string, batches []string) []
 	return b
 }
 
+// waitStats polls /v1/stats until its body contains want.
+func waitStats(t *testing.T, url, want string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if st, body := httpGet(t, url+"/v1/stats"); st == 200 && strings.Contains(string(body), want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/v1/stats never reported %s", want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func waitKilled(t *testing.T, exited chan error) {
 	t.Helper()
 	select {
@@ -117,6 +132,10 @@ func TestServerDurableKillMatrix(t *testing.T) {
 			sess := filepath.Join(t.TempDir(), "session")
 			base := []string{"-data", dataPath, "-model", modelPath, "-workers", "4", "-session-dir", sess}
 			_, _, url, exited := startServe(t, append(base, tc.killArgs...)...)
+			// The prime's epoch persists in the background; every seam below
+			// assumes it is on disk, and the drain no longer takes long enough
+			// to guarantee that by accident.
+			waitStats(t, url, `"session_epochs":1`)
 
 			for i, b := range batches {
 				st, body := postJSON(t, url+"/v1/mutate", b)

@@ -1,18 +1,21 @@
 package graph
 
 // Graph mutation for the incremental-execution path: a Delta describes a
-// batch of feature updates, new nodes and edge additions/removals;
-// ApplyDelta materializes a fresh immutable Graph (the original is never
-// touched — readers holding the old snapshot stay consistent) together with
-// the DeltaEffect seed sets the delta drivers flood from. GatherIndex is the
-// pull-side mirror of the CSR: per-destination (source, edge-id) lists in
-// exactly the order the Pregel barrier would deliver scattered messages, so
-// a resident-state driver can regenerate any vertex's inbox bit-identically
-// without messages ever being sent.
+// batch of feature updates, new nodes and edge additions/removals. An Editor
+// is a mutable overlay over an immutable base Graph: Apply folds one batch
+// into the overlay in time proportional to the batch and returns the
+// DeltaEffect seed sets the delta drivers flood from; Graph materializes the
+// overlay as a fresh immutable Graph, once for however many batches were
+// applied since the last materialization. Graphs are never written after
+// they are handed out — readers holding an older snapshot stay consistent.
+// GatherIndex is the pull-side mirror of the CSR: per-destination (source,
+// edge-id) lists in exactly the order the Pregel barrier would deliver
+// scattered messages, so a resident-state driver can regenerate any vertex's
+// inbox bit-identically without messages ever being sent.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"inferturbo/internal/tensor"
 )
@@ -81,144 +84,330 @@ type DeltaEffect struct {
 	EdgesRemoved  int
 }
 
-// ApplyDelta builds the mutated graph and its seed sets. g is not modified;
-// the returned graph shares no mutable state with it. Edge ids are
-// renumbered (kept edges first in original id order, then additions), with
-// edge features carried along. An error leaves g unchanged and returns no
-// effect; removals that match no edge are errors.
-func ApplyDelta(g *Graph, d Delta) (*Graph, *DeltaEffect, error) {
-	oldN := g.NumNodes
+// Editor is a mutable overlay over an immutable base Graph: tombstones on
+// base edges, a list of appended edges and a copy-on-write feature matrix.
+// Apply folds one Delta into the overlay in O(|d| + out-degree of the removal
+// sources); Graph materializes the overlay as a new immutable Graph in
+// O(V+E+N·F) and makes it the next base. Applying B batches and materializing
+// once yields exactly the Graph that B single-batch ApplyDelta calls would
+// have, for one rebuild instead of B.
+//
+// The rule that keeps snapshots safe: an Editor never writes memory a Graph
+// it was given or has returned can see. Tombstones and appended edges live in
+// Editor-private arrays; the feature matrix is copied before the first write
+// that follows NewEditor or Graph; materialization only allocates. Unchanged
+// arrays (adjacency after a feature-only batch, features after a
+// structure-only batch, labels and masks while the node count holds) are
+// shared between the base and the new Graph, which is sound because no Graph
+// is ever written.
+//
+// An Editor is not safe for concurrent use. Graphs it returns are.
+type Editor struct {
+	base     *Graph
+	numNodes int // base.NumNodes plus nodes appended since
+
+	// Structural overlay since base. dead tombstones base edges by edge id
+	// (nil until the first removal); appended edges keep arrival order, with
+	// addDead tombstoning the ones a later batch removed and addBySrc indexing
+	// them per source for removal lookups.
+	dead     []bool
+	numDead  int
+	addSrc   []int32
+	addDst   []int32
+	addFeat  []float32 // base edge-feature dim values per appended edge
+	addDead  []bool
+	addBySrc map[int32][]int32
+
+	// feat is the current feature matrix (nil when the base has none);
+	// featShared says a Graph can see its storage, so the next write copies.
+	feat       *tensor.Matrix
+	featShared bool
+
+	rebuilds int
+}
+
+// NewEditor starts an empty overlay over g. g is never modified.
+func NewEditor(g *Graph) *Editor {
+	return &Editor{base: g, numNodes: g.NumNodes, feat: g.Features, featShared: true}
+}
+
+// NumNodes reports the node count after every applied batch.
+func (e *Editor) NumNodes() int { return e.numNodes }
+
+// Rebuilds counts the Graphs this Editor has materialized.
+func (e *Editor) Rebuilds() int { return e.rebuilds }
+
+// Apply validates d against the current overlay and applies it atomically:
+// an error changes nothing and returns no effect. Removals resolve against
+// the edges live before the batch — they never see same-batch additions — and
+// drop every edge between the pair (multi-edges included); a pair matching
+// nothing is an error. The returned effect is exactly what a single-batch
+// ApplyDelta on the materialized graph would report.
+func (e *Editor) Apply(d Delta) (*DeltaEffect, error) {
+	oldN := e.numNodes
 	newN := oldN + len(d.AddNodes)
-	fdim := g.FeatureDim()
-	edim := g.EdgeFeatureDim()
+	fdim := e.base.FeatureDim()
+	edim := e.base.EdgeFeatureDim()
 
 	for _, fu := range d.Features {
 		if int(fu.Node) < 0 || int(fu.Node) >= oldN {
-			return nil, nil, fmt.Errorf("graph: feature update for node %d out of range [0,%d)", fu.Node, oldN)
+			return nil, fmt.Errorf("graph: feature update for node %d out of range [0,%d)", fu.Node, oldN)
 		}
 		if len(fu.Features) != fdim {
-			return nil, nil, fmt.Errorf("graph: feature update for node %d has dim %d, want %d", fu.Node, len(fu.Features), fdim)
+			return nil, fmt.Errorf("graph: feature update for node %d has dim %d, want %d", fu.Node, len(fu.Features), fdim)
 		}
 	}
 	for i, na := range d.AddNodes {
 		if len(na.Features) != fdim {
-			return nil, nil, fmt.Errorf("graph: new node %d has feature dim %d, want %d", i, len(na.Features), fdim)
+			return nil, fmt.Errorf("graph: new node %d has feature dim %d, want %d", i, len(na.Features), fdim)
 		}
+	}
+	if e.feat == nil && (len(d.AddNodes) > 0 || len(d.Features) > 0) {
+		return nil, fmt.Errorf("graph: feature mutations on a graph without features")
 	}
 	for _, ea := range d.AddEdges {
 		if int(ea.Src) < 0 || int(ea.Src) >= newN || int(ea.Dst) < 0 || int(ea.Dst) >= newN {
-			return nil, nil, fmt.Errorf("graph: added edge (%d,%d) out of range [0,%d)", ea.Src, ea.Dst, newN)
+			return nil, fmt.Errorf("graph: added edge (%d,%d) out of range [0,%d)", ea.Src, ea.Dst, newN)
 		}
 		if len(ea.Features) != edim {
-			return nil, nil, fmt.Errorf("graph: added edge (%d,%d) has feature dim %d, want %d", ea.Src, ea.Dst, len(ea.Features), edim)
+			return nil, fmt.Errorf("graph: added edge (%d,%d) has feature dim %d, want %d", ea.Src, ea.Dst, len(ea.Features), edim)
 		}
 	}
-	// Removal pairs: every matching edge is dropped; a pair matching nothing
-	// is a caller error surfaced before anything is built.
-	remove := make(map[EdgeKey]int, len(d.RemoveEdges))
-	for _, rk := range d.RemoveEdges {
-		if int(rk.Src) < 0 || int(rk.Src) >= oldN || int(rk.Dst) < 0 || int(rk.Dst) >= oldN {
-			return nil, nil, fmt.Errorf("graph: removed edge (%d,%d) out of range [0,%d)", rk.Src, rk.Dst, oldN)
+	// Resolve every removal pair to the live edges it names before anything
+	// changes, so a pair that matches nothing rejects the whole batch. net is
+	// the batch's out-degree change per pre-existing source.
+	var dropBase, dropAdd []int32 // base edge ids, appended-edge indices
+	net := make(map[int32]int, len(d.AddEdges)+len(d.RemoveEdges))
+	if len(d.RemoveEdges) > 0 {
+		seen := make(map[EdgeKey]struct{}, len(d.RemoveEdges))
+		for _, rk := range d.RemoveEdges {
+			if int(rk.Src) < 0 || int(rk.Src) >= oldN || int(rk.Dst) < 0 || int(rk.Dst) >= oldN {
+				return nil, fmt.Errorf("graph: removed edge (%d,%d) out of range [0,%d)", rk.Src, rk.Dst, oldN)
+			}
+			if _, dup := seen[rk]; dup {
+				continue
+			}
+			seen[rk] = struct{}{}
+			before := len(dropBase) + len(dropAdd)
+			if b := e.base; int(rk.Src) < b.NumNodes {
+				for i := b.OutPtr[rk.Src]; i < b.OutPtr[rk.Src+1]; i++ {
+					if eid := b.OutEdge[i]; b.OutDst[i] == rk.Dst && (e.dead == nil || !e.dead[eid]) {
+						dropBase = append(dropBase, eid)
+					}
+				}
+			}
+			for _, j := range e.addBySrc[rk.Src] {
+				if e.addDst[j] == rk.Dst && !e.addDead[j] {
+					dropAdd = append(dropAdd, j)
+				}
+			}
+			matched := len(dropBase) + len(dropAdd) - before
+			if matched == 0 {
+				return nil, fmt.Errorf("graph: removed edge (%d,%d) does not exist", rk.Src, rk.Dst)
+			}
+			net[rk.Src] -= matched
 		}
-		remove[rk] = 0
+	}
+	if d.Empty() {
+		return &DeltaEffect{NumNodes: oldN}, nil
 	}
 
-	b := NewBuilder(newN)
-	src, dst := g.EdgeList()
-	removed := 0
-	for e := 0; e < g.NumEdges; e++ {
-		key := EdgeKey{Src: src[e], Dst: dst[e]}
-		if n, ok := remove[key]; ok {
-			remove[key] = n + 1
-			removed++
-			continue
-		}
-		var ef []float32
-		if g.EdgeFeatures != nil {
-			ef = g.EdgeFeatures.Row(e)
-		}
-		b.AddEdge(src[e], dst[e], ef)
-	}
-	for key, n := range remove {
-		if n == 0 {
-			return nil, nil, fmt.Errorf("graph: removed edge (%d,%d) does not exist", key.Src, key.Dst)
-		}
-	}
-	for _, ea := range d.AddEdges {
-		b.AddEdge(ea.Src, ea.Dst, ea.Features)
-	}
-	ng := b.Build()
-
-	// Node attributes: copy-on-write feature matrix, extended with the new
-	// rows; labels/masks extend with zero values (serving graphs predict —
-	// labels for new nodes are unknown).
-	if g.Features != nil {
-		nf := tensor.New(newN, fdim)
-		copy(nf.Data, g.Features.Data)
-		for i, na := range d.AddNodes {
-			nf.SetRow(oldN+i, na.Features)
-		}
-		for _, fu := range d.Features {
-			nf.SetRow(int(fu.Node), fu.Features)
-		}
-		ng.Features = nf
-	} else if len(d.AddNodes) > 0 || len(d.Features) > 0 {
-		return nil, nil, fmt.Errorf("graph: feature mutations on a graph without features")
-	}
-	if g.Labels != nil {
-		labels := make([]int32, newN)
-		copy(labels, g.Labels)
-		ng.Labels = labels
-	}
-	if g.MultiLabels != nil {
-		ml := tensor.New(newN, g.MultiLabels.Cols)
-		copy(ml.Data, g.MultiLabels.Data)
-		ng.MultiLabels = ml
-	}
-	ng.NumClasses = g.NumClasses
-	ng.TrainMask = extendMask(g.TrainMask, newN)
-	ng.ValMask = extendMask(g.ValMask, newN)
-	ng.TestMask = extendMask(g.TestMask, newN)
-
-	eff := &DeltaEffect{
-		NumNodes:     newN,
-		EdgesAdded:   len(d.AddEdges),
-		EdgesRemoved: removed,
-	}
-	state := make(map[int32]bool)
-	inbox := make(map[int32]bool)
-	degCand := make(map[int32]bool)
+	// The batch is valid; nothing below can fail.
+	eff := &DeltaEffect{NumNodes: newN, EdgesAdded: len(d.AddEdges), EdgesRemoved: len(dropBase) + len(dropAdd)}
+	var state, inbox []int32
 	for _, fu := range d.Features {
-		state[fu.Node] = true
+		state = append(state, fu.Node)
 	}
 	for i := range d.AddNodes {
-		state[int32(oldN+i)] = true
-		inbox[int32(oldN+i)] = true
+		state = append(state, int32(oldN+i))
+		inbox = append(inbox, int32(oldN+i))
 	}
 	for _, ea := range d.AddEdges {
-		inbox[ea.Dst] = true
-		degCand[ea.Src] = true
+		inbox = append(inbox, ea.Dst)
+		// New nodes have no stale resident messages to repair and are never
+		// degree-change candidates.
+		if int(ea.Src) < oldN {
+			net[ea.Src]++
+		}
 	}
 	for _, rk := range d.RemoveEdges {
-		inbox[rk.Dst] = true
-		degCand[rk.Src] = true
+		inbox = append(inbox, rk.Dst)
 	}
 	// Out-degree changes are measured, not assumed: a node that removed one
 	// edge and added another sends the same scaled values — its receivers are
 	// already covered through InboxDirty.
-	for v := range degCand {
-		if int(v) < oldN && g.OutDegree(v) == ng.OutDegree(v) {
+	for v, change := range net {
+		if change != 0 {
+			eff.DegreeChanged = append(eff.DegreeChanged, v)
+		}
+	}
+	eff.StateDirty, eff.InboxDirty, eff.DegreeChanged = sortedSet(state), sortedSet(inbox), sortedSet(eff.DegreeChanged)
+
+	if len(dropBase) > 0 && e.dead == nil {
+		e.dead = make([]bool, e.base.NumEdges)
+	}
+	for _, eid := range dropBase {
+		e.dead[eid] = true
+	}
+	e.numDead += len(dropBase)
+	for _, j := range dropAdd {
+		e.addDead[j] = true
+	}
+	e.numNodes = newN
+	if len(d.AddNodes) > 0 || len(d.Features) > 0 {
+		if e.featShared {
+			data := make([]float32, len(e.feat.Data), newN*fdim)
+			copy(data, e.feat.Data)
+			e.feat = &tensor.Matrix{Rows: e.feat.Rows, Cols: fdim, Data: data}
+			e.featShared = false
+		}
+		for _, na := range d.AddNodes {
+			e.feat.Data = append(e.feat.Data, na.Features...)
+		}
+		e.feat.Rows = newN
+		for _, fu := range d.Features {
+			e.feat.SetRow(int(fu.Node), fu.Features)
+		}
+	}
+	if len(d.AddEdges) > 0 && e.addBySrc == nil {
+		e.addBySrc = make(map[int32][]int32)
+	}
+	for _, ea := range d.AddEdges {
+		j := int32(len(e.addSrc))
+		e.addSrc = append(e.addSrc, ea.Src)
+		e.addDst = append(e.addDst, ea.Dst)
+		e.addFeat = append(e.addFeat, ea.Features...)
+		e.addDead = append(e.addDead, false)
+		e.addBySrc[ea.Src] = append(e.addBySrc[ea.Src], j)
+	}
+	return eff, nil
+}
+
+// Graph materializes the overlay: the graph every batch applied so far
+// produces, as an immutable snapshot that later Apply calls never touch. With
+// nothing applied since the last call it returns the same Graph again. Edge
+// ids are renumbered — surviving base edges first in their id order, then
+// surviving appended edges in arrival order — with edge features carried
+// along; labels and masks extend with zero values (serving graphs predict —
+// labels for new nodes are unknown).
+func (e *Editor) Graph() *Graph {
+	b, n := e.base, e.numNodes
+	edges := e.numDead > 0 || len(e.addSrc) > 0 || n != b.NumNodes
+	if !edges && e.featShared {
+		return b // nothing applied since b was materialized
+	}
+	g := &Graph{
+		NumNodes: n, NumEdges: b.NumEdges,
+		OutPtr: b.OutPtr, OutDst: b.OutDst, OutEdge: b.OutEdge,
+		InPtr: b.InPtr, InSrc: b.InSrc, InEdge: b.InEdge,
+		Features: e.feat, EdgeFeatures: b.EdgeFeatures,
+		Labels: b.Labels, MultiLabels: b.MultiLabels, NumClasses: b.NumClasses,
+		TrainMask: b.TrainMask, ValMask: b.ValMask, TestMask: b.TestMask,
+	}
+	e.featShared = true
+	if edges {
+		e.rebuildEdges(g)
+	}
+	if n != b.NumNodes {
+		if b.Labels != nil {
+			g.Labels = make([]int32, n)
+			copy(g.Labels, b.Labels)
+		}
+		if b.MultiLabels != nil {
+			g.MultiLabels = tensor.New(n, b.MultiLabels.Cols)
+			copy(g.MultiLabels.Data, b.MultiLabels.Data)
+		}
+		g.TrainMask = extendMask(b.TrainMask, n)
+		g.ValMask = extendMask(b.ValMask, n)
+		g.TestMask = extendMask(b.TestMask, n)
+	}
+
+	e.base = g
+	e.dead, e.numDead = nil, 0
+	e.addSrc, e.addDst, e.addFeat, e.addDead, e.addBySrc = nil, nil, nil, nil, nil
+	e.rebuilds++
+	return g
+}
+
+// rebuildEdges fills g's adjacency and edge features from the base's live
+// edges followed by the live appended ones, through the same counting sorts
+// Builder.Build uses, so rows come out in ascending edge-id order.
+func (e *Editor) rebuildEdges(g *Graph) {
+	b := e.base
+	// newID maps a base edge id to its id in g; nil while no base edge died.
+	var newID []int32
+	live := b.NumEdges
+	if e.numDead > 0 {
+		newID = make([]int32, b.NumEdges)
+		live = 0
+		for eid, dead := range e.dead {
+			newID[eid] = int32(live)
+			if !dead {
+				live++
+			}
+		}
+	}
+	total := live
+	for _, dead := range e.addDead {
+		if !dead {
+			total++
+		}
+	}
+
+	src, dst := make([]int32, total), make([]int32, total)
+	for v := int32(0); v < int32(b.NumNodes); v++ {
+		for i := b.OutPtr[v]; i < b.OutPtr[v+1]; i++ {
+			id := b.OutEdge[i]
+			if newID != nil {
+				if e.dead[id] {
+					continue
+				}
+				id = newID[id]
+			}
+			src[id], dst[id] = v, b.OutDst[i]
+		}
+	}
+	var ef *tensor.Matrix
+	if b.EdgeFeatures != nil {
+		ef = tensor.New(total, b.EdgeFeatures.Cols)
+		if newID == nil {
+			copy(ef.Data, b.EdgeFeatures.Data)
+		} else {
+			for eid, dead := range e.dead {
+				if !dead {
+					ef.SetRow(int(newID[eid]), b.EdgeFeatures.Row(eid))
+				}
+			}
+		}
+	}
+	id := live
+	for j, dead := range e.addDead {
+		if dead {
 			continue
 		}
-		if int(v) >= oldN {
-			continue // new nodes have no stale resident messages to repair
+		src[id], dst[id] = e.addSrc[j], e.addDst[j]
+		if ef != nil {
+			ef.SetRow(id, e.addFeat[j*ef.Cols:(j+1)*ef.Cols])
 		}
-		eff.DegreeChanged = append(eff.DegreeChanged, v)
+		id++
 	}
-	eff.StateDirty = sortedKeys(state)
-	eff.InboxDirty = sortedKeys(inbox)
-	sortInt32(eff.DegreeChanged)
-	return ng, eff, nil
+
+	g.NumEdges = total
+	g.OutPtr, g.OutDst, g.OutEdge = buildAdj(g.NumNodes, src, dst)
+	g.InPtr, g.InSrc, g.InEdge = buildAdj(g.NumNodes, dst, src)
+	g.EdgeFeatures = ef
+}
+
+// ApplyDelta builds the mutated graph and its seed sets: one batch through a
+// throwaway Editor. g is not modified. An error returns no graph and no
+// effect.
+func ApplyDelta(g *Graph, d Delta) (*Graph, *DeltaEffect, error) {
+	e := NewEditor(g)
+	eff, err := e.Apply(d)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.Graph(), eff, nil
 }
 
 func extendMask(m []bool, n int) []bool {
@@ -230,20 +419,13 @@ func extendMask(m []bool, n int) []bool {
 	return out
 }
 
-func sortedKeys(m map[int32]bool) []int32 {
-	if len(m) == 0 {
+// sortedSet sorts s in place and drops duplicates; empty stays nil.
+func sortedSet(s []int32) []int32 {
+	if len(s) == 0 {
 		return nil
 	}
-	out := make([]int32, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sortInt32(out)
-	return out
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // GatherIndex is the pull-side view of a graph's in-edges in message

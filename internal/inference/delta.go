@@ -34,7 +34,7 @@ import (
 //     the resident aggregate was folded over the old structure — so these
 //     vertices never halt before the last superstep.
 //   - pinned (out-degree changed, degree-scaled models only): every resident
-//     scaled message row of the vertex was rewritten at mutation time, so its
+//     scaled message row of the vertex was rewritten before the pass, so its
 //     receivers must re-gather at every scaled layer; the vertex itself pings
 //     at each scaled superstep without recomputing its own unchanged state.
 //
@@ -116,8 +116,9 @@ func (d *deltaDriver) step(send colSender, w int, v int32, k int, pinged bool) (
 }
 
 // seedStep is the superstep-0 transition: seeds announce their already-stale
-// layer-0 messages. state-dirty vertices rewrote their h^0 (and scaled
-// message row) at mutation time; pinned vertices rewrote their scaled rows.
+// layer-0 messages. state-dirty vertices had their h^0 rewritten by the
+// mutation and their scaled message row repaired before the pass (see
+// Session.repairMessages); pinned vertices had their scaled rows repaired.
 // Nothing halts at superstep 0 — every seed class has later work (state-dirty
 // recomputes layer 1 via dirtyStep == 0, inbox-dirty re-gathers everywhere,
 // pinned pings at later scaled layers).

@@ -23,22 +23,24 @@ const (
 
 // Session is the incremental execution mode: a resident, restartable
 // inference state machine over a mutable graph. A full pass populates
-// per-layer state slabs; Mutate applies graph deltas and accumulates their
-// seed sets; Refresh recomputes logits — through a frontier-driven delta
-// pass proportional to the change set's L-hop flood when the flood is small,
-// or a full pass (which re-populates the resident state as a side effect)
-// when it is not. Every path returns logits bit-identical to RunPregel from
-// scratch on the current graph.
+// per-layer state slabs; Mutate folds graph deltas into a graph.Editor overlay
+// and accumulates their seed sets; Refresh materializes the graph once for
+// however many batches arrived and recomputes logits — through a
+// frontier-driven delta pass proportional to the change set's L-hop flood
+// when the flood is small, or a full pass (which re-populates the resident
+// state as a side effect) when it is not. Every path returns logits
+// bit-identical to RunPregel from scratch on the current graph.
 //
 // Resident-state ownership: the session owns one global slab per layer
 // (layers[k], NumNodes × dim_k) plus one wire-message slab per degree-scaled
-// layer; layers[0] always aliases the current graph's feature matrix. During
-// a pass, slab rows are written only by the owning vertex's worker at that
-// vertex's superstep — layer separation (writes hit slab k while gathers
-// read slab k-1) keeps parallel workers race-free without merging. Results
-// hand out clones, never slab aliases, so a previous Refresh's logits stay
-// immutable while the next pass runs (the serving layer's RCU snapshots
-// depend on this).
+// layer; layers[0] aliases the feature matrix of the graph the latest pass
+// ran on (every pass re-points it at its materialized graph). During a pass,
+// slab rows are written only by the owning vertex's worker at that vertex's
+// superstep — layer separation (writes hit slab k while gathers read slab
+// k-1) keeps parallel workers race-free without merging. Results hand out
+// clones, never slab aliases, so a previous Refresh's logits stay immutable
+// while the next pass runs (the serving layer's RCU snapshots depend on
+// this).
 //
 // A Session is not safe for concurrent use; callers serialize Mutate and
 // Refresh (the serving layer does this under its refresh lock).
@@ -46,7 +48,7 @@ type Session struct {
 	model *gas.Model
 	opts  Options
 
-	g  *graph.Graph
+	ed *graph.Editor      // the mutable graph: base snapshot + batches applied since
 	gi *graph.GatherIndex // delivery-order pull index; nil when stale
 
 	primed    bool // a full pass has populated the resident slabs
@@ -93,7 +95,7 @@ func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error
 			return nil, fmt.Errorf("inference: incremental Session does not support %s", name)
 		}
 	}
-	s := &Session{model: model, opts: opts, g: g}
+	s := &Session{model: model, opts: opts, ed: graph.NewEditor(g)}
 	s.scaled = make([]bool, model.NumLayers())
 	for k, l := range model.Layers {
 		s.scaled[k] = layerScales(l)
@@ -105,8 +107,13 @@ func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error
 	return s, nil
 }
 
-// Graph returns the session's current (immutable) graph snapshot.
-func (s *Session) Graph() *graph.Graph { return s.g }
+// Graph returns the session's current graph as an immutable snapshot,
+// materializing the batches applied since the last call (one rebuild however
+// many there were).
+func (s *Session) Graph() *graph.Graph { return s.ed.Graph() }
+
+// GraphRebuilds counts the graph snapshots the session has materialized.
+func (s *Session) GraphRebuilds() int { return s.ed.Rebuilds() }
 
 // SetFaults rearms the in-process fault-injection plan for subsequent
 // passes — the serving layer's chaos harness injects crashes between
@@ -127,43 +134,30 @@ func (s *Session) cutoverFrac() float64 {
 	return 0.25
 }
 
-// Mutate applies one delta batch: the graph advances immediately (Graph()
-// reflects it), resident slabs grow to the new node count, and stale
-// resident message rows — the state-dirty vertices' layer-0 rows and every
-// scaled row of degree-changed vertices — are rewritten in place from
-// resident state. Seed sets accumulate until the next Refresh. An invalid
-// delta changes nothing.
+// Mutate applies one delta batch in time proportional to the batch: the
+// graph overlay advances (Graph() reflects it) and the batch's seed sets join
+// the pending ones until the next Refresh. Nothing is rebuilt and no slab is
+// touched here — a drain of B batches costs B overlay edits and one
+// materialization. An invalid delta changes nothing.
 func (s *Session) Mutate(d graph.Delta) (*graph.DeltaEffect, error) {
-	if d.Empty() {
-		return &graph.DeltaEffect{NumNodes: s.g.NumNodes}, nil
+	eff, err := s.ed.Apply(d)
+	if err != nil || d.Empty() {
+		return eff, err
 	}
-	ng, eff, err := graph.ApplyDelta(s.g, d)
-	if err != nil {
-		return nil, err
+	if eff.EdgesAdded+eff.EdgesRemoved > 0 || len(d.AddNodes) > 0 {
+		s.gi = nil // structure or node count changed; rebuilt lazily
 	}
-	s.g = ng
-	s.gi = nil // structure or node count may have changed; rebuilt lazily
 	s.pending = true
 	if !s.primed {
 		// No resident state to maintain: the first Refresh runs a full pass
 		// over whatever graph is current by then.
 		return eff, nil
 	}
-
-	s.growSlabs(eff.NumNodes)
 	s.pendState = growBools(s.pendState, eff.NumNodes)
 	s.pendInbox = growBools(s.pendInbox, eff.NumNodes)
 	s.pendPinned = growBools(s.pendPinned, eff.NumNodes)
-
-	// Repair resident wire messages whose inputs changed outside a pass:
-	// h^0 rewrites (scaled layer 0 reads the new feature row) and degree
-	// changes (every scaled layer's row of that vertex scales by the new
-	// out-degree). Unscaled slabs alias the state slabs and need nothing.
 	for _, v := range eff.StateDirty {
 		s.pendState[v] = true
-		if s.scaled[0] {
-			scaleMsgRowInto(s.model.Layers[0], s.msgs[0].Row(int(v)), s.layers[0].Row(int(v)), s.g.OutDegree(v))
-		}
 	}
 	for _, v := range eff.InboxDirty {
 		s.pendInbox[v] = true
@@ -171,11 +165,6 @@ func (s *Session) Mutate(d graph.Delta) (*graph.DeltaEffect, error) {
 	if s.anyScaled {
 		for _, v := range eff.DegreeChanged {
 			s.pendPinned[v] = true
-			for k := 0; k < s.model.NumLayers(); k++ {
-				if s.scaled[k] {
-					scaleMsgRowInto(s.model.Layers[k], s.msgs[k].Row(int(v)), s.layers[k].Row(int(v)), s.g.OutDegree(v))
-				}
-			}
 		}
 	}
 	return eff, nil
@@ -185,30 +174,31 @@ func (s *Session) Mutate(d graph.Delta) (*graph.DeltaEffect, error) {
 // ran. With no pending mutations it returns the resident result without
 // running anything (Stats zero, kind delta).
 func (s *Session) Refresh() (*Result, RefreshKind, error) {
+	g := s.ed.Graph()
 	if !s.primed {
-		res, err := s.fullPass()
+		res, err := s.fullPass(g)
 		return res, RefreshFull, err
 	}
 	if !s.pending {
 		return s.residentResult(), RefreshDelta, nil
 	}
 	frontier := s.frontier()
-	if float64(s.floodEstimate(frontier)) > s.cutoverFrac()*float64(s.g.NumNodes) {
-		res, err := s.fullPass()
+	if float64(s.floodEstimate(g, frontier)) > s.cutoverFrac()*float64(g.NumNodes) {
+		res, err := s.fullPass(g)
 		return res, RefreshFull, err
 	}
-	res, err := s.deltaPass(frontier)
+	res, err := s.deltaPass(g, frontier)
 	return res, RefreshDelta, err
 }
 
 // fullPass runs the one-shot driver with layer capture enabled, so the run
 // doubles as resident-state (re)population, then derives the scaled message
 // slabs — a scaling pass, no matmuls — and clears all pending bookkeeping.
-func (s *Session) fullPass() (*Result, error) {
-	s.ensureSlabs()
+func (s *Session) fullPass(g *graph.Graph) (*Result, error) {
+	s.ensureSlabs(g)
 	o := s.opts
 	o.captureLayers = s.layers
-	res, err := RunPregel(s.model, s.g, o)
+	res, err := RunPregel(s.model, g, o)
 	if err != nil {
 		return nil, err
 	}
@@ -218,22 +208,24 @@ func (s *Session) fullPass() (*Result, error) {
 		}
 		layer := s.model.Layers[k]
 		src, dst := s.layers[k], s.msgs[k]
-		for v := 0; v < s.g.NumNodes; v++ {
-			scaleMsgRowInto(layer, dst.Row(v), src.Row(v), s.g.OutDegree(int32(v)))
+		for v := 0; v < g.NumNodes; v++ {
+			scaleMsgRowInto(layer, dst.Row(v), src.Row(v), g.OutDegree(int32(v)))
 		}
 	}
 	s.primed = true
 	s.clearPending()
-	s.persistResident()
+	s.persistResident(g)
 	return res, nil
 }
 
 // deltaPass floods the pending seed set through a frontier-driven engine run
 // over the resident slabs and returns the refreshed logits.
-func (s *Session) deltaPass(frontier []int32) (*Result, error) {
+func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	if s.gi == nil {
-		s.gi = graph.BuildGatherIndex(s.g)
+		s.gi = graph.BuildGatherIndex(g)
 	}
+	s.growSlabs(g)
+	s.repairMessages(g)
 	for i := range s.dirtyStep {
 		s.dirtyStep[i] = -1
 	}
@@ -245,8 +237,8 @@ func (s *Session) deltaPass(frontier []int32) (*Result, error) {
 
 	o := s.opts
 	defer applyTuning(o)()
-	part := o.partition(s.g)
-	driver := newDeltaDriver(s.model, s.g, s.gi, s.layers, s.msgs, s.scaled,
+	part := o.partition(g)
+	driver := newDeltaDriver(s.model, g, s.gi, s.layers, s.msgs, s.scaled,
 		s.pendState, s.pendInbox, s.pendPinned, s.dirtyStep, o.NumWorkers)
 	cfg := pregel.Config[deltaPing]{
 		NumWorkers:       o.NumWorkers,
@@ -267,14 +259,14 @@ func (s *Session) deltaPass(frontier []int32) (*Result, error) {
 		// Pings are headers-only; reserves stay minimal.
 		Columnar: &pregel.ColumnarOps{Bytes: columnarBytes, ReserveMsgs: len(frontier)/o.NumWorkers + 1},
 	}
-	eng := pregel.NewEngine[deltaVtx, deltaPing](pregel.GraphTopology{G: s.g}, driver, cfg)
+	eng := pregel.NewEngine[deltaVtx, deltaPing](pregel.GraphTopology{G: g}, driver, cfg)
 	if err := eng.Run(); err != nil {
 		return nil, err
 	}
 
 	res := s.residentResult()
 	res.Stats, res.Phases = statsFromMetrics(eng.Metrics(), eng.Supersteps(), s.model,
-		residentBytes(s.g, part, s.model, o.NumWorkers), o.NumWorkers)
+		residentBytes(g, part, s.model, o.NumWorkers), o.NumWorkers)
 	res.Stats.Recoveries = eng.Recoveries()
 	cs := eng.CheckpointStats()
 	res.Stats.Checkpoints = cs.Checkpoints
@@ -283,8 +275,32 @@ func (s *Session) deltaPass(frontier []int32) (*Result, error) {
 	res.Stats.PersistWallNs = cs.PersistNs
 	res.Stats.WatchdogTrips = eng.WatchdogTrips()
 	s.clearPending()
-	s.persistResident()
+	s.persistResident(g)
 	return res, nil
+}
+
+// repairMessages rewrites the resident wire messages whose inputs the pending
+// mutations changed outside a pass: h^0 rewrites (scaled layer 0 reads the
+// new feature row) and out-degree changes (every scaled layer's row of that
+// vertex scales by the new degree). Unscaled slabs alias the state slabs and
+// need nothing. A row depends only on the vertex's current state and current
+// out-degree, so repairing once per refresh against the materialized graph
+// writes the same bits as repairing after every batch would have.
+func (s *Session) repairMessages(g *graph.Graph) {
+	if !s.anyScaled {
+		return
+	}
+	for v := range s.pendState {
+		if s.pendPinned[v] {
+			for k := 0; k < s.model.NumLayers(); k++ {
+				if s.scaled[k] {
+					scaleMsgRowInto(s.model.Layers[k], s.msgs[k].Row(v), s.layers[k].Row(v), g.OutDegree(int32(v)))
+				}
+			}
+		} else if s.pendState[v] && s.scaled[0] {
+			scaleMsgRowInto(s.model.Layers[0], s.msgs[0].Row(v), s.layers[0].Row(v), g.OutDegree(int32(v)))
+		}
+	}
 }
 
 // residentResult packages the resident logits slab as a fresh Result.
@@ -310,8 +326,8 @@ func (s *Session) frontier() []int32 {
 // an L-expansion out-edge BFS from the seeds, capped implicitly by the
 // visited set. The real wave is usually smaller (bitwise-unchanged rows stop
 // it), so this errs toward full passes — the safe side of the cutover.
-func (s *Session) floodEstimate(frontier []int32) int {
-	visited := make([]bool, s.g.NumNodes)
+func (s *Session) floodEstimate(g *graph.Graph, frontier []int32) int {
+	visited := make([]bool, g.NumNodes)
 	cur := append([]int32(nil), frontier...)
 	for _, v := range cur {
 		visited[v] = true
@@ -320,7 +336,7 @@ func (s *Session) floodEstimate(frontier []int32) int {
 	for hop := 0; hop < s.model.NumLayers() && len(cur) > 0; hop++ {
 		var next []int32
 		for _, v := range cur {
-			for _, u := range s.g.OutNeighbors(v) {
+			for _, u := range g.OutNeighbors(v) {
 				if !visited[u] {
 					visited[u] = true
 					count++
@@ -333,18 +349,18 @@ func (s *Session) floodEstimate(frontier []int32) int {
 	return count
 }
 
-// ensureSlabs (re)builds the resident slab set for the current graph:
+// ensureSlabs (re)builds the resident slab set for graph g:
 // layers[0] aliases the feature matrix, layers[k] is NumNodes × OutDim(k-1),
 // and each scaled layer owns a message slab (unscaled ones alias the state
 // slab — the wire message IS the state).
-func (s *Session) ensureSlabs() {
-	n := s.g.NumNodes
+func (s *Session) ensureSlabs(g *graph.Graph) {
+	n := g.NumNodes
 	L := s.model.NumLayers()
 	if s.layers == nil {
 		s.layers = make([]*tensor.Matrix, L+1)
 		s.msgs = make([]*tensor.Matrix, L)
 	}
-	s.layers[0] = s.g.Features
+	s.layers[0] = g.Features
 	for k := 1; k <= L; k++ {
 		dim := s.model.Layers[k-1].OutDim()
 		if s.layers[k] == nil || s.layers[k].Rows != n {
@@ -367,12 +383,13 @@ func (s *Session) ensureSlabs() {
 	s.pendPinned = growBools(s.pendPinned, n)
 }
 
-// growSlabs extends resident state to a larger node count after a mutation:
-// old rows are preserved, new rows are zero (the correct resident value for
-// a vertex that has never computed — its receivers are inbox-dirty and will
-// re-gather regardless).
-func (s *Session) growSlabs(n int) {
-	s.layers[0] = s.g.Features
+// growSlabs points layer 0 at g's feature matrix and extends resident state
+// to g's node count: old rows are preserved, new rows are zero (the correct
+// resident value for a vertex that has never computed — its receivers are
+// inbox-dirty and will re-gather regardless).
+func (s *Session) growSlabs(g *graph.Graph) {
+	n := g.NumNodes
+	s.layers[0] = g.Features
 	L := s.model.NumLayers()
 	for k := 1; k <= L; k++ {
 		if s.layers[k].Rows < n {
@@ -404,13 +421,13 @@ func growMatrix(m *tensor.Matrix, rows int) *tensor.Matrix {
 	return nm
 }
 
+// growBools extends b to n entries; append's amortized growth keeps a drain
+// of node-adding batches from copying the pending sets once per batch.
 func growBools(b []bool, n int) []bool {
 	if len(b) >= n {
 		return b
 	}
-	nb := make([]bool, n)
-	copy(nb, b)
-	return nb
+	return append(b, make([]bool, n-len(b))...)
 }
 
 func growInt32(b []int32, n int) []int32 {

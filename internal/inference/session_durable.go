@@ -11,10 +11,13 @@ package inference
 // buffers and hands them — together with the current immutable graph
 // snapshot and the replay mark — to a background persister goroutine, which
 // encodes them as one checkpoint epoch. The copy is the only cost on the
-// refresh path; encoding and disk IO overlap with serving. One persist is in
-// flight at a time: a refresh that finishes while the previous epoch is
-// still writing waits for the capture buffers to come back, bounding memory
-// at two slab sets.
+// refresh path; encoding and disk IO overlap with serving, and no refresh
+// ever waits on disk. The hand-off is a latest-wins mailbox over two capture
+// buffer sets: while one epoch is writing, the next refresh captures into the
+// other set and leaves it in the mailbox; a refresh that finds an unstarted
+// job still there takes it back and captures over it. Every resident state
+// is therefore either persisted or superseded by a newer one that is, and
+// memory is bounded at the resident slabs plus two captures.
 //
 // The replay mark is the WAL dedup cursor: the highest mutation sequence
 // number whose effects the persisted slabs contain. ResumeSession returns it
@@ -41,8 +44,6 @@ import (
 	"inferturbo/internal/tensor"
 )
 
-func nowNs() int64 { return time.Now().UnixNano() }
-
 const sessionMetaVersion = 1
 
 // SessionDurableStats exposes the persister's observables for /v1/stats.
@@ -51,6 +52,7 @@ type SessionDurableStats struct {
 	Failures     int64 // persist attempts aborted or failed
 	LastWallNs   int64 // wall time of the most recent successful persist
 	BytesWritten int64 // cumulative epoch bytes on disk
+	Superseded   int64 // captured states a newer capture replaced before their write began
 }
 
 // sessionPersistJob is one captured slab set in flight to disk.
@@ -67,13 +69,18 @@ type sessionDurable struct {
 	beginHook func(mark uint64) error
 	doneHook  func(epoch int, mark uint64, err error)
 
-	jobs chan *sessionPersistJob
-	free chan *sessionPersistJob // capacity 1: the recycled capture buffers
-	done chan struct{}
+	// mailbox holds the newest captured state whose write has not begun
+	// (capacity 1); free holds the idle capture buffer sets (capacity 2: both
+	// sets are idle before the first persist). The refresh goroutine is the
+	// only sender on mailbox and the only receiver on free.
+	mailbox chan *sessionPersistJob
+	free    chan *sessionPersistJob
+	done    chan struct{}
 
-	epochs   atomic.Int64
-	failures atomic.Int64
-	lastNs   atomic.Int64
+	epochs     atomic.Int64
+	failures   atomic.Int64
+	lastNs     atomic.Int64
+	superseded atomic.Int64
 	// bytes mirrors the store's cumulative byte count: the Store is
 	// persister-goroutine-private, so stats readers take this atomic instead.
 	bytes atomic.Int64
@@ -96,10 +103,11 @@ func (s *Session) initDurable() error {
 		store:     st,
 		beginHook: s.opts.SessionPersistBeginHook,
 		doneHook:  s.opts.SessionPersistHook,
-		jobs:      make(chan *sessionPersistJob, 1),
-		free:      make(chan *sessionPersistJob, 1),
+		mailbox:   make(chan *sessionPersistJob, 1),
+		free:      make(chan *sessionPersistJob, 2),
 		done:      make(chan struct{}),
 	}
+	d.free <- &sessionPersistJob{}
 	d.free <- &sessionPersistJob{}
 	go d.run(s.model)
 	s.dur = d
@@ -133,33 +141,43 @@ func (s *Session) DurableStats() SessionDurableStats {
 		Failures:     s.dur.failures.Load(),
 		LastWallNs:   s.dur.lastNs.Load(),
 		BytesWritten: s.dur.bytes.Load(),
+		Superseded:   s.dur.superseded.Load(),
 	}
 }
 
-// CloseDurable drains the in-flight persist (if any) and stops the
-// persister. The session remains usable in memory; further refreshes simply
+// CloseDurable drains the in-flight persist and the mailbox (if occupied) and
+// stops the persister, so the newest resident state is on disk when it
+// returns. The session remains usable in memory; further refreshes simply
 // stop persisting. Idempotent.
 func (s *Session) CloseDurable() {
 	if s.dur == nil {
 		return
 	}
-	close(s.dur.jobs)
+	close(s.dur.mailbox)
 	<-s.dur.done
 	s.dur = nil
 }
 
-// persistResident captures the current resident state and enqueues it for
-// background persistence. Runs on the refresh goroutine at the end of a pass
-// that ran compute; blocks only if the previous epoch is still writing (the
-// capture buffers are recycled through d.free).
-func (s *Session) persistResident() {
+// persistResident captures the current resident state and leaves it in the
+// mailbox for background persistence. Runs on the refresh goroutine at the
+// end of a pass that ran compute, and never blocks: an unstarted job is taken
+// back and captured over (its state is superseded; this one carries a mark at
+// least as high), otherwise an idle buffer set exists — of the two, at most
+// one is being written and none is in the mailbox.
+func (s *Session) persistResident(g *graph.Graph) {
 	d := s.dur
 	if d == nil || !s.primed {
 		return
 	}
-	job := <-d.free
+	var job *sessionPersistJob
+	select {
+	case job = <-d.mailbox:
+		d.superseded.Add(1)
+	default:
+		job = <-d.free
+	}
 	L := s.model.NumLayers()
-	job.g = s.g // immutable: later Mutates build fresh graphs
+	job.g = g // immutable: later Mutates only edit the overlay
 	job.mark = s.replayMark
 	if job.layers == nil {
 		job.layers = make([]*tensor.Matrix, L+1)
@@ -177,7 +195,7 @@ func (s *Session) persistResident() {
 			job.msgs[k] = nil
 		}
 	}
-	d.jobs <- job
+	d.mailbox <- job
 }
 
 // copyMatrixInto deep-copies src, reusing dst's backing array when shapes
@@ -194,7 +212,7 @@ func copyMatrixInto(dst, src *tensor.Matrix) *tensor.Matrix {
 // return the buffers for recycling, surface the outcome through the hook.
 func (d *sessionDurable) run(model *gas.Model) {
 	defer close(d.done)
-	for job := range d.jobs {
+	for job := range d.mailbox {
 		err := d.persistOne(model, job)
 		if err != nil {
 			d.failures.Add(1)
@@ -215,7 +233,7 @@ func (d *sessionDurable) persistOne(model *gas.Model, job *sessionPersistJob) er
 			return err
 		}
 	}
-	start := nowNs()
+	start := time.Now()
 	L := model.NumLayers()
 	meta := checkpoint.AppendU32(d.scratch[:0], sessionMetaVersion)
 	meta = checkpoint.AppendU64(meta, job.mark)
@@ -259,7 +277,7 @@ func (d *sessionDurable) persistOne(model *gas.Model, job *sessionPersistJob) er
 	}
 	d.epochs.Add(1)
 	d.bytes.Store(d.store.BytesWritten())
-	d.lastNs.Store(nowNs() - start)
+	d.lastNs.Store(time.Since(start).Nanoseconds())
 	return nil
 }
 

@@ -227,6 +227,20 @@ func TestSessionPersistFaultDegrades(t *testing.T) {
 	assertBitIdentical(t, "resume after recovered persist", res.Logits, scratch.Logits)
 }
 
+// waitSessionEpochs blocks until the background persister has written n
+// epochs. The persister is latest-wins, so a test that wants one epoch per
+// refresh lets each land before it refreshes again.
+func waitSessionEpochs(t *testing.T, sess *Session, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for sess.DurableStats().Epochs < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("session epoch %d never landed: %+v", n, sess.DurableStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestResumeSessionCorruptNewestEpoch: flipping bytes in the newest epoch
 // file must push Load back to the previous valid epoch, whose earlier replay
 // mark tells the caller to replay more WAL — never a hard failure while an
@@ -242,6 +256,7 @@ func TestResumeSessionCorruptNewestEpoch(t *testing.T) {
 	if _, _, err := sess.Refresh(); err != nil {
 		t.Fatal(err)
 	}
+	waitSessionEpochs(t, sess, 1)
 	sess.SetReplayMark(1)
 	rng := tensor.NewRNG(152)
 	if _, err := sess.Mutate(randomDelta(rng, sess.Graph(), false)); err != nil {
@@ -251,6 +266,7 @@ func TestResumeSessionCorruptNewestEpoch(t *testing.T) {
 	if _, _, err := sess.Refresh(); err != nil {
 		t.Fatal(err)
 	}
+	waitSessionEpochs(t, sess, 2)
 	sess.SetReplayMark(2)
 	if _, err := sess.Mutate(randomDelta(rng, sess.Graph(), false)); err != nil {
 		t.Fatal(err)
@@ -258,6 +274,7 @@ func TestResumeSessionCorruptNewestEpoch(t *testing.T) {
 	if _, _, err := sess.Refresh(); err != nil {
 		t.Fatal(err)
 	}
+	waitSessionEpochs(t, sess, 3)
 	sess.CloseDurable()
 
 	epochs, err := filepath.Glob(filepath.Join(dir, "epoch-*.ckpt"))
@@ -354,4 +371,98 @@ func TestSessionMutateValidationPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, "post-gauntlet delta", res.Logits, scratch.Logits)
+}
+
+// TestSessionPersisterNeverBlocksRefresh is the slow-disk property: with the
+// persister stuck inside the first epoch's write, five Mutate+Refresh rounds
+// complete without waiting for it — each later capture takes the unstarted
+// job back out of the mailbox and captures over it — and a CloseDurable
+// called while the newest state still sits in the mailbox persists it before
+// returning: what resumes is the last refresh, mark and bytes.
+func TestSessionPersisterNeverBlocksRefresh(t *testing.T) {
+	dir := t.TempDir()
+	m := gas.NewGCNModel("slow-gcn", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(181))
+	entered := make(chan uint64, 8) // one slot per persist this test can start
+	release := make(chan struct{})
+	opts := Options{
+		NumWorkers: 2, DeltaCutover: 1.1, SessionDir: dir,
+		SessionPersistBeginHook: func(mark uint64) error {
+			entered <- mark
+			<-release
+			return nil
+		},
+	}
+	sess, err := NewSession(m, sessionTestGraph(59, false), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if mark := <-entered; mark != 0 {
+		t.Fatalf("first persist carries mark %d, want the prime's 0", mark)
+	}
+
+	const rounds = 5
+	var last *Result
+	finished := make(chan error, 1)
+	go func() {
+		rng := tensor.NewRNG(182)
+		for r := uint64(1); r <= rounds; r++ {
+			if _, err := sess.Mutate(randomDelta(rng, sess.Graph(), true)); err != nil {
+				finished <- err
+				return
+			}
+			sess.SetReplayMark(r)
+			res, _, err := sess.Refresh()
+			if err != nil {
+				finished <- err
+				return
+			}
+			last = res
+		}
+		finished <- nil
+	}()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("refreshes waited on the blocked persister")
+	}
+	// The first round found an idle buffer set; each later one captured over
+	// its predecessor. Nothing has reached disk yet.
+	if ds := sess.DurableStats(); ds.Epochs != 0 || ds.Superseded != rounds-1 || ds.Failures != 0 {
+		t.Fatalf("while blocked: %+v, want 0 epochs and %d superseded", ds, rounds-1)
+	}
+
+	closing := make(chan struct{})
+	go func() {
+		<-closing
+		close(release)
+	}()
+	close(closing)
+	sess.CloseDurable()
+	if got := <-entered; got != rounds {
+		t.Fatalf("second persist carries mark %d, want the newest (%d)", got, rounds)
+	}
+
+	resumed, ok, err := ResumeSession(m, Options{NumWorkers: 2, SessionDir: dir})
+	if err != nil || !ok {
+		t.Fatalf("resume: ok=%v err=%v", ok, err)
+	}
+	defer resumed.CloseDurable()
+	if resumed.ReplayMark() != rounds {
+		t.Fatalf("resumed mark %d, want %d", resumed.ReplayMark(), rounds)
+	}
+	res, _, err := resumed.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, "resumed newest state", res.Logits, last.Logits)
+	epochs, err := filepath.Glob(filepath.Join(dir, "epoch-*.ckpt"))
+	if err != nil || len(epochs) != 2 {
+		t.Fatalf("epochs on disk: %v (err=%v), want the prime's and the newest", epochs, err)
+	}
 }

@@ -3,6 +3,7 @@ package inference
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"inferturbo/internal/datagen"
@@ -335,4 +336,133 @@ func TestSessionMutateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, "post-error delta", res.Logits, scratch.Logits)
+}
+
+// TestSessionDrainOneRebuildBitIdentical is the drain property: 32 batches
+// folded into the session and refreshed once must cost one graph rebuild and
+// produce logits byte-identical to the same batches refreshed one at a time
+// and to RunPregel from scratch on the final graph. The per-batch seed sets
+// must survive the single rebuild exactly: every Mutate returns the effect it
+// returns when the graph is materialized after each batch, and the union-
+// seeded pass computes the same vertices (Stats.StepActive). Covered for a
+// degree-scaled model (GCN: the deferred message repair) and an unscaled one
+// (SAGE with edge features), serial and Parallel, on the delta path and past
+// the cutover.
+func TestSessionDrainOneRebuildBitIdentical(t *testing.T) {
+	models := map[string]*gas.Model{
+		"gcn":     gas.NewGCNModel("dr-gcn", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(171)),
+		"sage-ef": gas.NewSAGEModel("dr-sage", gas.TaskSingleLabel, 6, 9, 3, 2, 4, tensor.NewRNG(172)),
+	}
+	const batches = 32
+	seed := int64(500)
+	for name, m := range models {
+		for _, parallel := range []bool{false, true} {
+			for _, want := range []RefreshKind{RefreshDelta, RefreshFull} {
+				seed++
+				label := fmt.Sprintf("%s/parallel=%v/%s", name, parallel, want)
+				base := sessionTestGraph(seed, true)
+				opts := Options{NumWorkers: 3, Parallel: parallel, DeltaCutover: 1.1}
+				if want == RefreshFull {
+					opts.DeltaCutover = 1e-9
+				}
+
+				// The batch stream, each drawn against the graph it applies to:
+				// random rewrites, node adds and edge changes, every fourth batch
+				// also removing the edge the previous one added, and one batch no
+				// session may accept.
+				rng := tensor.NewRNG(seed * 11)
+				var deltas []graph.Delta
+				final := base
+				for i := 0; i < batches; i++ {
+					if i == batches/2 {
+						deltas = append(deltas, graph.Delta{RemoveEdges: []graph.EdgeKey{{Src: 0, Dst: 0}, {Src: -1, Dst: 0}}})
+						continue
+					}
+					d := randomDelta(rng, final, true)
+					if prev := deltas[max(i-1, 0):i]; i%4 == 3 && len(prev) == 1 && len(prev[0].AddEdges) > 0 {
+						e := prev[0].AddEdges[len(prev[0].AddEdges)-1]
+						d.RemoveEdges = append(d.RemoveEdges, graph.EdgeKey{Src: e.Src, Dst: e.Dst})
+					}
+					ng, _, err := graph.ApplyDelta(final, d)
+					if err != nil {
+						t.Fatalf("%s: building batch %d: %v", label, i, err)
+					}
+					deltas, final = append(deltas, d), ng
+				}
+
+				primed := func() *Session {
+					s, err := NewSession(m, base, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if _, _, err := s.Refresh(); err != nil {
+						t.Fatalf("%s: prime: %v", label, err)
+					}
+					return s
+				}
+				// mutate folds every batch in; the one invalid batch must be the
+				// only one refused.
+				mutate := func(s *Session, after func()) []*graph.DeltaEffect {
+					var effs []*graph.DeltaEffect
+					for i, d := range deltas {
+						eff, err := s.Mutate(d)
+						if (err != nil) != (i == batches/2) {
+							t.Fatalf("%s: batch %d: err=%v", label, i, err)
+						}
+						effs = append(effs, eff)
+						after()
+					}
+					return effs
+				}
+
+				oneDrain := primed()
+				rebuilds := oneDrain.GraphRebuilds()
+				drainEffs := mutate(oneDrain, func() {})
+				if got := oneDrain.GraphRebuilds(); got != rebuilds {
+					t.Fatalf("%s: Mutate rebuilt the graph (%d → %d)", label, rebuilds, got)
+				}
+				res, kind, err := oneDrain.Refresh()
+				if err != nil || kind != want {
+					t.Fatalf("%s: drained refresh kind=%v err=%v", label, kind, err)
+				}
+				if got := oneDrain.GraphRebuilds(); got != rebuilds+1 {
+					t.Fatalf("%s: a drain of %d batches cost %d rebuilds, want 1", label, batches, got-rebuilds)
+				}
+
+				eachBuilt := primed()
+				builtEffs := mutate(eachBuilt, func() { eachBuilt.Graph() })
+				for i := range drainEffs {
+					if !reflect.DeepEqual(drainEffs[i], builtEffs[i]) {
+						t.Fatalf("%s: batch %d effect %+v, want %+v", label, i, drainEffs[i], builtEffs[i])
+					}
+				}
+				union, kind, err := eachBuilt.Refresh()
+				if err != nil || kind != want {
+					t.Fatalf("%s: union-seeded refresh kind=%v err=%v", label, kind, err)
+				}
+				if !reflect.DeepEqual(res.Stats.StepActive, union.Stats.StepActive) {
+					t.Fatalf("%s: StepActive %v, rebuilt-per-batch session ran %v", label, res.Stats.StepActive, union.Stats.StepActive)
+				}
+				assertBitIdentical(t, label+" vs rebuilt per batch", res.Logits, union.Logits)
+
+				oneAtATime := primed()
+				var last *Result
+				mutate(oneAtATime, func() {
+					if last, _, err = oneAtATime.Refresh(); err != nil {
+						t.Fatalf("%s: one-at-a-time refresh: %v", label, err)
+					}
+				})
+				assertBitIdentical(t, label+" vs one at a time", res.Logits, last.Logits)
+
+				scratch, err := RunPregel(m, final, Options{NumWorkers: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBitIdentical(t, label+" vs scratch", res.Logits, scratch.Logits)
+				if g := oneDrain.Graph(); g.NumNodes != final.NumNodes || g.NumEdges != final.NumEdges {
+					t.Fatalf("%s: session graph %d/%d nodes/edges, want %d/%d", label, g.NumNodes, g.NumEdges, final.NumNodes, final.NumEdges)
+				}
+			}
+		}
+	}
 }

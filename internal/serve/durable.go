@@ -38,8 +38,6 @@ import (
 	"inferturbo/internal/pregel"
 )
 
-func nowNanos() int64 { return time.Now().UnixNano() }
-
 // walDeltaVersion versions the WAL payload encoding of one graph.Delta.
 const walDeltaVersion = 1
 
@@ -225,7 +223,7 @@ func (s *Server) openDurable() error {
 	// yet contain. Records at or below the replay mark are covered by the
 	// resumed slabs (the crash fell between persist and truncation); they are
 	// consumed here so the next truncation clears them.
-	start := nowNanos()
+	start := time.Now()
 	mark := sess.ReplayMark()
 	// Sequence numbers must stay above every seq the durable state already
 	// covers — even when those records are long truncated — or a fresh
@@ -251,7 +249,7 @@ func (s *Server) openDurable() error {
 		s.stagedNodes += len(d.AddNodes)
 		s.m.walReplayed.Add(1)
 	}
-	s.lastReplayNs.Store(nowNanos() - start)
+	s.lastReplayNs.Store(time.Since(start).Nanoseconds())
 	return nil
 }
 

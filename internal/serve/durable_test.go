@@ -414,3 +414,63 @@ func TestWALDeltaCodecRoundTrip(t *testing.T) {
 		t.Fatalf("empty delta round trip: %+v err=%v", empty, err)
 	}
 }
+
+// TestDurableSlowDiskNeverBlocksRefresh: with the epoch writer stuck (the
+// slow-disk case), five mutate+refresh rounds all publish their snapshots —
+// no refresh waits on disk — while the WAL keeps every record, because none
+// of their states is durable yet. Once the writer resumes, the newest state
+// is the one persisted, the four it superseded are counted, and the WAL is
+// truncated through the newest mark; a restart then resumes that state and
+// replays nothing.
+func TestDurableSlowDiskNeverBlocksRefresh(t *testing.T) {
+	dir := t.TempDir()
+	entered := make(chan struct{}, 8) // one slot per persist this test can start
+	release := make(chan struct{})
+	a, aTS := durableServer(t, dir, func(c *Config) {
+		c.Refresh.SessionPersistBeginHook = func(uint64) error {
+			entered <- struct{}{}
+			<-release
+			return nil
+		}
+	})
+	<-entered // the prime's epoch is now stuck in its write
+
+	const rounds = 5
+	for r := 0; r < rounds; r++ {
+		body := fmt.Sprintf(`{"features":[{"node":%d,"features":[%d,1,-1,0,2,0]}],"add_edges":[{"src":%d,"dst":%d}]}`, 3+r, r, 40+r, 50+r)
+		if st, _ := postMutate(t, aTS, body); st != 202 {
+			t.Fatalf("round %d: mutate status %d", r, st)
+		}
+		if err := a.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Store().Epoch; got != int64(r+2) {
+			t.Fatalf("round %d: store epoch %d, want %d", r, got, r+2)
+		}
+	}
+	if m := a.Metrics(); m.SessionEpochs != 0 || m.SessionEpochsSuperseded != rounds-1 || m.WALRecords != rounds {
+		t.Fatalf("while the writer is stuck: epochs=%d superseded=%d wal_records=%d, want 0/%d/%d",
+			m.SessionEpochs, m.SessionEpochsSuperseded, m.WALRecords, rounds-1, rounds)
+	}
+	want := fetchLogits(t, aTS)
+
+	close(release)
+	waitFor(t, "newest epoch + WAL truncation through it", func() bool {
+		m := a.Metrics()
+		return m.SessionEpochs == 2 && m.WALRecords == 0
+	})
+	if m := a.Metrics(); m.SessionPersistFailures != 0 || m.SessionEpochsSuperseded != rounds-1 {
+		t.Fatalf("after release: %+v", m)
+	}
+	aTS.Close()
+	a.Close()
+
+	b, bTS := durableServer(t, dir, nil)
+	defer func() { bTS.Close(); b.Close() }()
+	if m := b.Metrics(); !m.SessionResumed || m.WALReplayed != 0 || m.MutationsLost != 0 {
+		t.Fatalf("restart: resumed=%v replayed=%d lost=%d, want true/0/0", m.SessionResumed, m.WALReplayed, m.MutationsLost)
+	}
+	if !bytes.Equal(fetchLogits(t, bTS), want) {
+		t.Fatal("restarted store differs from the last refresh before the restart")
+	}
+}

@@ -246,6 +246,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Encoding needs no shared state: only the sequence assignment, the
+	// append and the staging are ordered by stagedMu.
+	var payload []byte
+	if s.wal != nil {
+		payload = encodeDelta(nil, d)
+	}
+
 	s.stagedMu.Lock()
 	if msg := s.validateDeltaLocked(d); msg != "" {
 		s.stagedMu.Unlock()
@@ -263,7 +270,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		if s.faults.fire(pregel.FaultWALAppend) {
 			aerr = fmt.Errorf("injected wal-append fault")
 		} else {
-			aerr = s.wal.Append(seq, encodeDelta(nil, d))
+			aerr = s.wal.Append(seq, payload)
 		}
 		if aerr != nil {
 			s.stagedMu.Unlock()
@@ -299,13 +306,14 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 }
 
 // validateDeltaLocked is the stage-time boundary check, mirroring
-// graph.ApplyDelta's validation against the post-staging node count (feature
-// and edge-feature dimensions never change across deltas, so the config
-// graph's are authoritative). Only drain-order conflicts — a removal whose
-// edge an earlier batch already dropped — can still fail later.
+// graph.Editor.Apply's validation against the node count every earlier staged
+// batch leaves behind (feature and edge-feature dimensions never change
+// across deltas, so the config graph's are authoritative). Only drain-order
+// conflicts — a removal whose edge an earlier batch already dropped — can
+// still fail later.
 func (s *Server) validateDeltaLocked(d graph.Delta) string {
 	old := s.stagedNodes
-	n := old + len(d.AddNodes) // same-batch node references are legal
+	n := old + len(d.AddNodes) // added edges may reference same-batch nodes
 	fdim := s.cfg.Graph.FeatureDim()
 	for _, f := range d.Features {
 		if int(f.Node) < 0 || int(f.Node) >= old {
@@ -332,9 +340,11 @@ func (s *Server) validateDeltaLocked(d graph.Delta) string {
 			return fmt.Sprintf("add_edges[%d] has feature dim %d, graph edges carry %d", i, len(e.Features), edim)
 		}
 	}
+	// Removals resolve against the graph before the batch: a same-batch new
+	// node has no edges yet, so naming one is a batch the drain would reject.
 	for i, e := range d.RemoveEdges {
-		if int(e.Src) < 0 || int(e.Src) >= n || int(e.Dst) < 0 || int(e.Dst) >= n {
-			return fmt.Sprintf("remove_edges[%d] (%d->%d) references nodes outside [0,%d)", i, e.Src, e.Dst, n)
+		if int(e.Src) < 0 || int(e.Src) >= old || int(e.Dst) < 0 || int(e.Dst) >= old {
+			return fmt.Sprintf("remove_edges[%d] (%d->%d) references nodes outside [0,%d)", i, e.Src, e.Dst, old)
 		}
 	}
 	return ""

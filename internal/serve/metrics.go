@@ -23,6 +23,8 @@ type counters struct {
 	mutationsRejected    atomic.Int64 // staged batches the session refused at drain
 	mutationsUnsupported atomic.Int64 // mutations 409-refused in non-incremental mode (never staged, never lost)
 	mutationsLost        atomic.Int64 // acked batches dropped at Close on a WAL-less incremental server
+	graphRebuilds        atomic.Int64 // graph snapshots the session has materialized (gauge of its counter)
+	lastDrainNs          atomic.Int64 // last non-empty drain: staged batches → session + one materialization
 
 	walAppendFailures      atomic.Int64 // mutations refused because the WAL append failed
 	walReplayed            atomic.Int64 // WAL records re-staged at startup
@@ -79,6 +81,13 @@ type Stats struct {
 	PendingDeltas     int     `json:"pending_deltas"`
 	LastRefreshKind   string  `json:"last_refresh_kind,omitempty"`
 	LastRefreshMs     float64 `json:"last_refresh_ms"`
+	// GraphRebuilds counts graph materializations — one per refresh that
+	// drained at least one applied batch, however many it drained.
+	// LastDrainMs is what the most recent non-empty drain cost before its
+	// pass began: the staged batches folded into the session plus that one
+	// materialization.
+	GraphRebuilds int64   `json:"graph_rebuilds"`
+	LastDrainMs   float64 `json:"last_drain_ms"`
 
 	// Mutation-loss accounting. Unsupported counts 409-refused mutations on
 	// a non-incremental server (refused before staging — never lost); Lost
@@ -105,6 +114,10 @@ type Stats struct {
 	SessionEpochs          int64   `json:"session_epochs"`
 	SessionPersistFailures int64   `json:"session_persist_failures"`
 	SessionPersistMs       float64 `json:"session_persist_ms"`
+	// SessionEpochsSuperseded counts resident states a newer refresh captured
+	// over before their epoch write began (the persister was still busy with
+	// an older one); the newer epoch covers them.
+	SessionEpochsSuperseded int64 `json:"session_epochs_superseded"`
 }
 
 // Metrics assembles a consistent-enough view of the serving counters.
@@ -130,6 +143,8 @@ func (s *Server) Metrics() Stats {
 		Mutations:         s.m.mutations.Load(),
 		MutationsApplied:  s.m.mutationsApplied.Load(),
 		MutationsRejected: s.m.mutationsRejected.Load(),
+		GraphRebuilds:     s.m.graphRebuilds.Load(),
+		LastDrainMs:       float64(s.m.lastDrainNs.Load()) / 1e6,
 
 		MutationsUnsupported: s.m.mutationsUnsupported.Load(),
 		MutationsLost:        s.m.mutationsLost.Load(),
@@ -150,9 +165,9 @@ func (s *Server) Metrics() Stats {
 		st.SessionResumed = s.sessionResumed
 		st.SessionEpochs = s.m.sessionEpochs.Load()
 		st.SessionPersistFailures = s.m.sessionPersistFailures.Load()
-		if s.session != nil {
-			st.SessionPersistMs = float64(s.session.DurableStats().LastWallNs) / 1e6
-		}
+		ds := s.session.DurableStats()
+		st.SessionPersistMs = float64(ds.LastWallNs) / 1e6
+		st.SessionEpochsSuperseded = ds.Superseded
 	}
 	st.Ready, _ = s.Ready()
 	if snap := s.snap.Load(); snap != nil {

@@ -379,6 +379,7 @@ func (s *Server) runRefresh(prev *Snapshot) (res *inference.Result, kind string,
 	// Chaos harnesses arm fault plans between refreshes; forward the current
 	// plan so injected crashes hit the incremental pass too.
 	s.session.SetFaults(s.cfg.Refresh.Faults)
+	drainStart := time.Now()
 	var mark uint64
 	for _, sd := range staged {
 		if _, merr := s.session.Mutate(sd.d); merr != nil {
@@ -399,11 +400,17 @@ func (s *Server) runRefresh(prev *Snapshot) (res *inference.Result, kind string,
 		// only once) that epoch is durable.
 		s.session.SetReplayMark(mark)
 	}
+	// One materialization for the whole drain, however many batches it held.
+	g = s.session.Graph()
+	s.m.graphRebuilds.Store(int64(s.session.GraphRebuilds()))
+	if len(staged) > 0 {
+		s.m.lastDrainNs.Store(time.Since(drainStart).Nanoseconds())
+	}
 	// Resync the staging node count to what actually applied, so a rejected
 	// batch's phantom node ids don't loosen stage-time validation forever
 	// (batches staged during the drain stay counted).
 	s.stagedMu.Lock()
-	n := s.session.Graph().NumNodes
+	n := g.NumNodes
 	for _, sd := range s.staged {
 		n += len(sd.d.AddNodes)
 	}
@@ -412,7 +419,7 @@ func (s *Server) runRefresh(prev *Snapshot) (res *inference.Result, kind string,
 
 	var k inference.RefreshKind
 	res, k, err = s.session.Refresh()
-	return res, string(k), s.session.Graph(), err
+	return res, string(k), g, err
 }
 
 func (s *Server) refreshLoop() {

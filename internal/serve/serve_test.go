@@ -720,6 +720,32 @@ func TestMutateDeltaRefreshBitIdenticalOverHTTP(t *testing.T) {
 	if m.LastRefreshMs < 0 {
 		t.Fatalf("last_refresh_ms=%v", m.LastRefreshMs)
 	}
+	// One graph rebuild for the two-batch drain, and its cost is reported.
+	if m.GraphRebuilds != 1 || m.LastDrainMs <= 0 {
+		t.Fatalf("graph_rebuilds=%d last_drain_ms=%v after one two-batch drain, want 1 and > 0", m.GraphRebuilds, m.LastDrainMs)
+	}
+	// graph_rebuilds advances by exactly one per refresh that drained at
+	// least one batch, however many it drained — and not at all otherwise.
+	for round, batches := range []int{0, 1, 3, 0, 2} {
+		before := s.Metrics().GraphRebuilds
+		for b := 0; b < batches; b++ {
+			body := fmt.Sprintf(`{"features":[{"node":%d,"features":[%d,0,0,0,0,1]}],"add_edges":[{"src":%d,"dst":%d}]}`,
+				10+b, round, 20+round, 30+b)
+			if st, _ := postMutate(t, ts, body); st != 202 {
+				t.Fatalf("round %d batch %d: status %d", round, b, st)
+			}
+		}
+		if err := s.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		want := before
+		if batches > 0 {
+			want++
+		}
+		if got := s.Metrics().GraphRebuilds; got != want {
+			t.Fatalf("round %d drained %d batches: graph_rebuilds %d → %d, want %d", round, batches, before, got, want)
+		}
+	}
 }
 
 // TestMutateChaosDeltaRefresh arms worker crashes between refreshes: the
@@ -787,6 +813,10 @@ func TestMutateRejections(t *testing.T) {
 		`{"add_edges":[{"src":0,"dst":1,"features":[1,2,3]}]}`,   // edge features on a featureless graph
 		`{"add_nodes":[{"features":[1]}]}`,                       // new node bad dim
 		`{"bogus":true}`,                                         // unknown field
+		// A removal resolves against the graph before its batch: naming the
+		// batch's own new node (id 200) is a batch the drain would reject, so
+		// it must be refused here, before the ack and the WAL.
+		`{"add_nodes":[{"features":[0,0,0,0,0,0]}],"add_edges":[{"src":200,"dst":1}],"remove_edges":[{"src":200,"dst":1}]}`,
 	} {
 		if st, mr := postMutate(t, ts, body); st != 400 || mr.Error == "" {
 			t.Fatalf("case %d: status=%d err=%q, want 400 with message", i, st, mr.Error)
