@@ -80,6 +80,22 @@ func BenchmarkGATLayerInfer(b *testing.B) {
 	}
 }
 
+// BenchmarkGATApply is one batched-plane worker's GAT apply on the hub-out
+// benchmark shape: ~1.25k owned rows, 12k received messages over 3.1k
+// distinct sources, 64-wide input, 4 concatenated 16-wide heads, on a warm
+// pool.
+func BenchmarkGATApply(b *testing.B) {
+	c := NewGATConv(GATConfig{InDim: 64, Heads: 4, HeadDim: 16, ConcatHeads: true, Activation: ActReLU}, tensor.NewRNG(9))
+	state, aggr := gatCase(1250, 3100, 12000, 64, 10)
+	p := tensor.NewPool()
+	p.Put(c.ApplyNodePooled(state, aggr, p))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Put(c.ApplyNodePooled(state, aggr, p))
+	}
+}
+
 func BenchmarkSAGETrainStep(b *testing.B) {
 	rng := tensor.NewRNG(7)
 	c := NewSAGEConv(SAGEConfig{InDim: 64, OutDim: 64, Reduce: ReduceMean, Activation: ActReLU}, rng)

@@ -120,12 +120,16 @@ func (c *Context) Validate() error {
 
 // Aggregated is the output of the gather stage. For pooled reduces, Pooled
 // is N x D (plus Counts for mean); for Union, Messages and Dst carry the raw
-// edge-level data.
+// edge-level data: message i folds into node Dst[i]. When MsgRow is set,
+// Messages holds each distinct payload once and message i reads
+// Messages.Row(MsgRow[i]); when it is nil, message i is Messages.Row(i).
+// Only a Union gather over a broadcast-safe layer sets MsgRow.
 type Aggregated struct {
 	Kind     ReduceKind
 	Pooled   *tensor.Matrix
 	Counts   []int32
 	Messages *tensor.Matrix
+	MsgRow   []int32
 	Dst      []int32
 }
 
@@ -203,9 +207,9 @@ type Conv interface {
 }
 
 // scratch is the package buffer pool backing the full-graph inference path
-// (InferLayer / Model.Infer). Per-vertex driver loops in internal/inference
-// use their own per-worker pools instead, so this one only sees the
-// layer-granularity reference path and stays uncontended.
+// (InferLayer, GATConv.Infer, Model.Infer). Per-vertex driver loops in
+// internal/inference use their own per-worker pools instead, so this one
+// only sees the layer-granularity reference path and stays uncontended.
 var scratch = tensor.NewPool()
 
 // PooledApplier is implemented by convs whose apply_node can run with its

@@ -2,6 +2,7 @@ package gas
 
 import (
 	"fmt"
+	"math"
 
 	"inferturbo/internal/nn"
 	"inferturbo/internal/tensor"
@@ -94,111 +95,159 @@ func (c *GATConv) Activation() string { return c.activation }
 // ApplyEdge implements Conv: identity — attention uses edge structure only.
 func (c *GATConv) ApplyEdge(msg, _ *tensor.Matrix) *tensor.Matrix { return msg }
 
-// ApplyNode implements Conv: project self and neighbor states, compute
-// attention per head over in-edges, and emit the weighted combination.
+// ApplyNode implements Conv: ApplyNodePooled over a private pool, so the
+// result and every intermediate belong to the caller.
 func (c *GATConv) ApplyNode(nodeState *tensor.Matrix, aggr *Aggregated) *tensor.Matrix {
-	if aggr.Kind != ReduceUnion {
-		panic("gas: GATConv needs a union aggregate")
-	}
-	zAll := c.MsgLin.Apply(nodeState)
-	zMsg := c.MsgLin.Apply(aggr.Messages)
-	out, _, _ := c.attention(zAll, zMsg, aggr.Dst, nodeState.Rows)
-	return applyActivation(c.activation, out)
+	return c.ApplyNodePooled(nodeState, aggr, tensor.NewPool())
 }
 
-// attention runs the multi-head attention given projected self states zAll
-// (N x H*hd) and projected messages zMsg (E x H*hd), returning the
-// pre-activation output plus the logits and weights for backprop.
-func (c *GATConv) attention(zAll, zMsg *tensor.Matrix, dst []int32, n int) (out, pre, alpha *tensor.Matrix) {
-	e := zMsg.Rows
-	hd := c.headDim
-	pre = tensor.New(e, c.heads)
-	alpha = tensor.New(e, c.heads)
-
-	var headOuts []*tensor.Matrix
-	for k := 0; k < c.heads; k++ {
-		aSrc := c.AttSrc.Value.Row(k)
-		aDst := c.AttDst.Value.Row(k)
-		// Per-node destination attention term.
-		sDst := make([]float32, n)
-		for v := 0; v < n; v++ {
-			z := zAll.Row(v)[k*hd : (k+1)*hd]
-			var s float32
-			for j, a := range aDst {
-				s += a * z[j]
-			}
-			sDst[v] = s
-		}
-		logits := make([]float32, e)
-		for i := 0; i < e; i++ {
-			z := zMsg.Row(i)[k*hd : (k+1)*hd]
-			var s float32
-			for j, a := range aSrc {
-				s += a * z[j]
-			}
-			p := s + sDst[dst[i]]
-			pre.Set(i, k, p)
-			logits[i] = tensor.LeakyReLUScalar(p, 0.2)
-		}
-		al := tensor.SegmentSoftmax(logits, dst, n)
-		for i := 0; i < e; i++ {
-			alpha.Set(i, k, al[i])
-		}
-		weighted := tensor.New(e, hd)
-		for i := 0; i < e; i++ {
-			z := zMsg.Row(i)[k*hd : (k+1)*hd]
-			w := weighted.Row(i)
-			for j := range w {
-				w[j] = al[i] * z[j]
-			}
-		}
-		headOuts = append(headOuts, tensor.SegmentSum(weighted, dst, n))
-	}
-
-	if c.concatHeads {
-		out = headOuts[0]
-		for k := 1; k < c.heads; k++ {
-			out = tensor.ConcatCols(out, headOuts[k])
-		}
-	} else {
-		out = headOuts[0].Clone()
-		for k := 1; k < c.heads; k++ {
-			tensor.AddInPlace(out, headOuts[k])
-		}
-		out.ScaleInPlace(1 / float32(c.heads))
-	}
-	return out, pre, alpha
-}
-
-// ApplyNodePooled implements PooledApplier: the two projection matrices —
-// the layer's dominant intermediates — are recycled through p; attention
-// itself is unchanged, so values are identical to ApplyNode.
+// ApplyNodePooled implements PooledApplier: project the nodes' own states
+// and each distinct message row once, then attend. Every intermediate and
+// the result come from p and nothing else is written, so one GATConv may
+// serve many goroutines as long as each brings its own pool.
 func (c *GATConv) ApplyNodePooled(nodeState *tensor.Matrix, aggr *Aggregated, p *tensor.Pool) *tensor.Matrix {
 	if aggr.Kind != ReduceUnion {
 		panic("gas: GATConv needs a union aggregate")
 	}
 	zAll := c.MsgLin.ApplyPooled(p, nodeState)
 	zMsg := c.MsgLin.ApplyPooled(p, aggr.Messages)
-	out, _, _ := c.attention(zAll, zMsg, aggr.Dst, nodeState.Rows)
+	out := c.attend(zAll, zMsg, aggr.MsgRow, aggr.Dst, p, nil, nil)
 	p.Put(zAll)
 	p.Put(zMsg)
 	return applyActivationInPlace(c.activation, out)
 }
 
-// Infer implements Conv.
-func (c *GATConv) Infer(ctx *Context) *tensor.Matrix { return InferLayer(c, ctx) }
+// Infer implements Conv. A message is its source's raw state, so the node
+// states are projected once and messages index them by SrcIndex; no E x D
+// message matrix is gathered.
+func (c *GATConv) Infer(ctx *Context) *tensor.Matrix {
+	zAll := c.MsgLin.ApplyPooled(scratch, ctx.NodeState)
+	out := c.attend(zAll, zAll, ctx.SrcIndex, ctx.DstIndex, scratch, nil, nil)
+	scratch.Put(zAll)
+	return applyActivationInPlace(c.activation, out)
+}
 
 // Forward implements Conv, caching intermediates for Backward.
 func (c *GATConv) Forward(ctx *Context) *tensor.Matrix {
 	c.cacheCtx = ctx
 	zAll := c.MsgLin.Forward(ctx.NodeState)
 	c.cacheZAll = zAll
-	zMsg := tensor.GatherRows(zAll, ctx.SrcIndex)
-	out, pre, alpha := c.attention(zAll, zMsg, ctx.DstIndex, ctx.NumNodes)
-	c.cachePre = pre
-	c.cacheAlpha = alpha
+	e := len(ctx.SrcIndex)
+	c.cachePre, c.cacheAlpha = tensor.New(e, c.heads), tensor.New(e, c.heads)
+	out := c.attend(zAll, zAll, ctx.SrcIndex, ctx.DstIndex, tensor.NewPool(), c.cachePre, c.cacheAlpha)
 	c.cachePreAct = out
 	return applyActivation(c.activation, out)
+}
+
+// attend is the multi-head attention behind every GAT path. zAll holds the
+// projected node states (N x H*hd); message i reads the projected row
+// zMsg.Row(row[i]) (zMsg.Row(i) when row is nil) and folds into node
+// dst[i]. It returns the pre-activation output (N x OutDim) drawn from p,
+// as is every temporary but the N softmax denominators. When pre and alpha
+// (E x H) are non-nil they receive the logits and weights Backward needs.
+//
+// Per head, messages fold in ascending index order — the order a segment
+// sum over an E-row message matrix folds — and each α·z term is rounded to
+// float32 before the add (the explicit conversion forbids FMA fusion), so
+// the output is bit-identical to materializing the weighted messages and
+// segment-summing them. Averaged heads fold a zeroed head buffer into the
+// output in head order, then scale.
+func (c *GATConv) attend(zAll, zMsg *tensor.Matrix, row, dst []int32, p *tensor.Pool, pre, alpha *tensor.Matrix) *tensor.Matrix {
+	n, u, hd := zAll.Rows, zMsg.Rows, c.headDim
+	out := p.Get(n, c.OutDim())
+	scores := p.GetNoZero(1, 2*n+u)
+	sDst, maxes, sSrc := scores.Data[:n], scores.Data[n:2*n], scores.Data[2*n:]
+	weights := p.GetNoZero(1, len(dst))
+	al := weights.Data
+	sums := make([]float64, n)
+	var head *tensor.Matrix
+	if !c.concatHeads && c.heads > 1 {
+		head = p.GetNoZero(n, hd)
+	}
+
+	for k := 0; k < c.heads; k++ {
+		lo, hi := k*hd, (k+1)*hd
+		aSrc, aDst := c.AttSrc.Value.Row(k), c.AttDst.Value.Row(k)
+		for v := range sDst {
+			sDst[v] = dot(aDst, zAll.Row(v)[lo:hi])
+			maxes[v] = float32(math.Inf(-1))
+			sums[v] = 0
+		}
+		for r := range sSrc {
+			sSrc[r] = dot(aSrc, zMsg.Row(r)[lo:hi])
+		}
+
+		// Segment softmax over each destination's messages.
+		for i, d := range dst {
+			r := i
+			if row != nil {
+				r = int(row[i])
+			}
+			x := sSrc[r] + sDst[d]
+			if pre != nil {
+				pre.Set(i, k, x)
+			}
+			l := tensor.LeakyReLUScalar(x, 0.2)
+			al[i] = l
+			if l > maxes[d] {
+				maxes[d] = l
+			}
+		}
+		for i, d := range dst {
+			ex := float32(math.Exp(float64(al[i] - maxes[d])))
+			al[i] = ex
+			sums[d] += float64(ex)
+		}
+		for i, d := range dst {
+			if s := sums[d]; s > 0 {
+				al[i] = float32(float64(al[i]) / s)
+			}
+			if alpha != nil {
+				alpha.Set(i, k, al[i])
+			}
+		}
+
+		// Weighted sum: concat heads fill their column band of out, averaged
+		// heads after the first go through the head buffer.
+		acc, off := out, lo
+		if !c.concatHeads {
+			off = 0
+			if k > 0 {
+				acc = head
+				head.Zero()
+			}
+		}
+		for i, d := range dst {
+			r := i
+			if row != nil {
+				r = int(row[i])
+			}
+			a, z := al[i], zMsg.Row(r)[lo:hi]
+			o := acc.Row(int(d))[off : off+hd]
+			for j, zv := range z {
+				o[j] += float32(a * zv)
+			}
+		}
+		if acc == head {
+			tensor.AddInPlace(out, head)
+		}
+	}
+	if !c.concatHeads {
+		out.ScaleInPlace(1 / float32(c.heads))
+	}
+	p.Put(scores)
+	p.Put(weights)
+	p.Put(head)
+	return out
+}
+
+// dot is the attention-logit dot product, accumulated in ascending j.
+func dot(a, z []float32) float32 {
+	var s float32
+	for j, av := range a {
+		s += av * z[j]
+	}
+	return s
 }
 
 // Backward implements Conv.

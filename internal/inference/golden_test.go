@@ -1,0 +1,100 @@
+package inference
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"runtime"
+	"testing"
+
+	"inferturbo/internal/datagen"
+	"inferturbo/internal/gas"
+	"inferturbo/internal/graph"
+	"inferturbo/internal/tensor"
+)
+
+// goldenGATCRC is logitsCRC of goldenGAT's logits, computed on amd64 before
+// GAT apply was rebuilt around distinct-source projection and kept since.
+// A change that moves any logit bit — a kernel rewrite, a fold-order
+// change, a toolchain upgrade — fails here and must update this constant
+// on purpose. Architectures that fuse multiply-adds (arm64) legitimately
+// compute other bits, so there only the paths' agreement is asserted.
+const goldenGATCRC = 0xc714a4f5
+
+// goldenGAT is the fixed pair behind goldenGATCRC: a 600-node skew-out
+// graph whose hubs take the broadcast path, and a 2-layer GAT with a
+// concatenated 3-head hidden layer and an averaged 3-head output layer.
+func goldenGAT() (*gas.Model, *graph.Graph) {
+	ds := datagen.Generate(datagen.Config{
+		Name: "golden-gat", Nodes: 600, AvgDegree: 6, Skew: datagen.SkewOut, Exponent: 1.7,
+		FeatureDim: 8, NumClasses: 4, Seed: 2501,
+	})
+	return gas.NewGATModel("golden-gat", gas.TaskSingleLabel, 8, 6, 3, 4, 2, tensor.NewRNG(2502)), ds.Graph
+}
+
+// logitsCRC is the CRC-32 (IEEE) of m's float32 bits, little-endian.
+func logitsCRC(m *tensor.Matrix) uint32 {
+	b := make([]byte, 0, 4*len(m.Data))
+	for _, v := range m.Data {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+	}
+	return crc32.ChecksumIEEE(b)
+}
+
+func TestGoldenGATLogitsCRC(t *testing.T) {
+	m, g := goldenGAT()
+	want := logitsCRC(ReferenceForward(m, g))
+	if runtime.GOARCH == "amd64" && want != goldenGATCRC {
+		t.Fatalf("ReferenceForward logits CRC %#08x, golden %#08x", want, goldenGATCRC)
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"batched/w8/parallel+broadcast", Options{NumWorkers: 8, Parallel: true, Broadcast: true}},
+		{"batched/w3/serial", Options{NumWorkers: 3}},
+		{"per-vertex/w4/broadcast", Options{NumWorkers: 4, PerVertexCompute: true, Broadcast: true}},
+		{"boxed/w4", Options{NumWorkers: 4, BoxedMessages: true}},
+		{"pipelined/w4/chunk7/parallel+broadcast", Options{NumWorkers: 4, Pipelined: true, PipelineChunk: 7, Parallel: true, Broadcast: true}},
+	} {
+		res, err := RunPregel(m, g, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.opts.Broadcast && res.Stats.BroadcastHubs == 0 {
+			t.Fatalf("%s: no hub took the broadcast path", tc.name)
+		}
+		if got := logitsCRC(res.Logits); got != want {
+			t.Errorf("%s: logits CRC %#08x, ReferenceForward %#08x", tc.name, got, want)
+		}
+	}
+}
+
+// TestShadowNodesWithinTolerance pins what ShadowNodes promises: logits
+// close to the plain run's, not bit-identical. Mirror ids sort after every
+// original, so under ascending-source delivery a receiver folds a mirror's
+// message later than it would have folded the hub's.
+func TestShadowNodesWithinTolerance(t *testing.T) {
+	g := testGraph(t, datagen.SkewOut, 3000)
+	opts := Options{NumWorkers: 8}
+	if BuildShadowGraph(g, opts.withDefaults().threshold(g)).Mirrors == 0 {
+		t.Fatal("expected mirrors on an out-skewed graph")
+	}
+	for name, m := range map[string]*gas.Model{"sage": sageModel(t), "gcn": gcnModel(t), "gat": gatModel(t)} {
+		plain, err := RunPregel(m, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadowOpts := opts
+		shadowOpts.ShadowNodes = true
+		shadow, err := RunPregel(m, g, shadowOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := shadow.Logits.MaxAbsDiff(plain.Logits)
+		if d > 1e-5 {
+			t.Fatalf("%s: ShadowNodes logits differ from plain by %g", name, d)
+		}
+		t.Logf("%s: ShadowNodes vs plain max |Δlogit| %.2g", name, d)
+	}
+}

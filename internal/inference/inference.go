@@ -49,7 +49,8 @@ type Options struct {
 	// payload per worker plus lightweight per-edge references.
 	Broadcast bool
 	// ShadowNodes splits hub nodes' out-edges across mirror vertices in a
-	// preprocessing pass.
+	// preprocessing pass. Logits match the plain run to float tolerance,
+	// not bitwise (see ShadowGraph).
 	ShadowNodes bool
 	// Lambda tunes the hub threshold = λ·edges/workers (default 0.1).
 	Lambda float64
@@ -289,7 +290,7 @@ func vectorizeAggregate(kind gas.ReduceKind, dim, n int, payload func(i int) ([]
 // consumed the previous aggregate and releaseAggregated has run.
 func vectorizeAggregateInto(a *gas.Aggregated, kind gas.ReduceKind, dim, n int, payload func(i int) ([]float32, int32), pool *tensor.Pool) *gas.Aggregated {
 	a.Kind = kind
-	a.Pooled, a.Messages = nil, nil
+	a.Pooled, a.Messages, a.MsgRow = nil, nil, nil
 	a.Counts, a.Dst = a.Counts[:0], a.Dst[:0]
 	switch kind {
 	case gas.ReduceUnion:

@@ -170,12 +170,14 @@ type pregelDriver struct {
 	// Batched plane: per-worker state slabs. states[w] is N_local x D_k with
 	// local vertex li's h^k in row li; embs[w] retains the penultimate slab
 	// when embeddings were requested. resPays/resCounts are the
-	// broadcast-ref resolution scratch; scaleRows the MessageScaler scratch.
+	// broadcast-ref resolution scratch; scaleRows the MessageScaler scratch;
+	// unions the Union gather's distinct-source index.
 	states    []*tensor.Matrix
 	embs      []*tensor.Matrix
 	resPays   [][][]float32
 	resCounts [][]int32
 	scaleRows [][]float32
+	unions    []unionIndex
 
 	// Per-vertex plane: next-h rows are carved from one per-worker slab per
 	// superstep instead of allocated per vertex. Two generations stay live
@@ -606,6 +608,7 @@ func RunPregel(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) 
 		resPays:   make([][][]float32, opts.NumWorkers),
 		resCounts: make([][]int32, opts.NumWorkers),
 		scaleRows: make([][]float32, opts.NumWorkers),
+		unions:    make([]unionIndex, opts.NumWorkers),
 		hSlabs:    make([]hSlab, opts.NumWorkers),
 		hStep:     make([]int, opts.NumWorkers),
 	}

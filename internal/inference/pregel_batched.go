@@ -2,6 +2,7 @@ package inference
 
 import (
 	"fmt"
+	"slices"
 
 	"inferturbo/internal/gas"
 	"inferturbo/internal/pregel"
@@ -15,7 +16,8 @@ import (
 //
 //	gather  — one CSR segment-reduce over the worker's whole columnar inbox
 //	          (tensor.SegmentSumViewsInto / SegmentExtremeViewsInto over
-//	          zero-copy arena views), or one flat message matrix for Union
+//	          zero-copy arena views), or for Union one matrix of distinct
+//	          source payloads plus a per-message row index
 //	apply   — one pooled (N_local x D) @ (D x D') apply_node over the state
 //	          slab, driving the parallel MatMul kernels that the per-vertex
 //	          plane's 1 x D calls always kept below ParallelThreshold
@@ -144,18 +146,13 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 	dim := layer.InDim()
 	a := &d.aggrs[w]
 	a.Kind = layer.Reduce()
-	a.Pooled, a.Messages = nil, nil
+	a.Pooled, a.Messages, a.MsgRow = nil, nil, nil
 	a.Counts, a.Dst = a.Counts[:0], a.Dst[:0]
 	switch kind := layer.Reduce(); kind {
 	case gas.ReduceUnion:
-		// Union (GAT): one flat message matrix for the whole partition,
-		// destinations in local indices — the partition-local form of the
-		// reference forward's edge-message matrix.
-		mm := pool.GetNoZero(n, dim)
-		for i, p := range pays {
-			copy(mm.Row(i), p)
-		}
-		a.Messages = mm
+		// Union (GAT): the partition's messages with destinations in local
+		// indices — the partition-local form of the reference forward's
+		// edge-message data.
 		if cap(a.Dst) < n {
 			a.Dst = make([]int32, n)
 		} else {
@@ -166,6 +163,18 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 				a.Dst[i] = int32(li)
 			}
 		}
+		if layer.BroadcastSafe() {
+			// The message is the source's state on every out-edge (the
+			// gas.Conv contract), so each distinct source is copied — and
+			// projected by apply_node — once, and messages index its row.
+			a.Messages, a.MsgRow = d.unions[w].build(pool, dim, in.Srcs, pays)
+			break
+		}
+		mm := pool.GetNoZero(n, dim)
+		for i, p := range pays {
+			copy(mm.Row(i), p)
+		}
+		a.Messages = mm
 	case gas.ReduceSum, gas.ReduceMean:
 		pooled := pool.GetNoZero(nLocal, dim)
 		tensor.SegmentSumViewsInto(pooled, off, pays)
@@ -197,6 +206,41 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 		a.Pooled = pooled
 	}
 	return a
+}
+
+// unionIndex is one worker's distinct-source scratch for the Union gather:
+// rows maps a source id to its row of the distinct-payload matrix, first
+// holds each row's first message and msgRow every message's row. A map
+// cleared per gather keeps it sized by the worker's inbox, not the graph.
+type unionIndex struct {
+	rows   map[int32]int32
+	first  []int32
+	msgRow []int32
+}
+
+// build copies each distinct source's payload into one pooled matrix, in
+// first-seen order, and returns it with the per-message row index.
+func (x *unionIndex) build(pool *tensor.Pool, dim int, srcs []int32, pays [][]float32) (*tensor.Matrix, []int32) {
+	if x.rows == nil {
+		x.rows = make(map[int32]int32)
+	}
+	clear(x.rows)
+	x.first = x.first[:0]
+	x.msgRow = slices.Grow(x.msgRow[:0], len(srcs))[:len(srcs)]
+	for i, s := range srcs {
+		r, ok := x.rows[s]
+		if !ok {
+			r = int32(len(x.first))
+			x.rows[s] = r
+			x.first = append(x.first, int32(i))
+		}
+		x.msgRow[i] = r
+	}
+	mm := pool.GetNoZero(len(x.first), dim)
+	for r, i := range x.first {
+		copy(mm.Row(r), pays[i])
+	}
+	return mm, x.msgRow
 }
 
 // scatterBatch walks the partition's slab rows in owned-vertex order through

@@ -9,7 +9,10 @@ import (
 // (out-degree above the threshold) are duplicated into mirrors; each mirror
 // takes an even share of the original's out-edges and a copy of *all* its
 // in-edges, so every mirror computes the same state as the original and the
-// results are unchanged — only the communication load is spread.
+// communication load is spread. Results agree with the plain run to float
+// tolerance, not bitwise: mirror ids sort after every original, so under
+// the ascending-source delivery a receiver folds a mirror's message at a
+// different position than the hub's (TestShadowNodesWithinTolerance).
 type ShadowGraph struct {
 	// G is the rewritten graph: nodes [0, NumOriginal) are the originals,
 	// the rest are mirrors.
