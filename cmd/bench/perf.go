@@ -1084,7 +1084,7 @@ func runPerf(path, scale, combos string, pipeChunk, pipeDepth int) error {
 		},
 		{
 			name: "serving",
-			fail: "serving SLO gates failed (nominal load must shed nothing with p99 within the max-latency window; 2x queue capacity must shed)",
+			fail: "serving SLO gates failed (nominal load must shed nothing with p99 within the max-latency window; 2x server capacity must shed)",
 			run:  func() (bool, error) { return runServeSuite(&report, scale) },
 		},
 		{

@@ -4,7 +4,7 @@ package main
 // inference server (internal/serve) over real HTTP and records latency
 // percentiles, throughput, shed rate and degraded-answer fraction at two
 // operating points — nominal (client concurrency well under the admission
-// queue) and overload (2x the queue capacity in flight). Two gates fail the
+// queue) and overload (2x the server's capacity in flight). Two gates fail the
 // run: at nominal load the server must shed nothing and hold p99 within the
 // configured max-latency window; at overload the bounded queue must shed
 // (429s observed) rather than let latency grow without bound.
@@ -148,12 +148,8 @@ func runServeSuite(rep *perfReport, scale string) (bool, error) {
 	})
 	m := gas.NewGCNModel("serve-bench", gas.TaskSingleLabel, 16, 24, 8, 2, tensor.NewRNG(78))
 
-	// Overload must shed by capacity arithmetic, not timing luck: total
-	// server occupancy is one computing batch (MaxBatchSize) plus the
-	// admission queue (QueueDepth) = 12 slots, so the 2x-queue-capacity
-	// phase (16 closed-loop clients) always has ~4 requests over capacity
-	// in flight.
 	const (
+		maxBatch   = 4
 		queueDepth = 8
 		maxLatency = 250 * time.Millisecond
 	)
@@ -161,8 +157,7 @@ func runServeSuite(rep *perfReport, scale string) (bool, error) {
 		Model: m, Graph: ds.Graph,
 		Refresh:      inference.Options{NumWorkers: 8, Parallel: true},
 		QueryWorkers: 2,
-		MaxBatchSize: 4,
-		BatchWindow:  time.Millisecond,
+		MaxBatchSize: maxBatch,
 		QueueDepth:   queueDepth,
 		MaxLatency:   maxLatency,
 	})
@@ -184,9 +179,13 @@ func runServeSuite(rep *perfReport, scale string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// Overload: 2x queue capacity in closed loop — the bounded queue must
-	// shed rather than stretch latency unboundedly.
-	overload, err := serveLoadPhase(ts, "overload", 2*queueDepth, queueDepth, nodes, dur)
+	// Overload must shed by capacity arithmetic, not timing luck: the server
+	// holds at most one computing batch (maxBatch roots) per executor plus the
+	// admission queue, so twice that many closed-loop clients always keep
+	// requests over capacity in flight — the bounded queue must shed rather
+	// than stretch latency unboundedly.
+	capacity := s.Metrics().QueryExecutors*maxBatch + queueDepth
+	overload, err := serveLoadPhase(ts, "overload", 2*capacity, queueDepth, nodes, dur)
 	if err != nil {
 		return false, err
 	}
@@ -214,7 +213,7 @@ func runServeSuite(rep *perfReport, scale string) (bool, error) {
 		},
 		{
 			Phase:        "overload",
-			Criterion:    "shed_rate > 0 at 2x queue capacity",
+			Criterion:    "shed_rate > 0 at 2x server capacity",
 			ShedRate:     overload.ShedRate,
 			P99Ms:        overload.P99Ms,
 			MaxLatencyMs: maxMs,

@@ -64,7 +64,6 @@ func main() {
 		queryParallel = flag.Bool("query-parallel", false, "run query workers on goroutines")
 		hops          = flag.Int("hops", 0, "k-hop query depth (0 = the model's layer count)")
 		maxBatch      = flag.Int("max-batch", 16, "max roots coalesced into one query micro-batch")
-		batchWindow   = flag.Duration("batch-window", 2*time.Millisecond, "how long the batcher waits to fill a batch")
 		queueDepth    = flag.Int("queue-depth", 64, "admission queue bound; beyond it requests shed with 429")
 		maxLatency    = flag.Duration("max-latency", 250*time.Millisecond, "default per-request deadline (the serving SLO window)")
 		refreshEvery  = flag.Duration("refresh-every", 0, "periodic refresh interval (0 = on demand via POST /v1/refresh)")
@@ -156,8 +155,7 @@ func main() {
 		Model: m, Graph: g, Refresh: refresh,
 		Hops:         *hops,
 		QueryWorkers: *queryWorkers, QueryParallel: *queryParallel,
-		MaxBatchSize: *maxBatch, BatchWindow: *batchWindow,
-		QueueDepth: *queueDepth, MaxLatency: *maxLatency,
+		MaxBatchSize: *maxBatch, QueueDepth: *queueDepth, MaxLatency: *maxLatency,
 		RefreshEvery:       *refreshEvery,
 		DisableIncremental: *noIncremental,
 		SessionDir:         *sessionDir,

@@ -112,8 +112,9 @@ type (
 	// prediction store refreshed by background passes, plus micro-batched
 	// k-hop queries for what-if overrides and cold-start nodes.
 	Server = serve.Server
-	// ServeConfig wires a Server: model, graph, refresh options, batching
-	// and admission-control knobs.
+	// ServeConfig wires a Server: model, graph, refresh options, the batch
+	// root cap and admission-control knobs. Queries batch naturally — one
+	// executor per core, no batching timer.
 	ServeConfig = serve.Config
 	// ServeStats is the JSON shape of GET /v1/stats.
 	ServeStats = serve.Stats

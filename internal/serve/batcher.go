@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"time"
 
 	"inferturbo/internal/graph"
 	"inferturbo/internal/inference"
@@ -90,11 +88,19 @@ func (s *Server) finish(j *job, r jobResult) {
 	}
 }
 
-// runBatcher is the micro-batching loop: it sleeps on the admission queue,
-// and on the first arrival collects follow-ups until the batch fills or the
-// window elapses. Singleton jobs (what-if / cold-start) execute alone; one
-// arriving mid-collection closes the current batch first, preserving
-// admission order.
+// runBatcher is one batch executor; Start runs s.executors of them on the
+// shared admission queue. An executor sleeps on the queue, and on the first
+// arrival takes — without waiting — whatever else is already queued, up to
+// MaxBatchSize roots, and runs the batch: a lone query dispatches at once,
+// and batches grow only while every executor is busy computing. Singleton
+// jobs (what-if / cold-start) execute alone; one met mid-drain closes the
+// open batch first, then runs by itself.
+//
+// Admission order across executors is not a contract: jobs are independent
+// (what-if overrides touch only their own induced copy), so two executors
+// may finish queued jobs in either order. Memory is bounded by the executor
+// count: at most s.executors induced subgraphs and query engines are alive
+// at once, each no larger than the graph.
 func (s *Server) runBatcher() {
 	defer s.wg.Done()
 	for {
@@ -117,27 +123,21 @@ func (s *Server) runBatcher() {
 			}
 			batch := []*job{first}
 			size := len(first.roots)
-			timer := time.NewTimer(s.cfg.BatchWindow)
 		collect:
 			for size < s.cfg.MaxBatchSize {
 				select {
-				case <-s.stop:
-					break collect
-				case <-timer.C:
-					break collect
 				case j := <-s.queue:
 					if j.singleton() {
-						// Close the open batch, then run the singleton, so
-						// results appear in admission order.
 						s.execBatch(batch)
 						batch = []*job{j}
 						break collect
 					}
 					batch = append(batch, j)
 					size += len(j.roots)
+				default:
+					break collect
 				}
 			}
-			timer.Stop()
 			s.execBatch(batch)
 		}
 	}
@@ -365,12 +365,6 @@ func storeAnswer(snap *Snapshot, node int32, stale bool) Answer {
 	return a
 }
 
-// retryAfter is the Retry-After header value for shed requests: one batch
-// window rounded up to a whole second (the header's resolution).
-func (s *Server) retryAfter() string {
-	secs := int(s.cfg.BatchWindow / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfter is the Retry-After header value for shed requests: the
+// header's resolution is whole seconds, and a shed queue drains in far less.
+const retryAfter = "1"

@@ -385,7 +385,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case s.queue <- j:
 	default:
 		s.m.shed.Add(1)
-		w.Header().Set("Retry-After", s.retryAfter())
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusTooManyRequests, QueryResponse{Error: "overloaded: admission queue full"})
 		return
 	}

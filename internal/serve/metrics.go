@@ -52,6 +52,10 @@ type Stats struct {
 	Ready      bool  `json:"ready"`
 	QueueDepth int   `json:"queue_depth"`
 	QueueCap   int   `json:"queue_cap"`
+	// QueryExecutors is the number of batch executors answering /v1/query
+	// (GOMAXPROCS at construction): the server holds at most this many
+	// batches of MaxBatchSize roots in compute, plus QueueCap queued jobs.
+	QueryExecutors int `json:"query_executors"`
 
 	Requests     int64 `json:"requests"`
 	Shed         int64 `json:"shed"`
@@ -123,18 +127,19 @@ type Stats struct {
 // Metrics assembles a consistent-enough view of the serving counters.
 func (s *Server) Metrics() Stats {
 	st := Stats{
-		QueueDepth:   len(s.queue),
-		QueueCap:     cap(s.queue),
-		Requests:     s.m.requests.Load(),
-		Shed:         s.m.shed.Load(),
-		Fresh:        s.m.fresh.Load(),
-		Degraded:     s.m.degraded.Load(),
-		StoreServed:  s.m.storeServed.Load(),
-		Errors:       s.m.errors.Load(),
-		Panics:       s.m.panics.Load(),
-		Batches:      s.m.batches.Load(),
-		BatchedJobs:  s.m.batchedJobs.Load(),
-		CancelAborts: s.m.cancelAborts.Load(),
+		QueueDepth:     len(s.queue),
+		QueueCap:       cap(s.queue),
+		QueryExecutors: s.executors,
+		Requests:       s.m.requests.Load(),
+		Shed:           s.m.shed.Load(),
+		Fresh:          s.m.fresh.Load(),
+		Degraded:       s.m.degraded.Load(),
+		StoreServed:    s.m.storeServed.Load(),
+		Errors:         s.m.errors.Load(),
+		Panics:         s.m.panics.Load(),
+		Batches:        s.m.batches.Load(),
+		BatchedJobs:    s.m.batchedJobs.Load(),
+		CancelAborts:   s.m.cancelAborts.Load(),
 
 		Refreshes:       s.m.refreshes.Load(),
 		RefreshFailures: s.m.refreshFailures.Load(),

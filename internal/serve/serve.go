@@ -6,9 +6,11 @@
 //
 // Robustness is the design center, and it threads through every request:
 //
-//   - Dynamic micro-batching: concurrent k-hop queries coalesce under a
-//     max-batch-size / max-latency window and execute as one canonical
-//     induced subgraph, with per-request result scatter.
+//   - Natural micro-batching: one batch executor per core takes a query
+//     the moment it is idle, together with whatever else is already queued
+//     (up to MaxBatchSize roots), and runs them as one canonical induced
+//     subgraph with per-request result scatter. No timer: batches grow only
+//     while every executor is busy.
 //   - Bounded admission: a fixed-depth queue sheds excess load with 429 +
 //     Retry-After instead of growing goroutines without bound.
 //   - Deadline propagation: each request's context deadline flows through
@@ -32,6 +34,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,9 +66,6 @@ type Config struct {
 	// MaxBatchSize caps the roots coalesced into one micro-batch
 	// (default 16).
 	MaxBatchSize int
-	// BatchWindow is how long the batcher waits to fill a batch after the
-	// first request arrives (default 2ms).
-	BatchWindow time.Duration
 	// QueueDepth bounds the admission queue; a full queue sheds with 429
 	// (default 64).
 	QueueDepth int
@@ -129,6 +129,9 @@ type Snapshot struct {
 type Server struct {
 	cfg  Config
 	hops int
+	// executors is the number of batch executors Start runs: one per core
+	// the Go scheduler uses, so a query waits only while all of them compute.
+	executors int
 
 	snap  atomic.Pointer[Snapshot]
 	queue chan *job
@@ -185,9 +188,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBatchSize <= 0 {
 		cfg.MaxBatchSize = 16
 	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = 2 * time.Millisecond
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
@@ -197,6 +197,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg,
 		hops:        cfg.Hops,
+		executors:   runtime.GOMAXPROCS(0),
 		queue:       make(chan *job, cfg.QueueDepth),
 		stop:        make(chan struct{}),
 		stagedNodes: cfg.Graph.NumNodes,
@@ -233,14 +234,16 @@ func (s *Server) currentGraph() *graph.Graph {
 
 // Start runs the initial full-graph pass synchronously (honoring
 // Refresh.Resume, so a restarted process continues a killed pass from its
-// latest durable epoch) and launches the batcher plus the optional periodic
-// refresher.
+// latest durable epoch) and launches the batch executors plus the optional
+// periodic refresher.
 func (s *Server) Start() error {
 	if err := s.Refresh(); err != nil {
 		return err
 	}
-	s.wg.Add(1)
-	go s.runBatcher()
+	s.wg.Add(s.executors)
+	for i := 0; i < s.executors; i++ {
+		go s.runBatcher()
+	}
 	if s.cfg.RefreshEvery > 0 {
 		s.wg.Add(1)
 		go s.refreshLoop()
@@ -258,7 +261,7 @@ func (s *Server) Start() error {
 func (s *Server) Close() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.wg.Wait()
-	// The batcher has exited; anything a racing handler enqueued afterwards
+	// The executors have exited; anything a racing handler enqueued afterwards
 	// is failed here so no caller waits out its full deadline.
 	for {
 		select {

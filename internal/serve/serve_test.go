@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,7 +25,7 @@ import (
 
 // testFixture builds a small skewed graph plus a 2-layer GCN — the degree-
 // scaled model is the hardest case for subgraph/full-graph agreement.
-func testFixture(t *testing.T) (*graph.Graph, *gas.Model) {
+func testFixture(t testing.TB) (*graph.Graph, *gas.Model) {
 	t.Helper()
 	ds := datagen.Generate(datagen.Config{
 		Name: "serve", Nodes: 200, AvgDegree: 4, Skew: datagen.SkewIn, Exponent: 1.5,
@@ -33,7 +35,7 @@ func testFixture(t *testing.T) (*graph.Graph, *gas.Model) {
 	return ds.Graph, m
 }
 
-func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	g, m := testFixture(t)
 	cfg := Config{
@@ -59,19 +61,116 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 	return s, ts
 }
 
-func postQuery(t *testing.T, ts *httptest.Server, req QueryRequest) (int, QueryResponse, http.Header) {
-	t.Helper()
+// outcome is one /v1/query round trip.
+type outcome struct {
+	status int
+	qr     QueryResponse
+	header http.Header
+	err    error
+}
+
+func doQuery(ts *httptest.Server, req QueryRequest) outcome {
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("query: %v", err)
+		return outcome{err: fmt.Errorf("query: %w", err)}
 	}
 	defer resp.Body.Close()
-	var qr QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		t.Fatalf("query response decode: %v", err)
+	o := outcome{status: resp.StatusCode, header: resp.Header}
+	if err := json.NewDecoder(resp.Body).Decode(&o.qr); err != nil {
+		o.err = fmt.Errorf("query response decode: %w", err)
 	}
-	return resp.StatusCode, qr, resp.Header
+	return o
+}
+
+func postQuery(t testing.TB, ts *httptest.Server, req QueryRequest) (int, QueryResponse, http.Header) {
+	t.Helper()
+	o := doQuery(ts, req)
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	return o.status, o.qr, o.header
+}
+
+// queryAsync runs one query on its own goroutine; the caller checks the
+// outcome (transport errors included) on the test goroutine.
+func queryAsync(ts *httptest.Server, req QueryRequest) <-chan outcome {
+	ch := make(chan outcome, 1)
+	go func() { ch <- doQuery(ts, req) }()
+	return ch
+}
+
+// recv waits for an async query's outcome and fails on a transport error.
+func recv(t *testing.T, ch <-chan outcome) outcome {
+	t.Helper()
+	o := <-ch
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	return o
+}
+
+// parkKey marks the context of the jobs parkExecutors injects.
+type parkKey struct{}
+
+// parked holds every batch executor inside execHook, so jobs queued while it
+// lasts wait in the admission queue and the batches they form are decided by
+// the backlog alone, not by arrival timing.
+type parked struct {
+	gate chan struct{}
+	once sync.Once
+}
+
+// parkExecutors installs an execHook that parks batches of injected jobs on
+// a gate and runs hook (when non-nil) for every other batch, then injects one
+// job per executor, each only after the previous one is parked — so it
+// returns once s.executors batches are inside execHook at the same time.
+// The gate always opens at cleanup, before the server closes, so a failing
+// test never leaves Close waiting on a parked executor.
+func parkExecutors(t *testing.T, s *Server, hook func([]*job)) *parked {
+	t.Helper()
+	p := &parked{gate: make(chan struct{})}
+	t.Cleanup(p.releaseAll)
+	entered := make(chan struct{}, s.executors) // one send per injected job
+	s.execHook = func(batch []*job) {
+		if batch[0].ctx.Value(parkKey{}) == nil {
+			if hook != nil {
+				hook(batch)
+			}
+			return
+		}
+		entered <- struct{}{}
+		<-p.gate
+	}
+	for i := 0; i < s.executors; i++ {
+		ctx := context.WithValue(context.Background(), parkKey{}, true)
+		s.queue <- &job{ctx: ctx, roots: []int32{0}, res: make(chan jobResult, 1)}
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d executors parked", i, s.executors)
+		}
+	}
+	return p
+}
+
+// releaseOne lets exactly one parked executor go: it alone drains the
+// backlog, in queue order, while the others stay parked.
+func (p *parked) releaseOne() { p.gate <- struct{}{} }
+
+// releaseAll lets every parked executor go. Idempotent.
+func (p *parked) releaseAll() { p.once.Do(func() { close(p.gate) }) }
+
+// waitQueued waits until n jobs sit in the admission queue.
+func waitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.queue) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d never reached %d", len(s.queue), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func bitEqual(a, b []float32) bool {
@@ -167,64 +266,28 @@ func TestBadRequestsRejectedCleanly(t *testing.T) {
 // At 2x admission-queue capacity the server sheds deterministically with
 // 429 + Retry-After while every admitted request completes.
 func TestOverloadShedsWith429(t *testing.T) {
-	gate := make(chan struct{})
-	var s *Server
-	var ts *httptest.Server
-	s, ts = newTestServer(t, func(c *Config) {
-		c.QueueDepth = 4
-		c.MaxBatchSize = 1
-		c.BatchWindow = time.Millisecond
-	})
-	entered := make(chan struct{}, 16)
-	s.execHook = func([]*job) {
-		entered <- struct{}{}
-		<-gate
-	}
-
-	type outcome struct {
-		status int
-		qr     QueryResponse
-	}
-	results := make(chan outcome, 16)
-	fire := func(root int32) {
-		go func() {
-			st, qr, _ := postQuery(t, ts, QueryRequest{Roots: []int32{root}, DeadlineMs: 10000})
-			results <- outcome{st, qr}
-		}()
-	}
-
-	// One request occupies the batcher (blocked in the hook)...
-	fire(0)
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("batcher never picked up the first job")
-	}
-	// ...four more fill the bounded queue...
+	s, ts := newTestServer(t, func(c *Config) { c.QueueDepth = 4 })
+	// Every executor is busy (parked in the hook)...
+	p := parkExecutors(t, s, nil)
+	// ...four requests fill the bounded queue...
+	var admitted []<-chan outcome
 	for r := int32(1); r <= 4; r++ {
-		fire(r)
+		admitted = append(admitted, queryAsync(ts, QueryRequest{Roots: []int32{r}, DeadlineMs: 10000}))
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d never reached 4", len(s.queue))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// ...so the next four — 2x capacity in flight — must shed with 429.
+	waitQueued(t, s, 4)
+	// ...so the next four — 2x queue capacity in flight — must shed with 429.
 	for r := int32(5); r <= 8; r++ {
 		status, qr, hdr := postQuery(t, ts, QueryRequest{Roots: []int32{r}, DeadlineMs: 10000})
 		if status != 429 {
 			t.Fatalf("root %d: status %d (%s), want 429", r, status, qr.Error)
 		}
-		if hdr.Get("Retry-After") == "" {
-			t.Fatal("429 without Retry-After")
+		if got := hdr.Get("Retry-After"); got != "1" {
+			t.Fatalf("429 with Retry-After %q, want \"1\"", got)
 		}
 	}
-	close(gate)
-	for i := 0; i < 5; i++ {
-		o := <-results
-		if o.status != 200 {
+	p.releaseAll()
+	for _, ch := range admitted {
+		if o := recv(t, ch); o.status != 200 {
 			t.Fatalf("admitted request failed: %d %s", o.status, o.qr.Error)
 		}
 	}
@@ -268,27 +331,13 @@ func TestDeadlineDegradesToStaleStoreAnswer(t *testing.T) {
 // Within one micro-batch, a member whose deadline expires degrades while a
 // member with headroom still gets the fresh result of the shared pass.
 func TestPartialBatchDeadline(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) {
-		c.MaxBatchSize = 8
-		c.BatchWindow = 150 * time.Millisecond
-	})
-	s.execHook = func([]*job) { time.Sleep(250 * time.Millisecond) }
-
-	type outcome struct {
-		status int
-		qr     QueryResponse
-	}
-	short := make(chan outcome, 1)
-	long := make(chan outcome, 1)
-	go func() {
-		st, qr, _ := postQuery(t, ts, QueryRequest{Roots: []int32{20}, DeadlineMs: 80})
-		short <- outcome{st, qr}
-	}()
-	go func() {
-		st, qr, _ := postQuery(t, ts, QueryRequest{Roots: []int32{21}, DeadlineMs: 5000})
-		long <- outcome{st, qr}
-	}()
-	so, lo := <-short, <-long
+	s, ts := newTestServer(t, nil)
+	p := parkExecutors(t, s, func([]*job) { time.Sleep(250 * time.Millisecond) })
+	short := queryAsync(ts, QueryRequest{Roots: []int32{20}, DeadlineMs: 80})
+	long := queryAsync(ts, QueryRequest{Roots: []int32{21}, DeadlineMs: 5000})
+	waitQueued(t, s, 2)
+	p.releaseOne() // one executor takes both jobs as one batch
+	so, lo := recv(t, short), recv(t, long)
 	if so.status != 200 || !so.qr.Answers[0].Stale || so.qr.Answers[0].Source != "store" {
 		t.Fatalf("short-deadline member: status=%d answers=%+v, want stale store answer", so.status, so.qr.Answers)
 	}
@@ -304,25 +353,21 @@ func TestPartialBatchDeadline(t *testing.T) {
 // aborts the pass at a superstep boundary instead of burning the compute
 // plane on answers nobody is waiting for.
 func TestFullBatchCancelAbortsCompute(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) {
-		c.MaxBatchSize = 8
-		c.BatchWindow = 100 * time.Millisecond
-	})
-	// Deadlines outlive the batch window (so the batch reaches compute)
-	// but expire during the injected sleep (so Cancel fires mid-pass).
-	s.execHook = func([]*job) { time.Sleep(500 * time.Millisecond) }
-	done := make(chan int, 2)
+	s, ts := newTestServer(t, nil)
+	// Deadlines outlive the queue wait (so the batch reaches compute) but
+	// expire during the injected sleep (so Cancel fires mid-pass).
+	p := parkExecutors(t, s, func([]*job) { time.Sleep(500 * time.Millisecond) })
+	var outs []<-chan outcome
 	for _, root := range []int32{30, 31} {
-		go func(r int32) {
-			st, qr, _ := postQuery(t, ts, QueryRequest{Roots: []int32{r}, DeadlineMs: 200})
-			if st == 200 && (!qr.Answers[0].Stale || qr.Answers[0].Source != "store") {
-				t.Errorf("root %d: expected degraded store answer, got %+v", r, qr.Answers[0])
-			}
-			done <- st
-		}(root)
+		outs = append(outs, queryAsync(ts, QueryRequest{Roots: []int32{root}, DeadlineMs: 200}))
 	}
-	if a, b := <-done, <-done; a != 200 || b != 200 {
-		t.Fatalf("degraded answers should still be 200/200, got %d/%d", a, b)
+	waitQueued(t, s, 2)
+	p.releaseOne()
+	for i, ch := range outs {
+		o := recv(t, ch)
+		if o.status != 200 || !o.qr.Answers[0].Stale || o.qr.Answers[0].Source != "store" {
+			t.Fatalf("member %d: status=%d answers=%+v, want a degraded 200 store answer", i, o.status, o.qr.Answers)
+		}
 	}
 	waitCounter(t, &s.m.cancelAborts, 1)
 }
@@ -332,11 +377,8 @@ func TestFullBatchCancelAbortsCompute(t *testing.T) {
 // serving.
 func TestPanicIsolationSplitsBatch(t *testing.T) {
 	const poison = int32(13)
-	s, ts := newTestServer(t, func(c *Config) {
-		c.MaxBatchSize = 8
-		c.BatchWindow = 150 * time.Millisecond
-	})
-	s.execHook = func(batch []*job) {
+	s, ts := newTestServer(t, nil)
+	p := parkExecutors(t, s, func(batch []*job) {
 		for _, j := range batch {
 			for _, r := range j.roots {
 				if r == poison {
@@ -344,36 +386,151 @@ func TestPanicIsolationSplitsBatch(t *testing.T) {
 				}
 			}
 		}
-	}
-	type outcome struct {
-		status int
-		qr     QueryResponse
-	}
-	mate := make(chan outcome, 1)
-	bad := make(chan outcome, 1)
-	go func() {
-		st, qr, _ := postQuery(t, ts, QueryRequest{Roots: []int32{40}, DeadlineMs: 5000})
-		mate <- outcome{st, qr}
-	}()
-	go func() {
-		st, qr, _ := postQuery(t, ts, QueryRequest{Roots: []int32{poison}, DeadlineMs: 5000})
-		bad <- outcome{st, qr}
-	}()
-	mo, bo := <-mate, <-bad
+	})
+	mate := queryAsync(ts, QueryRequest{Roots: []int32{40}, DeadlineMs: 5000})
+	bad := queryAsync(ts, QueryRequest{Roots: []int32{poison}, DeadlineMs: 5000})
+	waitQueued(t, s, 2)
+	p.releaseOne()
+	mo, bo := recv(t, mate), recv(t, bad)
 	if bo.status != 500 || bo.qr.Error == "" {
 		t.Fatalf("poisoned query: status=%d err=%q, want 500", bo.status, bo.qr.Error)
 	}
 	if mo.status != 200 || mo.qr.Answers[0].Source != "fresh" {
 		t.Fatalf("batch mate: status=%d answers=%+v, want fresh 200", mo.status, mo.qr.Answers)
 	}
-	// The whole-batch panic plus the singleton retry both count.
-	if got := s.m.panics.Load(); got < 1 {
-		t.Fatalf("panics=%d, want >=1", got)
+	// The whole-batch panic plus the poisoned member's singleton retry.
+	if got := s.m.panics.Load(); got != 2 {
+		t.Fatalf("panics=%d, want 2", got)
 	}
 	// The server survived: a followup query answers normally.
-	s.execHook = nil
 	if st, qr, _ := postQuery(t, ts, QueryRequest{Roots: []int32{41}, DeadlineMs: 5000}); st != 200 {
 		t.Fatalf("server did not survive the panic: %d %s", st, qr.Error)
+	}
+}
+
+// A backlog that formed while every executor was busy dispatches, with no
+// timer, as natural batches in queue order: the plain jobs ahead of a
+// what-if form one batch, the what-if runs alone, and the plain jobs behind
+// it form the next. Every plain answer stays bit-equal to the store.
+func TestNaturalBatchingCoalescesBacklog(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	type shape struct{ jobs, singletons int }
+	var (
+		mu     sync.Mutex
+		shapes []shape
+	)
+	p := parkExecutors(t, s, func(batch []*job) {
+		sh := shape{jobs: len(batch)}
+		for _, j := range batch {
+			if j.singleton() {
+				sh.singletons++
+			}
+		}
+		mu.Lock()
+		shapes = append(shapes, sh)
+		mu.Unlock()
+	})
+	before := s.Metrics()
+
+	const whatIfRoot = int32(60)
+	plain := []int32{3, 50, 77, 120, 150, 199}
+	var outs []<-chan outcome
+	for i, root := range plain {
+		outs = append(outs, queryAsync(ts, QueryRequest{Roots: []int32{root}, DeadlineMs: 5000}))
+		waitQueued(t, s, len(outs))
+		if i == 2 {
+			outs = append(outs, queryAsync(ts, QueryRequest{
+				Roots: []int32{whatIfRoot}, DeadlineMs: 5000,
+				Overrides: map[string][]float32{"60": {0, 0, 0, 0, 0, 0}},
+			}))
+			waitQueued(t, s, len(outs))
+		}
+	}
+	p.releaseOne()
+
+	store := s.Store()
+	for i, ch := range outs {
+		o := recv(t, ch)
+		if o.status != 200 || len(o.qr.Answers) != 1 || o.qr.Answers[0].Source != "fresh" {
+			t.Fatalf("job %d: status=%d answers=%+v, want one fresh answer", i, o.status, o.qr.Answers)
+		}
+		a := o.qr.Answers[0]
+		if a.Node == whatIfRoot {
+			if bitEqual(a.Logits, store.Logits.Row(int(whatIfRoot))) {
+				t.Fatal("what-if override did not change its answer")
+			}
+			continue
+		}
+		if !bitEqual(a.Logits, store.Logits.Row(int(a.Node))) {
+			t.Fatalf("node %d: fresh logits diverge from the store", a.Node)
+		}
+	}
+	after := s.Metrics()
+	if got := after.Batches - before.Batches; got != 3 {
+		t.Fatalf("batches delta %d, want 3", got)
+	}
+	if got := after.BatchedJobs - before.BatchedJobs; got != int64(len(outs)) {
+		t.Fatalf("batched_jobs delta %d, want %d", got, len(outs))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []shape{{3, 0}, {1, 1}, {3, 0}}
+	if len(shapes) != len(want) {
+		t.Fatalf("batch shapes %+v, want %+v", shapes, want)
+	}
+	for i := range want {
+		if shapes[i] != want[i] {
+			t.Fatalf("batch shapes %+v, want %+v", shapes, want)
+		}
+	}
+}
+
+// Start runs one batch executor per GOMAXPROCS and they compute at once:
+// parkExecutors returns only when every executor holds a batch inside
+// execHook at the same time. /v1/stats reports the count, and a query that
+// arrives while all of them are busy waits in the queue for the first free
+// one.
+func TestExecutorsRunConcurrently(t *testing.T) {
+	n := runtime.GOMAXPROCS(0)
+	if n == 1 {
+		t.Skip("GOMAXPROCS=1 runs a single executor")
+	}
+	s, ts := newTestServer(t, nil)
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.QueryExecutors != n {
+		t.Fatalf("query_executors=%d, want GOMAXPROCS=%d", st.QueryExecutors, n)
+	}
+
+	p := parkExecutors(t, s, nil)
+	ch := queryAsync(ts, QueryRequest{Roots: []int32{9}, DeadlineMs: 5000})
+	waitQueued(t, s, 1)
+	p.releaseOne()
+	o := recv(t, ch)
+	if o.status != 200 || o.qr.Answers[0].Source != "fresh" || !bitEqual(o.qr.Answers[0].Logits, s.Store().Logits.Row(9)) {
+		t.Fatalf("query behind busy executors: status=%d answers=%+v", o.status, o.qr.Answers)
+	}
+}
+
+// BenchmarkQueryOneRoot is one closed-loop client sending single-root
+// /v1/query requests to an in-process server over loopback HTTP: ns/op is
+// the full round trip, HTTP plus one k-hop induce-and-infer.
+func BenchmarkQueryOneRoot(b *testing.B) {
+	s, ts := newTestServer(b, nil)
+	n := s.cfg.Graph.NumNodes
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if st, qr, _ := postQuery(b, ts, QueryRequest{Roots: []int32{int32(i % n)}, DeadlineMs: 5000}); st != 200 {
+			b.Fatalf("query: %d %s", st, qr.Error)
+		}
 	}
 }
 
