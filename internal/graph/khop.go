@@ -73,54 +73,54 @@ func KHop(g *Graph, roots []int32, opt KHopOptions) *Subgraph {
 
 	local := make(map[int32]int32, len(roots)*4)
 	sub := &Subgraph{NumRoots: len(roots)}
-	intern := func(global int32, depth int32) int32 {
+	// intern returns global's local id and whether this call created it.
+	intern := func(global int32, depth int32) (int32, bool) {
 		if id, ok := local[global]; ok {
-			return id
+			return id, false
 		}
 		id := int32(len(sub.Nodes))
 		local[global] = id
 		sub.Nodes = append(sub.Nodes, global)
 		sub.Depth = append(sub.Depth, depth)
-		return id
+		return id, true
 	}
 
 	frontier := make([]int32, 0, len(roots))
 	for _, r := range roots {
-		if _, ok := local[r]; ok {
+		if _, fresh := intern(r, 0); !fresh {
 			panic(fmt.Sprintf("graph: duplicate root %d", r))
 		}
-		intern(r, 0)
 		frontier = append(frontier, r)
 	}
 
+	var next []int32
+	addEdge := func(u, dst, eid, depth int32) {
+		src, fresh := intern(u, depth)
+		if fresh {
+			next = append(next, u)
+		}
+		sub.Src = append(sub.Src, src)
+		sub.Dst = append(sub.Dst, dst)
+		sub.EdgeIDs = append(sub.EdgeIDs, eid)
+	}
 	for d := 0; d < opt.Hops && len(frontier) > 0; d++ {
 		fanout := -1
 		if d < len(opt.Fanouts) {
 			fanout = opt.Fanouts[d]
 		}
-		var next []int32
+		next = nil
 		for _, v := range frontier {
 			dstLocal := local[v]
 			nbrs := g.InNeighbors(v)
 			eids := g.InEdgeIDs(v)
-			var picks []int
 			if fanout >= 0 && fanout < len(nbrs) {
-				picks = opt.RNG.SampleWithoutReplacement(len(nbrs), fanout)
-			} else {
-				picks = make([]int, len(nbrs))
-				for i := range picks {
-					picks[i] = i
+				for _, i := range opt.RNG.SampleWithoutReplacement(len(nbrs), fanout) {
+					addEdge(nbrs[i], dstLocal, eids[i], int32(d+1))
 				}
+				continue
 			}
-			for _, i := range picks {
-				u := nbrs[i]
-				if _, ok := local[u]; !ok {
-					next = append(next, u)
-				}
-				srcLocal := intern(u, int32(d+1))
-				sub.Src = append(sub.Src, srcLocal)
-				sub.Dst = append(sub.Dst, dstLocal)
-				sub.EdgeIDs = append(sub.EdgeIDs, eids[i])
+			for i, u := range nbrs {
+				addEdge(u, dstLocal, eids[i], int32(d+1))
 			}
 		}
 		frontier = next
@@ -135,7 +135,9 @@ func KHop(g *Graph, roots []int32, opt KHopOptions) *Subgraph {
 type VirtualRoot struct {
 	Features []float32
 	// InNeighbors are global node ids; repeats create parallel edges. Every
-	// neighbor must already be in the subgraph being induced.
+	// neighbor must already be in the subgraph being induced, at depth 0 or
+	// 1: only those carry the complete neighborhood an answer at the virtual
+	// root reads.
 	InNeighbors []int32
 	// EdgeFeatures carries one feature row per in-edge; required (aligned
 	// with InNeighbors) when the graph has edge features, nil otherwise.
@@ -150,9 +152,10 @@ type VirtualRoot struct {
 // source order with ties broken by edge insertion order, so a relabeling
 // that preserves both orders reproduces every per-destination reduction
 // sequence (and hence every float32 summation) exactly. Degree-scaled
-// layers additionally need OutDegrees: the full graph's out-degree per
-// local node, fed through inference.Options.OutDegrees, because a node's
-// local out-degree undercounts edges that left the neighborhood.
+// layers additionally need OutDegrees, because a node's local out-degree
+// undercounts edges that left the neighborhood, and a query pass computes a
+// layer only where Depth says an answer reads it; inference.RunInduced
+// consumes both.
 type Induced struct {
 	// G is the executable subgraph, carrying gathered node/edge features
 	// and the root graph's NumClasses.
@@ -168,6 +171,11 @@ type Induced struct {
 	Nodes []int32
 	// Virtual is the local id of the attached VirtualRoot, -1 when none.
 	Virtual int32
+	// Depth is each local node's KHop hop distance from the root set (0 for
+	// the roots and the virtual root). Every edge u->v has
+	// Depth[u] <= Depth[v]+1: KHop discovers a node while expanding a
+	// destination one hop nearer the roots.
+	Depth []int32
 }
 
 // Induce rebuilds the subgraph as a canonical executable Graph (see
@@ -208,6 +216,7 @@ func (s *Subgraph) Induce(g *Graph, virt *VirtualRoot) (*Induced, error) {
 		Roots:      make([]int32, s.NumRoots),
 		Nodes:      make([]int32, total),
 		Virtual:    -1,
+		Depth:      make([]int32, total),
 	}
 	for i := 0; i < s.NumRoots; i++ {
 		ind.Roots[i] = rank[i] // roots occupy old local ids 0..R-1
@@ -234,6 +243,7 @@ func (s *Subgraph) Induce(g *Graph, virt *VirtualRoot) (*Induced, error) {
 		}
 		ind.Nodes[rank[oldID]] = global
 		ind.OutDegrees[rank[oldID]] = int32(g.OutDegree(global))
+		ind.Depth[rank[oldID]] = s.Depth[oldID]
 	}
 
 	if virt != nil {
@@ -264,6 +274,9 @@ func (s *Subgraph) Induce(g *Graph, virt *VirtualRoot) (*Induced, error) {
 			src, ok := local[nbr]
 			if !ok {
 				return nil, fmt.Errorf("graph: virtual root in-neighbor %d not in the subgraph", nbr)
+			}
+			if ind.Depth[src] > 1 {
+				return nil, fmt.Errorf("graph: virtual root in-neighbor %d is %d hops from the roots, want at most 1", nbr, ind.Depth[src])
 			}
 			var feat []float32
 			if hasEdgeFeat {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"inferturbo/internal/tensor"
@@ -161,6 +162,32 @@ func TestKHopSamplingRequiresRNG(t *testing.T) {
 		}
 	}()
 	KHop(g, []int32{3}, KHopOptions{Hops: 1, Fanouts: []int{2}})
+}
+
+// Induce carries KHop's depths into canonical order, puts a virtual root at
+// depth 0, and refuses a virtual in-neighbor whose own neighborhood is
+// incomplete.
+func TestInduceDepth(t *testing.T) {
+	g := chain(t)
+	g.Features = tensor.FromRows([][]float32{{0}, {10}, {20}, {30}})
+	sub := KHop(g, []int32{3}, KHopOptions{Hops: 2})
+	ind, err := sub.Induce(g, &VirtualRoot{Features: []float32{1}, InNeighbors: []int32{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Canonical order is ascending global id: 1, 2, 3, then the virtual root.
+	if want := []int32{2, 1, 0, 0}; !slices.Equal(ind.Depth, want) {
+		t.Fatalf("depths %v, want %v", ind.Depth, want)
+	}
+	src, dst := ind.G.EdgeList()
+	for e := range src {
+		if ind.Depth[src[e]] > ind.Depth[dst[e]]+1 {
+			t.Fatalf("edge %d->%d spans depths %d->%d", src[e], dst[e], ind.Depth[src[e]], ind.Depth[dst[e]])
+		}
+	}
+	if _, err := sub.Induce(g, &VirtualRoot{Features: []float32{1}, InNeighbors: []int32{1}}); err == nil {
+		t.Fatal("virtual in-neighbor at depth 2 accepted")
+	}
 }
 
 func TestKHopGatherFeatures(t *testing.T) {

@@ -144,15 +144,6 @@ type Options struct {
 	// deadlines from HTTP through micro-batching into the compute plane
 	// (partial-batch cancellation). MapReduce rejects this.
 	Cancel func() error
-	// OutDegrees overrides the out-degree that degree-scaled layers
-	// (gas.MessageScaler — GCN) see for each node; len must equal the
-	// graph's node count. The serving layer sets it when executing a k-hop
-	// induced subgraph, whose local out-degrees undercount the full graph's:
-	// scaling by the original degrees is what keeps subgraph inference
-	// bit-identical to the full-graph pass at the roots. Composes with
-	// ShadowNodes (mirrors resolve through their origin). MapReduce rejects
-	// this.
-	OutDegrees []int32
 	// SpillDir routes MapReduce shuffles through disk when non-empty.
 	SpillDir string
 	// EmitEmbeddings additionally returns each node's penultimate-layer

@@ -205,11 +205,10 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 	if opts.CheckpointDir != "" || opts.Resume || opts.Faults != nil {
 		return nil, fmt.Errorf("inference: durable checkpoints, resume and fault plans require the Pregel backend")
 	}
-	// The serving hooks are Pregel-only too: rounds here have no superstep
-	// boundary to poll cancellation at, and silently ignoring a degree
-	// override would change results.
-	if opts.Cancel != nil || opts.OutDegrees != nil {
-		return nil, fmt.Errorf("inference: Cancel and OutDegrees require the Pregel backend")
+	// Cancellation is Pregel-only too: rounds here have no superstep
+	// boundary to poll it at.
+	if opts.Cancel != nil {
+		return nil, fmt.Errorf("inference: Cancel requires the Pregel backend")
 	}
 	defer applyTuning(opts)()
 	threshold := opts.threshold(g)

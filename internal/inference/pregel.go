@@ -2,6 +2,7 @@ package inference
 
 import (
 	"fmt"
+	"reflect"
 
 	"inferturbo/internal/checkpoint"
 	"inferturbo/internal/cluster"
@@ -187,6 +188,10 @@ type pregelDriver struct {
 	// engine snapshots alias their rows.
 	hSlabs []hSlab
 	hStep  []int // ExecSeq of the worker's current slab generation
+
+	// live is the per-worker depth-pruning layout of a RunInduced pass; nil
+	// on every full pass.
+	live []liveRows
 }
 
 // hSlab is one worker's two-generation next-h slab state.
@@ -556,6 +561,36 @@ func (d *pregelDriver) edgeMat(w, eid int) *tensor.Matrix {
 // RunPregel executes full-graph inference of model over g on the Pregel
 // backend.
 func RunPregel(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) {
+	return runPregel(model, g, opts, nil)
+}
+
+// RunInduced answers a k-hop query: it runs model over the induced subgraph
+// ind.G on the Pregel backend, where degree-scaled layers see ind.OutDegrees
+// (the full graph's out-degrees) and superstep k computes layer k only at
+// vertices with ind.Depth <= L-k, the rows an answer at depth 0 reads. When
+// ind comes from a KHop of at least model.NumLayers() hops, the logits at
+// depth 0 (the roots and the virtual root) are bit-identical to the
+// full-graph pass. Every other row of Result.Logits is zero, not a logit,
+// and its Classes and MultiLabel entries mean nothing. Stats.StepActive
+// counts the rows each superstep computed.
+//
+// Only opts.NumWorkers, Parallel, Tuning and Cancel apply; RunInduced
+// returns an error if any other field is set.
+func RunInduced(model *gas.Model, ind *graph.Induced, opts Options) (*Result, error) {
+	rest := opts
+	rest.NumWorkers, rest.Parallel, rest.Tuning, rest.Cancel = 0, false, tensor.Tuning{}, nil
+	if !reflect.ValueOf(rest).IsZero() {
+		return nil, fmt.Errorf("inference: RunInduced takes only NumWorkers, Parallel, Tuning and Cancel")
+	}
+	if n := ind.G.NumNodes; len(ind.OutDegrees) != n || len(ind.Depth) != n {
+		return nil, fmt.Errorf("inference: induced graph has %d nodes, %d out-degrees and %d depths", n, len(ind.OutDegrees), len(ind.Depth))
+	}
+	return runPregel(model, ind.G, opts, ind)
+}
+
+// runPregel is RunPregel, depth-pruned over ind when it is non-nil (see
+// RunInduced).
+func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induced) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := validateModelGraph(model, g); err != nil {
 		return nil, err
@@ -576,15 +611,10 @@ func RunPregel(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) 
 	if opts.ShadowNodes {
 		sg = BuildShadowGraph(g, threshold)
 	}
-	if opts.OutDegrees != nil {
-		if len(opts.OutDegrees) != g.NumNodes {
-			return nil, fmt.Errorf("inference: OutDegrees len %d != graph nodes %d", len(opts.OutDegrees), g.NumNodes)
-		}
-		// Degree-scaled layers see the override instead of the executed
-		// graph's structural degree; mirrors resolve through their origin.
-		for v := range sg.OrigOutDeg {
-			sg.OrigOutDeg[v] = opts.OutDegrees[sg.Origin[v]]
-		}
+	if ind != nil {
+		// Degree-scaled layers scale by the full graph's out-degree, which
+		// the induced graph's structural degree undercounts.
+		sg.OrigOutDeg = ind.OutDegrees
 	}
 
 	driver := &pregelDriver{
@@ -616,6 +646,9 @@ func RunPregel(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) 
 		driver.bcStep[i] = -1
 		driver.hStep[i] = -1
 		driver.pools[i] = tensor.NewPool()
+	}
+	if ind != nil {
+		driver.live = layoutLive(driver.part, ind.Depth, model.NumLayers())
 	}
 
 	cfg := pregel.Config[gnnMsg]{
@@ -702,7 +735,11 @@ func RunPregel(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) 
 		}
 		for v := 0; v < g.NumNodes; v++ {
 			w, li := driver.part.WorkerFor(int32(v)), driver.part.LocalIndex(int32(v))
-			res.Logits.SetRow(v, driver.states[w].Row(li))
+			r, ok := driver.slabRow(w, li, model.NumLayers())
+			if !ok {
+				continue // pruned: the row stays zero
+			}
+			res.Logits.SetRow(v, driver.states[w].Row(r))
 			if res.Embeddings != nil {
 				res.Embeddings.SetRow(v, driver.embs[w].Row(li))
 			}
@@ -721,6 +758,16 @@ func RunPregel(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) 
 	}
 	res.finalize(model)
 	res.Stats, res.Phases = pregelStats(eng, driver, model, sg, opts)
+	if driver.live != nil {
+		// The engine counts every vertex it hands the batch; report the rows
+		// the pruned pass actually computed.
+		for k := range res.Stats.StepActive {
+			res.Stats.StepActive[k] = 0
+			for _, lr := range driver.live {
+				res.Stats.StepActive[k] += int64(lr.n[k])
+			}
+		}
+	}
 	res.Stats.Resumed = resumed
 	res.Stats.Recoveries = eng.Recoveries()
 	cs := eng.CheckpointStats()

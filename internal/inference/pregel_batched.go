@@ -1,10 +1,13 @@
 package inference
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"inferturbo/internal/gas"
+	"inferturbo/internal/graph"
 	"inferturbo/internal/pregel"
 	"inferturbo/internal/tensor"
 )
@@ -39,8 +42,9 @@ import (
 
 // ComputeBatch implements pregel.BatchProgram: superstep 0 materializes the
 // feature slab and scatters h^0; superstep k applies layer k-1 to the whole
-// partition; the final superstep halts every vertex, leaving the logits in
-// the state slabs for RunPregel to collect.
+// partition (a RunInduced pass: to its live rows, see liveRows); the final
+// superstep halts every vertex, leaving the logits in the state slabs for
+// RunPregel to collect.
 func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) {
 	w, k := ctx.WorkerID(), ctx.Superstep
 	owned := ctx.Owned()
@@ -48,9 +52,15 @@ func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) 
 	if k == 0 {
 		// Initialization: raw features become h^0, gathered into the
 		// partition's slab (strided rows of the feature matrix).
-		st := d.pools[w].GetNoZero(len(owned), d.sg.G.Features.Cols)
+		rows := len(owned)
+		if d.live != nil {
+			rows = d.live[w].n[0]
+		}
+		st := d.pools[w].GetNoZero(rows, d.sg.G.Features.Cols)
 		for li, v := range owned {
-			copy(st.Row(li), d.sg.G.Features.Row(int(v)))
+			if r, ok := d.slabRow(w, li, 0); ok {
+				copy(st.Row(r), d.sg.G.Features.Row(int(v)))
+			}
 		}
 		d.states[w] = st
 		d.scatterBatch(ctx, 0)
@@ -60,9 +70,20 @@ func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) 
 	layer := d.model.Layers[k-1]
 	pool := d.pools[w]
 	off, in := ctx.InboxCSR()
-	aggr := d.gatherBatch(ctx, layer, off, in)
+	aggr, msgs := d.gatherBatch(ctx, layer, off, in)
 	st := d.states[w]
-	out := gas.ApplyNodePooled(layer, st, aggr, pool)
+	live := st
+	if d.live != nil {
+		// The slab's live rows are a prefix (see liveRows). Apply is
+		// row-independent — each output row depends on its own input and
+		// aggregate rows only, the tensor kernels' contract — so dropping
+		// the pruned rows changes no bit of the kept ones.
+		lr := &d.live[w]
+		n := lr.n[k]
+		lr.slab = tensor.Matrix{Rows: n, Cols: st.Cols, Data: st.Data[:n*st.Cols]}
+		live = &lr.slab
+	}
+	out := gas.ApplyNodePooled(layer, live, aggr, pool)
 	releaseAggregated(pool, aggr)
 	if d.opts.EmitEmbeddings && k == numLayers {
 		d.embs[w] = st // penultimate slab, retained for the result
@@ -78,7 +99,7 @@ func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) 
 			copy(cl[k].Row(int(v)), out.Row(li))
 		}
 	}
-	ctx.AddCost(int64(len(owned))*layerNodeFlops(layer) + int64(in.Len())*layerMsgFlops(layer))
+	ctx.AddCost(int64(out.Rows)*layerNodeFlops(layer) + int64(msgs)*layerMsgFlops(layer))
 
 	if k == numLayers {
 		// Last superstep: the slabs now hold the logits.
@@ -93,8 +114,10 @@ func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) 
 // through the worker's dense index), then segment-reduce the CSR directly
 // into an N_local x D aggregate. No payload is copied for pooled reduces —
 // the kernels read the arena extents in place, in delivery order, exactly
-// the order the per-vertex vectorizeAggregateInto folds.
-func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], layer gas.Conv, off []int32, in pregel.Batch) *gas.Aggregated {
+// the order the per-vertex vectorizeAggregateInto folds. On a pruned pass
+// the aggregate covers the live slab rows only (see liveRows.compact). It
+// also returns how many messages the aggregate folds.
+func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], layer gas.Conv, off []int32, in pregel.Batch) (*gas.Aggregated, int) {
 	w := ctx.WorkerID()
 	pool := d.pools[w]
 	n := in.Len()
@@ -142,7 +165,11 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 		}
 	}
 
-	nLocal := len(ctx.Owned())
+	srcs, nLocal := in.Srcs, len(ctx.Owned())
+	if d.live != nil {
+		off, pays, counts, srcs, nLocal = d.live[w].compact(ctx.Superstep, off, pays, counts, srcs)
+		n = len(pays)
+	}
 	dim := layer.InDim()
 	a := &d.aggrs[w]
 	a.Kind = layer.Reduce()
@@ -167,7 +194,7 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 			// The message is the source's state on every out-edge (the
 			// gas.Conv contract), so each distinct source is copied — and
 			// projected by apply_node — once, and messages index its row.
-			a.Messages, a.MsgRow = d.unions[w].build(pool, dim, in.Srcs, pays)
+			a.Messages, a.MsgRow = d.unions[w].build(pool, dim, srcs, pays)
 			break
 		}
 		mm := pool.GetNoZero(n, dim)
@@ -205,7 +232,7 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 		tensor.SegmentExtremeViewsInto(pooled, off, pays, kind == gas.ReduceMax)
 		a.Pooled = pooled
 	}
-	return a
+	return a, n
 }
 
 // unionIndex is one worker's distinct-source scratch for the Union gather:
@@ -255,11 +282,96 @@ func (d *pregelDriver) scatterBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], 
 	st := d.states[w]
 	chunk := ctx.ChunkSize() // 0 off the pipelined plane
 	for li, v := range ctx.Owned() {
-		d.scatterColumnar(ctx, w, v, st.Row(li), k)
+		if r, ok := d.slabRow(w, li, k); ok {
+			d.scatterColumnar(ctx, w, v, st.Row(r), k)
+		}
 		if chunk > 0 && (li+1)%chunk == 0 {
 			ctx.FlushChunk()
 		}
 	}
+}
+
+// liveRows is one worker's layout for a depth-pruned RunInduced pass. A
+// root's layer-L answer reads layer L-1 only at its in-neighbors, layer L-2
+// only within two hops, and so on: superstep k needs layer k only at
+// vertices of KHop depth <= L-k, and only they scatter h^k. The slab holds
+// the worker's vertices sorted by depth (ties in local order), so the rows
+// live at superstep k are always its first n[k] rows and each superstep
+// simply narrows the slab; no state row is ever copied.
+//
+// Pruning cannot change a kept bit. KHop is a BFS over in-edges, so every
+// induced edge u->v has depth(u) <= depth(v)+1: a vertex live at superstep
+// k receives only from vertices live at superstep k-1, which all still
+// scatter. Its inbox is therefore complete and in the engine's usual
+// ascending-source order, and its aggregate folds exactly the messages, in
+// exactly the order, of the unpruned pass.
+type liveRows struct {
+	order []int32       // slab row -> local index
+	row   []int32       // local index -> slab row
+	n     []int         // n[k]: rows live at superstep k
+	slab  tensor.Matrix // header over the state slab's live rows
+
+	// compact's reused output: the live rows' inbox, in slab order.
+	off    []int32
+	pays   [][]float32
+	counts []int32
+	srcs   []int32
+}
+
+// layoutLive builds every worker's liveRows for a model of numLayers
+// layers; depth is indexed by vertex id.
+func layoutLive(part graph.Partitioner, depth []int32, numLayers int) []liveRows {
+	live := make([]liveRows, part.NumWorkers())
+	for w := range live {
+		lr := &live[w]
+		owned := part.NodesFor(w, len(depth))
+		idx := make([]int32, 2*len(owned))
+		lr.order, lr.row = idx[:len(owned)], idx[len(owned):]
+		for li := range lr.order {
+			lr.order[li] = int32(li)
+		}
+		slices.SortStableFunc(lr.order, func(a, b int32) int {
+			return cmp.Compare(depth[owned[a]], depth[owned[b]])
+		})
+		for r, li := range lr.order {
+			lr.row[li] = int32(r)
+		}
+		lr.n = make([]int, numLayers+1)
+		for k := range lr.n {
+			lr.n[k] = sort.Search(len(lr.order), func(r int) bool {
+				return int(depth[owned[lr.order[r]]]) > numLayers-k
+			})
+		}
+	}
+	return live
+}
+
+// slabRow returns the slab row of worker w's local vertex li and whether it
+// is live at superstep k. Every row is live on a full pass.
+func (d *pregelDriver) slabRow(w, li, k int) (int, bool) {
+	if d.live == nil {
+		return li, true
+	}
+	lr := &d.live[w]
+	r := int(lr.row[li])
+	return r, r < lr.n[k]
+}
+
+// compact narrows a worker's inbox CSR to the rows live at superstep k, in
+// slab order. It copies message headers and payload views, never payloads;
+// each row's messages keep their delivery order.
+func (lr *liveRows) compact(k int, off []int32, pays [][]float32, counts, srcs []int32) ([]int32, [][]float32, []int32, []int32, int) {
+	n := lr.n[k]
+	lr.off = append(lr.off[:0], 0)
+	lr.pays, lr.counts, lr.srcs = lr.pays[:0], lr.counts[:0], lr.srcs[:0]
+	for _, li := range lr.order[:n] {
+		lo, hi := off[li], off[li+1]
+		lr.pays = append(lr.pays, pays[lo:hi]...)
+		lr.counts = append(lr.counts, counts[lo:hi]...)
+		lr.srcs = append(lr.srcs, srcs[lo:hi]...)
+		lr.off = append(lr.off, int32(len(lr.pays)))
+	}
+	return lr.off, lr.pays, lr.counts, lr.srcs, n
 }
 
 // progSnap is the checkpointed form of the batched plane's program-owned

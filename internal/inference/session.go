@@ -72,10 +72,10 @@ type Session struct {
 // and durability knobs that assume a one-shot run are rejected: skew
 // strategies rewrite the executed graph or change the message mix
 // (ShadowNodes, Broadcast, PartialGather), BoxedMessages has no batched
-// plane to keep slabs in, OutDegrees/EmitEmbeddings target the subgraph
-// path, and durable cross-process resume (CheckpointDir/Resume) cannot
-// replay the capture of supersteps that never re-execute. In-process fault
-// tolerance (CheckpointEvery, Faults) is fully supported on both planes.
+// plane to keep slabs in, EmitEmbeddings targets one-shot runs, and
+// durable cross-process resume (CheckpointDir/Resume) cannot replay the
+// capture of supersteps that never re-execute. In-process fault tolerance
+// (CheckpointEvery, Faults) is fully supported on both planes.
 func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error) {
 	opts = opts.withDefaults()
 	if err := validateModelGraph(model, g); err != nil {
@@ -86,7 +86,6 @@ func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error
 		"Broadcast":      opts.Broadcast,
 		"ShadowNodes":    opts.ShadowNodes,
 		"BoxedMessages":  opts.BoxedMessages,
-		"OutDegrees":     opts.OutDegrees != nil,
 		"EmitEmbeddings": opts.EmitEmbeddings,
 		"CheckpointDir":  opts.CheckpointDir != "",
 		"Resume":         opts.Resume,

@@ -295,7 +295,6 @@ func TestSessionRejectsUnsupported(t *testing.T) {
 		{Broadcast: true},
 		{ShadowNodes: true},
 		{BoxedMessages: true},
-		{OutDegrees: make([]int32, g.NumNodes)},
 		{EmitEmbeddings: true},
 		{CheckpointDir: t.TempDir()},
 		{Resume: true},

@@ -201,6 +201,12 @@ func (s *Server) execBatch(batch []*job) {
 		}
 		return
 	}
+	var applied int64
+	for _, n := range res.Stats.StepActive[1:] { // superstep 0 applies no layer
+		applied += n
+	}
+	s.m.inducedRows.Add(int64(ind.G.NumNodes * s.cfg.Model.NumLayers()))
+	s.m.appliedRows.Add(applied)
 
 	for _, j := range live {
 		if j.ctx.Err() != nil {
@@ -302,10 +308,9 @@ func (s *Server) compute(live []*job, ind *graph.Induced) (res *inference.Result
 		}
 		return context.Canceled
 	}
-	res, err = inference.RunPregel(s.cfg.Model, ind.G, inference.Options{
+	res, err = inference.RunInduced(s.cfg.Model, ind, inference.Options{
 		NumWorkers: s.cfg.QueryWorkers,
 		Parallel:   s.cfg.QueryParallel,
-		OutDegrees: ind.OutDegrees,
 		Cancel:     cancel,
 	})
 	return res, err, false

@@ -15,6 +15,8 @@ type counters struct {
 	batches         atomic.Int64 // micro-batches executed
 	batchedJobs     atomic.Int64 // jobs carried by those batches
 	cancelAborts    atomic.Int64 // passes aborted mid-run by deadline propagation
+	inducedRows     atomic.Int64 // completed query passes: induced nodes x layers
+	appliedRows     atomic.Int64 // completed query passes: rows a layer was applied to
 	refreshes       atomic.Int64 // successful refresh passes (full or delta)
 	refreshFailures atomic.Int64
 
@@ -67,6 +69,11 @@ type Stats struct {
 	Batches      int64 `json:"batches"`
 	BatchedJobs  int64 `json:"batched_jobs"`
 	CancelAborts int64 `json:"cancel_aborts"`
+	// QueryInducedRows sums induced nodes x layers over completed query
+	// passes; QueryAppliedRows sums the rows those passes applied a layer
+	// to. 1 - applied/induced is the share depth pruning skipped.
+	QueryInducedRows int64 `json:"query_induced_rows"`
+	QueryAppliedRows int64 `json:"query_applied_rows"`
 
 	Refreshes       int64 `json:"refreshes"`
 	RefreshFailures int64 `json:"refresh_failures"`
@@ -140,6 +147,9 @@ func (s *Server) Metrics() Stats {
 		Batches:        s.m.batches.Load(),
 		BatchedJobs:    s.m.batchedJobs.Load(),
 		CancelAborts:   s.m.cancelAborts.Load(),
+
+		QueryInducedRows: s.m.inducedRows.Load(),
+		QueryAppliedRows: s.m.appliedRows.Load(),
 
 		Refreshes:       s.m.refreshes.Load(),
 		RefreshFailures: s.m.refreshFailures.Load(),

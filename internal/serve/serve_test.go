@@ -534,6 +534,62 @@ func BenchmarkQueryOneRoot(b *testing.B) {
 	}
 }
 
+// BenchmarkQuery16Roots is BenchmarkQueryOneRoot with 16 distinct roots per
+// request: one closed-loop client, so each request is one batch and ns/op
+// is the round trip of one 16-root k-hop induce-and-infer.
+func BenchmarkQuery16Roots(b *testing.B) {
+	s, ts := newTestServer(b, nil)
+	n := s.cfg.Graph.NumNodes
+	roots := make([]int32, 16)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		for j := range roots {
+			roots[j] = int32((i*len(roots) + j) % n)
+		}
+		if st, qr, _ := postQuery(b, ts, QueryRequest{Roots: roots, DeadlineMs: 5000}); st != 200 {
+			b.Fatalf("query: %d %s", st, qr.Error)
+		}
+	}
+}
+
+// /v1/stats exposes how much of each query pass depth pruning skipped:
+// query_induced_rows grows by induced nodes x layers and
+// query_applied_rows by the rows of depth <= L-k summed over layers k.
+func TestQueryStatsCountPrunedRows(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	g, m := s.cfg.Graph, s.cfg.Model
+	roots := []int32{4, 90, 161}
+	before := s.Metrics()
+	status, qr, _ := postQuery(t, ts, QueryRequest{Roots: roots, DeadlineMs: 5000})
+	if status != 200 {
+		t.Fatalf("query: %d %s", status, qr.Error)
+	}
+	after := s.Metrics()
+
+	ind, err := graph.KHop(g, roots, graph.KHopOptions{Hops: m.NumLayers()}).Induce(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := m.NumLayers()
+	var applied int64
+	for k := 1; k <= layers; k++ {
+		for _, d := range ind.Depth {
+			if int(d) <= layers-k {
+				applied++
+			}
+		}
+	}
+	if got, want := after.QueryInducedRows-before.QueryInducedRows, int64(ind.G.NumNodes*layers); got != want {
+		t.Fatalf("query_induced_rows delta %d, want %d", got, want)
+	}
+	if got := after.QueryAppliedRows - before.QueryAppliedRows; got != applied {
+		t.Fatalf("query_applied_rows delta %d, want %d", got, applied)
+	}
+	if applied >= int64(ind.G.NumNodes*layers) {
+		t.Fatalf("pruning skipped nothing: %d applied of %d induced rows", applied, ind.G.NumNodes*layers)
+	}
+}
+
 // Cold-start and what-if queries run on the batched plane against a
 // subgraph copy; the resident graph and store never change.
 func TestColdStartAndWhatIf(t *testing.T) {
@@ -559,9 +615,7 @@ func TestColdStartAndWhatIf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := inference.RunPregel(m, ind.G, inference.Options{
-		NumWorkers: s.cfg.QueryWorkers, OutDegrees: ind.OutDegrees,
-	})
+	want, err := inference.RunInduced(m, ind, inference.Options{NumWorkers: s.cfg.QueryWorkers})
 	if err != nil {
 		t.Fatal(err)
 	}
