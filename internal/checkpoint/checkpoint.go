@@ -110,7 +110,8 @@ type Store struct {
 	writeHook func(attempt int) error
 
 	bytesWritten int64
-	scratch      []byte // reused header-encode scratch (Store is single-goroutine)
+	scratch      []byte        // reused header-encode scratch (Store is single-goroutine)
+	w            *bufio.Writer // reused epoch writer; holds no file between saves
 }
 
 // NewStore opens (creating if needed) the epoch directory. Epoch numbering
@@ -175,6 +176,10 @@ func epochSize(segs []Segment) int {
 // decode parses and validates one epoch file's bytes: magic, per-segment
 // CRCs, footer. Any mismatch returns an error — the caller treats the file
 // as torn and falls back.
+//
+// Segment data aliases b, capacity-capped so an append to one segment
+// cannot overwrite the next: b is read fresh per load and never reused, so
+// a copy per segment would only double the load's memory traffic.
 func decode(b []byte) (step int, segs []Segment, err error) {
 	if len(b) < len(fileMagic)+len(footerMagic) || string(b[:len(fileMagic)]) != fileMagic {
 		return 0, nil, fmt.Errorf("checkpoint: bad file magic")
@@ -196,7 +201,7 @@ func decode(b []byte) (step int, segs []Segment, err error) {
 		if crc32.Checksum(data, castagnoli) != sum {
 			return 0, nil, fmt.Errorf("checkpoint: segment %q checksum mismatch", name)
 		}
-		segs = append(segs, Segment{Name: name, Data: append([]byte(nil), data...)})
+		segs = append(segs, Segment{Name: name, Data: data[:len(data):len(data)]})
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
 		return 0, nil, fmt.Errorf("checkpoint: malformed epoch file")
@@ -269,7 +274,13 @@ func (s *Store) streamEpoch(path string, step int, segs []Segment) error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
+	if s.w == nil {
+		s.w = bufio.NewWriterSize(f, 1<<16)
+	} else {
+		s.w.Reset(f)
+	}
+	w := s.w
+	defer w.Reset(nil)
 	hdr := s.scratch[:0]
 	hdr = append(hdr, fileMagic...)
 	hdr = AppendU64(hdr, uint64(step))

@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -252,6 +254,39 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("reader state: err=%v remaining=%d", r.Err(), r.Remaining())
+	}
+}
+
+// TestSliceAppendersWriteFixedBytes pins the slice helpers' output to the
+// element-by-element layout (u64 count, then little-endian elements), so
+// growing the buffer once per call cannot change a WAL record or segment
+// byte; and a buffer with room is never reallocated.
+func TestSliceAppendersWriteFixedBytes(t *testing.T) {
+	prefix := []byte{0xaa}
+	want := append([]byte(nil), prefix...)
+	want = AppendU64(want, 3)
+	for _, v := range []float32{1.5, float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc00123)} {
+		want = AppendU32(want, math.Float32bits(v))
+	}
+	want = AppendU64(want, 2)
+	want = AppendU32(want, uint32(0xfffffffe))
+	want = AppendU32(want, 9)
+	want = AppendU64(want, 1)
+	want = AppendU64(want, uint64(1<<40))
+	want = AppendU64(want, 2)
+	want = append(want, 1, 0)
+
+	buf := make([]byte, 0, len(want))
+	got := append(buf, prefix...)
+	got = AppendF32s(got, []float32{1.5, float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc00123)})
+	got = AppendI32s(got, []int32{-2, 9})
+	got = AppendI64s(got, []int64{1 << 40})
+	got = AppendBools(got, []bool{true, false})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("slice helpers wrote\n%x\nwant\n%x", got, want)
+	}
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("helpers reallocated a buffer that had room")
 	}
 }
 

@@ -4,14 +4,16 @@ package checkpoint
 // little-endian, length-prefixed, and bit-exact for floats (payload values
 // round-trip through math.Float32bits, never through a decimal formatter),
 // which is what lets a resumed run reproduce an uninterrupted one bit for
-// bit. Append* functions grow a byte slice; Reader walks one back with a
-// sticky error, so decode paths check once at the end instead of after every
-// field.
+// bit. Append* functions grow a byte slice (the slice helpers at most once
+// per call, so an encoder that sizes its buffer up front never reallocates);
+// Reader walks one back with a sticky error, so decode paths check once at
+// the end instead of after every field.
 
 import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 )
 
 // ErrShortBuffer is the Reader's sticky error once a read runs past the end
@@ -38,12 +40,12 @@ func AppendString(b []byte, s string) []byte { return AppendBytes(b, []byte(s)) 
 
 // AppendBools appends v length-prefixed, one byte per element.
 func AppendBools(b []byte, v []bool) []byte {
-	b = AppendU64(b, uint64(len(v)))
-	for _, x := range v {
+	b, p := grow(b, len(v), 1)
+	for i, x := range v {
 		if x {
-			b = append(b, 1)
+			p[i] = 1
 		} else {
-			b = append(b, 0)
+			p[i] = 0
 		}
 	}
 	return b
@@ -51,18 +53,18 @@ func AppendBools(b []byte, v []bool) []byte {
 
 // AppendI32s appends v length-prefixed, little-endian.
 func AppendI32s(b []byte, v []int32) []byte {
-	b = AppendU64(b, uint64(len(v)))
-	for _, x := range v {
-		b = AppendU32(b, uint32(x))
+	b, p := grow(b, len(v), 4)
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(p[4*i:], uint32(x))
 	}
 	return b
 }
 
 // AppendI64s appends v length-prefixed, little-endian.
 func AppendI64s(b []byte, v []int64) []byte {
-	b = AppendU64(b, uint64(len(v)))
-	for _, x := range v {
-		b = AppendU64(b, uint64(x))
+	b, p := grow(b, len(v), 8)
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(p[8*i:], uint64(x))
 	}
 	return b
 }
@@ -70,11 +72,21 @@ func AppendI64s(b []byte, v []int64) []byte {
 // AppendF32s appends v length-prefixed as raw IEEE-754 bits — the bit-exact
 // round trip the determinism contract requires (NaN payloads included).
 func AppendF32s(b []byte, v []float32) []byte {
-	b = AppendU64(b, uint64(len(v)))
-	for _, x := range v {
-		b = AppendU32(b, math.Float32bits(x))
+	b, p := grow(b, len(v), 4)
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(x))
 	}
 	return b
+}
+
+// grow appends the u64 prefix n and extends b by n*elemSize bytes, growing
+// the backing array at most once; p is the extension, for the caller to
+// fill.
+func grow(b []byte, n, elemSize int) (out, p []byte) {
+	b = AppendU64(slices.Grow(b, 8+n*elemSize), uint64(n))
+	off := len(b)
+	b = b[:off+n*elemSize]
+	return b, b[off:]
 }
 
 // Reader decodes a segment written with the Append helpers. The first
@@ -124,6 +136,15 @@ func (r *Reader) U64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(p)
+}
+
+// U8 reads one byte.
+func (r *Reader) U8() byte {
+	p := r.take(1)
+	if p == nil {
+		return 0
+	}
+	return p[0]
 }
 
 // I64 reads one two's-complement int64.
@@ -177,7 +198,7 @@ func (r *Reader) I32s() []int32 {
 	}
 	v := make([]int32, n)
 	for i := range v {
-		v[i] = int32(binary.LittleEndian.Uint32(p[i*4:]))
+		v[i] = int32(binary.LittleEndian.Uint32(p[4*i : 4*i+4 : 4*i+4]))
 	}
 	return v
 }
@@ -191,7 +212,7 @@ func (r *Reader) I64s() []int64 {
 	}
 	v := make([]int64, n)
 	for i := range v {
-		v[i] = int64(binary.LittleEndian.Uint64(p[i*8:]))
+		v[i] = int64(binary.LittleEndian.Uint64(p[8*i : 8*i+8 : 8*i+8]))
 	}
 	return v
 }
@@ -205,7 +226,7 @@ func (r *Reader) F32s() []float32 {
 	}
 	v := make([]float32, n)
 	for i := range v {
-		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[i*4:]))
+		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i : 4*i+4 : 4*i+4]))
 	}
 	return v
 }

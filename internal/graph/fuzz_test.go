@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"testing"
 
 	"inferturbo/internal/tensor"
@@ -53,20 +52,16 @@ func FuzzGraphDecode(f *testing.F) {
 		fuzzSeedGraph(false, true),
 		NewBuilder(0).Build(),
 	} {
-		var buf bytes.Buffer
-		if err := g.Encode(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(g.AppendEncoding(nil))
 	}
 	f.Add([]byte{})
-	f.Add([]byte("inferturbo-graph-v1 but not gob"))
+	f.Add([]byte(ioMagic + " but no body"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
-			return // gob can amplify; bound the decode cost per input
+			return // bound the decode cost per input
 		}
-		g, err := Decode(bytes.NewReader(data))
+		g, err := Decode(data)
 		if err != nil {
 			return
 		}

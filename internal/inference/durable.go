@@ -2,6 +2,7 @@ package inference
 
 import (
 	"fmt"
+	"slices"
 
 	"inferturbo/internal/checkpoint"
 	"inferturbo/internal/tensor"
@@ -71,11 +72,13 @@ func (gnnCodec) DecodeMsgs(data []byte) ([]gnnMsg, error) {
 }
 
 // appendMatrix serializes one optional slab: a presence flag, then shape and
-// bit-exact float data.
+// bit-exact float data. It grows b at most once, so a buffer reused from an
+// earlier same-shape slab is never reallocated.
 func appendMatrix(b []byte, m *tensor.Matrix) []byte {
 	if m == nil {
 		return checkpoint.AppendBools(b, []bool{false})
 	}
+	b = slices.Grow(b, 9+3*8+4*len(m.Data))
 	b = checkpoint.AppendBools(b, []bool{true})
 	b = checkpoint.AppendU64(b, uint64(m.Rows))
 	b = checkpoint.AppendU64(b, uint64(m.Cols))

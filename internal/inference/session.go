@@ -65,7 +65,8 @@ type Session struct {
 
 	// Durable-session state (nil unless Options.SessionDir is set).
 	dur        *sessionDurable
-	replayMark uint64 // highest mutation seq the resident state accounts for
+	replayMark uint64       // highest mutation seq the resident state accounts for
+	resumed    ResumeTiming // zero unless ResumeSession built this session
 }
 
 // NewSession validates the model/graph pair and the options. The strategy

@@ -27,13 +27,12 @@ package inference
 //
 // Bit-identity across the crash: slab floats round-trip through their
 // IEEE-754 bit patterns (checkpoint.AppendF32s), the graph round-trips
-// through its canonical encoding, and the delta pass that replays the
-// unconsumed mutations is the same bitwise-exact engine path a never-crashed
-// process would have run — so /v1/logits after resume is byte-identical to
-// the oracle.
+// through graph.AppendEncoding (the same wire helpers, features included),
+// and the delta pass that replays the unconsumed mutations is the same
+// bitwise-exact engine path a never-crashed process would have run — so
+// /v1/logits after resume is byte-identical to the oracle.
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -44,7 +43,10 @@ import (
 	"inferturbo/internal/tensor"
 )
 
-const sessionMetaVersion = 1
+// sessionMetaVersion 2 stores the graph segment in graph.AppendEncoding's
+// format; version-1 epochs (gob graph) are refused, never cold-started past,
+// because their WAL prefix may already be truncated.
+const sessionMetaVersion = 2
 
 // SessionDurableStats exposes the persister's observables for /v1/stats.
 type SessionDurableStats struct {
@@ -85,7 +87,17 @@ type sessionDurable struct {
 	// persister-goroutine-private, so stats readers take this atomic instead.
 	bytes atomic.Int64
 
-	scratch []byte // persister-goroutine encode scratch
+	// Persister-goroutine encode buffers, reused across epochs so a
+	// steady-state epoch (same shapes as the last) allocates nothing
+	// epoch-sized. Reusing them is safe only because checkpoint.Store.Save
+	// keeps no reference to segment bytes after it returns. slabs[k-1]
+	// holds layer k and slabs[L+k] message slab k; names match them.
+	meta   []byte
+	graph  []byte
+	slabs  [][]byte
+	names  []string
+	scaled []bool
+	segs   []checkpoint.Segment
 }
 
 // initDurable wires the persister when SessionDir is set. Called by
@@ -99,6 +111,7 @@ func (s *Session) initDurable() error {
 		return err
 	}
 	st.Sync = s.opts.CheckpointSync
+	L := s.model.NumLayers()
 	d := &sessionDurable{
 		store:     st,
 		beginHook: s.opts.SessionPersistBeginHook,
@@ -106,6 +119,13 @@ func (s *Session) initDurable() error {
 		mailbox:   make(chan *sessionPersistJob, 1),
 		free:      make(chan *sessionPersistJob, 2),
 		done:      make(chan struct{}),
+		slabs:     make([][]byte, 2*L),
+		names:     make([]string, 2*L),
+		scaled:    make([]bool, L),
+	}
+	for k := 0; k < L; k++ {
+		d.names[k] = layerSegment(k + 1)
+		d.names[L+k] = msgsSegment(k)
 	}
 	d.free <- &sessionPersistJob{}
 	d.free <- &sessionPersistJob{}
@@ -235,43 +255,33 @@ func (d *sessionDurable) persistOne(model *gas.Model, job *sessionPersistJob) er
 	}
 	start := time.Now()
 	L := model.NumLayers()
-	meta := checkpoint.AppendU32(d.scratch[:0], sessionMetaVersion)
+	meta := checkpoint.AppendU32(d.meta[:0], sessionMetaVersion)
 	meta = checkpoint.AppendU64(meta, job.mark)
 	meta = checkpoint.AppendU64(meta, uint64(job.g.NumNodes))
 	meta = checkpoint.AppendU64(meta, uint64(L))
 	meta = checkpoint.AppendU64(meta, uint64(model.InDim()))
-	scaled := make([]bool, L)
 	for k := 0; k < L; k++ {
 		meta = checkpoint.AppendU64(meta, uint64(model.Layers[k].OutDim()))
-		scaled[k] = job.msgs[k] != nil
+		d.scaled[k] = job.msgs[k] != nil
 	}
-	meta = checkpoint.AppendBools(meta, scaled)
-	d.scratch = meta[:0]
+	d.meta = checkpoint.AppendBools(meta, d.scaled)
+	d.graph = job.g.AppendEncoding(d.graph[:0])
 
-	var gbuf bytes.Buffer
-	if err := job.g.Encode(&gbuf); err != nil {
-		return fmt.Errorf("inference: persist session graph: %w", err)
-	}
-
-	segs := make([]checkpoint.Segment, 0, 2+2*L)
-	segs = append(segs,
-		checkpoint.Segment{Name: "session-meta", Data: meta},
-		checkpoint.Segment{Name: "graph", Data: gbuf.Bytes()},
+	segs := append(d.segs[:0],
+		checkpoint.Segment{Name: "session-meta", Data: d.meta},
+		checkpoint.Segment{Name: "graph", Data: d.graph},
 	)
 	for k := 1; k <= L; k++ {
-		segs = append(segs, checkpoint.Segment{
-			Name: fmt.Sprintf("layer-%d", k),
-			Data: appendMatrix(nil, job.layers[k]),
-		})
+		d.slabs[k-1] = appendMatrix(d.slabs[k-1][:0], job.layers[k])
+		segs = append(segs, checkpoint.Segment{Name: d.names[k-1], Data: d.slabs[k-1]})
 	}
 	for k := 0; k < L; k++ {
 		if job.msgs[k] != nil {
-			segs = append(segs, checkpoint.Segment{
-				Name: fmt.Sprintf("msgs-%d", k),
-				Data: appendMatrix(nil, job.msgs[k]),
-			})
+			d.slabs[L+k] = appendMatrix(d.slabs[L+k][:0], job.msgs[k])
+			segs = append(segs, checkpoint.Segment{Name: d.names[L+k], Data: d.slabs[L+k]})
 		}
 	}
+	d.segs = segs
 	if err := d.store.Save(int(job.mark), segs); err != nil {
 		return err
 	}
@@ -296,10 +306,13 @@ func ResumeSession(model *gas.Model, opts Options) (*Session, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	start := time.Now()
 	_, segs, found, err := st.Load()
 	if err != nil || !found {
 		return nil, false, err
 	}
+	var timing ResumeTiming
+	timing.LoadNs = time.Since(start).Nanoseconds()
 	bySeg := make(map[string][]byte, len(segs))
 	for _, sg := range segs {
 		bySeg[sg.Name] = sg.Data
@@ -307,7 +320,7 @@ func ResumeSession(model *gas.Model, opts Options) (*Session, bool, error) {
 
 	r := checkpoint.NewReader(bySeg["session-meta"])
 	if v := r.U32(); v != sessionMetaVersion {
-		return nil, false, fmt.Errorf("inference: session epoch version %d, want %d", v, sessionMetaVersion)
+		return nil, false, fmt.Errorf("inference: session epoch version %d, want %d (regenerate the session dir)", v, sessionMetaVersion)
 	}
 	mark := r.U64()
 	n := int(r.U64())
@@ -335,7 +348,9 @@ func ResumeSession(model *gas.Model, opts Options) (*Session, bool, error) {
 		}
 	}
 
-	g, err := graph.Decode(bytes.NewReader(bySeg["graph"]))
+	start = time.Now()
+	g, err := graph.Decode(bySeg["graph"])
+	timing.GraphNs = time.Since(start).Nanoseconds()
 	if err != nil {
 		return nil, false, fmt.Errorf("inference: session epoch graph: %w", err)
 	}
@@ -353,11 +368,12 @@ func ResumeSession(model *gas.Model, opts Options) (*Session, bool, error) {
 			return nil, false, fmt.Errorf("inference: session epoch layer %d scaling mismatch", k)
 		}
 	}
+	start = time.Now()
 	s.layers = make([]*tensor.Matrix, L+1)
 	s.msgs = make([]*tensor.Matrix, L)
 	s.layers[0] = g.Features
 	for k := 1; k <= L; k++ {
-		mr := checkpoint.NewReader(bySeg[fmt.Sprintf("layer-%d", k)])
+		mr := checkpoint.NewReader(bySeg[layerSegment(k)])
 		m := readMatrix(mr)
 		if m == nil || m.Rows != n || m.Cols != outDims[k-1] {
 			s.CloseDurable()
@@ -370,7 +386,7 @@ func ResumeSession(model *gas.Model, opts Options) (*Session, bool, error) {
 			s.msgs[k] = s.layers[k]
 			continue
 		}
-		mr := checkpoint.NewReader(bySeg[fmt.Sprintf("msgs-%d", k)])
+		mr := checkpoint.NewReader(bySeg[msgsSegment(k)])
 		m := readMatrix(mr)
 		if m == nil || m.Rows != n || m.Cols != model.Layers[k].InDim() {
 			s.CloseDurable()
@@ -384,5 +400,22 @@ func ResumeSession(model *gas.Model, opts Options) (*Session, bool, error) {
 	s.pendPinned = growBools(nil, n)
 	s.primed = true
 	s.replayMark = mark
+	timing.SlabsNs = time.Since(start).Nanoseconds()
+	s.resumed = timing
 	return s, true, nil
 }
+
+// layerSegment and msgsSegment name an epoch's slab segments.
+func layerSegment(k int) string { return fmt.Sprintf("layer-%d", k) }
+func msgsSegment(k int) string  { return fmt.Sprintf("msgs-%d", k) }
+
+// ResumeTiming decomposes ResumeSession's wall time into its three phases.
+// All zero for a session that did not resume.
+type ResumeTiming struct {
+	LoadNs  int64 // newest valid epoch read and CRC-checked
+	GraphNs int64 // graph segment decoded and validated
+	SlabsNs int64 // layer and message slabs decoded
+}
+
+// ResumeTiming reports how long ResumeSession spent in each phase.
+func (s *Session) ResumeTiming() ResumeTiming { return s.resumed }

@@ -1,13 +1,19 @@
 package inference
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"inferturbo/internal/checkpoint"
+	"inferturbo/internal/datagen"
 	"inferturbo/internal/gas"
 	"inferturbo/internal/graph"
 	"inferturbo/internal/tensor"
@@ -465,4 +471,107 @@ func TestSessionPersisterNeverBlocksRefresh(t *testing.T) {
 	if err != nil || len(epochs) != 2 {
 		t.Fatalf("epochs on disk: %v (err=%v), want the prime's and the newest", epochs, err)
 	}
+}
+
+// setEpochVersion rewrites the newest epoch under dir as a new epoch whose
+// session meta claims version v — the shape a session dir written by an
+// older release has on disk.
+func setEpochVersion(t *testing.T, dir string, v uint32) {
+	t.Helper()
+	st, err := checkpoint.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step, segs, found, err := st.Load()
+	if err != nil || !found {
+		t.Fatalf("no epoch to rewrite: found=%v err=%v", found, err)
+	}
+	for _, sg := range segs {
+		if sg.Name == "session-meta" {
+			binary.LittleEndian.PutUint32(sg.Data, v)
+		}
+	}
+	if err := st.Save(step, segs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeSessionRefusesOldEpochVersion: an epoch written in an older
+// format is an error naming both versions — never a panic, and never a
+// silent cold start, which would drop mutations the epoch holds but whose
+// WAL records are already truncated.
+func TestResumeSessionRefusesOldEpochVersion(t *testing.T) {
+	dir := t.TempDir()
+	m := gas.NewGCNModel("old-epoch", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(141))
+	sess, err := NewSession(m, sessionTestGraph(43, false), Options{NumWorkers: 2, SessionDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	sess.CloseDurable()
+	setEpochVersion(t, dir, 1)
+	s, ok, err := ResumeSession(m, Options{SessionDir: dir})
+	if err == nil || ok || s != nil {
+		t.Fatalf("version-1 epoch resumed: ok=%v err=%v", ok, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, fmt.Sprintf("want %d", sessionMetaVersion)) {
+		t.Fatalf("error %q does not name both versions", msg)
+	}
+}
+
+// persistAllocBound is what a steady-state persistOne may allocate: the
+// store's per-file bookkeeping (file handles, the directory listing behind
+// pruning, the manifest), none of it proportional to the epoch. The test
+// epoch is over 60x larger, so a single re-made segment buffer fails it.
+const persistAllocBound = 16 << 10
+
+// TestSessionPersistSteadyStateAllocs: once one epoch has grown the
+// persister's encode buffers, a second epoch of the same shape reuses them
+// all — no graph, slab or meta buffer is re-made.
+func TestSessionPersistSteadyStateAllocs(t *testing.T) {
+	m := gas.NewGCNModel("alloc", gas.TaskSingleLabel, 32, 32, 3, 2, tensor.NewRNG(151))
+	g := datagen.Generate(datagen.Config{
+		Name: "alloc", Nodes: 3000, AvgDegree: 5, Skew: datagen.SkewIn, Exponent: 1.6,
+		FeatureDim: 32, NumClasses: 3, Seed: 152,
+	}).Graph
+	sess, err := NewSession(m, g, Options{NumWorkers: 2, SessionDir: t.TempDir(), CheckpointSync: checkpoint.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.CloseDurable()
+	if _, _, err := sess.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	waitSessionEpochs(t, sess, 1)
+	// The persister goroutine is idle now (nothing in its mailbox), so the
+	// test may drive its encode path directly.
+	d := sess.dur
+	L := m.NumLayers()
+	job := &sessionPersistJob{g: sess.Graph(), layers: sess.layers, msgs: make([]*tensor.Matrix, L), mark: 1}
+	for k := 0; k < L; k++ {
+		if sess.scaled[k] {
+			job.msgs[k] = sess.msgs[k]
+		}
+	}
+	epochBytes := d.store.BytesWritten()
+	var ms runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if err := d.persistOne(m, job); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	if epochBytes < 60*persistAllocBound {
+		t.Fatalf("test epoch is only %d bytes; grow it past %d", epochBytes, 60*persistAllocBound)
+	}
+	if least > persistAllocBound {
+		t.Fatalf("steady-state persist allocated %d bytes (epoch %d bytes), want <= %d", least, epochBytes, persistAllocBound)
+	}
+	t.Logf("steady-state persist allocated %d bytes for a %d-byte epoch", least, epochBytes)
 }

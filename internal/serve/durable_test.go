@@ -2,13 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"inferturbo/internal/checkpoint"
 	"inferturbo/internal/graph"
 	"inferturbo/internal/inference"
 	"inferturbo/internal/pregel"
@@ -66,6 +70,53 @@ func TestDurableConfigErrors(t *testing.T) {
 	}
 }
 
+// TestDurableRefusesOldEpochVersion: a SessionDir whose newest epoch was
+// written in an older format fails New with an error naming both versions.
+// Cold-starting past it would silently drop the mutations that epoch holds
+// whose WAL records are already truncated.
+func TestDurableRefusesOldEpochVersion(t *testing.T) {
+	dir := t.TempDir()
+	a, aTS := durableServer(t, dir, nil)
+	if st, _ := postMutate(t, aTS, `{"features":[{"node":3,"features":[1,0,-1,0.5,0,2]}]}`); st != 202 {
+		t.Fatalf("mutate: %d", st)
+	}
+	if err := a.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "epoch persist + WAL truncation", func() bool {
+		m := a.Metrics()
+		return m.SessionEpochs >= 2 && m.WALRecords == 0
+	})
+	aTS.Close()
+	a.Close()
+
+	st, err := checkpoint.NewStore(sessionSlabDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step, segs, found, err := st.Load()
+	if err != nil || !found {
+		t.Fatalf("no epoch to rewrite: found=%v err=%v", found, err)
+	}
+	for _, sg := range segs {
+		if sg.Name == "session-meta" {
+			binary.LittleEndian.PutUint32(sg.Data, 1)
+		}
+	}
+	if err := st.Save(step, segs); err != nil {
+		t.Fatal(err)
+	}
+
+	g, m := testFixture(t)
+	_, err = New(Config{Model: m, Graph: g, Refresh: inference.Options{NumWorkers: 3, DeltaCutover: 1.1}, SessionDir: dir})
+	if err == nil {
+		t.Fatal("New cold-started past a version-1 session epoch")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "want 2") {
+		t.Fatalf("error %q does not name both versions", msg)
+	}
+}
+
 // TestDurableWarmRestartBitIdentical is the tentpole property at the serve
 // layer, without SIGKILL (the cmd/serve re-exec tests add that): a server
 // acknowledges mutations — some refreshed into durable slabs, one still
@@ -77,6 +128,9 @@ func TestDurableWarmRestartBitIdentical(t *testing.T) {
 	a, aTS := durableServer(t, dir, nil)
 	if !a.Incremental() || a.Metrics().SessionResumed {
 		t.Fatalf("fresh durable server: incremental=%v resumed=%v", a.Incremental(), a.Metrics().SessionResumed)
+	}
+	if m := a.Metrics(); m.ResumeLoadMs != 0 || m.ResumeGraphMs != 0 || m.ResumeSlabsMs != 0 {
+		t.Fatalf("cold start reports resume phases %v/%v/%v ms, want 0", m.ResumeLoadMs, m.ResumeGraphMs, m.ResumeSlabsMs)
 	}
 	g0 := a.cfg.Graph
 	newID := int32(g0.NumNodes)
@@ -119,6 +173,23 @@ func TestDurableWarmRestartBitIdentical(t *testing.T) {
 	}
 	if m.LastReplayMs < 0 {
 		t.Fatalf("last_replay_ms=%v", m.LastReplayMs)
+	}
+	// Restart-to-ready decomposes: every resume phase ran and is reported
+	// on /v1/stats under its own key.
+	resp, err := http.Get(bTS.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&raw)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"resume_load_ms", "resume_graph_ms", "resume_slabs_ms"} {
+		if v, ok := raw[k].(float64); !ok || v <= 0 {
+			t.Fatalf("/v1/stats %s = %v, want > 0 after a resume", k, raw[k])
+		}
 	}
 
 	// Oracle: all three batches applied offline, computed from scratch.

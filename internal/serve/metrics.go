@@ -129,6 +129,12 @@ type Stats struct {
 	// over before their epoch write began (the persister was still busy with
 	// an older one); the newer epoch covers them.
 	SessionEpochsSuperseded int64 `json:"session_epochs_superseded"`
+	// ResumeLoadMs / ResumeGraphMs / ResumeSlabsMs decompose the startup
+	// session resume: epoch read plus CRC, graph decode, slab decode. All
+	// zero when the session started cold.
+	ResumeLoadMs  float64 `json:"resume_load_ms"`
+	ResumeGraphMs float64 `json:"resume_graph_ms"`
+	ResumeSlabsMs float64 `json:"resume_slabs_ms"`
 }
 
 // Metrics assembles a consistent-enough view of the serving counters.
@@ -183,6 +189,10 @@ func (s *Server) Metrics() Stats {
 		ds := s.session.DurableStats()
 		st.SessionPersistMs = float64(ds.LastWallNs) / 1e6
 		st.SessionEpochsSuperseded = ds.Superseded
+		rt := s.session.ResumeTiming()
+		st.ResumeLoadMs = float64(rt.LoadNs) / 1e6
+		st.ResumeGraphMs = float64(rt.GraphNs) / 1e6
+		st.ResumeSlabsMs = float64(rt.SlabsNs) / 1e6
 	}
 	st.Ready, _ = s.Ready()
 	if snap := s.snap.Load(); snap != nil {
