@@ -2,9 +2,11 @@ package inference
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"inferturbo/internal/datagen"
@@ -97,4 +99,93 @@ func TestShadowNodesWithinTolerance(t *testing.T) {
 		}
 		t.Logf("%s: ShadowNodes vs plain max |Δlogit| %.2g", name, d)
 	}
+}
+
+type goldenPlane struct {
+	name string
+	opts Options
+}
+
+// goldenPlanes are the five execution planes every golden asserts,
+// matching TestGoldenGATLogitsCRC's list.
+var goldenPlanes = []goldenPlane{
+	{"batched/w8/parallel+broadcast", Options{NumWorkers: 8, Parallel: true, Broadcast: true}},
+	{"batched/w3/serial", Options{NumWorkers: 3}},
+	{"per-vertex/w4/broadcast", Options{NumWorkers: 4, PerVertexCompute: true, Broadcast: true}},
+	{"boxed/w4", Options{NumWorkers: 4, BoxedMessages: true}},
+	{"pipelined/w4/chunk7/parallel+broadcast", Options{NumWorkers: 4, Pipelined: true, PipelineChunk: 7, Parallel: true, Broadcast: true}},
+}
+
+// goldenGraph is goldenGAT's graph: 600 skew-out nodes whose hubs take the
+// broadcast path.
+func goldenGraph() *graph.Graph {
+	_, g := goldenGAT()
+	return g
+}
+
+// assertGolden checks ReferenceForward's logits CRC against want on amd64
+// and every plane's logits against ReferenceForward, plus the planes in
+// extra (PartialGather where its folds are exact).
+func assertGolden(t *testing.T, m *gas.Model, want uint32, extra ...Options) {
+	t.Helper()
+	g := goldenGraph()
+	ref := logitsCRC(ReferenceForward(m, g))
+	if runtime.GOARCH == "amd64" && ref != want {
+		t.Fatalf("ReferenceForward logits CRC %#08x, golden %#08x", ref, want)
+	}
+	planes := slices.Clone(goldenPlanes)
+	for i, o := range extra {
+		planes = append(planes, goldenPlane{fmt.Sprintf("extra-%d", i), o})
+	}
+	for _, tc := range planes {
+		res, err := RunPregel(m, g, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.opts.Broadcast && res.Stats.BroadcastHubs == 0 {
+			t.Fatalf("%s: no hub took the broadcast path", tc.name)
+		}
+		if tc.opts.PartialGather && res.Stats.CombinedAway == 0 {
+			t.Fatalf("%s: nothing was combined", tc.name)
+		}
+		if got := logitsCRC(res.Logits); got != ref {
+			t.Errorf("%s: logits CRC %#08x, ReferenceForward %#08x", tc.name, got, ref)
+		}
+	}
+}
+
+// The goldens below are logitsCRC values computed on amd64, with the same
+// contract as goldenGATCRC: a change to the scatter, emit or apply path that
+// moves a SAGE, GCN or GIN bit fails here.
+const (
+	goldenSAGEMeanCRC = 0xedf610c7
+	goldenSAGEMaxCRC  = 0xce66a85e
+	goldenGCNCRC      = 0x9bc5ca4c
+	goldenGINCRC      = 0x424d8401
+)
+
+func TestGoldenSAGEMeanLogitsCRC(t *testing.T) {
+	assertGolden(t, gas.NewSAGEModel("golden-sage-mean", gas.TaskSingleLabel, 8, 12, 4, 2, 0, tensor.NewRNG(2503)), goldenSAGEMeanCRC)
+}
+
+// TestGoldenSAGEMaxLogitsCRC also runs PartialGather: a max fold is exact in
+// any grouping, so the sender-side combiner moves no bit.
+func TestGoldenSAGEMaxLogitsCRC(t *testing.T) {
+	rng := tensor.NewRNG(2504)
+	m := &gas.Model{Name: "golden-sage-max", Task: gas.TaskSingleLabel, NumClasses: 4, Layers: []gas.Conv{
+		gas.NewSAGEConv(gas.SAGEConfig{InDim: 8, OutDim: 12, Reduce: gas.ReduceMax, Activation: gas.ActReLU}, rng),
+		gas.NewSAGEConv(gas.SAGEConfig{InDim: 12, OutDim: 4, Reduce: gas.ReduceMax, Activation: gas.ActNone}, rng),
+	}}
+	assertGolden(t, m, goldenSAGEMaxCRC,
+		Options{NumWorkers: 8, Parallel: true, PartialGather: true},
+		Options{NumWorkers: 4, PerVertexCompute: true, PartialGather: true},
+		Options{NumWorkers: 4, BoxedMessages: true, PartialGather: true})
+}
+
+func TestGoldenGCNLogitsCRC(t *testing.T) {
+	assertGolden(t, gas.NewGCNModel("golden-gcn", gas.TaskSingleLabel, 8, 12, 4, 2, tensor.NewRNG(2505)), goldenGCNCRC)
+}
+
+func TestGoldenGINLogitsCRC(t *testing.T) {
+	assertGolden(t, gas.NewGINModel("golden-gin", gas.TaskSingleLabel, 8, 12, 4, 2, tensor.NewRNG(2506)), goldenGINCRC)
 }
