@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -478,9 +479,11 @@ func TestCheckpointStatsObservability(t *testing.T) {
 	}
 }
 
-// TestWatchdogDegradesToInlineAssembly: stall the drain goroutines past the
-// watchdog; senders must degrade to inline assembly, the run must finish,
-// and results must stay bit-identical to the unstalled run.
+// TestWatchdogDegradesToInlineAssembly: a healthy drain never trips the
+// watchdog; stalled drains must degrade senders to inline assembly, the run
+// must finish, and results must stay bit-identical to the healthy run. The
+// wdOverdue seam stands in for the 2 ms timer, so neither verdict depends on
+// how the scheduler happens to run the drain goroutines.
 func TestWatchdogDegradesToInlineAssembly(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
 	run := func(stall bool) ([]float32, int) {
@@ -488,8 +491,19 @@ func TestWatchdogDegradesToInlineAssembly(t *testing.T) {
 		cfg.PipelineDepth = 1
 		cfg.PipelineWatchdog = 2 * time.Millisecond
 		eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), cfg)
+		// Healthy: no drain is ever overdue. Stalled: every drain blocks on
+		// its first extent until a sender has found a full queue and been
+		// told the drain is overdue; from then on drains run freely.
+		release := make(chan struct{})
+		var once sync.Once
+		eng.wdOverdue = func(int) bool {
+			if stall {
+				once.Do(func() { close(release) })
+			}
+			return stall
+		}
 		if stall {
-			eng.asmStall = func(int) { time.Sleep(20 * time.Millisecond) }
+			eng.asmStall = func(int) { <-release }
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -505,7 +519,7 @@ func TestWatchdogDegradesToInlineAssembly(t *testing.T) {
 		t.Fatal("stalled run never tripped the watchdog")
 	}
 	for v := range clean {
-		if clean[v] != stalled[v] {
+		if math.Float32bits(clean[v]) != math.Float32bits(stalled[v]) {
 			t.Fatalf("value[%d] differs under degraded assembly: %v vs %v", v, clean[v], stalled[v])
 		}
 	}

@@ -233,21 +233,40 @@ func (w *worker[V, M]) flushExtent(a *inboxAsm, r int, ext extent) {
 			return
 		default:
 		}
-		if w.wdTimer == nil {
-			w.wdTimer = time.NewTimer(e.watchdog)
-		} else {
-			w.wdTimer.Reset(e.watchdog)
-		}
-		select {
-		case a.queue <- ext:
-			w.wdTimer.Stop()
+		if !e.drainOverdue(w, a, r, ext) {
 			return
-		case <-w.wdTimer.C:
-			a.degraded.Store(true)
-			atomic.AddInt64(&e.watchdogTrips, 1)
 		}
+		a.degraded.Store(true)
+		atomic.AddInt64(&e.watchdogTrips, 1)
 	}
 	e.assembleGuarded(a, r, ext)
+}
+
+// drainOverdue is the watchdog's trip source for a sender whose extent found
+// receiver r's queue full: it either queues ext and reports false, or
+// reports true without queueing it once the drain has been overdue for the
+// watchdog period. The wdOverdue seam replaces the timer, so tests decide
+// exactly when a drain counts as overdue.
+func (e *Engine[V, M]) drainOverdue(w *worker[V, M], a *inboxAsm, r int, ext extent) bool {
+	if e.wdOverdue != nil {
+		if e.wdOverdue(r) {
+			return true
+		}
+		a.queue <- ext
+		return false
+	}
+	if w.wdTimer == nil {
+		w.wdTimer = time.NewTimer(e.watchdog)
+	} else {
+		w.wdTimer.Reset(e.watchdog)
+	}
+	select {
+	case a.queue <- ext:
+		w.wdTimer.Stop()
+		return false
+	case <-w.wdTimer.C:
+		return true
+	}
 }
 
 // assembleGuarded assembles one extent, taking the assembler's mutex when

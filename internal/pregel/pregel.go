@@ -792,11 +792,14 @@ type Engine[V, M any] struct {
 	ckptBytes  int64 // atomic; written by the persister
 	persistNs  int64 // atomic; written by the persister
 
-	// Pipelined-assembler watchdog (see pipeline.go). asmStall is a test
-	// seam: when non-nil the drain goroutines call it before each extent.
+	// Pipelined-assembler watchdog (see pipeline.go). asmStall and
+	// wdOverdue are test seams: when non-nil the drain goroutines call
+	// asmStall before each extent, and a sender that finds receiver r's
+	// queue full trips the watchdog iff wdOverdue(r), with no timer.
 	watchdog      time.Duration
 	watchdogTrips int64 // atomic
 	asmStall      func(r int)
+	wdOverdue     func(r int) bool
 }
 
 // snapshot is a recovery point: everything the next superstep reads. All
