@@ -81,12 +81,15 @@ func BenchmarkGATLayerInfer(b *testing.B) {
 }
 
 // BenchmarkGATApply is one batched-plane worker's GAT apply on the hub-out
-// benchmark shape: ~1.25k owned rows, 12k received messages over 3.1k
-// distinct sources, 64-wide input, 4 concatenated 16-wide heads, on a warm
-// pool.
+// benchmark shape, fed the way the drivers feed it: ~1.25k owned rows with
+// their own emitted rows, 12k received messages viewing the emitted rows
+// of 3.1k distinct sources (64-wide input, 4 concatenated 16-wide heads, so
+// 68-float rows), on a warm pool. Emitting is the senders' cost and stays
+// outside the loop.
 func BenchmarkGATApply(b *testing.B) {
 	c := NewGATConv(GATConfig{InDim: 64, Heads: 4, HeadDim: 16, ConcatHeads: true, Activation: ActReLU}, tensor.NewRNG(9))
-	state, aggr := gatCase(1250, 3100, 12000, 64, 10)
+	state, srcs, row, dst := gatCase(1250, 3100, 12000, 64, 10)
+	aggr := gatAggr(c, state, srcs, row, dst)
 	p := tensor.NewPool()
 	p.Put(c.ApplyNodePooled(state, aggr, p))
 	b.ReportAllocs()

@@ -119,18 +119,17 @@ func (c *Context) Validate() error {
 }
 
 // Aggregated is the output of the gather stage. For pooled reduces, Pooled
-// is N x D (plus Counts for mean); for Union, Messages and Dst carry the raw
-// edge-level data: message i folds into node Dst[i]. When MsgRow is set,
-// Messages holds each distinct payload once and message i reads
-// Messages.Row(MsgRow[i]); when it is nil, message i is Messages.Row(i).
-// Only a Union gather over a broadcast-safe layer sets MsgRow.
+// is N x D (plus Counts for mean); for Union, message i is the row view
+// Msgs[i] and folds into node Dst[i], and Self holds the N receivers' own
+// emitted rows for a layer whose apply_node reads them
+// (Emitter.SelfEmitted). Views are read, never written or retained.
 type Aggregated struct {
-	Kind     ReduceKind
-	Pooled   *tensor.Matrix
-	Counts   []int32
-	Messages *tensor.Matrix
-	MsgRow   []int32
-	Dst      []int32
+	Kind   ReduceKind
+	Pooled *tensor.Matrix
+	Counts []int32
+	Msgs   [][]float32
+	Dst    []int32
+	Self   *tensor.Matrix
 }
 
 // Gather performs the built-in gather/aggregate stage over edge messages.
@@ -149,12 +148,29 @@ func Gather(kind ReduceKind, messages *tensor.Matrix, dst []int32, numNodes int)
 	case ReduceMin:
 		a.Pooled = tensor.SegmentMin(messages, dst, numNodes)
 	case ReduceUnion:
-		a.Messages = messages
+		a.Msgs = rowViews(messages, nil)
 		a.Dst = dst
 	default:
 		panic("gas: unknown reduce kind")
 	}
 	return a
+}
+
+// rowViews returns views of m's rows idx[0], idx[1], ..., or of every row
+// in order when idx is nil.
+func rowViews(m *tensor.Matrix, idx []int32) [][]float32 {
+	if idx == nil {
+		v := make([][]float32, m.Rows)
+		for i := range v {
+			v[i] = m.Row(i)
+		}
+		return v
+	}
+	v := make([][]float32, len(idx))
+	for i, r := range idx {
+		v[i] = m.Row(int(r))
+	}
+	return v
 }
 
 func divideByCounts(m *tensor.Matrix, counts []int32) {
@@ -218,6 +234,28 @@ var scratch = tensor.NewPool()
 // are identical to ApplyNode.
 type PooledApplier interface {
 	ApplyNodePooled(nodeState *tensor.Matrix, aggr *Aggregated, p *tensor.Pool) *tensor.Matrix
+}
+
+// Emitter is implemented by layers whose wire message is not the sender's
+// raw state but a row-wise function of it, computed once by the vertex that
+// owns the row and sent as is: GCN's degree scaling, GAT's projection plus
+// per-head source scores. The message is the same on every out-edge, so an
+// emitting layer stays broadcast-safe. Every inference driver sends what
+// Emit writes and nothing else.
+type Emitter interface {
+	// MsgDim is the width of the wire message.
+	MsgDim() int
+	// Emit writes into row i of dst (h.Rows x MsgDim) the message of a node
+	// whose state is row i of h and whose out-degree is outDeg[i]. Rows are
+	// independent: a row's bits do not depend on which rows share the call,
+	// so an owner may emit its whole slab in one call or one row at a time.
+	// Must not mutate h; scratch comes from p.
+	Emit(dst, h *tensor.Matrix, outDeg []int32, p *tensor.Pool)
+	// SelfEmitted reports whether apply_node reads the receivers' own
+	// emitted rows (Aggregated.Self), so a sender keeps its messages until
+	// its next apply. Such a layer's Emit never reads outDeg (callers may
+	// pass nil): the kept row stands for the node, not for an out-edge.
+	SelfEmitted() bool
 }
 
 // ApplyNodePooled dispatches to the conv's pooled apply_node when it

@@ -74,8 +74,8 @@ func TestGatherKinds(t *testing.T) {
 		t.Fatalf("min = %v", got.Pooled.Data)
 	}
 	u := Gather(ReduceUnion, msgs, dst, 2)
-	if u.Messages != msgs || u.Pooled != nil {
-		t.Fatal("union must pass messages through")
+	if len(u.Msgs) != 3 || &u.Msgs[2][0] != &msgs.Row(2)[0] || u.Pooled != nil {
+		t.Fatal("union must pass views of the messages through")
 	}
 }
 

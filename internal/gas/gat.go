@@ -11,10 +11,12 @@ import (
 // GATConv is the graph attention layer in the GAS abstraction. Attention
 // breaks the commutative/associative rule, so — exactly as the paper's GAT
 // example annotates with @Gather(partial=False) — the gather stage is a
-// Union: raw neighbor states are collected and the whole computation
-// (projection, attention, weighted sum) happens in apply_node. The scatter
-// message is the untransformed node state, identical on every out-edge, so
-// the layer remains broadcast-safe.
+// Union: apply_node receives every message and runs the softmax and the
+// weighted sum. The projection is not deferred with it: the layer is an
+// Emitter, so the vertex that owns a row projects it once and sends
+// [z | a_src·z per head], identical on every out-edge (the layer remains
+// broadcast-safe), and keeps its own emitted row for the a_dst·z term of
+// its next apply.
 type GATConv struct {
 	MsgLin *nn.Linear // inDim -> Heads*HeadDim
 	AttSrc *nn.Param  // Heads x HeadDim
@@ -95,35 +97,61 @@ func (c *GATConv) Activation() string { return c.activation }
 // ApplyEdge implements Conv: identity — attention uses edge structure only.
 func (c *GATConv) ApplyEdge(msg, _ *tensor.Matrix) *tensor.Matrix { return msg }
 
+// MsgDim implements Emitter: the projected row plus one source score per
+// head.
+func (c *GATConv) MsgDim() int { return c.heads*c.headDim + c.heads }
+
+// SelfEmitted implements Emitter: apply_node reads each receiver's own
+// projected row for its a_dst·z term.
+func (c *GATConv) SelfEmitted() bool { return true }
+
+// Emit implements Emitter: z = MsgLin(h) in one pooled GEMM, then each row's
+// per-head source scores. Out-degrees are not read.
+func (c *GATConv) Emit(dst, h *tensor.Matrix, _ []int32, p *tensor.Pool) {
+	z := c.MsgLin.ApplyPooled(p, h)
+	c.scoreInto(dst, z)
+	p.Put(z)
+}
+
+// scoreInto writes the emitted form of the projected rows z into dst: row v
+// is z's row v followed by a_src[k]·z_k(v) for each head k.
+func (c *GATConv) scoreInto(dst, z *tensor.Matrix) {
+	zw, hd := c.heads*c.headDim, c.headDim
+	for v := 0; v < z.Rows; v++ {
+		row, zr := dst.Row(v), z.Row(v)
+		copy(row, zr)
+		for k := 0; k < c.heads; k++ {
+			row[zw+k] = dot(c.AttSrc.Value.Row(k), zr[k*hd:(k+1)*hd])
+		}
+	}
+}
+
 // ApplyNode implements Conv: ApplyNodePooled over a private pool, so the
 // result and every intermediate belong to the caller.
 func (c *GATConv) ApplyNode(nodeState *tensor.Matrix, aggr *Aggregated) *tensor.Matrix {
 	return c.ApplyNodePooled(nodeState, aggr, tensor.NewPool())
 }
 
-// ApplyNodePooled implements PooledApplier: project the nodes' own states
-// and each distinct message row once, then attend. Every intermediate and
-// the result come from p and nothing else is written, so one GATConv may
-// serve many goroutines as long as each brings its own pool.
-func (c *GATConv) ApplyNodePooled(nodeState *tensor.Matrix, aggr *Aggregated, p *tensor.Pool) *tensor.Matrix {
-	if aggr.Kind != ReduceUnion {
-		panic("gas: GATConv needs a union aggregate")
+// ApplyNodePooled implements PooledApplier: attend over the emitted rows —
+// the receivers' own (aggr.Self) and the messages' — with no projection at
+// all; nodeState is not read. Every intermediate and the result come from p
+// and nothing else is written, so one GATConv may serve many goroutines as
+// long as each brings its own pool.
+func (c *GATConv) ApplyNodePooled(_ *tensor.Matrix, aggr *Aggregated, p *tensor.Pool) *tensor.Matrix {
+	if aggr.Kind != ReduceUnion || aggr.Self == nil {
+		panic("gas: GATConv needs a union aggregate with the receivers' emitted rows")
 	}
-	zAll := c.MsgLin.ApplyPooled(p, nodeState)
-	zMsg := c.MsgLin.ApplyPooled(p, aggr.Messages)
-	out := c.attend(zAll, zMsg, aggr.MsgRow, aggr.Dst, p, nil, nil)
-	p.Put(zAll)
-	p.Put(zMsg)
+	out := c.attend(aggr.Self, aggr.Msgs, aggr.Dst, p, nil, nil)
 	return applyActivationInPlace(c.activation, out)
 }
 
-// Infer implements Conv. A message is its source's raw state, so the node
-// states are projected once and messages index them by SrcIndex; no E x D
-// message matrix is gathered.
+// Infer implements Conv: every node's row is emitted once and messages view
+// their source's row by SrcIndex; no E x D message matrix is gathered.
 func (c *GATConv) Infer(ctx *Context) *tensor.Matrix {
-	zAll := c.MsgLin.ApplyPooled(scratch, ctx.NodeState)
-	out := c.attend(zAll, zAll, ctx.SrcIndex, ctx.DstIndex, scratch, nil, nil)
-	scratch.Put(zAll)
+	e := scratch.GetNoZero(ctx.NumNodes, c.MsgDim())
+	c.Emit(e, ctx.NodeState, nil, scratch)
+	out := c.attend(e, rowViews(e, ctx.SrcIndex), ctx.DstIndex, scratch, nil, nil)
+	scratch.Put(e)
 	return applyActivationInPlace(c.activation, out)
 }
 
@@ -132,19 +160,20 @@ func (c *GATConv) Forward(ctx *Context) *tensor.Matrix {
 	c.cacheCtx = ctx
 	zAll := c.MsgLin.Forward(ctx.NodeState)
 	c.cacheZAll = zAll
-	e := len(ctx.SrcIndex)
-	c.cachePre, c.cacheAlpha = tensor.New(e, c.heads), tensor.New(e, c.heads)
-	out := c.attend(zAll, zAll, ctx.SrcIndex, ctx.DstIndex, tensor.NewPool(), c.cachePre, c.cacheAlpha)
+	e := tensor.New(ctx.NumNodes, c.MsgDim())
+	c.scoreInto(e, zAll)
+	c.cachePre, c.cacheAlpha = tensor.New(len(ctx.SrcIndex), c.heads), tensor.New(len(ctx.SrcIndex), c.heads)
+	out := c.attend(e, rowViews(e, ctx.SrcIndex), ctx.DstIndex, tensor.NewPool(), c.cachePre, c.cacheAlpha)
 	c.cachePreAct = out
 	return applyActivation(c.activation, out)
 }
 
-// attend is the multi-head attention behind every GAT path. zAll holds the
-// projected node states (N x H*hd); message i reads the projected row
-// zMsg.Row(row[i]) (zMsg.Row(i) when row is nil) and folds into node
-// dst[i]. It returns the pre-activation output (N x OutDim) drawn from p,
-// as is every temporary but the N softmax denominators. When pre and alpha
-// (E x H) are non-nil they receive the logits and weights Backward needs.
+// attend is the multi-head attention behind every GAT path, over emitted
+// rows (see Emit): self holds the receiving nodes' rows (N x MsgDim), and
+// message i is the row msgs[i], folding into node dst[i]. It returns the
+// pre-activation output (N x OutDim) drawn from p, as is every temporary
+// but the N softmax denominators. When pre and alpha (E x H) are non-nil
+// they receive the logits and weights Backward needs.
 //
 // Per head, messages fold in ascending index order — the order a segment
 // sum over an E-row message matrix folds — and each α·z term is rounded to
@@ -152,11 +181,11 @@ func (c *GATConv) Forward(ctx *Context) *tensor.Matrix {
 // the output is bit-identical to materializing the weighted messages and
 // segment-summing them. Averaged heads fold a zeroed head buffer into the
 // output in head order, then scale.
-func (c *GATConv) attend(zAll, zMsg *tensor.Matrix, row, dst []int32, p *tensor.Pool, pre, alpha *tensor.Matrix) *tensor.Matrix {
-	n, u, hd := zAll.Rows, zMsg.Rows, c.headDim
+func (c *GATConv) attend(self *tensor.Matrix, msgs [][]float32, dst []int32, p *tensor.Pool, pre, alpha *tensor.Matrix) *tensor.Matrix {
+	n, hd, zw := self.Rows, c.headDim, c.heads*c.headDim
 	out := p.Get(n, c.OutDim())
-	scores := p.GetNoZero(1, 2*n+u)
-	sDst, maxes, sSrc := scores.Data[:n], scores.Data[n:2*n], scores.Data[2*n:]
+	scores := p.GetNoZero(1, 2*n)
+	sDst, maxes := scores.Data[:n], scores.Data[n:]
 	weights := p.GetNoZero(1, len(dst))
 	al := weights.Data
 	sums := make([]float64, n)
@@ -167,23 +196,16 @@ func (c *GATConv) attend(zAll, zMsg *tensor.Matrix, row, dst []int32, p *tensor.
 
 	for k := 0; k < c.heads; k++ {
 		lo, hi := k*hd, (k+1)*hd
-		aSrc, aDst := c.AttSrc.Value.Row(k), c.AttDst.Value.Row(k)
+		aDst := c.AttDst.Value.Row(k)
 		for v := range sDst {
-			sDst[v] = dot(aDst, zAll.Row(v)[lo:hi])
+			sDst[v] = dot(aDst, self.Row(v)[lo:hi])
 			maxes[v] = float32(math.Inf(-1))
 			sums[v] = 0
-		}
-		for r := range sSrc {
-			sSrc[r] = dot(aSrc, zMsg.Row(r)[lo:hi])
 		}
 
 		// Segment softmax over each destination's messages.
 		for i, d := range dst {
-			r := i
-			if row != nil {
-				r = int(row[i])
-			}
-			x := sSrc[r] + sDst[d]
+			x := msgs[i][zw+k] + sDst[d]
 			if pre != nil {
 				pre.Set(i, k, x)
 			}
@@ -218,11 +240,7 @@ func (c *GATConv) attend(zAll, zMsg *tensor.Matrix, row, dst []int32, p *tensor.
 			}
 		}
 		for i, d := range dst {
-			r := i
-			if row != nil {
-				r = int(row[i])
-			}
-			a, z := al[i], zMsg.Row(r)[lo:hi]
+			a, z := al[i], msgs[i][lo:hi]
 			o := acc.Row(int(d))[off : off+hd]
 			for j, zv := range z {
 				o[j] += float32(a * zv)

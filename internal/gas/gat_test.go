@@ -8,22 +8,34 @@ import (
 	"inferturbo/internal/tensor"
 )
 
-// gatCase builds an indexed Union aggregate: n node states, u distinct
-// message rows and e > u messages over them (so sources repeat), with
-// destinations in random order and node n-1 receiving nothing.
-func gatCase(n, u, e, dim int, seed int64) (*tensor.Matrix, *Aggregated) {
+// gatCase builds the raw inputs of a GAT apply: n receiver states, u
+// distinct source states and e > u messages over them (row[i] is message
+// i's source, so sources repeat), with destinations in random order and
+// node n-1 receiving nothing.
+func gatCase(n, u, e, dim int, seed int64) (state, srcs *tensor.Matrix, row, dst []int32) {
 	rng := tensor.NewRNG(seed)
-	state := tensor.New(n, dim)
+	state = tensor.New(n, dim)
 	rng.Uniform(state, -1, 1)
-	distinct := tensor.New(u, dim)
-	rng.Uniform(distinct, -1, 1)
-	row := make([]int32, e)
-	dst := make([]int32, e)
+	srcs = tensor.New(u, dim)
+	rng.Uniform(srcs, -1, 1)
+	row = make([]int32, e)
+	dst = make([]int32, e)
 	for i := range row {
 		row[i] = int32(rng.Intn(u))
 		dst[i] = int32(rng.Intn(n - 1))
 	}
-	return state, &Aggregated{Kind: ReduceUnion, Messages: distinct, MsgRow: row, Dst: dst}
+	return state, srcs, row, dst
+}
+
+// gatAggr emits the receivers' and the sources' states with c and returns
+// the Union aggregate a driver hands apply_node: message i views source
+// row[i]'s emitted row, as a payload view of the sender's message would.
+func gatAggr(c *GATConv, state, srcs *tensor.Matrix, row, dst []int32) *Aggregated {
+	self := tensor.New(state.Rows, c.MsgDim())
+	c.Emit(self, state, nil, tensor.NewPool())
+	em := tensor.New(srcs.Rows, c.MsgDim())
+	c.Emit(em, srcs, nil, tensor.NewPool())
+	return &Aggregated{Kind: ReduceUnion, Self: self, Msgs: rowViews(em, row), Dst: dst}
 }
 
 // poison writes hostile floats into the first rows of m: a NaN, ±Inf, an
@@ -103,19 +115,23 @@ func sameBits(t *testing.T, what string, got, want *tensor.Matrix) {
 	}
 }
 
+// TestGATIndexedApplyMatchesExpanded: apply over emitted rows — messages
+// sharing a source viewing one row, or each carrying its own copy — is the
+// plain attention over receiver-side projections, bit for bit, hostile
+// source floats included.
 func TestGATIndexedApplyMatchesExpanded(t *testing.T) {
 	for _, concat := range []bool{true, false} {
 		c := NewGATConv(GATConfig{InDim: 6, Heads: 3, HeadDim: 4, ConcatHeads: concat, Activation: ActLeaky}, tensor.NewRNG(41))
-		state, aggr := gatCase(30, 12, 150, 6, 42)
-		poison(aggr.Messages)
-		expanded := tensor.GatherRows(aggr.Messages, aggr.MsgRow)
+		state, srcs, row, dst := gatCase(30, 12, 150, 6, 42)
+		poison(srcs)
+		expanded := tensor.GatherRows(srcs, row)
 
-		out, _, _ := naiveAttention(c, c.MsgLin.Apply(state), c.MsgLin.Apply(expanded), aggr.Dst)
+		out, _, _ := naiveAttention(c, c.MsgLin.Apply(state), c.MsgLin.Apply(expanded), dst)
 		want := applyActivation(ActLeaky, out)
-		full := c.ApplyNode(state, &Aggregated{Kind: ReduceUnion, Messages: expanded, Dst: aggr.Dst})
-		sameBits(t, "ApplyNode over expanded messages", full, want)
-		indexed := c.ApplyNodePooled(state, aggr, tensor.NewPool())
-		sameBits(t, "indexed ApplyNodePooled", indexed, want)
+		full := c.ApplyNode(state, gatAggr(c, state, expanded, nil, dst))
+		sameBits(t, "ApplyNode over one emitted row per message", full, want)
+		indexed := c.ApplyNodePooled(state, gatAggr(c, state, srcs, row, dst), tensor.NewPool())
+		sameBits(t, "ApplyNodePooled over shared emitted rows", indexed, want)
 
 		for j, v := range indexed.Row(state.Rows - 1) {
 			if v != 0 {
@@ -143,9 +159,9 @@ func hasNaN(m *tensor.Matrix) bool {
 func TestGATForwardUnchanged(t *testing.T) {
 	for _, concat := range []bool{true, false} {
 		c := NewGATConv(GATConfig{InDim: 6, Heads: 3, HeadDim: 4, ConcatHeads: concat, Activation: ActReLU}, tensor.NewRNG(43))
-		state, aggr := gatCase(30, 30, 150, 6, 44)
+		state, _, row, dst := gatCase(30, 30, 150, 6, 44)
 		poison(state)
-		ctx := &Context{NodeState: state, SrcIndex: aggr.MsgRow, DstIndex: aggr.Dst, NumNodes: state.Rows}
+		ctx := &Context{NodeState: state, SrcIndex: row, DstIndex: dst, NumNodes: state.Rows}
 
 		zAll := c.MsgLin.Apply(state)
 		wantOut, wantPre, wantAlpha := naiveAttention(c, zAll, tensor.GatherRows(zAll, ctx.SrcIndex), ctx.DstIndex)
@@ -162,15 +178,15 @@ func TestGATForwardUnchanged(t *testing.T) {
 // of one apply does not grow with the message count. Every pooled request
 // is a power of two so the buffer a call returns serves the next call's
 // request of the same size (tensor.Pool files an exact-size buffer one size
-// class below the class a same-size request looks in). Serial kernels keep
-// MatMul's goroutine fan-out out of the count, leaving only the softmax
-// denominators.
+// class below the class a same-size request looks in). Apply runs no
+// MatMul, leaving only the softmax denominators.
 func TestGATApplyAllocsIndependentOfEdges(t *testing.T) {
 	defer tensor.SetTuning(tensor.SetTuning(tensor.Tuning{Workers: 1}))
 	for _, concat := range []bool{true, false} {
 		c := NewGATConv(GATConfig{InDim: 16, Heads: 4, HeadDim: 8, ConcatHeads: concat, Activation: ActReLU}, tensor.NewRNG(45))
 		allocs := func(e int) float64 {
-			state, aggr := gatCase(256, 512, e, 16, 46)
+			state, srcs, row, dst := gatCase(256, 512, e, 16, 46)
+			aggr := gatAggr(c, state, srcs, row, dst)
 			p := tensor.NewPool()
 			return testing.AllocsPerRun(10, func() {
 				p.Put(c.ApplyNodePooled(state, aggr, p))
@@ -189,7 +205,8 @@ func TestGATApplyAllocsIndependentOfEdges(t *testing.T) {
 func TestGATApplyConcurrentSharedConv(t *testing.T) {
 	for _, concat := range []bool{true, false} {
 		c := NewGATConv(GATConfig{InDim: 8, Heads: 2, HeadDim: 4, ConcatHeads: concat, Activation: ActReLU}, tensor.NewRNG(47))
-		state, aggr := gatCase(60, 40, 400, 8, 48)
+		state, srcs, row, dst := gatCase(60, 40, 400, 8, 48)
+		aggr := gatAggr(c, state, srcs, row, dst)
 		want := c.ApplyNodePooled(state, aggr, tensor.NewPool())
 		var wg sync.WaitGroup
 		bad := make(chan int, 8)

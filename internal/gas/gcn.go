@@ -8,29 +8,6 @@ import (
 	"inferturbo/internal/tensor"
 )
 
-// MessageScaler is implemented by layers whose scatter message is a
-// degree-scaled node state (GCN). The sender owns its out-edges under the
-// Pregel partitioning, so it can apply the scaling before transmission; the
-// scaled message is still identical on every out-edge, preserving broadcast
-// safety. Both inference drivers honor this hook.
-type MessageScaler interface {
-	// ScaleMessage returns the wire message for a node with state h and the
-	// given out-degree. Must not mutate h.
-	ScaleMessage(h []float32, outDeg int) []float32
-}
-
-// MessageScalerInto is the allocation-free form of MessageScaler: the scaled
-// message is written into a caller-owned buffer instead of a fresh slice,
-// with values identical to ScaleMessage. Scatter hot loops that copy the
-// payload onward immediately (the columnar message plane does) use it with a
-// per-worker scratch row, so degree scaling costs zero allocations per node.
-type MessageScalerInto interface {
-	MessageScaler
-	// ScaleMessageInto writes the wire message for a node with state h and
-	// the given out-degree into dst (len(h) long). Must not mutate h.
-	ScaleMessageInto(dst, h []float32, outDeg int)
-}
-
 // GCNConv is a graph convolution layer with symmetric degree normalization
 // in the GAS abstraction:
 //
@@ -93,18 +70,22 @@ func (c *GCNConv) OutDim() int { return c.outDim }
 // Activation returns the activation annotation.
 func (c *GCNConv) Activation() string { return c.activation }
 
-// ScaleMessage implements MessageScaler.
-func (c *GCNConv) ScaleMessage(h []float32, outDeg int) []float32 {
-	out := make([]float32, len(h))
-	c.ScaleMessageInto(out, h, outDeg)
-	return out
-}
+// MsgDim implements Emitter: scaling keeps the state's width.
+func (c *GCNConv) MsgDim() int { return c.inDim }
 
-// ScaleMessageInto implements MessageScalerInto.
-func (c *GCNConv) ScaleMessageInto(dst, h []float32, outDeg int) {
-	s := float32(1 / math.Sqrt(float64(1+outDeg)))
-	for i, v := range h {
-		dst[i] = v * s
+// SelfEmitted implements Emitter: apply_node reads the raw state.
+func (c *GCNConv) SelfEmitted() bool { return false }
+
+// Emit implements Emitter: row i is h's row i scaled by
+// 1/√(1+outDeg[i]). The sender owns its out-edges under the Pregel
+// partitioning, so it can apply the scaling before transmission.
+func (c *GCNConv) Emit(dst, h *tensor.Matrix, outDeg []int32, _ *tensor.Pool) {
+	for i := 0; i < h.Rows; i++ {
+		s := float32(1 / math.Sqrt(float64(1+outDeg[i])))
+		out := dst.Row(i)
+		for j, v := range h.Row(i) {
+			out[j] = v * s
+		}
 	}
 }
 
@@ -158,21 +139,13 @@ func (c *GCNConv) Infer(ctx *Context) *tensor.Matrix {
 	return out
 }
 
-// scaleAll returns node states scaled by 1/√(1+outdeg), with out-degrees
-// counted from the context's edges. The result comes from the package pool
-// (every element is overwritten); callers Put it back once the gather has
-// consumed it.
+// scaleAll returns node states scaled by 1/√(1+outdeg) — Emit over every
+// node, with out-degrees counted from the context's edges. The result comes
+// from the package pool (every element is overwritten); callers Put it back
+// once the gather has consumed it.
 func (c *GCNConv) scaleAll(ctx *Context) *tensor.Matrix {
-	outDeg := tensor.SegmentCount(ctx.SrcIndex, ctx.NumNodes)
 	scaled := scratch.GetNoZero(ctx.NumNodes, ctx.NodeState.Cols)
-	for v := 0; v < ctx.NumNodes; v++ {
-		s := float32(1 / math.Sqrt(float64(1+outDeg[v])))
-		src := ctx.NodeState.Row(v)
-		dst := scaled.Row(v)
-		for j, x := range src {
-			dst[j] = x * s
-		}
-	}
+	c.Emit(scaled, ctx.NodeState, tensor.SegmentCount(ctx.SrcIndex, ctx.NumNodes), nil)
 	return scaled
 }
 

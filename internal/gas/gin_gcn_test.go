@@ -81,19 +81,25 @@ func TestGCNAnnotations(t *testing.T) {
 	if c.Reduce() != ReduceSum || !c.BroadcastSafe() || c.Type() != "gcn" {
 		t.Fatal("GCN annotations wrong")
 	}
-	var _ MessageScaler = c // must implement the degree hook
+	var e Emitter = c // must implement the degree hook
+	if e.MsgDim() != 3 || e.SelfEmitted() {
+		t.Fatal("GCN emits its scaled state and does not read it back")
+	}
 }
 
+// TestGCNScaleMessage: Emit scales each row by its own out-degree and
+// leaves the state alone.
 func TestGCNScaleMessage(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	c := NewGCNConv(GCNConfig{InDim: 2, OutDim: 2}, rng)
-	h := []float32{2, 4}
-	got := c.ScaleMessage(h, 3) // scale 1/√4 = 0.5
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ScaleMessage = %v", got)
+	h := tensor.FromRows([][]float32{{2, 4}, {2, 4}})
+	got := tensor.New(2, 2)
+	c.Emit(got, h, []int32{3, 0}, nil) // scales 1/√4 = 0.5 and 1
+	if got.Row(0)[0] != 1 || got.Row(0)[1] != 2 || got.Row(1)[0] != 2 || got.Row(1)[1] != 4 {
+		t.Fatalf("Emit = %v", got.Data)
 	}
-	if h[0] != 2 {
-		t.Fatal("ScaleMessage must not mutate input")
+	if h.Row(0)[0] != 2 {
+		t.Fatal("Emit must not mutate its input")
 	}
 }
 

@@ -69,8 +69,8 @@ func (d Delta) Empty() bool {
 //     it must re-run against the new structure, even where no upstream value
 //     changed.
 //   - DegreeChanged: the node's out-degree changed — degree-scaled wire
-//     messages (gas.MessageScaler layers) it sends are stale at every layer
-//     even though its states are not.
+//     messages (GCN's gas.Emitter) it sends are stale at every layer even
+//     though its states are not.
 //
 // New nodes appear in both StateDirty and InboxDirty. Sets are sorted and
 // duplicate-free.

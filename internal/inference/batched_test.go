@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"fmt"
 	"testing"
 
 	"inferturbo/internal/datagen"
@@ -130,7 +131,7 @@ func TestBatchedPlaneGAT(t *testing.T) {
 	}
 }
 
-// TestBatchedPlaneGCN covers the degree-scaled scatter (MessageScalerInto
+// TestBatchedPlaneGCN covers the degree-scaled scatter (gas.Emitter
 // scratch row) and the count-normalized apply across whole partitions.
 func TestBatchedPlaneGCN(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 200)
@@ -262,5 +263,47 @@ func TestBatchedEmbeddingsSurviveRecovery(t *testing.T) {
 	}
 	if !clean.Logits.Equal(rec.Logits) || !clean.Embeddings.Equal(rec.Embeddings) {
 		t.Fatal("batched embeddings diverge after final-superstep recovery")
+	}
+}
+
+// TestGATEmitSurvivesRecovery: the rows a GAT owner emits at scatter and
+// reads back at its next apply — the batched plane's kept slab, the
+// per-vertex planes' kept row — are program state, so an in-process crash
+// replay and a durable resume must restore them to byte-identical logits.
+func TestGATEmitSurvivesRecovery(t *testing.T) {
+	g := testGraph(t, datagen.SkewOut, 180)
+	m := gatModel(t)
+	for _, opts := range []Options{
+		{NumWorkers: 4, Parallel: true, Broadcast: true},
+		{NumWorkers: 3, PerVertexCompute: true},
+		{NumWorkers: 3, BoxedMessages: true},
+		{NumWorkers: 4, Parallel: true, Pipelined: true, PipelineChunk: 5},
+	} {
+		clean, err := RunPregel(m, g, opts)
+		if err != nil {
+			t.Fatalf("%s clean: %v", comboName(opts), err)
+		}
+		for fail := 1; fail <= m.NumLayers(); fail++ {
+			crashed := opts
+			crashed.CheckpointEvery = 1
+			crashed.FailAtSuperstep = fail
+			rec, err := RunPregel(m, g, crashed)
+			if err != nil {
+				t.Fatalf("%s fail@%d: %v", comboName(opts), fail, err)
+			}
+			assertBitIdentical(t, fmt.Sprintf("%s fail@%d", comboName(opts), fail), rec.Logits, clean.Logits)
+		}
+		seeded := opts
+		seeded.CheckpointDir, seeded.CheckpointEvery = t.TempDir(), 1
+		if _, err := RunPregel(m, g, seeded); err != nil {
+			t.Fatalf("%s seed: %v", comboName(opts), err)
+		}
+		corruptLatestEpoch(t, seeded.CheckpointDir)
+		seeded.Resume = true
+		res, err := RunPregel(m, g, seeded)
+		if err != nil || !res.Stats.Resumed {
+			t.Fatalf("%s resume: resumed=%v err=%v", comboName(opts), err == nil && res.Stats.Resumed, err)
+		}
+		assertBitIdentical(t, comboName(opts)+" resume", res.Logits, clean.Logits)
 	}
 }

@@ -108,3 +108,22 @@ func BenchmarkReferenceForward(b *testing.B) {
 		ReferenceForward(m, ds.Graph)
 	}
 }
+
+// BenchmarkGATPregel is a hub-out-shaped pass at a fifth of the benchmark
+// harness's scale: an out-degree power-law graph, a 2-layer GAT
+// (64 -> 4x16 concatenated -> 4x8 averaged) and Broadcast over 8 parallel
+// workers. Run it with -benchmem: B/op is the pass's allocation.
+func BenchmarkGATPregel(b *testing.B) {
+	ds := datagen.Generate(datagen.Config{
+		Name: "gat-bench", Nodes: 2000, AvgDegree: 10, Skew: datagen.SkewOut, Exponent: 1.8,
+		MaxDegree: 200, FeatureDim: 64, NumClasses: 8, Seed: 3,
+	})
+	m := gas.NewGATModel("gat-bench", gas.TaskSingleLabel, 64, 16, 4, 8, 2, tensor.NewRNG(4))
+	opts := Options{NumWorkers: 8, Parallel: true, Broadcast: true, HubThreshold: 51}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunPregel(m, ds.Graph, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

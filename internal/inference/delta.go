@@ -15,7 +15,7 @@ import (
 // left behind.
 //
 // The program inverts the full pass's data flow. Where the full pass pushes
-// state — scatter sends each vertex's (possibly scaled, possibly
+// state — scatter sends each vertex's (possibly emitted, possibly
 // edge-transformed) message along its out-edges and gather folds the inbox —
 // the delta pass sends payload-free activation pings and each pinged vertex
 // PULLS its entire inbox from the resident message slabs through the
@@ -34,9 +34,10 @@ import (
 //     the resident aggregate was folded over the old structure — so these
 //     vertices never halt before the last superstep.
 //   - pinned (out-degree changed, degree-scaled models only): every resident
-//     scaled message row of the vertex was rewritten before the pass, so its
-//     receivers must re-gather at every scaled layer; the vertex itself pings
-//     at each scaled superstep without recomputing its own unchanged state.
+//     degree-scaled message row of the vertex was rewritten before the pass,
+//     so its receivers must re-gather at every such layer; the vertex itself
+//     pings at each such superstep without recomputing its own unchanged
+//     state.
 //
 // dirtyStep[v] = k records "v's h^k changed during this pass"; owner-only
 // reads (== k-1) and writes (= k) make it race-free under parallel workers.
@@ -46,7 +47,7 @@ type deltaDriver struct {
 	gi     *graph.GatherIndex
 	layers []*tensor.Matrix // resident h^k, k = 0..L; [0] aliases g.Features
 	msgs   []*tensor.Matrix // resident wire messages for layer k, k = 0..L-1
-	scaled []bool           // Layers[k] degree-scales its messages
+	emits  []bool           // Layers[k] emits: msgs[k] is its own slab
 
 	seedState  []bool
 	seedInbox  []bool
@@ -59,6 +60,7 @@ type deltaDriver struct {
 	stateMats []tensor.Matrix
 	payMats   []tensor.Matrix
 	efMats    []tensor.Matrix
+	degs      [][1]int32
 	pools     []*tensor.Pool
 }
 
@@ -72,16 +74,17 @@ type (
 // pingTag is the columnar kind byte of an activation ping.
 const pingTag = msgState
 
-func newDeltaDriver(model *gas.Model, g *graph.Graph, gi *graph.GatherIndex, layers, msgs []*tensor.Matrix, scaled []bool, seedState, seedInbox, seedPinned []bool, dirtyStep []int32, numWorkers int) *deltaDriver {
+func newDeltaDriver(model *gas.Model, g *graph.Graph, gi *graph.GatherIndex, layers, msgs []*tensor.Matrix, emits []bool, seedState, seedInbox, seedPinned []bool, dirtyStep []int32, numWorkers int) *deltaDriver {
 	d := &deltaDriver{
 		model: model, g: g, gi: gi,
-		layers: layers, msgs: msgs, scaled: scaled,
+		layers: layers, msgs: msgs, emits: emits,
 		seedState: seedState, seedInbox: seedInbox, seedPinned: seedPinned,
 		dirtyStep: dirtyStep,
 		aggrs:     make([]gas.Aggregated, numWorkers),
 		stateMats: make([]tensor.Matrix, numWorkers),
 		payMats:   make([]tensor.Matrix, numWorkers),
 		efMats:    make([]tensor.Matrix, numWorkers),
+		degs:      make([][1]int32, numWorkers),
 		pools:     make([]*tensor.Pool, numWorkers),
 	}
 	for i := range d.pools {
@@ -109,7 +112,7 @@ func (d *deltaDriver) step(send colSender, w int, v int32, k int, pinged bool) (
 	if k == numLayers {
 		return true
 	}
-	if changed || (d.seedPinned[v] && d.scaled[k]) {
+	if changed || (d.seedPinned[v] && degreeScaled(d.model.Layers[k])) {
 		d.ping(send, v)
 	}
 	return !(d.seedInbox[v] || d.seedPinned[v] || changed)
@@ -117,13 +120,14 @@ func (d *deltaDriver) step(send colSender, w int, v int32, k int, pinged bool) (
 
 // seedStep is the superstep-0 transition: seeds announce their already-stale
 // layer-0 messages. state-dirty vertices had their h^0 rewritten by the
-// mutation and their scaled message row repaired before the pass (see
-// Session.repairMessages); pinned vertices had their scaled rows repaired.
+// mutation and their emitted message row repaired before the pass (see
+// Session.repairMessages); pinned vertices had their degree-scaled rows
+// repaired.
 // Nothing halts at superstep 0 — every seed class has later work (state-dirty
 // recomputes layer 1 via dirtyStep == 0, inbox-dirty re-gathers everywhere,
-// pinned pings at later scaled layers).
+// pinned pings at later degree-scaled layers).
 func (d *deltaDriver) seedStep(send colSender, v int32) {
-	if d.seedState[v] || (d.seedPinned[v] && d.scaled[0]) {
+	if d.seedState[v] || (d.seedPinned[v] && degreeScaled(d.model.Layers[0])) {
 		d.ping(send, v)
 	}
 }
@@ -155,10 +159,10 @@ func (d *deltaDriver) recompute(w int, v int32, k int) bool {
 				pool.Put(pend)
 				pend = nil
 			}
-			base := d.payMat(w, prev.Row(int(srcs[i])))
+			base := rowMat(&d.payMats[w], prev.Row(int(srcs[i])))
 			var ef *tensor.Matrix
 			if d.g.EdgeFeatures != nil {
-				ef = d.edgeMat(w, int(eids[i]))
+				ef = rowMat(&d.efMats[w], d.g.EdgeFeatures.Row(int(eids[i])))
 			}
 			p := gas.ApplyEdgePooled(layer, base, ef, pool)
 			if p != base {
@@ -171,15 +175,20 @@ func (d *deltaDriver) recompute(w int, v int32, k int) bool {
 		}
 	}
 
-	state := d.stateMat(w, d.layers[k-1].Row(int(v)))
+	if keepsEmit(layer) {
+		aggr.Self = rowMat(&d.payMats[w], prev.Row(int(v)))
+	}
+	state := rowMat(&d.stateMats[w], d.layers[k-1].Row(int(v)))
 	out := gas.ApplyNodePooled(layer, state, aggr, pool)
 	releaseAggregated(pool, aggr)
 	row := d.layers[k].Row(int(v))
 	changed := !sameBits(row, out.Row(0))
 	if changed {
 		copy(row, out.Row(0))
-		if k < d.model.NumLayers() && d.scaled[k] {
-			scaleMsgRowInto(d.model.Layers[k], d.msgs[k].Row(int(v)), row, d.g.OutDegree(v))
+		if k < d.model.NumLayers() && d.emits[k] {
+			deg := d.degs[w][:]
+			deg[0] = int32(d.g.OutDegree(v))
+			emitRow(emitterOf(d.model.Layers[k]), &d.payMats[w], &d.stateMats[w], d.msgs[k].Row(int(v)), row, deg, pool)
 		}
 		d.dirtyStep[v] = int32(k)
 	}
@@ -245,7 +254,7 @@ func (d *deltaDriver) ComputeBatch(ctx *pregel.BatchContext[deltaVtx, deltaPing]
 // Seed sets and layers[0] are immutable during a pass and skipped.
 type deltaSnap struct {
 	layers    []*tensor.Matrix // k = 1..L
-	msgs      []*tensor.Matrix // scaled entries only
+	msgs      []*tensor.Matrix // emitting layers' entries only
 	dirtyStep []int32
 }
 
@@ -262,7 +271,7 @@ func (d *deltaDriver) SnapshotProgState() any {
 		s.layers[k] = d.layers[k].Clone()
 	}
 	for k, m := range d.msgs {
-		if d.scaled[k] {
+		if d.emits[k] {
 			s.msgs[k] = m.Clone()
 		}
 	}
@@ -278,55 +287,11 @@ func (d *deltaDriver) RestoreProgState(snap any) {
 		copy(d.layers[k].Data, s.layers[k].Data)
 	}
 	for k := range d.msgs {
-		if d.scaled[k] {
+		if d.emits[k] {
 			copy(d.msgs[k].Data, s.msgs[k].Data)
 		}
 	}
 	copy(d.dirtyStep, s.dirtyStep)
-}
-
-// stateMat wraps h as a 1×len(h) matrix in worker w's reusable header.
-func (d *deltaDriver) stateMat(w int, h []float32) *tensor.Matrix {
-	m := &d.stateMats[w]
-	m.Rows, m.Cols, m.Data = 1, len(h), h
-	return m
-}
-
-// payMat is stateMat over a second header, so an apply_edge base payload and
-// the apply_node state can be live at once.
-func (d *deltaDriver) payMat(w int, h []float32) *tensor.Matrix {
-	m := &d.payMats[w]
-	m.Rows, m.Cols, m.Data = 1, len(h), h
-	return m
-}
-
-// edgeMat wraps edge eid's feature row in worker w's reusable header.
-func (d *deltaDriver) edgeMat(w, eid int) *tensor.Matrix {
-	row := d.g.EdgeFeatures.Row(eid)
-	m := &d.efMats[w]
-	m.Rows, m.Cols, m.Data = 1, len(row), row
-	return m
-}
-
-// scaleMsgRowInto writes layer k's resident wire message for a vertex: the
-// degree-scaled state row, computed by the same scaler ops the full pass's
-// scatter runs, so resident rows are bitwise what a receiver would have been
-// sent. Callers only invoke it for scaled layers.
-func scaleMsgRowInto(layer gas.Conv, dst, h []float32, outDeg int) {
-	if ms, ok := layer.(gas.MessageScalerInto); ok {
-		ms.ScaleMessageInto(dst, h, outDeg)
-		return
-	}
-	copy(dst, layer.(gas.MessageScaler).ScaleMessage(h, outDeg))
-}
-
-// layerScales reports whether layer k degree-scales its wire messages.
-func layerScales(layer gas.Conv) bool {
-	if _, ok := layer.(gas.MessageScalerInto); ok {
-		return true
-	}
-	_, ok := layer.(gas.MessageScaler)
-	return ok
 }
 
 // sameBits reports bitwise equality of two equal-length rows. Bitwise — not

@@ -21,6 +21,7 @@ func (gnnCodec) EncodeValues(dst []byte, vals []vtxValue) ([]byte, error) {
 	b := checkpoint.AppendU64(dst, uint64(len(vals)))
 	for _, v := range vals {
 		b = checkpoint.AppendF32s(b, v.h)
+		b = checkpoint.AppendF32s(b, v.msg)
 		b = checkpoint.AppendF32s(b, v.emb)
 	}
 	return b, nil
@@ -34,6 +35,7 @@ func (gnnCodec) DecodeValues(data []byte, into []vtxValue) error {
 	}
 	for i := range into {
 		into[i].h = r.F32s()
+		into[i].msg = r.F32s()
 		into[i].emb = r.F32s()
 		if len(into[i].emb) == 0 {
 			into[i].emb = nil
@@ -112,6 +114,7 @@ func (d *pregelDriver) EncodeProgState(dst []byte, snap any) ([]byte, error) {
 	b := checkpoint.AppendU64(dst, uint64(len(s.states)))
 	for w := range s.states {
 		b = appendMatrix(b, s.states[w])
+		b = appendMatrix(b, s.emits[w])
 		b = appendMatrix(b, s.embs[w])
 	}
 	return b, nil
@@ -129,10 +132,12 @@ func (d *pregelDriver) DecodeProgState(data []byte) (any, error) {
 	}
 	s := &progSnap{
 		states: make([]*tensor.Matrix, nw),
+		emits:  make([]*tensor.Matrix, nw),
 		embs:   make([]*tensor.Matrix, nw),
 	}
 	for w := 0; w < nw; w++ {
 		s.states[w] = readMatrix(r)
+		s.emits[w] = readMatrix(r)
 		s.embs[w] = readMatrix(r)
 	}
 	if err := r.Err(); err != nil {

@@ -157,8 +157,8 @@ type Options struct {
 	// this knob only trades wall-clock.
 	Tuning tensor.Tuning
 	// SessionDir makes the incremental Session durable: after every refresh
-	// pass that ran compute, the resident per-layer slabs, scaled wire-message
-	// slabs and graph snapshot are persisted to this directory as a
+	// pass that ran compute, the resident per-layer slabs, emitted
+	// wire-message slabs and graph snapshot are persisted to this directory as a
 	// CRC-checksummed checkpoint epoch (background persister, recycled capture
 	// buffers, off the refresh critical path), and ResumeSession reconstructs
 	// a primed Session from the newest valid epoch after a crash. Honors
@@ -192,6 +192,11 @@ type Options struct {
 	// would not map onto the capture rows); incompatible with durable
 	// cross-process resume, where earlier supersteps never re-execute.
 	captureLayers []*tensor.Matrix
+	// captureMsgs, under the same rules, makes the drivers copy every
+	// vertex's layer-k wire message into captureMsgs[k] as it scatters it,
+	// for each k whose entry is non-nil (the Session sets the emitting
+	// layers').
+	captureMsgs []*tensor.Matrix
 }
 
 // Kernel-tuning override bookkeeping. The tensor tuning is process-global,
@@ -262,36 +267,27 @@ func (o Options) partition(g *graph.Graph) graph.Partitioner {
 	return s.Partition(g, o.NumWorkers)
 }
 
-// vectorizeAggregate reduces n resolved payload vectors into a single
-// destination's gas.Aggregated per the layer's reduce annotation — the
-// shared vectorization step of both backends (Pregel's gatherStage and
-// MapReduce's aggregate). payload(i) returns the i-th incoming state vector
-// (always exactly dim long by construction: scatter builds payloads at the
-// layer dim and the combiners preserve length) and its folded contribution
-// count. Buffers come from pool; callers release them with
-// releaseAggregated once apply_node has consumed the aggregate.
-func vectorizeAggregate(kind gas.ReduceKind, dim, n int, payload func(i int) ([]float32, int32), pool *tensor.Pool) *gas.Aggregated {
-	return vectorizeAggregateInto(&gas.Aggregated{}, kind, dim, n, payload, pool)
-}
-
-// vectorizeAggregateInto is vectorizeAggregate filling a caller-owned
-// aggregate, so per-vertex hot loops can reuse one scratch Aggregated (and
-// its Counts/Dst backing arrays) per worker instead of allocating one per
-// vertex per layer. The scratch must not be reused until apply_node has
-// consumed the previous aggregate and releaseAggregated has run.
+// vectorizeAggregateInto reduces n resolved payload vectors into a single
+// destination's aggregate a per the layer's reduce annotation — the shared
+// vectorization step of both backends (Pregel's gatherStage and MapReduce's
+// aggregate). payload(i) returns the i-th incoming message (always exactly
+// dim long by construction: scatter builds payloads at the layer's message
+// width and the combiners preserve length) and its folded contribution
+// count. a is caller-owned, so per-vertex hot loops reuse one scratch
+// Aggregated (and its backing arrays) per worker; it must not be reused
+// until apply_node has consumed it. Buffers come from pool; callers release
+// them with releaseAggregated.
 func vectorizeAggregateInto(a *gas.Aggregated, kind gas.ReduceKind, dim, n int, payload func(i int) ([]float32, int32), pool *tensor.Pool) *gas.Aggregated {
 	a.Kind = kind
-	a.Pooled, a.Messages, a.MsgRow = nil, nil, nil
-	a.Counts, a.Dst = a.Counts[:0], a.Dst[:0]
+	a.Pooled, a.Self = nil, nil
+	a.Counts, a.Msgs, a.Dst = a.Counts[:0], a.Msgs[:0], a.Dst[:0]
 	switch kind {
 	case gas.ReduceUnion:
-		// Every row is fully overwritten, so the unzeroed buffer is safe.
-		mm := pool.GetNoZero(n, dim)
+		// The payload views themselves; nothing is copied.
 		for i := 0; i < n; i++ {
 			p, _ := payload(i)
-			copy(mm.Row(i), p)
+			a.Msgs = append(a.Msgs, p)
 		}
-		a.Messages = mm
 		// All rows aggregate into local row 0.
 		if cap(a.Dst) < n {
 			a.Dst = make([]int32, n)
@@ -387,15 +383,49 @@ func (x *bcIndex) get(src int32) ([]float32, bool) {
 	return x.pays[x.slot[src]], true
 }
 
-// releaseAggregated returns an aggregate's pooled buffers once apply_node
-// has consumed them.
+// releaseAggregated returns an aggregate's pooled buffer once apply_node
+// has consumed it.
 func releaseAggregated(pool *tensor.Pool, a *gas.Aggregated) {
 	if a.Pooled != nil {
 		pool.Put(a.Pooled)
 	}
-	if a.Messages != nil {
-		pool.Put(a.Messages)
-	}
+}
+
+// emitterOf returns layer's emit hook, nil when its wire message is the
+// sender's raw state.
+func emitterOf(layer gas.Conv) gas.Emitter {
+	em, _ := layer.(gas.Emitter)
+	return em
+}
+
+// keepsEmit reports whether layer's apply reads its receivers' own emitted
+// rows, so an owner keeps them from scatter to its next apply.
+func keepsEmit(layer gas.Conv) bool {
+	em := emitterOf(layer)
+	return em != nil && em.SelfEmitted()
+}
+
+// degreeScaled reports whether layer's wire message depends on the sender's
+// out-degree: an emitter that does not read its rows back (see
+// gas.Emitter.SelfEmitted).
+func degreeScaled(layer gas.Conv) bool {
+	em := emitterOf(layer)
+	return em != nil && !em.SelfEmitted()
+}
+
+// rowMat points the reusable header m at row as a 1 x len(row) matrix. The
+// view lives until the header's next use; no callee on the emit, apply_edge
+// or apply_node path retains its matrix arguments.
+func rowMat(m *tensor.Matrix, row []float32) *tensor.Matrix {
+	*m = tensor.Matrix{Rows: 1, Cols: len(row), Data: row}
+	return m
+}
+
+// emitRow writes em's wire message of one node — state h, out-degree
+// outDeg[0] — into msg through the serial 1-row kernel, wrapping both rows
+// in the caller's reusable headers mm and hm.
+func emitRow(em gas.Emitter, mm, hm *tensor.Matrix, msg, h []float32, outDeg []int32, p *tensor.Pool) {
+	em.Emit(rowMat(mm, msg), rowMat(hm, h), outDeg, p)
 }
 
 // Stats aggregates run-wide counters for the experiment harness.
@@ -491,15 +521,16 @@ func validateModelGraph(m *gas.Model, g *graph.Graph) error {
 // the cluster model can price compute. Constants are per the usual 2·n·m·k
 // dense matmul convention.
 
-// layerNodeFlops is the per-node apply_node cost of a layer.
+// layerNodeFlops is the per-node cost of a layer: its emit and apply_node.
 func layerNodeFlops(l gas.Conv) int64 {
 	switch c := l.(type) {
 	case *gas.SAGEConv:
 		// self and neighbor linear transforms.
 		return int64(4 * c.InDim() * c.OutDim())
 	case *gas.GATConv:
-		// projection of the node's own state.
-		return int64(2 * c.InDim() * c.Heads() * c.HeadDim())
+		// the owner's one projection of its row, its source score (emit)
+		// and its destination score (apply).
+		return int64(2*c.InDim()*c.Heads()*c.HeadDim() + 4*c.Heads()*c.HeadDim())
 	default:
 		return int64(2 * l.InDim() * l.OutDim())
 	}
@@ -512,8 +543,8 @@ func layerMsgFlops(l gas.Conv) int64 {
 		// aggregation adds.
 		return int64(c.InDim())
 	case *gas.GATConv:
-		// message projection + attention scores + weighted sum.
-		return int64(2*c.InDim()*c.Heads()*c.HeadDim() + 6*c.Heads()*c.HeadDim())
+		// logit, softmax and weighted sum over the emitted row.
+		return int64(6 * c.Heads() * c.HeadDim())
 	default:
 		return int64(l.InDim())
 	}

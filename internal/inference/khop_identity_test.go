@@ -54,6 +54,19 @@ func prunedFlops(m *gas.Model, ind *graph.Induced) int64 {
 	return total
 }
 
+// TestGATFlopFormula pins GAT's cost model to the digit on the hub-out
+// benchmark's layer shapes (64 -> 4x16 concatenated -> 4x8 averaged): per
+// node, the owner's projection 2·in·H·hd plus its source and destination
+// scores 4·H·hd; per message, attention 6·H·hd over the emitted row.
+func TestGATFlopFormula(t *testing.T) {
+	m := gas.NewGATModel("flops", gas.TaskSingleLabel, 64, 16, 4, 8, 2, tensor.NewRNG(1))
+	for k, want := range [][2]int64{{8448, 384}, {4224, 192}} {
+		if n, e := layerNodeFlops(m.Layers[k]), layerMsgFlops(m.Layers[k]); n != want[0] || e != want[1] {
+			t.Fatalf("layer %d: %d flops per node, %d per message; want %d, %d", k, n, e, want[0], want[1])
+		}
+	}
+}
+
 // checkInduced runs RunInduced over ind at 1, 2 and 3 workers, serial and
 // parallel. Every depth-0 row must be bit-equal to want's row for its
 // global id (virtualRow for the virtual root), every other row must be
@@ -144,7 +157,8 @@ func TestKHopInducedBitIdenticalToFullGraph(t *testing.T) {
 		{"sage-max", g, sageMax},
 		{"gin", g, gas.NewGINModel("k-gin", gas.TaskSingleLabel, 8, 12, 4, 2, tensor.NewRNG(23))},
 		// GAT's union reduce keeps every message: the pruned gather must
-		// remap destinations and distinct-source rows.
+		// remap destinations, and the pruned emit must keep the rows the
+		// next apply reads back.
 		{"gat", g, gas.NewGATModel("k-gat", gas.TaskSingleLabel, 8, 4, 2, 4, 2, tensor.NewRNG(27))},
 		// Edge features make apply_edge run per out-edge at scatter.
 		{"sage-edge", ge, gas.NewSAGEModel("k-sage-e", gas.TaskSingleLabel, 8, 12, 4, 2, 4, tensor.NewRNG(28))},

@@ -25,11 +25,14 @@ const (
 // mrVal is the MapReduce record value. Fields are exported for gob encoding
 // on the disk-spill path.
 type mrVal struct {
-	Kind         uint8
-	Reduce       uint8
-	Src          int32
-	Count        int32
-	Payload      []float32
+	Kind    uint8
+	Reduce  uint8
+	Src     int32
+	Count   int32
+	Payload []float32
+	// Msg rides on a self record: the node's own emitted row, for a next
+	// layer whose apply reads it back (gas.Emitter.SelfEmitted).
+	Msg          []float32
 	OutDsts      []int32
 	OutEdgeFeats []float32 // flattened rows aligned with OutDsts
 	OrigOutDeg   int32     // original out-degree (degree-scaled layers)
@@ -39,7 +42,7 @@ func mrValBytes(v mrVal) int {
 	if v.Kind == mrBCRef {
 		return refBytes
 	}
-	return 4*len(v.Payload) + 4*len(v.OutDsts) + 4*len(v.OutEdgeFeats) + 16
+	return 4*len(v.Payload) + 4*len(v.Msg) + 4*len(v.OutDsts) + 4*len(v.OutEdgeFeats) + 16
 }
 
 // mrCombine implements partial-gather on this backend: within one producing
@@ -117,53 +120,28 @@ func (d *mrDriver) reducerFor(key int32) int {
 	return d.part.WorkerFor(key)
 }
 
-// scatterEmit is apply_edge + scatter for the messages layer Layers[k] will
-// consume next round, including the broadcast strategy.
-func (d *mrDriver) scatterEmit(v int32, h []float32, k int, emit mapreduce.Emitter[int32, mrVal]) {
-	sendLayer := d.model.Layers[k]
-	dsts := d.sg.G.OutNeighbors(v)
-	eids := d.sg.G.OutEdgeIDs(v)
-	if ms, ok := sendLayer.(gas.MessageScaler); ok {
-		h = ms.ScaleMessage(h, int(d.sg.OrigOutDeg[v]))
+// wireMsg returns a node's wire message for Layers[k] from its state h and
+// out-degree: h itself when the layer does not emit, else the layer's emit
+// into a fresh slice (records own their payloads).
+func (d *mrDriver) wireMsg(h []float32, k int, outDeg int32, p *tensor.Pool) []float32 {
+	em := emitterOf(d.model.Layers[k])
+	if em == nil {
+		return h
 	}
+	msg := make([]float32, em.MsgDim())
+	emitRow(em, new(tensor.Matrix), new(tensor.Matrix), msg, h, []int32{outDeg}, p)
+	return msg
+}
 
-	if d.opts.Broadcast && sendLayer.BroadcastSafe() && len(dsts) > d.threshold {
-		d.bcHubs++
-		seen := make([]bool, d.opts.NumWorkers)
-		for _, dst := range dsts {
-			seen[d.reducerFor(dst)] = true
-		}
-		for r, ok := range seen {
-			if ok {
-				emit(int32(-(r + 1)), mrVal{Kind: mrBCPayload, Src: v, Payload: h})
-			}
-		}
-		for _, dst := range dsts {
-			emit(dst, mrVal{Kind: mrBCRef, Src: v, Reduce: uint8(sendLayer.Reduce())})
-		}
-		return
+// selfRecord is node state h's self record for the round that applies
+// Layers[k], carrying the node's own emitted row msg when that layer reads
+// it back.
+func (d *mrDriver) selfRecord(h, msg []float32, k int) mrVal {
+	rec := mrVal{Kind: mrSelf, Payload: h}
+	if keepsEmit(d.model.Layers[k]) {
+		rec.Msg = msg
 	}
-
-	reduce := uint8(sendLayer.Reduce())
-	if sendLayer.BroadcastSafe() {
-		m := mrVal{Kind: mrMsg, Reduce: reduce, Src: v, Count: 1, Payload: h}
-		for _, dst := range dsts {
-			emit(dst, m)
-		}
-		return
-	}
-	state := tensor.FromSlice(1, len(h), h)
-	for i, dst := range dsts {
-		var ef *tensor.Matrix
-		if d.sg.G.EdgeFeatures != nil {
-			row := d.sg.G.EdgeFeatures.Row(int(eids[i]))
-			ef = tensor.FromSlice(1, len(row), row)
-		}
-		payload := sendLayer.ApplyEdge(state, ef)
-		out := make([]float32, payload.Cols)
-		copy(out, payload.Row(0))
-		emit(dst, mrVal{Kind: mrMsg, Reduce: reduce, Src: v, Count: 1, Payload: out})
-	}
+	return rec
 }
 
 // aggregate vectorizes a node's incoming records into the layer's aggregate.
@@ -186,7 +164,7 @@ func (d *mrDriver) aggregate(task int, layer gas.Conv, values []mrVal) (*gas.Agg
 		}
 	}
 
-	a := vectorizeAggregate(layer.Reduce(), dim, len(payloads), func(i int) ([]float32, int32) {
+	a := vectorizeAggregateInto(&gas.Aggregated{}, layer.Reduce(), dim, len(payloads), func(i int) ([]float32, int32) {
 		return payloads[i], counts[i]
 	}, d.pools[task])
 	return a, len(payloads), nil
@@ -250,12 +228,14 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 		nodes[v] = int32(v)
 	}
 	hasEdgeFeat := sg.G.EdgeFeatures != nil
+	mapPool := tensor.NewPool() // MapRound runs its mappers one after another
 	current := mapreduce.MapRound(nodes, opts.NumWorkers, func(v int32, emit mapreduce.Emitter[int32, mrVal]) {
 		h := sg.G.Features.Row(int(v))
-		emit(v, mrVal{Kind: mrSelf, Payload: h})
-		dsts := sg.G.OutNeighbors(v)
-		if len(dsts) > 0 {
-			rec := mrVal{Kind: mrOutEdges, OutDsts: dsts, OrigOutDeg: sg.OrigOutDeg[v]}
+		msg := d.wireMsg(h, 0, sg.OrigOutDeg[v], mapPool)
+		emit(v, d.selfRecord(h, msg, 0))
+		var rec *mrVal
+		if dsts := sg.G.OutNeighbors(v); len(dsts) > 0 {
+			rec = &mrVal{Kind: mrOutEdges, OutDsts: dsts, OrigOutDeg: sg.OrigOutDeg[v]}
 			if hasEdgeFeat {
 				eids := sg.G.OutEdgeIDs(v)
 				flat := make([]float32, 0, len(eids)*sg.G.EdgeFeatureDim())
@@ -264,9 +244,9 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 				}
 				rec.OutEdgeFeats = flat
 			}
-			emit(v, rec)
+			emit(v, *rec)
 		}
-		d.scatterEmit(v, h, 0, emit)
+		d.scatterEmit(v, msg, 0, rec, emit)
 	})
 	mapPhase := mapPhaseLoad(current, opts.NumWorkers, d)
 
@@ -309,12 +289,12 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 					peaks[task] = groupBytes
 				}
 
-				var selfState []float32
+				var selfState, selfMsg []float32
 				var outEdges *mrVal
 				for i := range values {
 					switch values[i].Kind {
 					case mrSelf:
-						selfState = values[i].Payload
+						selfState, selfMsg = values[i].Payload, values[i].Msg
 					case mrOutEdges:
 						outEdges = &values[i]
 					}
@@ -335,6 +315,9 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 					return
 				}
 				state := tensor.FromSlice(1, len(selfState), selfState)
+				if keepsEmit(layer) {
+					aggr.Self = tensor.FromSlice(1, len(selfMsg), selfMsg)
+				}
 				out := gas.ApplyNodePooled(layer, state, aggr, d.pools[task])
 				h := make([]float32, out.Cols)
 				copy(h, out.Row(0))
@@ -346,11 +329,16 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 					emit(key, mrVal{Kind: mrSelf, Payload: h})
 					return
 				}
-				emit(key, mrVal{Kind: mrSelf, Payload: h})
+				var deg int32 // a node without out-edges has out-degree 0
+				if outEdges != nil {
+					deg = outEdges.OrigOutDeg
+				}
+				msg := d.wireMsg(h, round, deg, d.pools[task])
+				emit(key, d.selfRecord(h, msg, round))
 				if outEdges != nil {
 					emit(key, *outEdges)
 				}
-				d.scatterEmitFromRecord(key, h, round, outEdges, emit)
+				d.scatterEmit(key, msg, round, outEdges, emit)
 			})
 		if err != nil {
 			return nil, err
@@ -392,19 +380,17 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 	return res, nil
 }
 
-// scatterEmitFromRecord scatters using the out-edge record that traveled
-// with the node (the MR data flow), falling back to the resident topology —
-// they are identical by construction; the record path is exercised so the
-// backend honestly carries its structure through the shuffle.
-func (d *mrDriver) scatterEmitFromRecord(v int32, h []float32, k int, rec *mrVal, emit mapreduce.Emitter[int32, mrVal]) {
+// scatterEmit is apply_edge + scatter of wire message h (see wireMsg) for
+// the messages Layers[k] consumes next round, including the broadcast
+// strategy. It reads the out-edge record that travels with the node (the MR
+// data flow), never the resident topology; rec is nil for a node without
+// out-edges.
+func (d *mrDriver) scatterEmit(v int32, h []float32, k int, rec *mrVal, emit mapreduce.Emitter[int32, mrVal]) {
 	if rec == nil {
 		return // no out-edges
 	}
 	sendLayer := d.model.Layers[k]
 	dsts := rec.OutDsts
-	if ms, ok := sendLayer.(gas.MessageScaler); ok {
-		h = ms.ScaleMessage(h, int(rec.OrigOutDeg))
-	}
 
 	if d.opts.Broadcast && sendLayer.BroadcastSafe() && len(dsts) > d.threshold {
 		d.bcHubs++

@@ -3,6 +3,7 @@ package inference
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"inferturbo/internal/checkpoint"
 	"inferturbo/internal/cluster"
@@ -126,10 +127,12 @@ func min32(a, b float32) float32 {
 }
 
 // vtxValue is the per-vertex state: the current embedding h^k, which ends as
-// the logit vector after the last layer, plus the retained penultimate
-// state when embeddings were requested.
+// the logit vector after the last layer, the vertex's own emitted row when
+// the next layer's apply reads it back (gas.Emitter.SelfEmitted), plus the
+// retained penultimate state when embeddings were requested.
 type vtxValue struct {
 	h   []float32
+	msg []float32
 	emb []float32
 }
 
@@ -163,22 +166,25 @@ type pregelDriver struct {
 	// superstep, so the wrappers live here instead of on the heap.
 	aggrs     []gas.Aggregated
 	stateMats []tensor.Matrix
+	msgMats   []tensor.Matrix
+	selfMats  []tensor.Matrix
 	efMats    []tensor.Matrix
 	// Per-worker buffer pools: aggregate, apply_node and state-slab scratch
 	// recycles here instead of allocating every superstep.
 	pools []*tensor.Pool
 
 	// Batched plane: per-worker state slabs. states[w] is N_local x D_k with
-	// local vertex li's h^k in row li; embs[w] retains the penultimate slab
-	// when embeddings were requested. resPays/resCounts are the
-	// broadcast-ref resolution scratch; scaleRows the MessageScaler scratch;
-	// unions the Union gather's distinct-source index.
+	// local vertex li's h^k in row li; emits[w] holds the rows emitted for a
+	// layer that reads them back, kept from scatter to the next apply;
+	// embs[w] retains the penultimate slab when embeddings were requested.
+	// resPays/resCounts are the broadcast-ref resolution scratch. msgRows is
+	// the per-row emit scratch of every plane.
 	states    []*tensor.Matrix
+	emits     []*tensor.Matrix
 	embs      []*tensor.Matrix
 	resPays   [][][]float32
 	resCounts [][]int32
-	scaleRows [][]float32
-	unions    []unionIndex
+	msgRows   [][]float32
 
 	// Per-vertex plane: next-h rows are carved from one per-worker slab per
 	// superstep instead of allocated per vertex. Two generations stay live
@@ -198,15 +204,6 @@ type pregelDriver struct {
 type hSlab struct {
 	cur, prev *tensor.Matrix
 	next      int // row carve cursor into cur
-}
-
-// stateMat wraps h as a 1×len(h) matrix in worker w's reusable header. The
-// view is only valid until the worker's next stateMat call; no callee on
-// the apply_node/apply_edge path retains its matrix arguments.
-func (d *pregelDriver) stateMat(w int, h []float32) *tensor.Matrix {
-	m := &d.stateMats[w]
-	m.Rows, m.Cols, m.Data = 1, len(h), h
-	return m
 }
 
 // seenScratch returns worker w's cleared destination-worker scratch,
@@ -235,6 +232,9 @@ func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnn
 		// raw node states into initial embeddings" is the identity here —
 		// feature encoders would slot in at this point).
 		ctx.Value.h = d.sg.G.Features.Row(int(ctx.ID))
+		if kd := d.keepDim(0); kd > 0 {
+			ctx.Value.msg = d.nextHRow(ctx, kd)
+		}
 		d.scatter(ctx, 0)
 		return
 	}
@@ -244,7 +244,7 @@ func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnn
 		ctx.Value.emb = ctx.Value.h // penultimate state, about to be replaced
 	}
 	pool := d.pools[ctx.WorkerID()]
-	state := d.stateMat(ctx.WorkerID(), ctx.Value.h)
+	state := rowMat(&d.stateMats[ctx.WorkerID()], ctx.Value.h)
 	var aggr *gas.Aggregated
 	var received int
 	if d.columnar {
@@ -255,10 +255,15 @@ func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnn
 		received = len(msgs)
 		aggr = d.gatherStage(ctx, layer, msgs, pool)
 	}
+	if keepsEmit(layer) {
+		aggr.Self = rowMat(&d.selfMats[ctx.WorkerID()], ctx.Value.msg)
+	}
 	out := gas.ApplyNodePooled(layer, state, aggr, pool)
-	next := d.nextHRow(ctx, out.Cols)
+	// The next state and, when the next layer reads it back, the row this
+	// vertex is about to emit share one carved row.
+	next := d.nextHRow(ctx, out.Cols+d.keepDim(k))
 	copy(next, out.Row(0))
-	ctx.Value.h = next
+	ctx.Value.h, ctx.Value.msg = next[:out.Cols:out.Cols], next[out.Cols:]
 	if d.opts.captureLayers != nil {
 		// Resident-state capture for the incremental Session: superstep k's
 		// output is layer k's state. Checkpoint replays rewrite identical
@@ -276,6 +281,16 @@ func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnn
 		return
 	}
 	d.scatter(ctx, k)
+}
+
+// keepDim is the width of the row a vertex keeps after scattering for
+// Layers[k]: the layer's message when its apply reads it back, else 0 (and
+// 0 past the last layer).
+func (d *pregelDriver) keepDim(k int) int {
+	if k < d.model.NumLayers() && keepsEmit(d.model.Layers[k]) {
+		return emitterOf(d.model.Layers[k]).MsgDim()
+	}
+	return 0
 }
 
 // nextHRow returns the row the current vertex's next state is written to,
@@ -398,104 +413,63 @@ func (d *pregelDriver) bcColumnar(w, execSeq int, mail pregel.Batch) *bcIndex {
 }
 
 // colSender is the columnar messaging surface shared by the per-vertex
-// Context and the batched BatchContext. Both planes route their scatter
-// through scatterColumnar against this interface, so the bit-identity
-// argument between compute planes reduces to "same function, called for the
-// same vertices in the same order".
+// Context and the batched BatchContext (and, through boxedSender, the boxed
+// plane). Every plane routes its scatter through scatterColumnar against
+// this interface, so the bit-identity argument between planes reduces to
+// "same function, called for the same vertices in the same order".
 type colSender interface {
 	SendColumnar(dst int32, kind uint8, src, count int32, payload []float32)
 	SendColumnarFan(dsts []int32, kind uint8, src, count int32, payload []float32)
 	SendColumnarToWorker(w int, kind uint8, src, count int32, payload []float32)
 }
 
-// scatter is apply_edge + scatter_nbrs for the messages consumed by
-// sendLayer = Layers[k] in the next superstep, applying the broadcast
-// strategy for eligible hub nodes. The columnar plane (both compute planes)
-// goes through scatterColumnar; the boxed branch below differs in payload
-// ownership only: identity payloads are shared (the combiner copies before
-// mutating) and edge-dependent or degree-scaled payloads are fresh slices
-// because the boxed message owns its slice across the superstep.
-func (d *pregelDriver) scatter(ctx *pregel.Context[vtxValue, gnnMsg], k int) {
-	if d.columnar {
-		d.scatterColumnar(ctx, ctx.WorkerID(), ctx.ID, ctx.Value.h, k)
-		return
-	}
-	sendLayer := d.model.Layers[k]
-	h := ctx.Value.h
-	dsts, eids := ctx.OutEdges()
-	if ms, ok := sendLayer.(gas.MessageScaler); ok {
-		// Degree-scaled wire messages (GCN). Mirrors scale by the original
-		// node's out-degree so shadow-nodes stays result-neutral.
-		h = ms.ScaleMessage(h, int(d.sg.OrigOutDeg[ctx.ID]))
-	}
-	reduce := uint8(sendLayer.Reduce())
+// boxedSender adapts the boxed plane's Context to colSender. Where a
+// columnar send copies its payload into the arena, a boxed send gives the
+// message its own copy — one per call, which a fan's destinations share
+// (the combiner copies before mutating) — so the payload may be scratch.
+type boxedSender struct {
+	ctx *pregel.Context[vtxValue, gnnMsg]
+}
 
-	if d.opts.Broadcast && sendLayer.BroadcastSafe() && len(dsts) > d.threshold {
-		d.bcHubs[ctx.WorkerID()]++
-		// One payload per destination worker...
-		seen := d.seenScratch(ctx.WorkerID())
-		for _, dst := range dsts {
-			seen[d.part.WorkerFor(dst)] = true
-		}
-		for w, ok := range seen {
-			if ok {
-				ctx.SendToWorker(w, gnnMsg{Kind: msgBCPayload, Src: ctx.ID, Payload: h})
-			}
-		}
-		// ...and a lightweight, payload-free reference along every out-edge.
-		ref := gnnMsg{Kind: msgBCRef, Src: ctx.ID, Reduce: reduce}
-		for _, dst := range dsts {
-			ctx.SendMessage(dst, ref)
-		}
-		return
-	}
+func boxedMsg(tag uint8, src, count int32, payload []float32) gnnMsg {
+	return gnnMsg{Kind: tag & 3, Reduce: tag >> 2, Src: src, Count: count, Payload: slices.Clone(payload)}
+}
 
-	if sendLayer.BroadcastSafe() {
-		// apply_edge is the identity: the vertex state is the payload for
-		// every out-edge.
-		m := gnnMsg{Kind: msgState, Reduce: reduce, Src: ctx.ID, Count: 1, Payload: h}
-		for _, dst := range dsts {
-			ctx.SendMessage(dst, m)
-		}
-		return
-	}
-	// Edge-dependent messages: run apply_edge per out-edge. The result is
-	// pool-drawn and recycled as soon as the message has its own copy.
-	state := d.stateMat(ctx.WorkerID(), h)
-	pool := d.pools[ctx.WorkerID()]
-	for i, dst := range dsts {
-		var ef *tensor.Matrix
-		if d.sg.G.EdgeFeatures != nil {
-			ef = d.edgeMat(ctx.WorkerID(), int(eids[i]))
-		}
-		payload := gas.ApplyEdgePooled(sendLayer, state, ef, pool)
-		out := make([]float32, payload.Cols)
-		copy(out, payload.Row(0))
-		ctx.SendMessage(dst, gnnMsg{Kind: msgState, Reduce: reduce, Src: ctx.ID, Count: 1, Payload: out})
-		if payload != state {
-			pool.Put(payload)
-		}
+func (s boxedSender) SendColumnar(dst int32, tag uint8, src, count int32, payload []float32) {
+	s.ctx.SendMessage(dst, boxedMsg(tag, src, count, payload))
+}
+
+func (s boxedSender) SendColumnarFan(dsts []int32, tag uint8, src, count int32, payload []float32) {
+	m := boxedMsg(tag, src, count, payload)
+	for _, dst := range dsts {
+		s.ctx.SendMessage(dst, m)
 	}
 }
 
-// scatterColumnar scatters one vertex's messages on the columnar plane: the
-// strategy logic (degree scaling, hub decision, destination-worker dedup,
-// per-edge apply_edge with pooled results) shared by the per-vertex and
-// batched compute planes. Every send copies its payload into the arena, so
-// h — including the degree-scaled scratch row — stays reusable the moment
-// the call returns.
+func (s boxedSender) SendColumnarToWorker(w int, tag uint8, src, count int32, payload []float32) {
+	s.ctx.SendToWorker(w, boxedMsg(tag, src, count, payload))
+}
+
+// scatter is emit + apply_edge + scatter_nbrs for the messages consumed by
+// Layers[k] in the next superstep, on either per-vertex message plane.
+func (d *pregelDriver) scatter(ctx *pregel.Context[vtxValue, gnnMsg], k int) {
+	var send colSender = ctx
+	if !d.columnar {
+		send = boxedSender{ctx}
+	}
+	w := ctx.WorkerID()
+	d.scatterColumnar(send, w, ctx.ID, d.vertexMsg(w, ctx.ID, ctx.Value.h, ctx.Value.msg, k), k)
+}
+
+// scatterColumnar scatters one vertex's wire message h (see vertexMsg): the
+// strategy logic (hub decision, destination-worker dedup, per-edge
+// apply_edge with pooled results) shared by every plane. Every send copies
+// its payload, so h — including an emit scratch row — stays reusable the
+// moment the call returns.
 func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float32, k int) {
 	sendLayer := d.model.Layers[k]
 	dsts, eids := d.sg.G.OutNeighbors(v), d.sg.G.OutEdgeIDs(v)
-	if ms, ok := sendLayer.(gas.MessageScalerInto); ok {
-		// Degree-scaled wire messages (GCN). Mirrors scale by the original
-		// node's out-degree so shadow-nodes stays result-neutral.
-		scaled := d.scaleScratch(w, len(h))
-		ms.ScaleMessageInto(scaled, h, int(d.sg.OrigOutDeg[v]))
-		h = scaled
-	} else if ms, ok := sendLayer.(gas.MessageScaler); ok {
-		h = ms.ScaleMessage(h, int(d.sg.OrigOutDeg[v]))
-	}
+	d.captureMsg(v, k, h)
 	reduce := uint8(sendLayer.Reduce())
 
 	if d.opts.Broadcast && sendLayer.BroadcastSafe() && len(dsts) > d.threshold {
@@ -525,12 +499,12 @@ func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float
 	}
 	// Edge-dependent messages: run apply_edge per out-edge. The result is
 	// pool-drawn and recycled as soon as the arena has its copy.
-	state := d.stateMat(w, h)
+	state := rowMat(&d.stateMats[w], h)
 	pool := d.pools[w]
 	for i, dst := range dsts {
 		var ef *tensor.Matrix
 		if d.sg.G.EdgeFeatures != nil {
-			ef = d.edgeMat(w, int(eids[i]))
+			ef = rowMat(&d.efMats[w], d.sg.G.EdgeFeatures.Row(int(eids[i])))
 		}
 		payload := gas.ApplyEdgePooled(sendLayer, state, ef, pool)
 		send.SendColumnar(dst, tag, v, 1, payload.Row(0))
@@ -540,22 +514,33 @@ func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float
 	}
 }
 
-// scaleScratch returns worker w's degree-scaling scratch row, grown on
-// demand and reused across vertices and supersteps.
-func (d *pregelDriver) scaleScratch(w, n int) []float32 {
-	if cap(d.scaleRows[w]) < n {
-		d.scaleRows[w] = make([]float32, n)
+// vertexMsg returns vertex v's wire message for Layers[k] from its state h:
+// h itself when the layer does not emit, else the layer's Emit through the
+// serial 1-row kernel — into keep, the vertex's kept row, when the layer
+// reads its rows back, else into worker w's scratch row. Mirrors emit with
+// the original node's out-degree so shadow-nodes stays result-neutral.
+func (d *pregelDriver) vertexMsg(w int, v int32, h, keep []float32, k int) []float32 {
+	em := emitterOf(d.model.Layers[k])
+	if em == nil {
+		return h
 	}
-	d.scaleRows[w] = d.scaleRows[w][:n]
-	return d.scaleRows[w]
+	msg := keep
+	if !em.SelfEmitted() {
+		if cap(d.msgRows[w]) < em.MsgDim() {
+			d.msgRows[w] = make([]float32, em.MsgDim())
+		}
+		msg = d.msgRows[w][:em.MsgDim()]
+	}
+	emitRow(em, &d.msgMats[w], &d.stateMats[w], msg, h, d.sg.OrigOutDeg[v:v+1], d.pools[w])
+	return msg
 }
 
-// edgeMat wraps edge eid's feature row in worker w's reusable header.
-func (d *pregelDriver) edgeMat(w, eid int) *tensor.Matrix {
-	row := d.sg.G.EdgeFeatures.Row(eid)
-	m := &d.efMats[w]
-	m.Rows, m.Cols, m.Data = 1, len(row), row
-	return m
+// captureMsg copies v's layer-k wire message into the Session's message
+// slab when the pass captures one for that layer (see Options.captureMsgs).
+func (d *pregelDriver) captureMsg(v int32, k int, msg []float32) {
+	if cm := d.opts.captureMsgs; cm != nil && cm[k] != nil {
+		copy(cm[k].Row(int(v)), msg)
+	}
 }
 
 // RunPregel executes full-graph inference of model over g on the Pregel
@@ -631,14 +616,16 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 		bcSeen:    make([][]bool, opts.NumWorkers),
 		aggrs:     make([]gas.Aggregated, opts.NumWorkers),
 		stateMats: make([]tensor.Matrix, opts.NumWorkers),
+		msgMats:   make([]tensor.Matrix, opts.NumWorkers),
+		selfMats:  make([]tensor.Matrix, opts.NumWorkers),
 		efMats:    make([]tensor.Matrix, opts.NumWorkers),
 		pools:     make([]*tensor.Pool, opts.NumWorkers),
 		states:    make([]*tensor.Matrix, opts.NumWorkers),
+		emits:     make([]*tensor.Matrix, opts.NumWorkers),
 		embs:      make([]*tensor.Matrix, opts.NumWorkers),
 		resPays:   make([][][]float32, opts.NumWorkers),
 		resCounts: make([][]int32, opts.NumWorkers),
-		scaleRows: make([][]float32, opts.NumWorkers),
-		unions:    make([]unionIndex, opts.NumWorkers),
+		msgRows:   make([][]float32, opts.NumWorkers),
 		hSlabs:    make([]hSlab, opts.NumWorkers),
 		hStep:     make([]int, opts.NumWorkers),
 	}

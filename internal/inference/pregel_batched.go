@@ -19,13 +19,14 @@ import (
 //
 //	gather  — one CSR segment-reduce over the worker's whole columnar inbox
 //	          (tensor.SegmentSumViewsInto / SegmentExtremeViewsInto over
-//	          zero-copy arena views), or for Union one matrix of distinct
-//	          source payloads plus a per-message row index
+//	          zero-copy arena views), or for Union the payload views as is
 //	apply   — one pooled (N_local x D) @ (D x D') apply_node over the state
 //	          slab, driving the parallel MatMul kernels that the per-vertex
 //	          plane's 1 x D calls always kept below ParallelThreshold
-//	scatter — the shared scatterColumnar walked over slab rows in
-//	          owned-vertex order
+//	scatter — for a layer that reads its emitted rows back (GAT), one
+//	          pooled emit over the slab, kept for the next apply; then the
+//	          shared scatterColumnar walked over slab rows in owned-vertex
+//	          order
 //
 // Vertex states live in one row-major tensor.Matrix slab per worker (row li
 // = local vertex index li, the same dense index the inbox CSR uses), drawn
@@ -83,8 +84,16 @@ func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) 
 		lr.slab = tensor.Matrix{Rows: n, Cols: st.Cols, Data: st.Data[:n*st.Cols]}
 		live = &lr.slab
 	}
+	if e := d.emits[w]; e != nil {
+		// The rows this partition emitted for the layer last superstep: the
+		// live rows then, a prefix of which is live now.
+		d.selfMats[w] = tensor.Matrix{Rows: live.Rows, Cols: e.Cols, Data: e.Data[:live.Rows*e.Cols]}
+		aggr.Self = &d.selfMats[w]
+	}
 	out := gas.ApplyNodePooled(layer, live, aggr, pool)
 	releaseAggregated(pool, aggr)
+	pool.Put(d.emits[w])
+	d.emits[w] = nil
 	if d.opts.EmitEmbeddings && k == numLayers {
 		d.embs[w] = st // penultimate slab, retained for the result
 	} else {
@@ -165,21 +174,21 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 		}
 	}
 
-	srcs, nLocal := in.Srcs, len(ctx.Owned())
+	nLocal := len(ctx.Owned())
 	if d.live != nil {
-		off, pays, counts, srcs, nLocal = d.live[w].compact(ctx.Superstep, off, pays, counts, srcs)
+		off, pays, counts, nLocal = d.live[w].compact(ctx.Superstep, off, pays, counts)
 		n = len(pays)
 	}
 	dim := layer.InDim()
 	a := &d.aggrs[w]
 	a.Kind = layer.Reduce()
-	a.Pooled, a.Messages, a.MsgRow = nil, nil, nil
+	a.Pooled, a.Msgs, a.Self = nil, nil, nil
 	a.Counts, a.Dst = a.Counts[:0], a.Dst[:0]
 	switch kind := layer.Reduce(); kind {
 	case gas.ReduceUnion:
-		// Union (GAT): the partition's messages with destinations in local
-		// indices — the partition-local form of the reference forward's
-		// edge-message data.
+		// Union (GAT): the partition's payload views — emitted rows, read in
+		// place — with destinations in local indices, the partition-local
+		// form of the reference forward's edge-message data.
 		if cap(a.Dst) < n {
 			a.Dst = make([]int32, n)
 		} else {
@@ -190,18 +199,7 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 				a.Dst[i] = int32(li)
 			}
 		}
-		if layer.BroadcastSafe() {
-			// The message is the source's state on every out-edge (the
-			// gas.Conv contract), so each distinct source is copied — and
-			// projected by apply_node — once, and messages index its row.
-			a.Messages, a.MsgRow = d.unions[w].build(pool, dim, srcs, pays)
-			break
-		}
-		mm := pool.GetNoZero(n, dim)
-		for i, p := range pays {
-			copy(mm.Row(i), p)
-		}
-		a.Messages = mm
+		a.Msgs = pays
 	case gas.ReduceSum, gas.ReduceMean:
 		pooled := pool.GetNoZero(nLocal, dim)
 		tensor.SegmentSumViewsInto(pooled, off, pays)
@@ -235,60 +233,51 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 	return a, n
 }
 
-// unionIndex is one worker's distinct-source scratch for the Union gather:
-// rows maps a source id to its row of the distinct-payload matrix, first
-// holds each row's first message and msgRow every message's row. A map
-// cleared per gather keeps it sized by the worker's inbox, not the graph.
-type unionIndex struct {
-	rows   map[int32]int32
-	first  []int32
-	msgRow []int32
-}
-
-// build copies each distinct source's payload into one pooled matrix, in
-// first-seen order, and returns it with the per-message row index.
-func (x *unionIndex) build(pool *tensor.Pool, dim int, srcs []int32, pays [][]float32) (*tensor.Matrix, []int32) {
-	if x.rows == nil {
-		x.rows = make(map[int32]int32)
-	}
-	clear(x.rows)
-	x.first = x.first[:0]
-	x.msgRow = slices.Grow(x.msgRow[:0], len(srcs))[:len(srcs)]
-	for i, s := range srcs {
-		r, ok := x.rows[s]
-		if !ok {
-			r = int32(len(x.first))
-			x.rows[s] = r
-			x.first = append(x.first, int32(i))
-		}
-		x.msgRow[i] = r
-	}
-	mm := pool.GetNoZero(len(x.first), dim)
-	for r, i := range x.first {
-		copy(mm.Row(r), pays[i])
-	}
-	return mm, x.msgRow
-}
-
 // scatterBatch walks the partition's slab rows in owned-vertex order through
 // the shared columnar scatter — the same sends, in the same order, that the
 // per-vertex plane issues, so send buffers (and therefore combiner merges
-// and delivery order) are identical between planes. On the pipelined plane
-// the walk seals and flushes at the engine's chunk cadence (the same cadence
-// the per-vertex plane seals at automatically), letting receivers assemble
-// this partition's extents while later rows are still scattering.
+// and delivery order) are identical between planes. A layer that reads its
+// emitted rows back has them emitted first, for every live row in one
+// pooled call, and keeps them for the next apply; other emitters write one
+// row at a time into scratch, as the per-vertex plane does. On the
+// pipelined plane the walk seals and flushes at the engine's chunk cadence
+// (the same cadence the per-vertex plane seals at automatically), letting
+// receivers assemble this partition's extents while later rows are still
+// scattering.
 func (d *pregelDriver) scatterBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], k int) {
 	w := ctx.WorkerID()
 	st := d.states[w]
+	owned := ctx.Owned()
+	var kept *tensor.Matrix
+	if keepsEmit(d.model.Layers[k]) {
+		kept = d.emitSlab(w, st, k)
+		d.emits[w] = kept
+	}
 	chunk := ctx.ChunkSize() // 0 off the pipelined plane
-	for li, v := range ctx.Owned() {
+	for li, v := range owned {
 		if r, ok := d.slabRow(w, li, k); ok {
-			d.scatterColumnar(ctx, w, v, st.Row(r), k)
+			var msg []float32
+			if kept != nil {
+				msg = kept.Row(r)
+			} else {
+				msg = d.vertexMsg(w, v, st.Row(r), nil, k)
+			}
+			d.scatterColumnar(ctx, w, v, msg, k)
 		}
 		if chunk > 0 && (li+1)%chunk == 0 {
 			ctx.FlushChunk()
 		}
 	}
+}
+
+// emitSlab emits Layers[k]'s wire messages — a layer that reads them back,
+// so out-degrees are not needed — for every row of worker w's state slab st
+// (its live rows on a pruned pass) in one pooled call.
+func (d *pregelDriver) emitSlab(w int, st *tensor.Matrix, k int) *tensor.Matrix {
+	em := emitterOf(d.model.Layers[k])
+	e := d.pools[w].GetNoZero(st.Rows, em.MsgDim())
+	em.Emit(e, st, nil, d.pools[w])
+	return e
 }
 
 // liveRows is one worker's layout for a depth-pruned RunInduced pass. A
@@ -315,7 +304,6 @@ type liveRows struct {
 	off    []int32
 	pays   [][]float32
 	counts []int32
-	srcs   []int32
 }
 
 // layoutLive builds every worker's liveRows for a model of numLayers
@@ -360,24 +348,24 @@ func (d *pregelDriver) slabRow(w, li, k int) (int, bool) {
 // compact narrows a worker's inbox CSR to the rows live at superstep k, in
 // slab order. It copies message headers and payload views, never payloads;
 // each row's messages keep their delivery order.
-func (lr *liveRows) compact(k int, off []int32, pays [][]float32, counts, srcs []int32) ([]int32, [][]float32, []int32, []int32, int) {
+func (lr *liveRows) compact(k int, off []int32, pays [][]float32, counts []int32) ([]int32, [][]float32, []int32, int) {
 	n := lr.n[k]
 	lr.off = append(lr.off[:0], 0)
-	lr.pays, lr.counts, lr.srcs = lr.pays[:0], lr.counts[:0], lr.srcs[:0]
+	lr.pays, lr.counts = lr.pays[:0], lr.counts[:0]
 	for _, li := range lr.order[:n] {
 		lo, hi := off[li], off[li+1]
 		lr.pays = append(lr.pays, pays[lo:hi]...)
 		lr.counts = append(lr.counts, counts[lo:hi]...)
-		lr.srcs = append(lr.srcs, srcs[lo:hi]...)
 		lr.off = append(lr.off, int32(len(lr.pays)))
 	}
-	return lr.off, lr.pays, lr.counts, lr.srcs, n
+	return lr.off, lr.pays, lr.counts, n
 }
 
 // progSnap is the checkpointed form of the batched plane's program-owned
 // state: deep copies of the per-worker slabs, immutable after capture.
 type progSnap struct {
 	states []*tensor.Matrix
+	emits  []*tensor.Matrix
 	embs   []*tensor.Matrix
 }
 
@@ -391,18 +379,9 @@ func (d *pregelDriver) SnapshotProgState() any {
 		return nil
 	}
 	s := &progSnap{
-		states: make([]*tensor.Matrix, len(d.states)),
-		embs:   make([]*tensor.Matrix, len(d.embs)),
-	}
-	for w, m := range d.states {
-		if m != nil {
-			s.states[w] = m.Clone()
-		}
-	}
-	for w, m := range d.embs {
-		if m != nil {
-			s.embs[w] = m.Clone()
-		}
+		states: cloneAll(d.states),
+		emits:  cloneAll(d.emits),
+		embs:   cloneAll(d.embs),
 	}
 	return s
 }
@@ -427,6 +406,18 @@ func (d *pregelDriver) RestoreProgState(snap any) {
 	}
 	for w := range d.states {
 		restore(d.states, s.states, w)
+		restore(d.emits, s.emits, w)
 		restore(d.embs, s.embs, w)
 	}
+}
+
+// cloneAll deep-copies every non-nil slab of ms.
+func cloneAll(ms []*tensor.Matrix) []*tensor.Matrix {
+	out := make([]*tensor.Matrix, len(ms))
+	for w, m := range ms {
+		if m != nil {
+			out[w] = m.Clone()
+		}
+	}
+	return out
 }

@@ -32,8 +32,9 @@ const (
 // bit-identical to RunPregel from scratch on the current graph.
 //
 // Resident-state ownership: the session owns one global slab per layer
-// (layers[k], NumNodes × dim_k) plus one wire-message slab per degree-scaled
-// layer; layers[0] aliases the feature matrix of the graph the latest pass
+// (layers[k], NumNodes × dim_k) plus one wire-message slab per emitting layer
+// (gas.Emitter: NumNodes × MsgDim, captured from the pass that sent the
+// rows); layers[0] aliases the feature matrix of the graph the latest pass
 // ran on (every pass re-points it at its materialized graph). During a pass,
 // slab rows are written only by the owning vertex's worker at that vertex's
 // superstep — layer separation (writes hit slab k while gathers read slab
@@ -54,8 +55,8 @@ type Session struct {
 	primed    bool // a full pass has populated the resident slabs
 	layers    []*tensor.Matrix
 	msgs      []*tensor.Matrix
-	scaled    []bool
-	anyScaled bool
+	emits     []bool // Layers[k] owns a wire-message slab msgs[k]
+	anyDegree bool   // some layer's wire message depends on out-degree
 	dirtyStep []int32
 
 	pendState  []bool
@@ -96,10 +97,10 @@ func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error
 		}
 	}
 	s := &Session{model: model, opts: opts, ed: graph.NewEditor(g)}
-	s.scaled = make([]bool, model.NumLayers())
+	s.emits = make([]bool, model.NumLayers())
 	for k, l := range model.Layers {
-		s.scaled[k] = layerScales(l)
-		s.anyScaled = s.anyScaled || s.scaled[k]
+		s.emits[k] = emitterOf(l) != nil
+		s.anyDegree = s.anyDegree || degreeScaled(l)
 	}
 	if err := s.initDurable(); err != nil {
 		return nil, err
@@ -162,7 +163,7 @@ func (s *Session) Mutate(d graph.Delta) (*graph.DeltaEffect, error) {
 	for _, v := range eff.InboxDirty {
 		s.pendInbox[v] = true
 	}
-	if s.anyScaled {
+	if s.anyDegree {
 		for _, v := range eff.DegreeChanged {
 			s.pendPinned[v] = true
 		}
@@ -191,26 +192,23 @@ func (s *Session) Refresh() (*Result, RefreshKind, error) {
 	return res, RefreshDelta, err
 }
 
-// fullPass runs the one-shot driver with layer capture enabled, so the run
-// doubles as resident-state (re)population, then derives the scaled message
-// slabs — a scaling pass, no matmuls — and clears all pending bookkeeping.
+// fullPass runs the one-shot driver with layer and message capture enabled,
+// so the run doubles as resident-state (re)population — every emitted row is
+// the one the pass sent, never recomputed — and clears all pending
+// bookkeeping.
 func (s *Session) fullPass(g *graph.Graph) (*Result, error) {
 	s.ensureSlabs(g)
 	o := s.opts
 	o.captureLayers = s.layers
+	o.captureMsgs = make([]*tensor.Matrix, len(s.msgs))
+	for k, e := range s.emits {
+		if e {
+			o.captureMsgs[k] = s.msgs[k]
+		}
+	}
 	res, err := RunPregel(s.model, g, o)
 	if err != nil {
 		return nil, err
-	}
-	for k := 0; k < s.model.NumLayers(); k++ {
-		if !s.scaled[k] {
-			continue
-		}
-		layer := s.model.Layers[k]
-		src, dst := s.layers[k], s.msgs[k]
-		for v := 0; v < g.NumNodes; v++ {
-			scaleMsgRowInto(layer, dst.Row(v), src.Row(v), g.OutDegree(int32(v)))
-		}
 	}
 	s.primed = true
 	s.clearPending()
@@ -238,7 +236,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	o := s.opts
 	defer applyTuning(o)()
 	part := o.partition(g)
-	driver := newDeltaDriver(s.model, g, s.gi, s.layers, s.msgs, s.scaled,
+	driver := newDeltaDriver(s.model, g, s.gi, s.layers, s.msgs, s.emits,
 		s.pendState, s.pendInbox, s.pendPinned, s.dirtyStep, o.NumWorkers)
 	cfg := pregel.Config[deltaPing]{
 		NumWorkers:       o.NumWorkers,
@@ -280,25 +278,25 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 }
 
 // repairMessages rewrites the resident wire messages whose inputs the pending
-// mutations changed outside a pass: h^0 rewrites (scaled layer 0 reads the
-// new feature row) and out-degree changes (every scaled layer's row of that
-// vertex scales by the new degree). Unscaled slabs alias the state slabs and
-// need nothing. A row depends only on the vertex's current state and current
-// out-degree, so repairing once per refresh against the materialized graph
-// writes the same bits as repairing after every batch would have.
+// mutations changed outside a pass: h^0 rewrites (an emitting layer 0 reads
+// the new feature row) and out-degree changes (every degree-scaled layer's
+// row of that vertex scales by the new degree). Non-emitting layers' slabs
+// alias the state slabs and need nothing. A row depends only on the
+// vertex's current state and current out-degree, so repairing once per
+// refresh against the materialized graph writes the same bits as repairing
+// after every batch would have.
 func (s *Session) repairMessages(g *graph.Graph) {
-	if !s.anyScaled {
-		return
+	var mm, hm tensor.Matrix
+	p := tensor.NewPool()
+	emit := func(k, v int) {
+		deg := []int32{int32(g.OutDegree(int32(v)))}
+		emitRow(emitterOf(s.model.Layers[k]), &mm, &hm, s.msgs[k].Row(v), s.layers[k].Row(v), deg, p)
 	}
 	for v := range s.pendState {
-		if s.pendPinned[v] {
-			for k := 0; k < s.model.NumLayers(); k++ {
-				if s.scaled[k] {
-					scaleMsgRowInto(s.model.Layers[k], s.msgs[k].Row(v), s.layers[k].Row(v), g.OutDegree(int32(v)))
-				}
+		for k, e := range s.emits {
+			if e && ((k == 0 && s.pendState[v]) || (s.pendPinned[v] && degreeScaled(s.model.Layers[k]))) {
+				emit(k, v)
 			}
-		} else if s.pendState[v] && s.scaled[0] {
-			scaleMsgRowInto(s.model.Layers[0], s.msgs[0].Row(v), s.layers[0].Row(v), g.OutDegree(int32(v)))
 		}
 	}
 }
@@ -315,7 +313,7 @@ func (s *Session) residentResult() *Result {
 func (s *Session) frontier() []int32 {
 	var f []int32
 	for v := range s.pendState {
-		if s.pendState[v] || s.pendInbox[v] || (s.anyScaled && s.pendPinned[v]) {
+		if s.pendState[v] || s.pendInbox[v] || (s.anyDegree && s.pendPinned[v]) {
 			f = append(f, int32(v))
 		}
 	}
@@ -351,8 +349,8 @@ func (s *Session) floodEstimate(g *graph.Graph, frontier []int32) int {
 
 // ensureSlabs (re)builds the resident slab set for graph g:
 // layers[0] aliases the feature matrix, layers[k] is NumNodes × OutDim(k-1),
-// and each scaled layer owns a message slab (unscaled ones alias the state
-// slab — the wire message IS the state).
+// and each emitting layer owns a NumNodes × MsgDim message slab (the others
+// alias the state slab — the wire message IS the state).
 func (s *Session) ensureSlabs(g *graph.Graph) {
 	n := g.NumNodes
 	L := s.model.NumLayers()
@@ -368,13 +366,12 @@ func (s *Session) ensureSlabs(g *graph.Graph) {
 		}
 	}
 	for k := 0; k < L; k++ {
-		if !s.scaled[k] {
+		if !s.emits[k] {
 			s.msgs[k] = s.layers[k]
 			continue
 		}
-		dim := s.model.Layers[k].InDim()
 		if s.msgs[k] == nil || s.msgs[k].Rows != n || s.msgs[k] == s.layers[k] {
-			s.msgs[k] = tensor.New(n, dim)
+			s.msgs[k] = tensor.New(n, emitterOf(s.model.Layers[k]).MsgDim())
 		}
 	}
 	s.dirtyStep = growInt32(s.dirtyStep, n)
@@ -397,7 +394,7 @@ func (s *Session) growSlabs(g *graph.Graph) {
 		}
 	}
 	for k := 0; k < L; k++ {
-		if !s.scaled[k] {
+		if !s.emits[k] {
 			s.msgs[k] = s.layers[k] // re-alias: the state slab may have moved
 		} else if s.msgs[k].Rows < n {
 			s.msgs[k] = growMatrix(s.msgs[k], n)

@@ -7,7 +7,7 @@ package inference
 // pass" instead of a full re-prime.
 //
 // After every refresh pass that ran compute, the session deep-copies its
-// per-layer slabs (and scaled wire-message slabs) into recycled capture
+// per-layer slabs (and emitted wire-message slabs) into recycled capture
 // buffers and hands them — together with the current immutable graph
 // snapshot and the replay mark — to a background persister goroutine, which
 // encodes them as one checkpoint epoch. The copy is the only cost on the
@@ -43,10 +43,13 @@ import (
 	"inferturbo/internal/tensor"
 )
 
-// sessionMetaVersion 2 stores the graph segment in graph.AppendEncoding's
-// format; version-1 epochs (gob graph) are refused, never cold-started past,
-// because their WAL prefix may already be truncated.
-const sessionMetaVersion = 2
+// sessionMetaVersion 3 stores the graph segment in graph.AppendEncoding's
+// format and a message slab for every emitting layer (GAT's included, whose
+// rows are [z | source scores]). Older epochs — version 1 (gob graph) and
+// version 2 (message slabs for degree-scaled layers only) — are refused,
+// never cold-started past, because their WAL prefix may already be
+// truncated.
+const sessionMetaVersion = 3
 
 // SessionDurableStats exposes the persister's observables for /v1/stats.
 type SessionDurableStats struct {
@@ -92,12 +95,12 @@ type sessionDurable struct {
 	// epoch-sized. Reusing them is safe only because checkpoint.Store.Save
 	// keeps no reference to segment bytes after it returns. slabs[k-1]
 	// holds layer k and slabs[L+k] message slab k; names match them.
-	meta   []byte
-	graph  []byte
-	slabs  [][]byte
-	names  []string
-	scaled []bool
-	segs   []checkpoint.Segment
+	meta  []byte
+	graph []byte
+	slabs [][]byte
+	names []string
+	emits []bool
+	segs  []checkpoint.Segment
 }
 
 // initDurable wires the persister when SessionDir is set. Called by
@@ -121,7 +124,7 @@ func (s *Session) initDurable() error {
 		done:      make(chan struct{}),
 		slabs:     make([][]byte, 2*L),
 		names:     make([]string, 2*L),
-		scaled:    make([]bool, L),
+		emits:     make([]bool, L),
 	}
 	for k := 0; k < L; k++ {
 		d.names[k] = layerSegment(k + 1)
@@ -209,7 +212,7 @@ func (s *Session) persistResident(g *graph.Graph) {
 		job.layers[k] = copyMatrixInto(job.layers[k], s.layers[k])
 	}
 	for k := 0; k < L; k++ {
-		if s.scaled[k] {
+		if s.emits[k] {
 			job.msgs[k] = copyMatrixInto(job.msgs[k], s.msgs[k])
 		} else {
 			job.msgs[k] = nil
@@ -262,9 +265,9 @@ func (d *sessionDurable) persistOne(model *gas.Model, job *sessionPersistJob) er
 	meta = checkpoint.AppendU64(meta, uint64(model.InDim()))
 	for k := 0; k < L; k++ {
 		meta = checkpoint.AppendU64(meta, uint64(model.Layers[k].OutDim()))
-		d.scaled[k] = job.msgs[k] != nil
+		d.emits[k] = job.msgs[k] != nil
 	}
-	d.meta = checkpoint.AppendBools(meta, d.scaled)
+	d.meta = checkpoint.AppendBools(meta, d.emits)
 	d.graph = job.g.AppendEncoding(d.graph[:0])
 
 	segs := append(d.segs[:0],
@@ -334,11 +337,11 @@ func ResumeSession(model *gas.Model, opts Options) (*Session, bool, error) {
 	for k := range outDims {
 		outDims[k] = int(r.U64())
 	}
-	scaled := r.Bools()
+	emits := r.Bools()
 	if err := r.Err(); err != nil {
 		return nil, false, fmt.Errorf("inference: session epoch meta: %w", err)
 	}
-	if len(scaled) != L {
+	if len(emits) != L {
 		return nil, false, fmt.Errorf("inference: session epoch meta truncated")
 	}
 	for k := 0; k < L; k++ {
@@ -363,9 +366,9 @@ func ResumeSession(model *gas.Model, opts Options) (*Session, bool, error) {
 		return nil, false, err
 	}
 	for k := 0; k < L; k++ {
-		if s.scaled[k] != scaled[k] {
+		if s.emits[k] != emits[k] {
 			s.CloseDurable()
-			return nil, false, fmt.Errorf("inference: session epoch layer %d scaling mismatch", k)
+			return nil, false, fmt.Errorf("inference: session epoch layer %d emit mismatch", k)
 		}
 	}
 	start = time.Now()
@@ -382,13 +385,13 @@ func ResumeSession(model *gas.Model, opts Options) (*Session, bool, error) {
 		s.layers[k] = m
 	}
 	for k := 0; k < L; k++ {
-		if !scaled[k] {
+		if !emits[k] {
 			s.msgs[k] = s.layers[k]
 			continue
 		}
 		mr := checkpoint.NewReader(bySeg[msgsSegment(k)])
 		m := readMatrix(mr)
-		if m == nil || m.Rows != n || m.Cols != model.Layers[k].InDim() {
+		if m == nil || m.Rows != n || m.Cols != emitterOf(model.Layers[k]).MsgDim() {
 			s.CloseDurable()
 			return nil, false, fmt.Errorf("inference: session epoch message slab %d malformed", k)
 		}

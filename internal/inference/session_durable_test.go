@@ -28,6 +28,7 @@ func TestSessionDurablePersistResume(t *testing.T) {
 	models := map[string]*gas.Model{
 		"gcn":     gas.NewGCNModel("d-gcn", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(121)),
 		"sage-ef": gas.NewSAGEModel("d-sage", gas.TaskSingleLabel, 6, 9, 3, 2, 4, tensor.NewRNG(122)),
+		"gat":     gas.NewGATModel("d-gat", gas.TaskSingleLabel, 6, 4, 2, 3, 2, tensor.NewRNG(123)),
 	}
 	seed := int64(300)
 	for name, m := range models {
@@ -497,27 +498,30 @@ func setEpochVersion(t *testing.T, dir string, v uint32) {
 }
 
 // TestResumeSessionRefusesOldEpochVersion: an epoch written in an older
-// format is an error naming both versions — never a panic, and never a
-// silent cold start, which would drop mutations the epoch holds but whose
-// WAL records are already truncated.
+// format — version 1 (gob graph) or version 2 (no GAT message slabs) — is
+// an error naming both versions — never a panic, and never a silent cold
+// start, which would drop mutations the epoch holds but whose WAL records
+// are already truncated.
 func TestResumeSessionRefusesOldEpochVersion(t *testing.T) {
-	dir := t.TempDir()
-	m := gas.NewGCNModel("old-epoch", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(141))
-	sess, err := NewSession(m, sessionTestGraph(43, false), Options{NumWorkers: 2, SessionDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sess.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	sess.CloseDurable()
-	setEpochVersion(t, dir, 1)
-	s, ok, err := ResumeSession(m, Options{SessionDir: dir})
-	if err == nil || ok || s != nil {
-		t.Fatalf("version-1 epoch resumed: ok=%v err=%v", ok, err)
-	}
-	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, fmt.Sprintf("want %d", sessionMetaVersion)) {
-		t.Fatalf("error %q does not name both versions", msg)
+	for _, old := range []uint32{1, 2} {
+		dir := t.TempDir()
+		m := gas.NewGCNModel("old-epoch", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(141))
+		sess, err := NewSession(m, sessionTestGraph(43, false), Options{NumWorkers: 2, SessionDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sess.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		sess.CloseDurable()
+		setEpochVersion(t, dir, old)
+		s, ok, err := ResumeSession(m, Options{SessionDir: dir})
+		if err == nil || ok || s != nil {
+			t.Fatalf("version-%d epoch resumed: ok=%v err=%v", old, ok, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, fmt.Sprintf("want %d", sessionMetaVersion)) {
+			t.Fatalf("error %q does not name both versions", msg)
+		}
 	}
 }
 
@@ -551,7 +555,7 @@ func TestSessionPersistSteadyStateAllocs(t *testing.T) {
 	L := m.NumLayers()
 	job := &sessionPersistJob{g: sess.Graph(), layers: sess.layers, msgs: make([]*tensor.Matrix, L), mark: 1}
 	for k := 0; k < L; k++ {
-		if sess.scaled[k] {
+		if sess.emits[k] {
 			job.msgs[k] = sess.msgs[k]
 		}
 	}

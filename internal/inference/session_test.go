@@ -75,13 +75,15 @@ func sessionTestGraph(seed int64, edgeFeatures bool) *graph.Graph {
 // TestSessionDeltaMatchesScratch is the property test of the incremental
 // mode: random mutation batches followed by delta refreshes stay bit-
 // identical to a from-scratch full pass on the mutated graph, across models
-// (degree-scaled GCN, GIN, SAGE with edge-dependent messages), both compute
-// planes, BSP and pipelined supersteps, and worker counts.
+// (degree-scaled GCN, GIN, SAGE with edge-dependent messages, GAT's emitted
+// rows), both compute planes, BSP and pipelined supersteps, and worker
+// counts.
 func TestSessionDeltaMatchesScratch(t *testing.T) {
 	models := map[string]*gas.Model{
 		"gcn":     gas.NewGCNModel("s-gcn", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(21)),
 		"gin":     gas.NewGINModel("s-gin", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(22)),
 		"sage-ef": gas.NewSAGEModel("s-sage", gas.TaskSingleLabel, 6, 9, 3, 2, 4, tensor.NewRNG(23)),
+		"gat":     gas.NewGATModel("s-gat", gas.TaskSingleLabel, 6, 4, 2, 3, 2, tensor.NewRNG(24)),
 	}
 	planes := []Options{
 		{NumWorkers: 1},

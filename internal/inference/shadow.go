@@ -25,7 +25,7 @@ type ShadowGraph struct {
 	// Mirrors counts the extra vertices created.
 	Mirrors int
 	// OrigOutDeg maps every vertex to its *original* node's out-degree.
-	// Degree-scaled layers (gas.MessageScaler) must scale by the original
+	// Degree-scaled layers (gas.Emitter, GCN) must scale by the original
 	// degree, not a mirror's share, or the rewrite would change results.
 	OrigOutDeg []int32
 }

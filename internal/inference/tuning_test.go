@@ -96,8 +96,17 @@ func TestPooledApplyNodeMatchesApplyNode(t *testing.T) {
 	for name, m := range testModels(t) {
 		layer := m.Layers[0]
 		ctx := &gas.Context{NodeState: g.Features, SrcIndex: src, DstIndex: dst, NumNodes: g.NumNodes}
-		msg := tensor.GatherRows(ctx.NodeState, ctx.SrcIndex)
+		rows := ctx.NodeState
+		if keepsEmit(layer) {
+			// Messages and the receivers' own rows are emitted rows.
+			rows = tensor.New(g.NumNodes, emitterOf(layer).MsgDim())
+			emitterOf(layer).Emit(rows, ctx.NodeState, nil, pool)
+		}
+		msg := tensor.GatherRows(rows, ctx.SrcIndex)
 		aggr := gas.Gather(layer.Reduce(), msg, ctx.DstIndex, ctx.NumNodes)
+		if keepsEmit(layer) {
+			aggr.Self = rows
+		}
 		want := layer.ApplyNode(ctx.NodeState, aggr)
 		got := gas.ApplyNodePooled(layer, ctx.NodeState, aggr, pool)
 		if !want.Equal(got) {

@@ -112,7 +112,7 @@ func TestDurableRefusesOldEpochVersion(t *testing.T) {
 	if err == nil {
 		t.Fatal("New cold-started past a version-1 session epoch")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "want 2") {
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "want 3") {
 		t.Fatalf("error %q does not name both versions", msg)
 	}
 }
