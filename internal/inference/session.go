@@ -222,8 +222,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	if s.gi == nil {
 		s.gi = graph.BuildGatherIndex(g)
 	}
-	s.growSlabs(g)
-	s.repairMessages(g)
+	s.repairMessages(g, s.growSlabs(g))
 	for i := range s.dirtyStep {
 		s.dirtyStep[i] = -1
 	}
@@ -279,13 +278,16 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 
 // repairMessages rewrites the resident wire messages whose inputs the pending
 // mutations changed outside a pass: h^0 rewrites (an emitting layer 0 reads
-// the new feature row) and out-degree changes (every degree-scaled layer's
-// row of that vertex scales by the new degree). Non-emitting layers' slabs
+// the new feature row), out-degree changes (every degree-scaled layer's row
+// of that vertex scales by the new degree) and vertices added since the
+// last pass (ids >= added), whose zero state rows emit a message that need
+// not be zero (GAT's carries the projection bias) and that a recompute
+// leaving the row zero would never rewrite. Non-emitting layers' slabs
 // alias the state slabs and need nothing. A row depends only on the
 // vertex's current state and current out-degree, so repairing once per
 // refresh against the materialized graph writes the same bits as repairing
 // after every batch would have.
-func (s *Session) repairMessages(g *graph.Graph) {
+func (s *Session) repairMessages(g *graph.Graph, added int) {
 	var mm, hm tensor.Matrix
 	p := tensor.NewPool()
 	emit := func(k, v int) {
@@ -294,7 +296,7 @@ func (s *Session) repairMessages(g *graph.Graph) {
 	}
 	for v := range s.pendState {
 		for k, e := range s.emits {
-			if e && ((k == 0 && s.pendState[v]) || (s.pendPinned[v] && degreeScaled(s.model.Layers[k]))) {
+			if e && (v >= added || (k == 0 && s.pendState[v]) || (s.pendPinned[v] && degreeScaled(s.model.Layers[k]))) {
 				emit(k, v)
 			}
 		}
@@ -381,13 +383,15 @@ func (s *Session) ensureSlabs(g *graph.Graph) {
 }
 
 // growSlabs points layer 0 at g's feature matrix and extends resident state
-// to g's node count: old rows are preserved, new rows are zero (the correct
-// resident value for a vertex that has never computed — its receivers are
-// inbox-dirty and will re-gather regardless).
-func (s *Session) growSlabs(g *graph.Graph) {
+// to g's node count, returning the previous count: old rows are preserved,
+// new state rows are zero (the correct resident value for a vertex that has
+// never computed — its receivers are inbox-dirty and will re-gather
+// regardless; repairMessages emits their message rows).
+func (s *Session) growSlabs(g *graph.Graph) int {
 	n := g.NumNodes
-	s.layers[0] = g.Features
 	L := s.model.NumLayers()
+	old := s.layers[L].Rows
+	s.layers[0] = g.Features
 	for k := 1; k <= L; k++ {
 		if s.layers[k].Rows < n {
 			s.layers[k] = growMatrix(s.layers[k], n)
@@ -401,6 +405,7 @@ func (s *Session) growSlabs(g *graph.Graph) {
 		}
 	}
 	s.dirtyStep = growInt32(s.dirtyStep, n)
+	return old
 }
 
 func (s *Session) clearPending() {

@@ -467,3 +467,42 @@ func TestSessionDrainOneRebuildBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionGATNewSourceNode: a node added with out-edges only computes an
+// all-zero hidden state — bitwise the zero its grown resident row already
+// holds — yet its GAT message, the emit of that zero row, is not zero. The
+// delta pass must still hand its receivers the emitted row.
+func TestSessionGATNewSourceNode(t *testing.T) {
+	m := gas.NewGATModel("s-gat-src", gas.TaskSingleLabel, 6, 4, 2, 3, 2, tensor.NewRNG(25))
+	for _, l := range m.Layers {
+		// A trained projection has a bias; a fresh one's is zero, which
+		// would make the zero row's emit zero too.
+		tensor.NewRNG(26).Uniform(l.(*gas.GATConv).MsgLin.B.Value, -1, 1)
+	}
+	for _, opts := range []Options{{NumWorkers: 3, Parallel: true}, {NumWorkers: 2, PerVertexCompute: true}} {
+		opts.DeltaCutover = 1.1
+		sess, err := NewSession(m, sessionTestGraph(131, false), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sess.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		n := int32(sess.Graph().NumNodes)
+		if _, err := sess.Mutate(graph.Delta{
+			AddNodes: []graph.NodeAdd{{Features: []float32{1, -2, 3, -4, 5, -6}}},
+			AddEdges: []graph.EdgeAdd{{Src: n, Dst: 0}, {Src: n, Dst: 7}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		res, kind, err := sess.Refresh()
+		if err != nil || kind != RefreshDelta {
+			t.Fatalf("refresh kind=%v err=%v, want a delta pass", kind, err)
+		}
+		scratch, err := RunPregel(m, sess.Graph(), Options{NumWorkers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, fmt.Sprintf("per-vertex=%v", opts.PerVertexCompute), res.Logits, scratch.Logits)
+	}
+}
