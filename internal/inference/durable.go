@@ -21,8 +21,7 @@ func (gnnCodec) EncodeValues(dst []byte, vals []vtxValue) ([]byte, error) {
 	b := checkpoint.AppendU64(dst, uint64(len(vals)))
 	for _, v := range vals {
 		b = checkpoint.AppendF32s(b, v.h)
-		b = checkpoint.AppendF32s(b, v.msg)
-		b = checkpoint.AppendF32s(b, v.emb)
+		b = checkpoint.AppendF32s(b, v.aux)
 	}
 	return b, nil
 }
@@ -35,10 +34,9 @@ func (gnnCodec) DecodeValues(data []byte, into []vtxValue) error {
 	}
 	for i := range into {
 		into[i].h = r.F32s()
-		into[i].msg = r.F32s()
-		into[i].emb = r.F32s()
-		if len(into[i].emb) == 0 {
-			into[i].emb = nil
+		into[i].aux = r.F32s()
+		if len(into[i].aux) == 0 {
+			into[i].aux = nil
 		}
 	}
 	return r.Err()

@@ -127,13 +127,13 @@ func min32(a, b float32) float32 {
 }
 
 // vtxValue is the per-vertex state: the current embedding h^k, which ends as
-// the logit vector after the last layer, the vertex's own emitted row when
-// the next layer's apply reads it back (gas.Emitter.SelfEmitted), plus the
-// retained penultimate state when embeddings were requested.
+// the logit vector after the last layer, and aux. During the pass aux is the
+// vertex's own emitted row when the next layer's apply reads it back
+// (gas.Emitter.SelfEmitted); after the last apply it is the retained
+// penultimate state when embeddings were requested.
 type vtxValue struct {
 	h   []float32
-	msg []float32
-	emb []float32
+	aux []float32
 }
 
 // pregelDriver executes a gas.Model layer-by-layer on the Pregel engine. It
@@ -163,12 +163,12 @@ type pregelDriver struct {
 	bcSeen [][]bool // destination-worker dedup scratch for broadcast hubs
 	// Per-worker reusable aggregate and matrix headers: the per-vertex
 	// gather/apply path wraps existing float slices thousands of times per
-	// superstep, so the wrappers live here instead of on the heap.
+	// superstep, so the wrappers live here instead of on the heap. auxMats
+	// wraps whatever a step needs beside the state — an emit's destination,
+	// an edge-feature row, the receivers' own emitted rows — one at a time.
 	aggrs     []gas.Aggregated
 	stateMats []tensor.Matrix
-	msgMats   []tensor.Matrix
-	selfMats  []tensor.Matrix
-	efMats    []tensor.Matrix
+	auxMats   []tensor.Matrix
 	// Per-worker buffer pools: aggregate, apply_node and state-slab scratch
 	// recycles here instead of allocating every superstep.
 	pools []*tensor.Pool
@@ -233,16 +233,13 @@ func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnn
 		// feature encoders would slot in at this point).
 		ctx.Value.h = d.sg.G.Features.Row(int(ctx.ID))
 		if kd := d.keepDim(0); kd > 0 {
-			ctx.Value.msg = d.nextHRow(ctx, kd)
+			ctx.Value.aux = d.nextHRow(ctx, kd)
 		}
 		d.scatter(ctx, 0)
 		return
 	}
 
 	layer := d.model.Layers[k-1]
-	if d.opts.EmitEmbeddings && k == numLayers {
-		ctx.Value.emb = ctx.Value.h // penultimate state, about to be replaced
-	}
 	pool := d.pools[ctx.WorkerID()]
 	state := rowMat(&d.stateMats[ctx.WorkerID()], ctx.Value.h)
 	var aggr *gas.Aggregated
@@ -256,19 +253,23 @@ func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnn
 		aggr = d.gatherStage(ctx, layer, msgs, pool)
 	}
 	if keepsEmit(layer) {
-		aggr.Self = rowMat(&d.selfMats[ctx.WorkerID()], ctx.Value.msg)
+		aggr.Self = rowMat(&d.auxMats[ctx.WorkerID()], ctx.Value.aux)
 	}
 	out := gas.ApplyNodePooled(layer, state, aggr, pool)
 	// The next state and, when the next layer reads it back, the row this
 	// vertex is about to emit share one carved row.
 	next := d.nextHRow(ctx, out.Cols+d.keepDim(k))
 	copy(next, out.Row(0))
-	ctx.Value.h, ctx.Value.msg = next[:out.Cols:out.Cols], next[out.Cols:]
+	ctx.Value.aux = next[out.Cols:]
+	if d.opts.EmitEmbeddings && k == numLayers {
+		ctx.Value.aux = ctx.Value.h // penultimate state, about to be replaced
+	}
+	ctx.Value.h = next[:out.Cols:out.Cols]
 	if d.opts.captureLayers != nil {
 		// Resident-state capture for the incremental Session: superstep k's
 		// output is layer k's state. Checkpoint replays rewrite identical
 		// rows, so capture composes with in-process fault recovery.
-		copy(d.opts.captureLayers[k].Row(int(ctx.ID)), next)
+		copy(d.opts.captureLayers[k].Row(int(ctx.ID)), ctx.Value.h)
 	}
 	pool.Put(out)
 	releaseAggregated(pool, aggr)
@@ -458,7 +459,7 @@ func (d *pregelDriver) scatter(ctx *pregel.Context[vtxValue, gnnMsg], k int) {
 		send = boxedSender{ctx}
 	}
 	w := ctx.WorkerID()
-	d.scatterColumnar(send, w, ctx.ID, d.vertexMsg(w, ctx.ID, ctx.Value.h, ctx.Value.msg, k), k)
+	d.scatterColumnar(send, w, ctx.ID, d.vertexMsg(w, ctx.ID, ctx.Value.h, ctx.Value.aux, k), k)
 }
 
 // scatterColumnar scatters one vertex's wire message h (see vertexMsg): the
@@ -504,7 +505,7 @@ func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float
 	for i, dst := range dsts {
 		var ef *tensor.Matrix
 		if d.sg.G.EdgeFeatures != nil {
-			ef = rowMat(&d.efMats[w], d.sg.G.EdgeFeatures.Row(int(eids[i])))
+			ef = rowMat(&d.auxMats[w], d.sg.G.EdgeFeatures.Row(int(eids[i])))
 		}
 		payload := gas.ApplyEdgePooled(sendLayer, state, ef, pool)
 		send.SendColumnar(dst, tag, v, 1, payload.Row(0))
@@ -531,7 +532,7 @@ func (d *pregelDriver) vertexMsg(w int, v int32, h, keep []float32, k int) []flo
 		}
 		msg = d.msgRows[w][:em.MsgDim()]
 	}
-	emitRow(em, &d.msgMats[w], &d.stateMats[w], msg, h, d.sg.OrigOutDeg[v:v+1], d.pools[w])
+	emitRow(em, &d.auxMats[w], &d.stateMats[w], msg, h, d.sg.OrigOutDeg[v:v+1], d.pools[w])
 	return msg
 }
 
@@ -616,9 +617,7 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 		bcSeen:    make([][]bool, opts.NumWorkers),
 		aggrs:     make([]gas.Aggregated, opts.NumWorkers),
 		stateMats: make([]tensor.Matrix, opts.NumWorkers),
-		msgMats:   make([]tensor.Matrix, opts.NumWorkers),
-		selfMats:  make([]tensor.Matrix, opts.NumWorkers),
-		efMats:    make([]tensor.Matrix, opts.NumWorkers),
+		auxMats:   make([]tensor.Matrix, opts.NumWorkers),
 		pools:     make([]*tensor.Pool, opts.NumWorkers),
 		states:    make([]*tensor.Matrix, opts.NumWorkers),
 		emits:     make([]*tensor.Matrix, opts.NumWorkers),
@@ -739,7 +738,7 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 			}
 			res.Logits.SetRow(v, val.h)
 			if res.Embeddings != nil {
-				res.Embeddings.SetRow(v, val.emb)
+				res.Embeddings.SetRow(v, val.aux)
 			}
 		}
 	}

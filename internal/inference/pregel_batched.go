@@ -87,8 +87,8 @@ func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) 
 	if e := d.emits[w]; e != nil {
 		// The rows this partition emitted for the layer last superstep: the
 		// live rows then, a prefix of which is live now.
-		d.selfMats[w] = tensor.Matrix{Rows: live.Rows, Cols: e.Cols, Data: e.Data[:live.Rows*e.Cols]}
-		aggr.Self = &d.selfMats[w]
+		d.auxMats[w] = tensor.Matrix{Rows: live.Rows, Cols: e.Cols, Data: e.Data[:live.Rows*e.Cols]}
+		aggr.Self = &d.auxMats[w]
 	}
 	out := gas.ApplyNodePooled(layer, live, aggr, pool)
 	releaseAggregated(pool, aggr)
