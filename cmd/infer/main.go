@@ -31,7 +31,7 @@ func main() {
 		bc      = flag.Bool("broadcast", false, "enable broadcast for hub out-edges")
 		sn      = flag.Bool("shadow-nodes", false, "enable shadow-nodes preprocessing")
 		part    = flag.String("partitioner", "hash", "vertex placement: hash | degree | ldg | fennel")
-		pipe    = flag.Bool("pipeline", false, "pipelined supersteps: overlap scatter/delivery with compute via chunked eager flushing and background inbox assembly (pregel backend, columnar plane; results bit-identical to the BSP path)")
+		pipe    = flag.Bool("pipeline", false, "pipelined supersteps: overlap scatter/delivery with compute via chunked eager flushing and background inbox assembly (pregel backend; results bit-identical to the BSP path)")
 		pipeCk  = flag.Int("pipeline-chunk", 0, "pipelined chunk size in owned vertices per seal (0 = engine default; any value is result-identical)")
 		pipeDp  = flag.Int("pipeline-depth", 0, "max in-flight sealed extents per receiver before senders block (0 = engine default; any value is result-identical)")
 		lambda  = flag.Float64("lambda", 0.1, "hub threshold heuristic λ")
@@ -39,7 +39,6 @@ func main() {
 		outPath = flag.String("out", "", "optional predictions output (one class id per line)")
 
 		parallel  = flag.Bool("parallel", true, "run workers on goroutines (results identical either way)")
-		perVertex = flag.Bool("per-vertex", false, "pin the pregel backend onto the per-vertex compute plane (results bit-identical to the batched plane)")
 		ckptDir   = flag.String("checkpoint-dir", "", "durable checkpoint directory (pregel backend): epochs are CRC-checksummed and atomically written, so a killed process can restart with -resume")
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint every n supersteps (0 = 2 when -checkpoint-dir is set, else off)")
 		ckptSync  = flag.String("checkpoint-sync", "always", "epoch durability: always (fsync per epoch, survives power loss) | never (no fsync; atomic epochs survive process crashes only)")
@@ -65,8 +64,7 @@ func main() {
 	opts := inferturbo.InferOptions{
 		NumWorkers: *workers, PartialGather: *pg, Broadcast: *bc,
 		ShadowNodes: *sn, Lambda: *lambda, SpillDir: *spill, Parallel: *parallel,
-		Partitioner: strat, PerVertexCompute: *perVertex,
-		Pipelined: *pipe, PipelineChunk: *pipeCk, PipelineDepth: *pipeDp,
+		Partitioner: strat, Pipelined: *pipe, PipelineChunk: *pipeCk, PipelineDepth: *pipeDp,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
 	}
 	switch *ckptSync {

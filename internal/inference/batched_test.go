@@ -10,123 +10,139 @@ import (
 	"inferturbo/internal/tensor"
 )
 
-// Plane-equivalence tests for the batched compute plane: partition-centric
-// ComputeBatch supersteps are a pure dispatch/fusion change, so against the
-// per-vertex plane (columnar and boxed) and the MapReduce backend they must
-// produce bit-identical logits — tensor.Matrix.Equal, not AllClose — plus
-// identical IO accounting, under every strategy combination, at every worker
-// count, serial and parallel.
+// Identity tests for the batched compute plane, the Pregel driver's one GNN
+// plane. Wherever the fold order is the reference forward's — no
+// partial-gather, whose sender-side combiner regroups float sums per sending
+// worker, and no shadow rewrite, which moves a hub's messages behind every
+// original source — its logits are ReferenceForward's bit for bit, at every
+// worker count, serial and parallel. Everywhere else they agree with the
+// reference and the MapReduce backend to the standing tolerance, and the
+// predicted classes match exactly.
 
-// runPlanes runs the same options on the three Pregel planes, returning
-// (batched, per-vertex columnar, boxed).
-func runPlanes(t *testing.T, m *gas.Model, g *graph.Graph, opts Options) (*Result, *Result, *Result) {
+// exactOrder reports whether opts keeps the reference forward's fold order.
+func exactOrder(o Options) bool { return !o.PartialGather && !o.ShadowNodes }
+
+// runSerialParallel runs opts serially and in parallel, requires the two
+// runs to agree bit for bit in logits and in every traffic count, and
+// returns the serial run.
+func runSerialParallel(t *testing.T, m *gas.Model, g *graph.Graph, opts Options) *Result {
 	t.Helper()
-	batched, err := RunPregel(m, g, opts)
+	opts.Parallel = false
+	serial, err := RunPregel(m, g, opts)
 	if err != nil {
-		t.Fatalf("%s batched: %v", comboName(opts), err)
+		t.Fatalf("%s serial: %v", comboName(opts), err)
 	}
-	pv := opts
-	pv.PerVertexCompute = true
-	perVertex, err := RunPregel(m, g, pv)
+	opts.Parallel = true
+	par, err := RunPregel(m, g, opts)
 	if err != nil {
-		t.Fatalf("%s per-vertex: %v", comboName(opts), err)
+		t.Fatalf("%s parallel: %v", comboName(opts), err)
 	}
-	bx := opts
-	bx.BoxedMessages = true
-	boxed, err := RunPregel(m, g, bx)
-	if err != nil {
-		t.Fatalf("%s boxed: %v", comboName(opts), err)
+	requireSameRun(t, comboName(opts)+" serial vs parallel", serial, par)
+	return serial
+}
+
+// requireReference checks res against the reference forward's logits ref:
+// bit for bit when exact, else to logitTol; the classes always exactly.
+func requireReference(t *testing.T, label string, res *Result, ref *tensor.Matrix, exact bool) {
+	t.Helper()
+	if exact {
+		assertBitIdentical(t, label, res.Logits, ref)
+	} else if !res.Logits.AllClose(ref, logitTol) {
+		t.Fatalf("%s: logits diverge from the reference: max diff %v", label, res.Logits.MaxAbsDiff(ref))
 	}
-	return batched, perVertex, boxed
+	want := tensor.ArgmaxRows(ref)
+	for v, c := range res.Classes {
+		if c != want[v] {
+			t.Fatalf("%s: class of node %d = %d, reference %d", label, v, c, want[v])
+		}
+	}
 }
 
 func TestBatchedPlaneBitIdenticalAllStrategies(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 230)
 	m := sageModel(t)
-	wantClasses := tensor.ArgmaxRows(ReferenceForward(m, g))
+	ref := ReferenceForward(m, g)
 	mr, err := RunMapReduce(m, g, Options{NumWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, parallel := range []bool{false, true} {
-			for _, opts := range strategyCombos(workers, parallel) {
-				batched, perVertex, boxed := runPlanes(t, m, g, opts)
-				if !batched.Logits.Equal(perVertex.Logits) {
-					t.Fatalf("%s: batched logits diverge from per-vertex: max diff %v",
-						comboName(opts), batched.Logits.MaxAbsDiff(perVertex.Logits))
-				}
-				if !batched.Logits.Equal(boxed.Logits) {
-					t.Fatalf("%s: batched logits diverge from boxed: max diff %v",
-						comboName(opts), batched.Logits.MaxAbsDiff(boxed.Logits))
-				}
-				// MapReduce folds each key group in shuffle-sort order, not
-				// Pregel's sender-worker delivery order, so cross-backend
-				// agreement is the repo's standing AllClose contract (see
-				// TestBackendsAgree) — predicted classes still match exactly.
-				if !batched.Logits.AllClose(mr.Logits, logitTol) {
-					t.Fatalf("%s: batched logits diverge from MapReduce: max diff %v",
-						comboName(opts), batched.Logits.MaxAbsDiff(mr.Logits))
-				}
-				bs, ps := batched.Stats, perVertex.Stats
-				if bs.MessagesSent != ps.MessagesSent || bs.BytesSent != ps.BytesSent ||
-					bs.BytesReceived != ps.BytesReceived || bs.CombinedAway != ps.CombinedAway ||
-					bs.BroadcastHubs != ps.BroadcastHubs || bs.Supersteps != ps.Supersteps {
-					t.Fatalf("%s: stats diverge between compute planes:\nbatched    %+v\nper-vertex %+v",
-						comboName(opts), bs, ps)
-				}
-				for v, c := range batched.Classes {
-					if c != wantClasses[v] {
-						t.Fatalf("%s: class of node %d = %d, reference %d", comboName(opts), v, c, wantClasses[v])
-					}
-				}
+		for _, opts := range strategyCombos(workers, false) {
+			res := runSerialParallel(t, m, g, opts)
+			requireReference(t, comboName(opts), res, ref, exactOrder(opts))
+			// MapReduce folds each key group in shuffle-sort order, not
+			// Pregel's sender-worker delivery order, so cross-backend
+			// agreement is the repo's standing AllClose contract (see
+			// TestBackendsAgree).
+			if !res.Logits.AllClose(mr.Logits, logitTol) {
+				t.Fatalf("%s: logits diverge from MapReduce: max diff %v",
+					comboName(opts), res.Logits.MaxAbsDiff(mr.Logits))
 			}
 		}
 	}
 }
 
 // TestBatchedPlaneFlopAccountingMatches: the batched plane's one AddCost per
-// worker per superstep must sum to exactly what the per-vertex plane charges
-// vertex by vertex, per worker.
+// worker per superstep must sum to exactly the analytic charge. Without
+// partial-gather, worker w pays layerNodeFlops per owned vertex and
+// layerMsgFlops per in-edge of an owned vertex, per layer; with it, combined
+// messages are charged at the sender instead, so only the total is fixed.
 func TestBatchedPlaneFlopAccountingMatches(t *testing.T) {
 	g := testGraph(t, datagen.SkewIn, 190)
 	m := sageModel(t)
-	opts := Options{NumWorkers: 4, PartialGather: true, Parallel: true}
-	batched, perVertex, _ := runPlanes(t, m, g, opts)
-	for w := range batched.Stats.WorkerFlops {
-		if batched.Stats.WorkerFlops[w] != perVertex.Stats.WorkerFlops[w] {
-			t.Fatalf("worker %d flops: batched %d, per-vertex %d",
-				w, batched.Stats.WorkerFlops[w], perVertex.Stats.WorkerFlops[w])
+	var nodeFlops, msgFlops int64
+	for _, l := range m.Layers {
+		nodeFlops += layerNodeFlops(l)
+		msgFlops += layerMsgFlops(l)
+	}
+	opts := Options{NumWorkers: 4, Parallel: true}
+	res, err := RunPregel(m, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := opts.withDefaults().partition(g)
+	want := make([]int64, opts.NumWorkers)
+	for v := int32(0); v < int32(g.NumNodes); v++ {
+		want[part.WorkerFor(v)] += nodeFlops + int64(g.InDegree(v))*msgFlops
+	}
+	for w, f := range res.Stats.WorkerFlops {
+		if f != want[w] {
+			t.Fatalf("worker %d flops %d, analytic %d", w, f, want[w])
 		}
-		if batched.Stats.WorkerBytesIn[w] != perVertex.Stats.WorkerBytesIn[w] ||
-			batched.Stats.WorkerInRecords[w] != perVertex.Stats.WorkerInRecords[w] {
-			t.Fatalf("worker %d IO diverges between planes", w)
-		}
+	}
+
+	opts.PartialGather = true
+	res, err = RunPregel(m, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.CombinedAway == 0 {
+		t.Fatal("nothing was combined")
+	}
+	var total int64
+	for _, f := range res.Stats.WorkerFlops {
+		total += f
+	}
+	if wantTotal := int64(g.NumNodes)*nodeFlops + int64(g.NumEdges)*msgFlops; total != wantTotal {
+		t.Fatalf("partial-gather flops %d, analytic %d", total, wantTotal)
 	}
 }
 
 // TestBatchedPlaneGAT covers the union-reduce path: the whole partition's
-// raw messages flow into one flat matrix with local destination indices and
-// attention runs once per worker instead of once per vertex.
+// emitted rows flow into attention once per worker. Union messages never
+// combine, so partial-gather keeps the reference order too.
 func TestBatchedPlaneGAT(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 180)
 	m := gatModel(t)
-	wantClasses := tensor.ArgmaxRows(ReferenceForward(m, g))
+	ref := ReferenceForward(m, g)
 	for _, workers := range []int{1, 4, 8} {
 		for _, opts := range []Options{
 			{NumWorkers: workers},
-			{NumWorkers: workers, PartialGather: true, Parallel: true},
-			{NumWorkers: workers, Broadcast: true, ShadowNodes: true, Parallel: true},
+			{NumWorkers: workers, PartialGather: true},
+			{NumWorkers: workers, Broadcast: true, ShadowNodes: true},
 		} {
-			batched, perVertex, boxed := runPlanes(t, m, g, opts)
-			if !batched.Logits.Equal(perVertex.Logits) || !batched.Logits.Equal(boxed.Logits) {
-				t.Fatalf("%s: GAT batched logits diverge from per-vertex/boxed", comboName(opts))
-			}
-			for v, c := range batched.Classes {
-				if c != wantClasses[v] {
-					t.Fatalf("%s: GAT class of node %d = %d, reference %d", comboName(opts), v, c, wantClasses[v])
-				}
-			}
+			res := runSerialParallel(t, m, g, opts)
+			requireReference(t, comboName(opts), res, ref, !opts.ShadowNodes)
 		}
 	}
 }
@@ -136,15 +152,15 @@ func TestBatchedPlaneGAT(t *testing.T) {
 func TestBatchedPlaneGCN(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 200)
 	m := gcnModel(t)
+	ref := ReferenceForward(m, g)
 	for _, opts := range []Options{
 		{NumWorkers: 1},
+		{NumWorkers: 4, Broadcast: true},
 		{NumWorkers: 4, PartialGather: true},
-		{NumWorkers: 8, PartialGather: true, Broadcast: true, ShadowNodes: true, Parallel: true},
+		{NumWorkers: 8, PartialGather: true, Broadcast: true, ShadowNodes: true},
 	} {
-		batched, perVertex, boxed := runPlanes(t, m, g, opts)
-		if !batched.Logits.Equal(perVertex.Logits) || !batched.Logits.Equal(boxed.Logits) {
-			t.Fatalf("%s: GCN batched logits diverge from per-vertex/boxed", comboName(opts))
-		}
+		res := runSerialParallel(t, m, g, opts)
+		requireReference(t, comboName(opts), res, ref, exactOrder(opts))
 	}
 }
 
@@ -156,31 +172,50 @@ func TestBatchedPlaneEdgeFeatures(t *testing.T) {
 		FeatureDim: 6, NumClasses: 3, Seed: 41, EdgeFeature: true,
 	})
 	m := gas.NewSAGEModel("sage-batch-ef", gas.TaskSingleLabel, 6, 8, 3, 2, 4, tensor.NewRNG(42))
+	ref := ReferenceForward(m, ds.Graph)
 	for _, opts := range []Options{
 		{NumWorkers: 1},
+		{NumWorkers: 4},
 		{NumWorkers: 4, PartialGather: true},
-		{NumWorkers: 8, PartialGather: true, ShadowNodes: true, Parallel: true},
+		{NumWorkers: 8, PartialGather: true, ShadowNodes: true},
 	} {
-		batched, perVertex, boxed := runPlanes(t, m, ds.Graph, opts)
-		if !batched.Logits.Equal(perVertex.Logits) || !batched.Logits.Equal(boxed.Logits) {
-			t.Fatalf("%s: edge-feature batched logits diverge", comboName(opts))
-		}
+		res := runSerialParallel(t, m, ds.Graph, opts)
+		requireReference(t, comboName(opts), res, ref, exactOrder(opts))
 	}
 }
 
-// TestBatchedEmbeddingsMatchPerVertex: the retained penultimate slab must
-// reproduce the per-vertex plane's retained h rows exactly, including for a
-// one-layer model where the embedding is the raw feature row.
-func TestBatchedEmbeddingsMatchPerVertex(t *testing.T) {
+// TestBatchedEmbeddingsMatchReference: the retained penultimate slab
+// matches the reference forward's penultimate state, and is bit-identical
+// across worker counts, serial, parallel and pipelined; for a one-layer
+// model it is the raw feature row.
+func TestBatchedEmbeddingsMatchReference(t *testing.T) {
 	g := testGraph(t, datagen.SkewIn, 140)
 	for _, m := range []*gas.Model{
 		sageModel(t),
 		gas.NewSAGEModel("sage-1l", gas.TaskSingleLabel, 8, 12, 4, 1, 0, tensor.NewRNG(9)),
 	} {
-		opts := Options{NumWorkers: 5, PartialGather: true, EmitEmbeddings: true}
-		batched, perVertex, _ := runPlanes(t, m, g, opts)
-		if !batched.Embeddings.Equal(perVertex.Embeddings) {
-			t.Fatalf("%s: batched embeddings diverge from per-vertex", m.Name)
+		var first *tensor.Matrix
+		for _, opts := range []Options{
+			{NumWorkers: 1},
+			{NumWorkers: 5, Parallel: true},
+			{NumWorkers: 3, Pipelined: true, PipelineChunk: 7},
+		} {
+			opts.EmitEmbeddings = true
+			res, err := RunPregel(m, g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s/w%d", m.Name, opts.NumWorkers)
+			if first == nil {
+				first = res.Embeddings
+				if m.NumLayers() == 1 {
+					assertBitIdentical(t, label, first, g.Features)
+				} else if want := referenceEmbeddings(m, g); !first.AllClose(want, logitTol) {
+					t.Fatalf("%s: embeddings diverge from the reference: max diff %v", label, first.MaxAbsDiff(want))
+				}
+				continue
+			}
+			assertBitIdentical(t, label, res.Embeddings, first)
 		}
 	}
 }
@@ -216,34 +251,6 @@ func TestBatchedRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPerVertexRecoveryByteIdentical: the checkpoint options must also hold
-// on the per-vertex planes, whose next-h slabs are deliberately left
-// unrecycled under checkpointing so snapshot aliases stay intact.
-func TestPerVertexRecoveryByteIdentical(t *testing.T) {
-	g := testGraph(t, datagen.SkewOut, 160)
-	m := sageModel(t)
-	for _, plane := range []Options{
-		{NumWorkers: 4, PartialGather: true, PerVertexCompute: true},
-		{NumWorkers: 4, PartialGather: true, BoxedMessages: true},
-	} {
-		clean, err := RunPregel(m, g, plane)
-		if err != nil {
-			t.Fatal(err)
-		}
-		crashed := plane
-		crashed.CheckpointEvery = 1
-		crashed.FailAtSuperstep = 2
-		rec, err := RunPregel(m, g, crashed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !clean.Logits.Equal(rec.Logits) {
-			t.Fatalf("per-vertex plane (boxed=%v) diverges after recovery: max diff %v",
-				plane.BoxedMessages, clean.Logits.MaxAbsDiff(rec.Logits))
-		}
-	}
-}
-
 // TestBatchedEmbeddingsSurviveRecovery: a crash on the final superstep
 // replays the embedding retention too.
 func TestBatchedEmbeddingsSurviveRecovery(t *testing.T) {
@@ -267,16 +274,15 @@ func TestBatchedEmbeddingsSurviveRecovery(t *testing.T) {
 }
 
 // TestGATEmitSurvivesRecovery: the rows a GAT owner emits at scatter and
-// reads back at its next apply — the batched plane's kept slab, the
-// per-vertex planes' kept row — are program state, so an in-process crash
-// replay and a durable resume must restore them to byte-identical logits.
+// reads back at its next apply — the driver's kept slab — are program
+// state, so an in-process crash replay and a durable resume must restore
+// them to byte-identical logits.
 func TestGATEmitSurvivesRecovery(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 180)
 	m := gatModel(t)
 	for _, opts := range []Options{
 		{NumWorkers: 4, Parallel: true, Broadcast: true},
-		{NumWorkers: 3, PerVertexCompute: true},
-		{NumWorkers: 3, BoxedMessages: true},
+		{NumWorkers: 3},
 		{NumWorkers: 4, Parallel: true, Pipelined: true, PipelineChunk: 5},
 	} {
 		clean, err := RunPregel(m, g, opts)

@@ -196,25 +196,16 @@ func (d *deltaDriver) recompute(w int, v int32, k int) bool {
 	return changed
 }
 
-// Compute implements pregel.VertexProgram — the per-vertex delta plane.
-func (d *deltaDriver) Compute(ctx *pregel.Context[deltaVtx, deltaPing], _ []deltaPing) {
-	k, v, w := ctx.Superstep, ctx.ID, ctx.WorkerID()
-	if k == 0 {
-		d.seedStep(ctx, v)
-		return
-	}
-	pinged := ctx.ColumnarInbox().Len() > 0
-	cost := layerNodeFlops(d.model.Layers[k-1])
-	if d.step(ctx, w, v, k, pinged) {
-		ctx.VoteToHalt()
-	}
-	ctx.AddCost(cost + int64(d.g.InDegree(v))*layerMsgFlops(d.model.Layers[k-1]))
+// Compute implements pregel.VertexProgram, which the engine requires of
+// every program; the delta pass runs on the batched plane only.
+func (d *deltaDriver) Compute(*pregel.Context[deltaVtx, deltaPing], []deltaPing) {
+	panic("inference: deltaDriver runs on the batched plane only")
 }
 
-// ComputeBatch implements pregel.BatchProgram — the batched delta plane. The
-// frontier restricts it to computed (active or pinged) rows of the
-// partition; everything else keeps its resident slab rows untouched. Work
-// per superstep is proportional to the surviving wave, not the partition.
+// ComputeBatch implements pregel.BatchProgram. The frontier restricts it to
+// computed (active or pinged) rows of the partition; everything else keeps
+// its resident slab rows untouched. Work per superstep is proportional to
+// the surviving wave, not the partition.
 func (d *deltaDriver) ComputeBatch(ctx *pregel.BatchContext[deltaVtx, deltaPing]) {
 	w, k := ctx.WorkerID(), ctx.Superstep
 	owned := ctx.Owned()
@@ -259,8 +250,7 @@ type deltaSnap struct {
 }
 
 // SnapshotProgState implements pregel.ProgramStater: the delta program keeps
-// all superstep-to-superstep state outside the engine's vertex values, on
-// both compute planes.
+// all superstep-to-superstep state outside the engine's vertex values.
 func (d *deltaDriver) SnapshotProgState() any {
 	s := &deltaSnap{
 		layers:    make([]*tensor.Matrix, len(d.layers)),

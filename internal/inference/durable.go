@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -8,68 +9,39 @@ import (
 	"inferturbo/internal/tensor"
 )
 
-// Durable checkpoint codec for the GNN driver: the byte form of vtxValue,
-// gnnMsg, and the batched plane's progSnap inside an epoch file. Floats
-// round-trip through their IEEE-754 bit patterns (checkpoint.AppendF32s), so
-// a resumed run recomputes from exactly the slices the killed run held —
-// the foundation of the crash-resume bit-identity guarantee.
+// Durable checkpoint codec for the GNN driver: the byte form of its progSnap
+// inside an epoch file. Floats round-trip through their IEEE-754 bit
+// patterns (checkpoint.AppendF32s), so a resumed run recomputes from exactly
+// the slabs the killed run held — the foundation of the crash-resume
+// bit-identity guarantee.
 
-// gnnCodec implements pregel.SnapshotCodec[vtxValue, gnnMsg].
+// gnnCodec implements pregel.SnapshotCodec[vtxValue, gnnMsg]. The driver
+// keeps no per-vertex values and sends no boxed messages, so its values
+// segment is empty and the engine, which encodes messages only on its boxed
+// plane, never calls the message methods. A values segment written by an
+// older build is skipped: DecodeProgState refuses that epoch by version.
 type gnnCodec struct{}
 
-func (gnnCodec) EncodeValues(dst []byte, vals []vtxValue) ([]byte, error) {
-	b := checkpoint.AppendU64(dst, uint64(len(vals)))
-	for _, v := range vals {
-		b = checkpoint.AppendF32s(b, v.h)
-		b = checkpoint.AppendF32s(b, v.aux)
-	}
-	return b, nil
-}
+var errBoxedMsgs = errors.New("inference: the GNN driver sends no boxed messages")
 
-func (gnnCodec) DecodeValues(data []byte, into []vtxValue) error {
-	r := checkpoint.NewReader(data)
-	n := int(r.U64())
-	if n != len(into) {
-		return fmt.Errorf("inference: checkpoint holds %d vertex values, engine has %d", n, len(into))
-	}
-	for i := range into {
-		into[i].h = r.F32s()
-		into[i].aux = r.F32s()
-		if len(into[i].aux) == 0 {
-			into[i].aux = nil
-		}
-	}
-	return r.Err()
-}
+func (gnnCodec) EncodeValues(dst []byte, _ []vtxValue) ([]byte, error) { return dst, nil }
 
-func (gnnCodec) EncodeMsgs(dst []byte, msgs []gnnMsg) ([]byte, error) {
-	b := checkpoint.AppendU64(dst, uint64(len(msgs)))
-	for _, m := range msgs {
-		b = checkpoint.AppendU32(b, uint32(m.Kind)|uint32(m.Reduce)<<8)
-		b = checkpoint.AppendU32(b, uint32(m.Src))
-		b = checkpoint.AppendU32(b, uint32(m.Count))
-		b = checkpoint.AppendF32s(b, m.Payload)
-	}
-	return b, nil
-}
+func (gnnCodec) DecodeValues([]byte, []vtxValue) error { return nil }
 
-func (gnnCodec) DecodeMsgs(data []byte) ([]gnnMsg, error) {
-	r := checkpoint.NewReader(data)
-	n := int(r.U64())
-	msgs := make([]gnnMsg, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var m gnnMsg
-		hdr := r.U32()
-		m.Kind, m.Reduce = uint8(hdr), uint8(hdr>>8)
-		m.Src = int32(r.U32())
-		m.Count = int32(r.U32())
-		if p := r.F32s(); len(p) > 0 {
-			m.Payload = p
-		}
-		msgs = append(msgs, m)
-	}
-	return msgs, r.Err()
-}
+func (gnnCodec) EncodeMsgs([]byte, []gnnMsg) ([]byte, error) { return nil, errBoxedMsgs }
+
+func (gnnCodec) DecodeMsgs([]byte) ([]gnnMsg, error) { return nil, errBoxedMsgs }
+
+// progStateVersion numbers EncodeProgState's layout: a version word, then
+// each worker's state, emit and embedding slabs. The two layouts before it
+// carried no version and opened with the worker count (states and embs per
+// worker; then states, emits and embs). The version word carries
+// progStateTag in its high half, which no worker count reaches, so
+// DecodeProgState reads any older layout as version 0 and refuses it.
+const (
+	progStateVersion = 1
+	progStateTag     = 0x504e4e47 // "GNNP"
+)
 
 // appendMatrix serializes one optional slab: a presence flag, then shape and
 // bit-exact float data. It grows b at most once, so a buffer reused from an
@@ -99,17 +71,15 @@ func readMatrix(r *checkpoint.Reader) *tensor.Matrix {
 	return &tensor.Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// EncodeProgState implements pregel.ProgramDiskStater for the batched
-// plane's per-worker state slabs (the progSnap a checkpoint carries).
+// EncodeProgState implements pregel.ProgramDiskStater for the driver's
+// per-worker slabs (the progSnap a checkpoint carries).
 func (d *pregelDriver) EncodeProgState(dst []byte, snap any) ([]byte, error) {
-	if snap == nil {
-		return dst, nil
-	}
 	s, ok := snap.(*progSnap)
 	if !ok {
 		return nil, fmt.Errorf("inference: unexpected program snapshot type %T", snap)
 	}
-	b := checkpoint.AppendU64(dst, uint64(len(s.states)))
+	b := checkpoint.AppendU64(dst, progStateTag<<32|progStateVersion)
+	b = checkpoint.AppendU64(b, uint64(len(s.states)))
 	for w := range s.states {
 		b = appendMatrix(b, s.states[w])
 		b = appendMatrix(b, s.emits[w])
@@ -118,12 +88,18 @@ func (d *pregelDriver) EncodeProgState(dst []byte, snap any) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeProgState implements pregel.ProgramDiskStater.
+// DecodeProgState implements pregel.ProgramDiskStater. An epoch of any other
+// layout version is an error naming both versions, never a misread slab.
 func (d *pregelDriver) DecodeProgState(data []byte) (any, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
 	r := checkpoint.NewReader(data)
+	word := r.U64()
+	v := uint64(0)
+	if word>>32 == progStateTag {
+		v = word & (1<<32 - 1)
+	}
+	if v != progStateVersion {
+		return nil, fmt.Errorf("inference: checkpoint program state version %d, want %d (written by another build; delete the checkpoint dir)", v, progStateVersion)
+	}
 	nw := int(r.U64())
 	if nw != d.opts.NumWorkers {
 		return nil, fmt.Errorf("inference: checkpoint program state has %d workers, run has %d", nw, d.opts.NumWorkers)

@@ -1,13 +1,16 @@
 package inference
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"inferturbo/internal/checkpoint"
 	"inferturbo/internal/datagen"
 	"inferturbo/internal/pregel"
+	"inferturbo/internal/tensor"
 )
 
 // corruptLatestEpoch flips a byte in the middle of the newest epoch file so
@@ -49,7 +52,7 @@ func TestDurableCheckpointStats(t *testing.T) {
 	}
 }
 
-// TestResumeFromDurableEpoch: for every compute/message plane, a resumed run
+// TestResumeFromDurableEpoch: serial, parallel and pipelined, a resumed run
 // over an existing checkpoint directory — with the newest epoch corrupted, so
 // resume falls back an epoch and recomputes the tail supersteps — produces
 // byte-identical predictions.
@@ -58,8 +61,7 @@ func TestResumeFromDurableEpoch(t *testing.T) {
 	m := sageModel(t)
 	planes := []Options{
 		{NumWorkers: 4, Parallel: true},
-		{NumWorkers: 4, PerVertexCompute: true},
-		{NumWorkers: 4, BoxedMessages: true},
+		{NumWorkers: 4},
 		{NumWorkers: 4, Parallel: true, Pipelined: true, PipelineChunk: 7},
 		{NumWorkers: 3, Broadcast: true, ShadowNodes: true, PartialGather: true, EmitEmbeddings: true},
 	}
@@ -119,7 +121,7 @@ func TestResumeColdStart(t *testing.T) {
 
 // TestFaultPlanInference: a multi-crash fault plan — including a superstep-0
 // crash the legacy FailAtSuperstep field cannot express — recovers to
-// byte-identical predictions on both compute planes.
+// byte-identical predictions, BSP and pipelined.
 func TestFaultPlanInference(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 180)
 	m := sageModel(t)
@@ -131,7 +133,7 @@ func TestFaultPlanInference(t *testing.T) {
 	}}
 	for _, opts := range []Options{
 		{NumWorkers: 4, Parallel: true},
-		{NumWorkers: 4, PerVertexCompute: true, Pipelined: true, Parallel: true},
+		{NumWorkers: 4, Pipelined: true, Parallel: true},
 	} {
 		clean, err := RunPregel(m, g, opts)
 		if err != nil {
@@ -167,6 +169,58 @@ func TestMapReduceRejectsDurableOptions(t *testing.T) {
 	} {
 		if _, err := RunMapReduce(m, g, opts); err == nil || !strings.Contains(err.Error(), "Pregel backend") {
 			t.Fatalf("durable options not rejected: %v", err)
+		}
+	}
+}
+
+// TestResumeRefusesUnversionedProgState: an in-pass epoch whose program
+// state has an older build's unversioned layout — the worker count, then
+// per worker the state and embedding slabs (and, in the layout after it,
+// the emitted slab between them) — is an error naming both versions, never
+// a resumed run over misread slabs.
+func TestResumeRefusesUnversionedProgState(t *testing.T) {
+	g := testGraph(t, datagen.SkewOut, 120)
+	m := sageModel(t)
+	for _, slabs := range []int{2, 3} {
+		dir := t.TempDir()
+		opts := Options{NumWorkers: 3, CheckpointDir: dir, CheckpointEvery: 1}
+		if _, err := RunPregel(m, g, opts); err != nil {
+			t.Fatal(err)
+		}
+		st, err := checkpoint.NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step, segs, found, err := st.Load()
+		if err != nil || !found {
+			t.Fatalf("no epoch to rewrite: found=%v err=%v", found, err)
+		}
+		old := checkpoint.AppendU64(nil, uint64(opts.NumWorkers))
+		for w := 0; w < opts.NumWorkers; w++ {
+			old = appendMatrix(old, tensor.New(40, 12))
+			for i := 1; i < slabs; i++ {
+				old = appendMatrix(old, nil)
+			}
+		}
+		rewritten := false
+		for i := range segs {
+			if segs[i].Name == "prog" {
+				segs[i].Data, rewritten = old, true
+			}
+		}
+		if !rewritten {
+			t.Fatal("epoch has no program-state segment")
+		}
+		if err := st.Save(step, segs); err != nil {
+			t.Fatal(err)
+		}
+		opts.Resume = true
+		res, err := RunPregel(m, g, opts)
+		if err == nil {
+			t.Fatalf("%d-slab layout: run succeeded (resumed=%v)", slabs, res.Stats.Resumed)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "version 0") || !strings.Contains(msg, fmt.Sprintf("want %d", progStateVersion)) {
+			t.Fatalf("%d-slab layout: error %q does not name both versions", slabs, msg)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"inferturbo/internal/datagen"
 	"inferturbo/internal/gas"
 	"inferturbo/internal/graph"
+	"inferturbo/internal/pregel"
 	"inferturbo/internal/tensor"
 )
 
@@ -44,32 +45,8 @@ func logitsCRC(m *tensor.Matrix) uint32 {
 }
 
 func TestGoldenGATLogitsCRC(t *testing.T) {
-	m, g := goldenGAT()
-	want := logitsCRC(ReferenceForward(m, g))
-	if runtime.GOARCH == "amd64" && want != goldenGATCRC {
-		t.Fatalf("ReferenceForward logits CRC %#08x, golden %#08x", want, goldenGATCRC)
-	}
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"batched/w8/parallel+broadcast", Options{NumWorkers: 8, Parallel: true, Broadcast: true}},
-		{"batched/w3/serial", Options{NumWorkers: 3}},
-		{"per-vertex/w4/broadcast", Options{NumWorkers: 4, PerVertexCompute: true, Broadcast: true}},
-		{"boxed/w4", Options{NumWorkers: 4, BoxedMessages: true}},
-		{"pipelined/w4/chunk7/parallel+broadcast", Options{NumWorkers: 4, Pipelined: true, PipelineChunk: 7, Parallel: true, Broadcast: true}},
-	} {
-		res, err := RunPregel(m, g, tc.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if tc.opts.Broadcast && res.Stats.BroadcastHubs == 0 {
-			t.Fatalf("%s: no hub took the broadcast path", tc.name)
-		}
-		if got := logitsCRC(res.Logits); got != want {
-			t.Errorf("%s: logits CRC %#08x, ReferenceForward %#08x", tc.name, got, want)
-		}
-	}
+	m, _ := goldenGAT()
+	assertGolden(t, m, goldenGATCRC)
 }
 
 // TestShadowNodesWithinTolerance pins what ShadowNodes promises: logits
@@ -106,13 +83,21 @@ type goldenPlane struct {
 	opts Options
 }
 
-// goldenPlanes are the five execution planes every golden asserts,
-// matching TestGoldenGATLogitsCRC's list.
+// goldenFaults crashes a golden run twice, so its logits come from
+// checkpoint recovery replays.
+var goldenFaults = &pregel.FaultPlan{Crashes: []pregel.Fault{
+	{Superstep: 1, Point: pregel.FaultAtBarrier},
+	{Superstep: 2, Point: pregel.FaultBeforeSuperstep},
+}}
+
+// goldenPlanes are the five runs every golden asserts: serial and parallel,
+// BSP and pipelined, with and without broadcast, and one recovered from
+// injected crashes.
 var goldenPlanes = []goldenPlane{
 	{"batched/w8/parallel+broadcast", Options{NumWorkers: 8, Parallel: true, Broadcast: true}},
 	{"batched/w3/serial", Options{NumWorkers: 3}},
-	{"per-vertex/w4/broadcast", Options{NumWorkers: 4, PerVertexCompute: true, Broadcast: true}},
-	{"boxed/w4", Options{NumWorkers: 4, BoxedMessages: true}},
+	{"batched/w4/serial+broadcast", Options{NumWorkers: 4, Broadcast: true}},
+	{"batched/w4/recovered", Options{NumWorkers: 4, CheckpointEvery: 1, Faults: goldenFaults}},
 	{"pipelined/w4/chunk7/parallel+broadcast", Options{NumWorkers: 4, Pipelined: true, PipelineChunk: 7, Parallel: true, Broadcast: true}},
 }
 
@@ -148,6 +133,9 @@ func assertGolden(t *testing.T, m *gas.Model, want uint32, extra ...Options) {
 		if tc.opts.PartialGather && res.Stats.CombinedAway == 0 {
 			t.Fatalf("%s: nothing was combined", tc.name)
 		}
+		if f := tc.opts.Faults; f != nil && res.Stats.Recoveries != len(f.Crashes) {
+			t.Fatalf("%s: %d recoveries, want %d", tc.name, res.Stats.Recoveries, len(f.Crashes))
+		}
 		if got := logitsCRC(res.Logits); got != ref {
 			t.Errorf("%s: logits CRC %#08x, ReferenceForward %#08x", tc.name, got, ref)
 		}
@@ -178,8 +166,7 @@ func TestGoldenSAGEMaxLogitsCRC(t *testing.T) {
 	}}
 	assertGolden(t, m, goldenSAGEMaxCRC,
 		Options{NumWorkers: 8, Parallel: true, PartialGather: true},
-		Options{NumWorkers: 4, PerVertexCompute: true, PartialGather: true},
-		Options{NumWorkers: 4, BoxedMessages: true, PartialGather: true})
+		Options{NumWorkers: 3, PartialGather: true})
 }
 
 func TestGoldenGCNLogitsCRC(t *testing.T) {

@@ -139,9 +139,9 @@ func checkHostile(t *testing.T, name string, m *gas.Model, clean, g *graph.Graph
 		}
 	}
 
-	for _, opts := range []Options{{NumWorkers: 3, Parallel: true}, {NumWorkers: 2, PerVertexCompute: true}} {
+	for _, opts := range []Options{{NumWorkers: 3, Parallel: true}, {NumWorkers: 2}} {
 		opts.DeltaCutover = 1.1 // pin the delta path
-		label := fmt.Sprintf("%s/session/per-vertex=%v", name, opts.PerVertexCompute)
+		label := fmt.Sprintf("%s/session/w%d", name, opts.NumWorkers)
 		sess, err := NewSession(m, clean, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -40,7 +40,7 @@ type Options struct {
 	// scope note: under PartialGather the sender-side combiner folds
 	// partial sums per sending worker, so cross-placement agreement is
 	// tolerance-level there (like cross-backend agreement), not bitwise;
-	// every fixed configuration remains deterministic and plane-identical.
+	// every fixed configuration remains deterministic.
 	Partitioner graph.Strategy
 	// PartialGather enables sender-side aggregation for layers whose reduce
 	// obeys the commutative/associative laws.
@@ -58,30 +58,12 @@ type Options struct {
 	HubThreshold int
 	// Parallel runs workers on goroutines; results are identical either way.
 	Parallel bool
-	// BoxedMessages forces the Pregel backend onto the legacy per-message
-	// object plane instead of the columnar zero-copy message plane. The two
-	// planes produce bit-identical predictions and IO stats; boxed exists
-	// for comparison benchmarks and the plane-equivalence tests, and costs
-	// one payload allocation per message. Boxed implies the per-vertex
-	// compute plane (there is no batched boxed path). MapReduce ignores
-	// this.
-	BoxedMessages bool
-	// PerVertexCompute pins the Pregel backend onto the classic
-	// one-Compute-call-per-vertex plane instead of the batched
-	// partition-centric plane that runs each worker's gather as one fused
-	// segment-reduce and each apply as one dense MatMul over the whole
-	// partition. The planes produce bit-identical predictions and IO stats;
-	// per-vertex exists for comparison benchmarks and the plane-equivalence
-	// tests. MapReduce ignores this.
-	PerVertexCompute bool
 	// Pipelined switches the Pregel backend onto the pipelined superstep
 	// plane: scatter and delivery overlap with compute through chunked eager
 	// flushing and background inbox assembly, shrinking the superstep
 	// barrier to a drain plus the ascending-source merge. Results, delivery
 	// order and IO stats are bit-identical to the BSP path at any chunk size
-	// and pipeline depth. Requires the columnar message plane (incompatible
-	// with BoxedMessages); works on both compute planes. MapReduce ignores
-	// this.
+	// and pipeline depth. MapReduce ignores this.
 	Pipelined bool
 	// PipelineChunk is the pipelined plane's chunk granularity in owned
 	// vertices (how often a worker seals and flushes its sends). 0 selects
@@ -92,8 +74,8 @@ type Options struct {
 	// until the receiver's background assembly catches up. 0 selects the
 	// engine default. Any value is result-identical.
 	PipelineDepth int
-	// CheckpointEvery snapshots Pregel engine state (including the batched
-	// plane's per-worker state slabs) every n supersteps, enabling recovery
+	// CheckpointEvery snapshots Pregel engine state (including the driver's
+	// per-worker state slabs) every n supersteps, enabling recovery
 	// from a worker failure. 0 disables checkpointing. MapReduce ignores
 	// this.
 	CheckpointEvery int
@@ -268,9 +250,9 @@ func (o Options) partition(g *graph.Graph) graph.Partitioner {
 }
 
 // vectorizeAggregateInto reduces n resolved payload vectors into a single
-// destination's aggregate a per the layer's reduce annotation — the shared
-// vectorization step of both backends (Pregel's gatherStage and MapReduce's
-// aggregate). payload(i) returns the i-th incoming message (always exactly
+// destination's aggregate a per the layer's reduce annotation — the
+// one-destination gather of MapReduce's aggregate and the Session's delta
+// recompute. payload(i) returns the i-th incoming message (always exactly
 // dim long by construction: scatter builds payloads at the layer's message
 // width and the combiners preserve length) and its folded contribution
 // count. a is caller-owned, so per-vertex hot loops reuse one scratch

@@ -437,30 +437,28 @@ func TestThresholdHeuristic(t *testing.T) {
 	}
 }
 
+// TestCombineMsgsSemantics pins the partial-gather combiner: it folds a
+// commutative reduce's payload into the accumulator row in place and sums
+// the contribution counts, and declines union messages and broadcast refs.
 func TestCombineMsgsSemantics(t *testing.T) {
-	a := gnnMsg{Kind: msgState, Reduce: uint8(gas.ReduceMean), Count: 2, Payload: []float32{1, 2}}
-	b := gnnMsg{Kind: msgState, Reduce: uint8(gas.ReduceMean), Count: 1, Payload: []float32{3, 4}}
-	got, ok := combineMsgs(a, b)
-	if !ok || got.Count != 3 || got.Payload[0] != 4 || got.Payload[1] != 6 {
-		t.Fatalf("mean combine = %+v ok=%v", got, ok)
+	acc, pay := []float32{1, 2}, []float32{3, 4}
+	n, ok := combineColumnar(colTag(msgState, uint8(gas.ReduceMean)), acc, pay, 2, 1)
+	if !ok || n != 3 || acc[0] != 4 || acc[1] != 6 {
+		t.Fatalf("mean combine = %v count %d ok=%v", acc, n, ok)
 	}
-	// Inputs must not be mutated (payloads can be shared across edges).
-	if a.Payload[0] != 1 || b.Payload[0] != 3 {
-		t.Fatal("combine mutated its inputs")
+	if pay[0] != 3 || pay[1] != 4 {
+		t.Fatal("combine mutated its payload (arena extents are shared across a fan)")
 	}
-	u := gnnMsg{Kind: msgState, Reduce: uint8(gas.ReduceUnion), Payload: []float32{1}}
-	if _, ok := combineMsgs(u, u); ok {
+	mx := []float32{5, 0}
+	if _, ok := combineColumnar(colTag(msgState, uint8(gas.ReduceMax)), mx, []float32{1, 9}, 1, 1); !ok || mx[0] != 5 || mx[1] != 9 {
+		t.Fatalf("max combine = %v ok=%v", mx, ok)
+	}
+	u := []float32{1}
+	if _, ok := combineColumnar(colTag(msgState, uint8(gas.ReduceUnion)), u, []float32{2}, 1, 1); ok || u[0] != 1 {
 		t.Fatal("union messages must not combine")
 	}
-	r := gnnMsg{Kind: msgBCRef}
-	if _, ok := combineMsgs(r, r); ok {
+	if _, ok := combineColumnar(colTag(msgBCRef, uint8(gas.ReduceSum)), nil, nil, 0, 0); ok {
 		t.Fatal("refs must not combine")
-	}
-	mx := gnnMsg{Kind: msgState, Reduce: uint8(gas.ReduceMax), Payload: []float32{5, 0}}
-	my := gnnMsg{Kind: msgState, Reduce: uint8(gas.ReduceMax), Payload: []float32{1, 9}}
-	gotMax, ok := combineMsgs(mx, my)
-	if !ok || gotMax.Payload[0] != 5 || gotMax.Payload[1] != 9 {
-		t.Fatalf("max combine = %+v", gotMax)
 	}
 }
 

@@ -19,11 +19,11 @@ func communityDataset(t *testing.T, nodes int, skew datagen.Skew) *graph.Graph {
 }
 
 // TestPlacementBitIdenticalPredictions is the tentpole invariant at the
-// driver level: logits are bit-identical across every placement strategy,
-// every compute/message plane, and every worker count — one shared
-// reference for all of them. (Partial-gather is excluded here: combining
-// regroups float sums per sender worker, so its guarantee is per-config
-// determinism plus plane equality, covered below and by the bench gate.)
+// driver level: logits are bit-identical across every placement strategy
+// and every worker count — one shared reference for all of them.
+// (Partial-gather is excluded here: combining regroups float sums per sender
+// worker, so its guarantee is per-config determinism, covered below and by
+// the bench gate.)
 func TestPlacementBitIdenticalPredictions(t *testing.T) {
 	g := communityDataset(t, 300, datagen.SkewIn)
 	m := sageModel(t)
@@ -34,24 +34,17 @@ func TestPlacementBitIdenticalPredictions(t *testing.T) {
 			if strat != nil {
 				name = strat.Name()
 			}
-			base := Options{NumWorkers: workers, Partitioner: strat, Parallel: true}
-			perVertex := base
-			perVertex.PerVertexCompute = true
-			boxed := base
-			boxed.BoxedMessages = true
-			for plane, opts := range map[string]Options{"batched": base, "per-vertex": perVertex, "boxed": boxed} {
-				res, err := RunPregel(m, g, opts)
-				if err != nil {
-					t.Fatalf("w%d/%s/%s: %v", workers, name, plane, err)
-				}
-				if ref == nil {
-					ref = res
-					continue
-				}
-				if !res.Logits.Equal(ref.Logits) {
-					t.Fatalf("w%d/%s/%s: logits not bit-identical to the w1/hash reference (max diff %v)",
-						workers, name, plane, res.Logits.MaxAbsDiff(ref.Logits))
-				}
+			res, err := RunPregel(m, g, Options{NumWorkers: workers, Partitioner: strat, Parallel: true})
+			if err != nil {
+				t.Fatalf("w%d/%s: %v", workers, name, err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if !res.Logits.Equal(ref.Logits) {
+				t.Fatalf("w%d/%s: logits not bit-identical to the w1/hash reference (max diff %v)",
+					workers, name, res.Logits.MaxAbsDiff(ref.Logits))
 			}
 		}
 	}

@@ -11,15 +11,15 @@ import (
 // Pipelined-plane equivalence tests: chunked eager flushing and background
 // inbox assembly are a pure scheduling change, so the pipelined plane must
 // produce bit-identical logits AND identical IO accounting against the BSP
-// columnar plane under every strategy combination, on both compute planes,
-// at multiple chunk sizes and pipeline depths — and recover byte-identically
-// from an injected mid-pipeline worker failure.
+// plane under every strategy combination, at multiple chunk sizes and
+// pipeline depths — and recover byte-identically from an injected
+// mid-pipeline worker failure.
 
 // requireSameRun asserts bit-identical logits and identical run stats.
 func requireSameRun(t *testing.T, label string, want, got *Result) {
 	t.Helper()
 	if !want.Logits.Equal(got.Logits) {
-		t.Fatalf("%s: logits diverge from the BSP plane: max diff %v",
+		t.Fatalf("%s: logits diverge: max diff %v",
 			label, want.Logits.MaxAbsDiff(got.Logits))
 	}
 	ws, gs := want.Stats, got.Stats
@@ -27,7 +27,7 @@ func requireSameRun(t *testing.T, label string, want, got *Result) {
 		ws.BytesReceived != gs.BytesReceived || ws.RemoteMessages != gs.RemoteMessages ||
 		ws.RemoteBytes != gs.RemoteBytes || ws.CombinedAway != gs.CombinedAway ||
 		ws.BroadcastHubs != gs.BroadcastHubs || ws.Supersteps != gs.Supersteps {
-		t.Fatalf("%s: stats diverge from the BSP plane:\nbsp       %+v\npipelined %+v", label, ws, gs)
+		t.Fatalf("%s: stats diverge:\nwant %+v\ngot  %+v", label, ws, gs)
 	}
 }
 
@@ -50,14 +50,7 @@ func TestPipelinedPlaneBitIdenticalAllStrategies(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s pipelined: %v", comboName(opts), err)
 					}
-					requireSameRun(t, fmt.Sprintf("%s/chunk=%d/batched", comboName(opts), chunk), bsp, pipe)
-					pv := po
-					pv.PerVertexCompute = true
-					pipePV, err := RunPregel(m, g, pv)
-					if err != nil {
-						t.Fatalf("%s pipelined per-vertex: %v", comboName(opts), err)
-					}
-					requireSameRun(t, fmt.Sprintf("%s/chunk=%d/per-vertex", comboName(opts), chunk), bsp, pipePV)
+					requireSameRun(t, fmt.Sprintf("%s/chunk=%d", comboName(opts), chunk), bsp, pipe)
 				}
 			}
 		}
@@ -88,49 +81,35 @@ func TestPipelinedPlacementBitIdentical(t *testing.T) {
 
 // TestPipelinedRecoveryByteIdentical is the checkpoint/recovery acceptance
 // test for the pipelined plane: FailAtSuperstep mid-pipeline must replay
-// byte-identically on both compute planes. Checkpoints fall between
+// byte-identically. Checkpoints fall between
 // supersteps, after every in-flight sealed extent has drained into the
 // snapshotted inbox, so the snapshot's in-flight state is complete by
 // construction.
 func TestPipelinedRecoveryByteIdentical(t *testing.T) {
 	g := testGraph(t, datagen.SkewIn, 240)
 	m := sageModel(t)
-	for _, perVertex := range []bool{false, true} {
-		opts := Options{
-			NumWorkers: 6, PartialGather: true, Parallel: true,
-			Pipelined: true, PipelineChunk: 7,
-			PerVertexCompute: perVertex,
-			CheckpointEvery:  1,
-		}
-		clean, err := RunPregel(m, g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		failing := opts
-		failing.FailAtSuperstep = 2
-		recovered, err := RunPregel(m, g, failing)
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("perVertex=%v", perVertex)
-		requireSameRun(t, label+"/recovered", clean, recovered)
-		// And the recovered pipelined run matches the BSP plane bit for bit.
-		bspOpts := opts
-		bspOpts.Pipelined, bspOpts.PipelineChunk, bspOpts.CheckpointEvery = false, 0, 0
-		bsp, err := RunPregel(m, g, bspOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameRun(t, label+"/vs-bsp", bsp, recovered)
+	opts := Options{
+		NumWorkers: 6, PartialGather: true, Parallel: true,
+		Pipelined: true, PipelineChunk: 7,
+		CheckpointEvery: 1,
 	}
-}
-
-// TestPipelinedRejectsBoxed: the pipelined plane has no boxed form; the
-// driver reports the conflict instead of panicking deep in the engine.
-func TestPipelinedRejectsBoxed(t *testing.T) {
-	g := testGraph(t, datagen.SkewOut, 60)
-	m := sageModel(t)
-	if _, err := RunPregel(m, g, Options{NumWorkers: 2, Pipelined: true, BoxedMessages: true}); err == nil {
-		t.Fatal("expected an error for Pipelined+BoxedMessages")
+	clean, err := RunPregel(m, g, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	failing := opts
+	failing.FailAtSuperstep = 2
+	recovered, err := RunPregel(m, g, failing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRun(t, "recovered", clean, recovered)
+	// And the recovered pipelined run matches the BSP plane bit for bit.
+	bspOpts := opts
+	bspOpts.Pipelined, bspOpts.PipelineChunk, bspOpts.CheckpointEvery = false, 0, 0
+	bsp, err := RunPregel(m, g, bspOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRun(t, "recovered vs bsp", bsp, recovered)
 }

@@ -3,7 +3,6 @@ package inference
 import (
 	"fmt"
 	"reflect"
-	"slices"
 
 	"inferturbo/internal/checkpoint"
 	"inferturbo/internal/cluster"
@@ -19,57 +18,6 @@ const (
 	msgBCRef                  // broadcast reference: look up Src in the worker table
 	msgBCPayload              // broadcast payload addressed to a worker mailbox
 )
-
-// gnnMsg is the Pregel message. Payload carries a state vector; for
-// commutative reduces under partial-gather it may be a pre-aggregated sum
-// (Count tracks how many contributions it folds, keeping mean exact).
-type gnnMsg struct {
-	Kind    uint8
-	Reduce  uint8
-	Src     int32
-	Count   int32
-	Payload []float32
-}
-
-// combineMsgs is the boxed-plane Pregel combiner implementing
-// partial-gather: messages for the same destination merge on the sender
-// side when the consuming layer's reduce is commutative/associative. Union
-// messages (GAT) and broadcast refs decline. The first merge copies a's
-// payload (a view of the sending vertex's state, which must not be mutated)
-// into an accumulator the combiner owns — marked by Src == -1, so every
-// later merge for the same destination accumulates in place instead of
-// allocating a fresh payload.
-func combineMsgs(a, b gnnMsg) (gnnMsg, bool) {
-	if a.Kind != msgState || b.Kind != msgState || a.Reduce != b.Reduce {
-		return a, false
-	}
-	kind := gas.ReduceKind(a.Reduce)
-	if !kind.Commutative() {
-		return a, false
-	}
-	acc := a.Payload
-	if a.Src != -1 {
-		acc = make([]float32, len(a.Payload))
-		copy(acc, a.Payload)
-	}
-	switch kind {
-	case gas.ReduceSum, gas.ReduceMean:
-		for i, v := range b.Payload {
-			acc[i] += v
-		}
-	case gas.ReduceMax:
-		for i, v := range b.Payload {
-			acc[i] = max32(acc[i], v)
-		}
-	case gas.ReduceMin:
-		for i, v := range b.Payload {
-			acc[i] = min32(acc[i], v)
-		}
-	default:
-		return a, false
-	}
-	return gnnMsg{Kind: msgState, Reduce: a.Reduce, Src: -1, Count: a.Count + b.Count, Payload: acc}, true
-}
 
 // Columnar kind tags: the engine's opaque kind byte carries the message
 // kind in the low 2 bits and the reduce annotation above them, so the
@@ -103,8 +51,7 @@ func combineColumnar(tag uint8, acc, pay []float32, accCount, payCount int32) (i
 	return accCount + payCount, true
 }
 
-// columnarBytes prices a columnar message from its tag and arena extent,
-// matching the boxed MessageBytes exactly so IO stats are plane-invariant.
+// columnarBytes prices a columnar message from its tag and arena extent.
 func columnarBytes(tag uint8, payloadLen int) int {
 	if tag&3 == msgBCRef {
 		return refBytes
@@ -126,34 +73,27 @@ func min32(a, b float32) float32 {
 	return b
 }
 
-// vtxValue is the per-vertex state: the current embedding h^k, which ends as
-// the logit vector after the last layer, and aux. During the pass aux is the
-// vertex's own emitted row when the next layer's apply reads it back
-// (gas.Emitter.SelfEmitted); after the last apply it is the retained
-// penultimate state when embeddings were requested.
-type vtxValue struct {
-	h   []float32
-	aux []float32
-}
+// vtxValue and gnnMsg carry nothing: vertex states live in the driver's
+// per-worker slabs and messages travel as columnar rows, so the engine's
+// per-vertex value array and its boxed message type are never read.
+type (
+	vtxValue struct{}
+	gnnMsg   struct{}
+)
 
-// pregelDriver executes a gas.Model layer-by-layer on the Pregel engine. It
-// runs on the engine's batched compute plane over columnar messages by
-// default: each worker's vertex states live in one row-major tensor.Matrix
-// slab, gather is one fused segment-reduce over the partition's whole CSR
-// inbox, and apply is a single (N_local x D) @ (D x D') MatMul per layer —
-// the dense-kernel data flow of the paper's pipeline, exercising the
-// parallel tensor kernels (see pregel_batched.go). The classic per-vertex
-// plane stays available behind Options.PerVertexCompute, and the boxed
-// message plane (which is always per-vertex) behind Options.BoxedMessages;
-// all three produce bit-identical predictions and IO stats.
+// pregelDriver executes a gas.Model layer-by-layer on the Pregel engine's
+// batched compute plane over columnar messages: each worker's vertex states
+// live in one row-major tensor.Matrix slab, gather is one fused
+// segment-reduce over the partition's whole CSR inbox, and apply is a single
+// (N_local x D) @ (D x D') MatMul per layer — the dense-kernel data flow of
+// the paper's pipeline, exercising the parallel tensor kernels (see
+// pregel_batched.go).
 type pregelDriver struct {
 	model     *gas.Model
 	sg        *ShadowGraph
 	opts      Options
 	threshold int
 	part      graph.Partitioner
-	columnar  bool
-	batched   bool
 
 	// Per-worker scratch (indexed by worker id; each worker touches only
 	// its own slot, so parallel execution is race-free).
@@ -161,11 +101,11 @@ type pregelDriver struct {
 	bcStep []int
 	bcHubs []int64
 	bcSeen [][]bool // destination-worker dedup scratch for broadcast hubs
-	// Per-worker reusable aggregate and matrix headers: the per-vertex
-	// gather/apply path wraps existing float slices thousands of times per
-	// superstep, so the wrappers live here instead of on the heap. auxMats
-	// wraps whatever a step needs beside the state — an emit's destination,
-	// an edge-feature row, the receivers' own emitted rows — one at a time.
+	// Per-worker reusable aggregate and matrix headers, so the row views a
+	// superstep wraps thousands of times live here instead of on the heap.
+	// auxMats wraps whatever a step needs beside the state — an emit's
+	// destination, an edge-feature row, the receivers' own emitted rows —
+	// one at a time.
 	aggrs     []gas.Aggregated
 	stateMats []tensor.Matrix
 	auxMats   []tensor.Matrix
@@ -173,12 +113,12 @@ type pregelDriver struct {
 	// recycles here instead of allocating every superstep.
 	pools []*tensor.Pool
 
-	// Batched plane: per-worker state slabs. states[w] is N_local x D_k with
-	// local vertex li's h^k in row li; emits[w] holds the rows emitted for a
-	// layer that reads them back, kept from scatter to the next apply;
-	// embs[w] retains the penultimate slab when embeddings were requested.
-	// resPays/resCounts are the broadcast-ref resolution scratch. msgRows is
-	// the per-row emit scratch of every plane.
+	// Per-worker state slabs. states[w] is N_local x D_k with local vertex
+	// li's h^k in row li; emits[w] holds the rows emitted for a layer that
+	// reads them back, kept from scatter to the next apply; embs[w] retains
+	// the penultimate slab when embeddings were requested. resPays/resCounts
+	// are the broadcast-ref resolution scratch, msgRows the per-row emit
+	// scratch.
 	states    []*tensor.Matrix
 	emits     []*tensor.Matrix
 	embs      []*tensor.Matrix
@@ -186,24 +126,9 @@ type pregelDriver struct {
 	resCounts [][]int32
 	msgRows   [][]float32
 
-	// Per-vertex plane: next-h rows are carved from one per-worker slab per
-	// superstep instead of allocated per vertex. Two generations stay live
-	// (the current superstep writes gen k while messages and apply read gen
-	// k-1); the k-2 slab recycles through the worker pool — unless
-	// checkpointing is on, where dropped slabs must stay intact because
-	// engine snapshots alias their rows.
-	hSlabs []hSlab
-	hStep  []int // ExecSeq of the worker's current slab generation
-
 	// live is the per-worker depth-pruning layout of a RunInduced pass; nil
 	// on every full pass.
 	live []liveRows
-}
-
-// hSlab is one worker's two-generation next-h slab state.
-type hSlab struct {
-	cur, prev *tensor.Matrix
-	next      int // row carve cursor into cur
 }
 
 // seenScratch returns worker w's cleared destination-worker scratch,
@@ -221,183 +146,19 @@ func (d *pregelDriver) seenScratch(w int) []bool {
 	return s
 }
 
-// Compute implements pregel.VertexProgram: superstep 0 initializes and
-// scatters h^0; superstep k applies layer k-1; the final superstep attaches
-// the prediction and halts.
-func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnnMsg) {
-	k := ctx.Superstep
-	numLayers := d.model.NumLayers()
-	if k == 0 {
-		// Initialization: raw features become h^0 (the paper's "transform
-		// raw node states into initial embeddings" is the identity here —
-		// feature encoders would slot in at this point).
-		ctx.Value.h = d.sg.G.Features.Row(int(ctx.ID))
-		if kd := d.keepDim(0); kd > 0 {
-			ctx.Value.aux = d.nextHRow(ctx, kd)
-		}
-		d.scatter(ctx, 0)
-		return
-	}
-
-	layer := d.model.Layers[k-1]
-	pool := d.pools[ctx.WorkerID()]
-	state := rowMat(&d.stateMats[ctx.WorkerID()], ctx.Value.h)
-	var aggr *gas.Aggregated
-	var received int
-	if d.columnar {
-		in := ctx.ColumnarInbox()
-		received = in.Len()
-		aggr = d.gatherColumnar(ctx, layer, in, pool)
-	} else {
-		received = len(msgs)
-		aggr = d.gatherStage(ctx, layer, msgs, pool)
-	}
-	if keepsEmit(layer) {
-		aggr.Self = rowMat(&d.auxMats[ctx.WorkerID()], ctx.Value.aux)
-	}
-	out := gas.ApplyNodePooled(layer, state, aggr, pool)
-	// The next state and, when the next layer reads it back, the row this
-	// vertex is about to emit share one carved row.
-	next := d.nextHRow(ctx, out.Cols+d.keepDim(k))
-	copy(next, out.Row(0))
-	ctx.Value.aux = next[out.Cols:]
-	if d.opts.EmitEmbeddings && k == numLayers {
-		ctx.Value.aux = ctx.Value.h // penultimate state, about to be replaced
-	}
-	ctx.Value.h = next[:out.Cols:out.Cols]
-	if d.opts.captureLayers != nil {
-		// Resident-state capture for the incremental Session: superstep k's
-		// output is layer k's state. Checkpoint replays rewrite identical
-		// rows, so capture composes with in-process fault recovery.
-		copy(d.opts.captureLayers[k].Row(int(ctx.ID)), ctx.Value.h)
-	}
-	pool.Put(out)
-	releaseAggregated(pool, aggr)
-	ctx.AddCost(layerNodeFlops(layer) + int64(received)*layerMsgFlops(layer))
-
-	if k == numLayers {
-		// Last superstep: the prediction slice of the model is attached
-		// here; h now holds the logits.
-		ctx.VoteToHalt()
-		return
-	}
-	d.scatter(ctx, k)
+// Compute implements pregel.VertexProgram, which the engine requires of
+// every program; the driver runs on the batched plane only (ComputeBatch).
+func (d *pregelDriver) Compute(*pregel.Context[vtxValue, gnnMsg], []gnnMsg) {
+	panic("inference: pregelDriver runs on the batched plane only")
 }
 
-// keepDim is the width of the row a vertex keeps after scattering for
-// Layers[k]: the layer's message when its apply reads it back, else 0 (and
-// 0 past the last layer).
-func (d *pregelDriver) keepDim(k int) int {
-	if k < d.model.NumLayers() && keepsEmit(d.model.Layers[k]) {
-		return emitterOf(d.model.Layers[k]).MsgDim()
-	}
-	return 0
-}
-
-// nextHRow returns the row the current vertex's next state is written to,
-// carved from the worker's per-superstep slab — one pool draw per worker
-// per superstep instead of one allocation per vertex. The first Compute of
-// a worker's superstep rotates generations: the slab whose rows no message
-// or apply can still reference (gen k-2; gen k-1 backs this superstep's
-// reads and any in-flight boxed payloads) returns to the worker pool.
-// Under checkpointing the retired slab is dropped to the GC instead: every
-// generation is written exactly once, so engine snapshots — which alias
-// value slices into these rows — stay intact for replay.
-func (d *pregelDriver) nextHRow(ctx *pregel.Context[vtxValue, gnnMsg], cols int) []float32 {
-	w := ctx.WorkerID()
-	s := &d.hSlabs[w]
-	if d.hStep[w] != ctx.ExecSeq() {
-		d.hStep[w] = ctx.ExecSeq()
-		if d.opts.CheckpointEvery == 0 {
-			d.pools[w].Put(s.prev)
-		}
-		s.prev = s.cur
-		s.cur = d.pools[w].GetNoZero(d.part.OwnedCount(w, d.sg.G.NumNodes), cols)
-		s.next = 0
-	}
-	row := s.cur.Row(s.next)
-	s.next++
-	return row
-}
-
-// gatherStage is gather_nbrs + aggregate: vectorize received messages
-// (resolving broadcast references through the worker's broadcast index) and
-// reduce them per the layer's annotation. Aggregate buffers come from the
-// worker's pool; the caller releases them via releaseAggregated once
-// apply_node is done.
-func (d *pregelDriver) gatherStage(ctx *pregel.Context[vtxValue, gnnMsg], layer gas.Conv, msgs []gnnMsg, pool *tensor.Pool) *gas.Aggregated {
-	table := d.bcBoxed(ctx)
-	dim := layer.InDim()
-
-	resolve := func(m gnnMsg) ([]float32, int32) {
-		switch m.Kind {
-		case msgState:
-			return m.Payload, m.Count
-		case msgBCRef:
-			p, ok := table.get(m.Src)
-			if !ok {
-				panic(fmt.Sprintf("inference: broadcast payload for node %d missing on worker %d", m.Src, ctx.WorkerID()))
-			}
-			return p, 1
-		default:
-			panic(fmt.Sprintf("inference: unexpected message kind %d at vertex", m.Kind))
-		}
-	}
-
-	return vectorizeAggregateInto(&d.aggrs[ctx.WorkerID()], layer.Reduce(), dim, len(msgs), func(i int) ([]float32, int32) {
-		return resolve(msgs[i])
-	}, pool)
-}
-
-// gatherColumnar is gatherStage for the columnar plane: message fields are
-// read straight out of the inbox's column views (payloads are arena
-// extents, never re-boxed), with broadcast references resolved through the
-// broadcast index.
-func (d *pregelDriver) gatherColumnar(ctx *pregel.Context[vtxValue, gnnMsg], layer gas.Conv, in pregel.Batch, pool *tensor.Pool) *gas.Aggregated {
-	table := d.bcColumnar(ctx.WorkerID(), ctx.ExecSeq(), ctx.ColumnarWorkerMail())
-	dim := layer.InDim()
-	return vectorizeAggregateInto(&d.aggrs[ctx.WorkerID()], layer.Reduce(), dim, in.Len(), func(i int) ([]float32, int32) {
-		switch in.Kinds[i] & 3 {
-		case msgState:
-			return in.Payloads[i], in.Counts[i]
-		case msgBCRef:
-			p, ok := table.get(in.Srcs[i])
-			if !ok {
-				panic(fmt.Sprintf("inference: broadcast payload for node %d missing on worker %d", in.Srcs[i], ctx.WorkerID()))
-			}
-			return p, 1
-		default:
-			panic(fmt.Sprintf("inference: unexpected message kind %d at vertex", in.Kinds[i]&3))
-		}
-	}, pool)
-}
-
-// bcBoxed lazily rebuilds worker w's broadcast index for the current
-// superstep from its boxed mailbox. Both rebuild caches key on ExecSeq, not
-// Superstep: a checkpoint-recovery replay revisits superstep numbers with
-// rebuilt mailboxes, and the pre-failure payload views would point into
+// bcTable lazily rebuilds worker w's broadcast index for the current
+// superstep from its columnar worker mailbox. The index holds zero-copy
+// payload views valid for the current superstep only, so the cache keys on
+// ExecSeq, not Superstep: a checkpoint-recovery replay revisits superstep
+// numbers with rebuilt mailboxes, and the pre-failure views would point into
 // recycled storage.
-func (d *pregelDriver) bcBoxed(ctx *pregel.Context[vtxValue, gnnMsg]) *bcIndex {
-	w := ctx.WorkerID()
-	t := &d.bcTabs[w]
-	if d.bcStep[w] == ctx.ExecSeq() {
-		return t
-	}
-	t.reset()
-	n := d.sg.G.NumNodes
-	for _, m := range ctx.WorkerMail() {
-		if m.Kind == msgBCPayload {
-			t.put(n, m.Src, m.Payload)
-		}
-	}
-	d.bcStep[w] = ctx.ExecSeq()
-	return t
-}
-
-// bcColumnar is bcBoxed over a columnar mailbox; shared by the per-vertex
-// and batched planes. The index holds zero-copy payload views valid for the
-// current superstep only.
-func (d *pregelDriver) bcColumnar(w, execSeq int, mail pregel.Batch) *bcIndex {
+func (d *pregelDriver) bcTable(w, execSeq int, mail pregel.Batch) *bcIndex {
 	t := &d.bcTabs[w]
 	if d.bcStep[w] == execSeq {
 		return t
@@ -413,60 +174,20 @@ func (d *pregelDriver) bcColumnar(w, execSeq int, mail pregel.Batch) *bcIndex {
 	return t
 }
 
-// colSender is the columnar messaging surface shared by the per-vertex
-// Context and the batched BatchContext (and, through boxedSender, the boxed
-// plane). Every plane routes its scatter through scatterColumnar against
-// this interface, so the bit-identity argument between planes reduces to
-// "same function, called for the same vertices in the same order".
+// colSender is the columnar messaging surface of pregel.BatchContext, which
+// the GNN driver and the Session's delta driver instantiate over different
+// value and message types.
 type colSender interface {
 	SendColumnar(dst int32, kind uint8, src, count int32, payload []float32)
 	SendColumnarFan(dsts []int32, kind uint8, src, count int32, payload []float32)
 	SendColumnarToWorker(w int, kind uint8, src, count int32, payload []float32)
 }
 
-// boxedSender adapts the boxed plane's Context to colSender. Where a
-// columnar send copies its payload into the arena, a boxed send gives the
-// message its own copy — one per call, which a fan's destinations share
-// (the combiner copies before mutating) — so the payload may be scratch.
-type boxedSender struct {
-	ctx *pregel.Context[vtxValue, gnnMsg]
-}
-
-func boxedMsg(tag uint8, src, count int32, payload []float32) gnnMsg {
-	return gnnMsg{Kind: tag & 3, Reduce: tag >> 2, Src: src, Count: count, Payload: slices.Clone(payload)}
-}
-
-func (s boxedSender) SendColumnar(dst int32, tag uint8, src, count int32, payload []float32) {
-	s.ctx.SendMessage(dst, boxedMsg(tag, src, count, payload))
-}
-
-func (s boxedSender) SendColumnarFan(dsts []int32, tag uint8, src, count int32, payload []float32) {
-	m := boxedMsg(tag, src, count, payload)
-	for _, dst := range dsts {
-		s.ctx.SendMessage(dst, m)
-	}
-}
-
-func (s boxedSender) SendColumnarToWorker(w int, tag uint8, src, count int32, payload []float32) {
-	s.ctx.SendToWorker(w, boxedMsg(tag, src, count, payload))
-}
-
-// scatter is emit + apply_edge + scatter_nbrs for the messages consumed by
-// Layers[k] in the next superstep, on either per-vertex message plane.
-func (d *pregelDriver) scatter(ctx *pregel.Context[vtxValue, gnnMsg], k int) {
-	var send colSender = ctx
-	if !d.columnar {
-		send = boxedSender{ctx}
-	}
-	w := ctx.WorkerID()
-	d.scatterColumnar(send, w, ctx.ID, d.vertexMsg(w, ctx.ID, ctx.Value.h, ctx.Value.aux, k), k)
-}
-
 // scatterColumnar scatters one vertex's wire message h (see vertexMsg): the
-// strategy logic (hub decision, destination-worker dedup, per-edge
-// apply_edge with pooled results) shared by every plane. Every send copies
-// its payload, so h — including an emit scratch row — stays reusable the
-// moment the call returns.
+// strategy logic — hub decision, destination-worker dedup, per-edge
+// apply_edge with pooled results. Every send copies its payload, so h —
+// including an emit scratch row — stays reusable the moment the call
+// returns.
 func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float32, k int) {
 	sendLayer := d.model.Layers[k]
 	dsts, eids := d.sg.G.OutNeighbors(v), d.sg.G.OutEdgeIDs(v)
@@ -515,23 +236,20 @@ func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float
 	}
 }
 
-// vertexMsg returns vertex v's wire message for Layers[k] from its state h:
-// h itself when the layer does not emit, else the layer's Emit through the
-// serial 1-row kernel — into keep, the vertex's kept row, when the layer
-// reads its rows back, else into worker w's scratch row. Mirrors emit with
-// the original node's out-degree so shadow-nodes stays result-neutral.
-func (d *pregelDriver) vertexMsg(w int, v int32, h, keep []float32, k int) []float32 {
+// vertexMsg returns vertex v's wire message for Layers[k], a layer that
+// does not read its emitted rows back, from its state h: h itself when the
+// layer does not emit, else the layer's Emit through the serial 1-row kernel
+// into worker w's scratch row. Emits with the original node's out-degree so
+// shadow-nodes stays result-neutral.
+func (d *pregelDriver) vertexMsg(w int, v int32, h []float32, k int) []float32 {
 	em := emitterOf(d.model.Layers[k])
 	if em == nil {
 		return h
 	}
-	msg := keep
-	if !em.SelfEmitted() {
-		if cap(d.msgRows[w]) < em.MsgDim() {
-			d.msgRows[w] = make([]float32, em.MsgDim())
-		}
-		msg = d.msgRows[w][:em.MsgDim()]
+	if cap(d.msgRows[w]) < em.MsgDim() {
+		d.msgRows[w] = make([]float32, em.MsgDim())
 	}
+	msg := d.msgRows[w][:em.MsgDim()]
 	emitRow(em, &d.auxMats[w], &d.stateMats[w], msg, h, d.sg.OrigOutDeg[v:v+1], d.pools[w])
 	return msg
 }
@@ -581,9 +299,6 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 	if err := validateModelGraph(model, g); err != nil {
 		return nil, err
 	}
-	if opts.Pipelined && opts.BoxedMessages {
-		return nil, fmt.Errorf("inference: Pipelined requires the columnar message plane (unset BoxedMessages)")
-	}
 	if opts.captureLayers != nil && opts.ShadowNodes {
 		return nil, fmt.Errorf("inference: layer capture is incompatible with ShadowNodes")
 	}
@@ -609,8 +324,6 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 		opts:      opts,
 		threshold: threshold,
 		part:      opts.partition(sg.G),
-		columnar:  !opts.BoxedMessages,
-		batched:   !opts.BoxedMessages && !opts.PerVertexCompute,
 		bcTabs:    make([]bcIndex, opts.NumWorkers),
 		bcStep:    make([]int, opts.NumWorkers),
 		bcHubs:    make([]int64, opts.NumWorkers),
@@ -625,12 +338,9 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 		resPays:   make([][][]float32, opts.NumWorkers),
 		resCounts: make([][]int32, opts.NumWorkers),
 		msgRows:   make([][]float32, opts.NumWorkers),
-		hSlabs:    make([]hSlab, opts.NumWorkers),
-		hStep:     make([]int, opts.NumWorkers),
 	}
 	for i := range driver.bcStep {
 		driver.bcStep[i] = -1
-		driver.hStep[i] = -1
 		driver.pools[i] = tensor.NewPool()
 	}
 	if ind != nil {
@@ -642,7 +352,7 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 		Partitioner:      driver.part,
 		MaxSupersteps:    model.NumLayers() + 1,
 		Parallel:         opts.Parallel,
-		Batched:          driver.batched,
+		Batched:          true,
 		Pipelined:        opts.Pipelined,
 		ChunkSize:        opts.PipelineChunk,
 		PipelineDepth:    opts.PipelineDepth,
@@ -653,36 +363,24 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 		SuperstepHook:    opts.SuperstepHook,
 		Cancel:           opts.Cancel,
 	}
-	if driver.columnar {
-		ops := &pregel.ColumnarOps{Bytes: columnarBytes}
-		if opts.PartialGather {
-			ops.Combine = combineColumnar
-		}
-		// Pre-size send buffers for the expected steady state: one message
-		// per edge spreads edges/workers² headers per sender→receiver pair.
-		// Fanned identity payloads dedup the arena well below msgs × dim, so
-		// the float reserve stays at half that bound.
-		maxDim := model.InDim()
-		for _, l := range model.Layers {
-			if l.OutDim() > maxDim {
-				maxDim = l.OutDim()
-			}
-		}
-		perBuf := sg.G.NumEdges/(opts.NumWorkers*opts.NumWorkers) + 1
-		ops.ReserveMsgs = perBuf
-		ops.ReserveFloats = perBuf*maxDim/2 + maxDim
-		cfg.Columnar = ops
-	} else {
-		cfg.MessageBytes = func(m gnnMsg) int {
-			if m.Kind == msgBCRef {
-				return refBytes
-			}
-			return payloadBytes(len(m.Payload))
-		}
-		if opts.PartialGather {
-			cfg.Combiner = combineMsgs
+	ops := &pregel.ColumnarOps{Bytes: columnarBytes}
+	if opts.PartialGather {
+		ops.Combine = combineColumnar
+	}
+	// Pre-size send buffers for the expected steady state: one message per
+	// edge spreads edges/workers² headers per sender→receiver pair. Fanned
+	// identity payloads dedup the arena well below msgs × dim, so the float
+	// reserve stays at half that bound.
+	maxDim := model.InDim()
+	for _, l := range model.Layers {
+		if l.OutDim() > maxDim {
+			maxDim = l.OutDim()
 		}
 	}
+	perBuf := sg.G.NumEdges/(opts.NumWorkers*opts.NumWorkers) + 1
+	ops.ReserveMsgs = perBuf
+	ops.ReserveFloats = perBuf*maxDim/2 + maxDim
+	cfg.Columnar = ops
 
 	eng := pregel.NewEngine[vtxValue, gnnMsg](pregel.GraphTopology{G: sg.G}, driver, cfg)
 	resumed := false
@@ -711,35 +409,22 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 		}
 		res.Embeddings = tensor.New(g.NumNodes, embDim)
 	}
-	if driver.batched {
-		// Batched plane: final states live in the per-worker slabs, row li
-		// holding the vertex with local index li.
-		for w, st := range driver.states {
-			if st.Cols != model.NumClasses {
-				return nil, fmt.Errorf("inference: worker %d finished with dim %d, want %d classes", w, st.Cols, model.NumClasses)
-			}
+	// Final states live in the per-worker slabs, row li holding the vertex
+	// with local index li.
+	for w, st := range driver.states {
+		if st.Cols != model.NumClasses {
+			return nil, fmt.Errorf("inference: worker %d finished with dim %d, want %d classes", w, st.Cols, model.NumClasses)
 		}
-		for v := 0; v < g.NumNodes; v++ {
-			w, li := driver.part.WorkerFor(int32(v)), driver.part.LocalIndex(int32(v))
-			r, ok := driver.slabRow(w, li, model.NumLayers())
-			if !ok {
-				continue // pruned: the row stays zero
-			}
-			res.Logits.SetRow(v, driver.states[w].Row(r))
-			if res.Embeddings != nil {
-				res.Embeddings.SetRow(v, driver.embs[w].Row(li))
-			}
+	}
+	for v := 0; v < g.NumNodes; v++ {
+		w, li := driver.part.WorkerFor(int32(v)), driver.part.LocalIndex(int32(v))
+		r, ok := driver.slabRow(w, li, model.NumLayers())
+		if !ok {
+			continue // pruned: the row stays zero
 		}
-	} else {
-		for v := 0; v < g.NumNodes; v++ {
-			val := eng.VertexValue(int32(v))
-			if len(val.h) != model.NumClasses {
-				return nil, fmt.Errorf("inference: node %d finished with dim %d, want %d classes", v, len(val.h), model.NumClasses)
-			}
-			res.Logits.SetRow(v, val.h)
-			if res.Embeddings != nil {
-				res.Embeddings.SetRow(v, val.aux)
-			}
+		res.Logits.SetRow(v, driver.states[w].Row(r))
+		if res.Embeddings != nil {
+			res.Embeddings.SetRow(v, driver.embs[w].Row(li))
 		}
 	}
 	res.finalize(model)

@@ -12,7 +12,7 @@ import (
 	"inferturbo/internal/tensor"
 )
 
-// The batched compute plane of the Pregel GNN driver: pregel.BatchProgram
+// The compute plane of the Pregel GNN driver: pregel.BatchProgram
 // implemented as partition-granularity gather/apply/scatter, the data flow
 // the paper's vectorized GAS stages describe. Per-vertex work fuses into a
 // handful of dense kernel calls per worker per superstep:
@@ -21,25 +21,23 @@ import (
 //	          (tensor.SegmentSumViewsInto / SegmentExtremeViewsInto over
 //	          zero-copy arena views), or for Union the payload views as is
 //	apply   — one pooled (N_local x D) @ (D x D') apply_node over the state
-//	          slab, driving the parallel MatMul kernels that the per-vertex
-//	          plane's 1 x D calls always kept below ParallelThreshold
+//	          slab, driving the parallel MatMul kernels
 //	scatter — for a layer that reads its emitted rows back (GAT), one
-//	          pooled emit over the slab, kept for the next apply; then the
-//	          shared scatterColumnar walked over slab rows in owned-vertex
-//	          order
+//	          pooled emit over the slab, kept for the next apply; then
+//	          scatterColumnar walked over slab rows in owned-vertex order
 //
 // Vertex states live in one row-major tensor.Matrix slab per worker (row li
 // = local vertex index li, the same dense index the inbox CSR uses), drawn
 // from the worker's pool and recycled every superstep.
 //
-// Bit-identity with the per-vertex plane holds because every fused stage
-// preserves per-vertex operand order: segment reduces fold each vertex's
-// inbox range in delivery order (the order vectorizeAggregateInto consumed),
-// the MatMul kernels accumulate each output row independently in ascending-k
-// order regardless of row count, and scatter issues the same sends in the
-// same vertex order through the same code path. One goroutine owns each slab
-// row end to end, so parallel execution cannot reorder anything a row
-// observes.
+// Bit-identity with the reference forward, across worker counts and
+// placements, holds because every fused stage preserves per-vertex operand
+// order: segment reduces fold each vertex's inbox range in delivery order
+// (ascending source, placement-independent), the MatMul kernels accumulate
+// each output row independently in ascending-k order regardless of row
+// count, and scatter issues each vertex's sends in owned-vertex order. One
+// goroutine owns each slab row end to end, so parallel execution cannot
+// reorder anything a row observes.
 
 // ComputeBatch implements pregel.BatchProgram: superstep 0 materializes the
 // feature slab and scatters h^0; superstep k applies layer k-1 to the whole
@@ -122,10 +120,9 @@ func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) 
 // shot: resolve every inbox message to a payload view (broadcast references
 // through the worker's dense index), then segment-reduce the CSR directly
 // into an N_local x D aggregate. No payload is copied for pooled reduces —
-// the kernels read the arena extents in place, in delivery order, exactly
-// the order the per-vertex vectorizeAggregateInto folds. On a pruned pass
-// the aggregate covers the live slab rows only (see liveRows.compact). It
-// also returns how many messages the aggregate folds.
+// the kernels read the arena extents in place, in delivery order. On a
+// pruned pass the aggregate covers the live slab rows only (see
+// liveRows.compact). It also returns how many messages the aggregate folds.
 func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], layer gas.Conv, off []int32, in pregel.Batch) (*gas.Aggregated, int) {
 	w := ctx.WorkerID()
 	pool := d.pools[w]
@@ -145,7 +142,7 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 			}
 		}
 		if hasRef {
-			table := d.bcColumnar(w, ctx.ExecSeq(), ctx.ColumnarWorkerMail())
+			table := d.bcTable(w, ctx.ExecSeq(), ctx.ColumnarWorkerMail())
 			rp, rc := d.resPays[w], d.resCounts[w]
 			if cap(rp) < n {
 				rp = make([][]float32, n)
@@ -215,7 +212,7 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 			}
 			a.Counts[li] = c
 			if kind == gas.ReduceMean && c > 0 {
-				// Same op order as the per-vertex fold: multiply by the
+				// Same op order as the reference fold: multiply by the
 				// reciprocal, never divide.
 				inv := 1 / float32(c)
 				row := pooled.Row(li)
@@ -234,16 +231,12 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 }
 
 // scatterBatch walks the partition's slab rows in owned-vertex order through
-// the shared columnar scatter — the same sends, in the same order, that the
-// per-vertex plane issues, so send buffers (and therefore combiner merges
-// and delivery order) are identical between planes. A layer that reads its
-// emitted rows back has them emitted first, for every live row in one
-// pooled call, and keeps them for the next apply; other emitters write one
-// row at a time into scratch, as the per-vertex plane does. On the
-// pipelined plane the walk seals and flushes at the engine's chunk cadence
-// (the same cadence the per-vertex plane seals at automatically), letting
-// receivers assemble this partition's extents while later rows are still
-// scattering.
+// scatterColumnar. A layer that reads its emitted rows back has them emitted
+// first, for every live row in one pooled call, and keeps them for the next
+// apply; other emitters write one row at a time into scratch. On the
+// pipelined plane the walk seals and flushes at the engine's chunk cadence,
+// letting receivers assemble this partition's extents while later rows are
+// still scattering.
 func (d *pregelDriver) scatterBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], k int) {
 	w := ctx.WorkerID()
 	st := d.states[w]
@@ -260,7 +253,7 @@ func (d *pregelDriver) scatterBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], 
 			if kept != nil {
 				msg = kept.Row(r)
 			} else {
-				msg = d.vertexMsg(w, v, st.Row(r), nil, k)
+				msg = d.vertexMsg(w, v, st.Row(r), k)
 			}
 			d.scatterColumnar(ctx, w, v, msg, k)
 		}
@@ -361,38 +354,28 @@ func (lr *liveRows) compact(k int, off []int32, pays [][]float32, counts []int32
 	return lr.off, lr.pays, lr.counts, n
 }
 
-// progSnap is the checkpointed form of the batched plane's program-owned
-// state: deep copies of the per-worker slabs, immutable after capture.
+// progSnap is the checkpointed form of the driver's program-owned state:
+// deep copies of the per-worker slabs, immutable after capture.
 type progSnap struct {
 	states []*tensor.Matrix
 	emits  []*tensor.Matrix
 	embs   []*tensor.Matrix
 }
 
-// SnapshotProgState implements pregel.ProgramStater. Only the batched plane
-// keeps superstep-to-superstep state outside the engine's vertex values (the
-// per-vertex plane's h slices ride inside the engine's own value snapshot,
-// and its retired slabs are left unrecycled under checkpointing precisely so
-// those aliases stay intact), so the per-vertex plane snapshots nothing.
+// SnapshotProgState implements pregel.ProgramStater: every piece of
+// superstep-to-superstep state the driver keeps lives in its slabs.
 func (d *pregelDriver) SnapshotProgState() any {
-	if !d.batched {
-		return nil
-	}
-	s := &progSnap{
+	return &progSnap{
 		states: cloneAll(d.states),
 		emits:  cloneAll(d.emits),
 		embs:   cloneAll(d.embs),
 	}
-	return s
 }
 
 // RestoreProgState implements pregel.ProgramStater: reinstall a snapshot by
 // deep copy, so the snapshot survives the replay's slab writes and a second
 // recovery from the same checkpoint would still be sound.
 func (d *pregelDriver) RestoreProgState(snap any) {
-	if snap == nil {
-		return
-	}
 	s := snap.(*progSnap)
 	restore := func(dst []*tensor.Matrix, src []*tensor.Matrix, w int) {
 		d.pools[w].Put(dst[w])

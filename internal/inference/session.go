@@ -73,11 +73,10 @@ type Session struct {
 // NewSession validates the model/graph pair and the options. The strategy
 // and durability knobs that assume a one-shot run are rejected: skew
 // strategies rewrite the executed graph or change the message mix
-// (ShadowNodes, Broadcast, PartialGather), BoxedMessages has no batched
-// plane to keep slabs in, EmitEmbeddings targets one-shot runs, and
-// durable cross-process resume (CheckpointDir/Resume) cannot replay the
-// capture of supersteps that never re-execute. In-process fault tolerance
-// (CheckpointEvery, Faults) is fully supported on both planes.
+// (ShadowNodes, Broadcast, PartialGather), EmitEmbeddings targets one-shot
+// runs, and durable cross-process resume (CheckpointDir/Resume) cannot
+// replay the capture of supersteps that never re-execute. In-process fault
+// tolerance (CheckpointEvery, Faults) is fully supported.
 func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error) {
 	opts = opts.withDefaults()
 	if err := validateModelGraph(model, g); err != nil {
@@ -87,7 +86,6 @@ func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error
 		"PartialGather":  opts.PartialGather,
 		"Broadcast":      opts.Broadcast,
 		"ShadowNodes":    opts.ShadowNodes,
-		"BoxedMessages":  opts.BoxedMessages,
 		"EmitEmbeddings": opts.EmitEmbeddings,
 		"CheckpointDir":  opts.CheckpointDir != "",
 		"Resume":         opts.Resume,
@@ -242,7 +240,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 		Partitioner:      part,
 		MaxSupersteps:    s.model.NumLayers() + 1,
 		Parallel:         o.Parallel,
-		Batched:          !o.PerVertexCompute,
+		Batched:          true,
 		Pipelined:        o.Pipelined,
 		ChunkSize:        o.PipelineChunk,
 		PipelineDepth:    o.PipelineDepth,

@@ -151,7 +151,9 @@ func TestSessionPersistFaultDegrades(t *testing.T) {
 	m := gas.NewGCNModel("pf-gcn", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(141))
 	var mu sync.Mutex
 	fail := true
-	var outcomes []error
+	// Buffered past the test's two persists: the hook runs on the persister
+	// goroutine and must never block it.
+	outcomes := make(chan error, 4)
 	opts := Options{
 		NumWorkers: 2, DeltaCutover: 1.1, SessionDir: dir,
 		SessionPersistBeginHook: func(mark uint64) error {
@@ -162,36 +164,29 @@ func TestSessionPersistFaultDegrades(t *testing.T) {
 			}
 			return nil
 		},
-		SessionPersistHook: func(epoch int, mark uint64, err error) {
-			mu.Lock()
-			outcomes = append(outcomes, err)
-			mu.Unlock()
-		},
+		SessionPersistHook: func(epoch int, mark uint64, err error) { outcomes <- err },
 	}
 	sess, err := NewSession(m, sessionTestGraph(43, false), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.CloseDurable()
-	waitOutcomes := func(n int) []error {
+	// nextOutcome blocks on the persister's next report; the deadline only
+	// bounds a failure.
+	nextOutcome := func() error {
 		t.Helper()
-		for i := 0; i < 500; i++ {
-			mu.Lock()
-			if len(outcomes) >= n {
-				got := append([]error(nil), outcomes...)
-				mu.Unlock()
-				return got
-			}
-			mu.Unlock()
-			time.Sleep(2 * time.Millisecond)
+		select {
+		case err := <-outcomes:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("persister never reported an outcome")
+			return nil
 		}
-		t.Fatalf("persister never reported %d outcomes", n)
-		return nil
 	}
 	if _, _, err := sess.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if got := waitOutcomes(1); got[0] == nil {
+	if err := nextOutcome(); err == nil {
 		t.Fatal("injected persist fault not reported through the hook")
 	}
 	if ds := sess.DurableStats(); ds.Failures != 1 || ds.Epochs != 0 {
@@ -212,8 +207,8 @@ func TestSessionPersistFaultDegrades(t *testing.T) {
 	if _, _, err := sess.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if got := waitOutcomes(2); got[1] != nil {
-		t.Fatalf("recovered persist errored: %v", got[1])
+	if err := nextOutcome(); err != nil {
+		t.Fatalf("recovered persist errored: %v", err)
 	}
 	if ds := sess.DurableStats(); ds.Epochs != 1 {
 		t.Fatalf("after recovery: %+v", ds)
@@ -234,17 +229,32 @@ func TestSessionPersistFaultDegrades(t *testing.T) {
 	assertBitIdentical(t, "resume after recovered persist", res.Logits, scratch.Logits)
 }
 
-// waitSessionEpochs blocks until the background persister has written n
-// epochs. The persister is latest-wins, so a test that wants one epoch per
-// refresh lets each land before it refreshes again.
-func waitSessionEpochs(t *testing.T, sess *Session, n int64) {
+// sessionEpochs sets opts' SessionPersistHook to report, on the returned
+// channel, the session's epoch count after every persist attempt.
+func sessionEpochs(opts *Options) <-chan int {
+	// Buffered past any test's persist count: the hook runs on the
+	// persister goroutine and must never block it.
+	landed := make(chan int, 16)
+	opts.SessionPersistHook = func(epoch int, _ uint64, _ error) { landed <- epoch }
+	return landed
+}
+
+// waitSessionEpochs blocks until the background persister reports n epochs
+// written. The persister is latest-wins, so a test that wants one epoch per
+// refresh lets each land before it refreshes again. The deadline only
+// bounds a failure.
+func waitSessionEpochs(t *testing.T, landed <-chan int, n int) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for sess.DurableStats().Epochs < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("session epoch %d never landed: %+v", n, sess.DurableStats())
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case epoch := <-landed:
+			if epoch >= n {
+				return
+			}
+		case <-timeout:
+			t.Fatalf("session epoch %d never landed", n)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -256,6 +266,7 @@ func TestResumeSessionCorruptNewestEpoch(t *testing.T) {
 	dir := t.TempDir()
 	m := gas.NewGCNModel("cor-gcn", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(151))
 	opts := Options{NumWorkers: 2, DeltaCutover: 1.1, SessionDir: dir}
+	landed := sessionEpochs(&opts)
 	sess, err := NewSession(m, sessionTestGraph(47, false), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +274,7 @@ func TestResumeSessionCorruptNewestEpoch(t *testing.T) {
 	if _, _, err := sess.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	waitSessionEpochs(t, sess, 1)
+	waitSessionEpochs(t, landed, 1)
 	sess.SetReplayMark(1)
 	rng := tensor.NewRNG(152)
 	if _, err := sess.Mutate(randomDelta(rng, sess.Graph(), false)); err != nil {
@@ -273,7 +284,7 @@ func TestResumeSessionCorruptNewestEpoch(t *testing.T) {
 	if _, _, err := sess.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	waitSessionEpochs(t, sess, 2)
+	waitSessionEpochs(t, landed, 2)
 	sess.SetReplayMark(2)
 	if _, err := sess.Mutate(randomDelta(rng, sess.Graph(), false)); err != nil {
 		t.Fatal(err)
@@ -281,7 +292,7 @@ func TestResumeSessionCorruptNewestEpoch(t *testing.T) {
 	if _, _, err := sess.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	waitSessionEpochs(t, sess, 3)
+	waitSessionEpochs(t, landed, 3)
 	sess.CloseDurable()
 
 	epochs, err := filepath.Glob(filepath.Join(dir, "epoch-*.ckpt"))
@@ -540,7 +551,9 @@ func TestSessionPersistSteadyStateAllocs(t *testing.T) {
 		Name: "alloc", Nodes: 3000, AvgDegree: 5, Skew: datagen.SkewIn, Exponent: 1.6,
 		FeatureDim: 32, NumClasses: 3, Seed: 152,
 	}).Graph
-	sess, err := NewSession(m, g, Options{NumWorkers: 2, SessionDir: t.TempDir(), CheckpointSync: checkpoint.SyncNever})
+	opts := Options{NumWorkers: 2, SessionDir: t.TempDir(), CheckpointSync: checkpoint.SyncNever}
+	landed := sessionEpochs(&opts)
+	sess, err := NewSession(m, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +561,7 @@ func TestSessionPersistSteadyStateAllocs(t *testing.T) {
 	if _, _, err := sess.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	waitSessionEpochs(t, sess, 1)
+	waitSessionEpochs(t, landed, 1)
 	// The persister goroutine is idle now (nothing in its mailbox), so the
 	// test may drive its encode path directly.
 	d := sess.dur

@@ -88,15 +88,15 @@ func TestSessionDeltaMatchesScratch(t *testing.T) {
 	planes := []Options{
 		{NumWorkers: 1},
 		{NumWorkers: 3, Parallel: true},
-		{NumWorkers: 3, PerVertexCompute: true},
+		{NumWorkers: 3},
 		{NumWorkers: 2, Pipelined: true, PipelineChunk: 7, Parallel: true},
-		{NumWorkers: 2, Pipelined: true, PerVertexCompute: true},
+		{NumWorkers: 2, Pipelined: true},
 	}
 	seed := int64(100)
 	for name, m := range models {
 		for _, opts := range planes {
 			seed++
-			label := fmt.Sprintf("%s/w%d/batched=%v/pipelined=%v", name, opts.NumWorkers, !opts.PerVertexCompute, opts.Pipelined)
+			label := fmt.Sprintf("%s/w%d/parallel=%v/pipelined=%v", name, opts.NumWorkers, opts.Parallel, opts.Pipelined)
 			g := sessionTestGraph(seed, true)
 			opts.DeltaCutover = 1.1 // never fall back: this test pins the delta path
 			sess, err := NewSession(m, g, opts)
@@ -134,44 +134,41 @@ func TestSessionDeltaMatchesScratch(t *testing.T) {
 // from-scratch pass.
 func TestSessionChaosMidDeltaPass(t *testing.T) {
 	m := gas.NewGCNModel("chaos-gcn", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(33))
-	for _, perVertex := range []bool{false, true} {
-		g := sessionTestGraph(7, false)
-		sess, err := NewSession(m, g, Options{
-			NumWorkers:       3,
-			PerVertexCompute: perVertex,
-			DeltaCutover:     1.1,
-			CheckpointEvery:  1,
-			Faults: &pregel.FaultPlan{Crashes: []pregel.Fault{
-				{Superstep: 1, Point: pregel.FaultAtBarrier},
-				{Superstep: 2, Point: pregel.FaultBeforeSuperstep},
-			}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := sess.Refresh(); err != nil {
-			t.Fatal(err)
-		}
-		rng := tensor.NewRNG(44)
-		if _, err := sess.Mutate(randomDelta(rng, sess.Graph(), false)); err != nil {
-			t.Fatal(err)
-		}
-		res, kind, err := sess.Refresh()
-		if err != nil {
-			t.Fatalf("perVertex=%v: %v", perVertex, err)
-		}
-		if kind != RefreshDelta {
-			t.Fatalf("perVertex=%v: kind=%v, want delta", perVertex, kind)
-		}
-		if res.Stats.Recoveries == 0 {
-			t.Fatalf("perVertex=%v: no recoveries recorded — faults did not fire in the delta pass", perVertex)
-		}
-		scratch, err := RunPregel(m, sess.Graph(), Options{NumWorkers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, fmt.Sprintf("chaos perVertex=%v", perVertex), res.Logits, scratch.Logits)
+	g := sessionTestGraph(7, false)
+	sess, err := NewSession(m, g, Options{
+		NumWorkers:      3,
+		DeltaCutover:    1.1,
+		CheckpointEvery: 1,
+		Faults: &pregel.FaultPlan{Crashes: []pregel.Fault{
+			{Superstep: 1, Point: pregel.FaultAtBarrier},
+			{Superstep: 2, Point: pregel.FaultBeforeSuperstep},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, _, err := sess.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(44)
+	if _, err := sess.Mutate(randomDelta(rng, sess.Graph(), false)); err != nil {
+		t.Fatal(err)
+	}
+	res, kind, err := sess.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != RefreshDelta {
+		t.Fatalf("kind=%v, want delta", kind)
+	}
+	if res.Stats.Recoveries == 0 {
+		t.Fatal("no recoveries recorded — faults did not fire in the delta pass")
+	}
+	scratch, err := RunPregel(m, sess.Graph(), Options{NumWorkers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, "chaos", res.Logits, scratch.Logits)
 }
 
 // TestSessionCutoverFallsBack pins the cutover heuristic: a tiny cutover
@@ -296,7 +293,6 @@ func TestSessionRejectsUnsupported(t *testing.T) {
 		{PartialGather: true},
 		{Broadcast: true},
 		{ShadowNodes: true},
-		{BoxedMessages: true},
 		{EmitEmbeddings: true},
 		{CheckpointDir: t.TempDir()},
 		{Resume: true},
@@ -479,7 +475,7 @@ func TestSessionGATNewSourceNode(t *testing.T) {
 		// would make the zero row's emit zero too.
 		tensor.NewRNG(26).Uniform(l.(*gas.GATConv).MsgLin.B.Value, -1, 1)
 	}
-	for _, opts := range []Options{{NumWorkers: 3, Parallel: true}, {NumWorkers: 2, PerVertexCompute: true}} {
+	for _, opts := range []Options{{NumWorkers: 3, Parallel: true}, {NumWorkers: 2}} {
 		opts.DeltaCutover = 1.1
 		sess, err := NewSession(m, sessionTestGraph(131, false), opts)
 		if err != nil {
@@ -503,6 +499,6 @@ func TestSessionGATNewSourceNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitIdentical(t, fmt.Sprintf("per-vertex=%v", opts.PerVertexCompute), res.Logits, scratch.Logits)
+		assertBitIdentical(t, fmt.Sprintf("w%d/parallel=%v", opts.NumWorkers, opts.Parallel), res.Logits, scratch.Logits)
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 const benchDim = 16
 
-// benchMsg mirrors the GNN driver's boxed message shape.
+// benchMsg is a boxed GNN state message: source, folded count, payload.
 type benchMsg struct {
 	src   int32
 	count int32
@@ -52,16 +52,16 @@ func (p *benchBoxedProg) Compute(ctx *Context[[]float32, benchMsg], msgs []bench
 		return
 	}
 	dsts, _ := ctx.OutEdges()
-	// Identity apply_edge: one shared payload for all out-edges, like the
-	// boxed GNN driver (the combiner copies before mutating).
+	// Identity apply_edge: one shared payload for all out-edges (the
+	// combiner copies before mutating).
 	m := benchMsg{src: ctx.ID, count: 1, pay: *ctx.Value}
 	for _, d := range dsts {
 		ctx.SendMessage(d, m)
 	}
 }
 
-// benchBoxedCombiner accumulates into an owned buffer (src == -1), exactly
-// like the fixed combineMsgs.
+// benchBoxedCombiner copies on the first merge and accumulates into that
+// owned buffer (src == -1) on every later one.
 func benchBoxedCombiner(a, b benchMsg) (benchMsg, bool) {
 	acc := a.pay
 	if a.src != -1 {
