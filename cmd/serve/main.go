@@ -74,13 +74,13 @@ func main() {
 		ckptSync  = flag.String("checkpoint-sync", "always", "epoch durability: always | never")
 		resume    = flag.Bool("resume", false, "resume an interrupted refresh from the latest valid epoch in -checkpoint-dir")
 
-		sessionDir = flag.String("session-dir", "", "durable session directory: mutations WAL-append before acknowledgment, resident slabs persist as epochs, restarts resume and replay (requires incremental mode)")
+		sessionDir = flag.String("session-dir", "", "durable session directory: mutations WAL-append before acknowledgment, resident state persists as a base plus links of changed rows, restarts resume and replay (requires incremental mode)")
 
 		dieAt        = flag.Int("die-at", -1, "kill -9 this process at the start of the given superstep of the -die-on-refresh'th pass (crash-resume testing)")
 		dieOnRefresh = flag.Int("die-on-refresh", 1, "which full-graph pass -die-at targets (1 = the initial store build)")
 		dieOnMutate  = flag.Int("die-on-mutate", 0, "kill -9 this process right after the n'th mutation batch is WAL-durable and staged, before its 202 is written (1-based; 0 = off)")
 		dieOnTrunc   = flag.Int("die-on-wal-truncate", 0, "kill -9 this process right before the n'th WAL truncation, after its covering epoch is durable (1-based; 0 = off)")
-		dieOnPersist = flag.Int("die-on-slab-persist", 0, "kill -9 this process at the start of the n'th session slab persist (1-based; 0 = off)")
+		dieOnPersist = flag.Int("die-on-slab-persist", 0, "kill -9 this process at the start of the n'th session persist, base or link (1-based; 0 = off)")
 	)
 	flag.Parse()
 

@@ -14,16 +14,26 @@ import (
 
 // mutateBody builds a /v1/mutate batch rewriting one node's features at the
 // fixture's 200-dim width, with a val-derived pattern so batches differ.
-func mutateBody(node int, val float64) string {
+func mutateBody(node int, val float64) string { return mutateNodesBody(node, 1, val) }
+
+// mutateNodesBody rewrites the features of nodes first..first+count-1.
+func mutateNodesBody(first, count int, val float64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, `{"features":[{"node":%d,"features":[`, node)
-	for i := 0; i < 200; i++ {
-		if i > 0 {
+	b.WriteString(`{"features":[`)
+	for node := first; node < first+count; node++ {
+		if node > first {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%g", val*float64(i%5)-val)
+		fmt.Fprintf(&b, `{"node":%d,"features":[`, node)
+		for i := 0; i < 200; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%g", val*float64(i%5)-val)
+		}
+		b.WriteString(`]}`)
 	}
-	b.WriteString(`]}]}`)
+	b.WriteString(`]}`)
 	return b.String()
 }
 
@@ -106,29 +116,50 @@ func TestServerDurableKillMatrix(t *testing.T) {
 	batches := []string{mutateBody(3, 1.5), mutateBody(11, -2.25), mutateBody(42, 0.5)}
 	want := oracleLogits(t, dataPath, modelPath, batches)
 
+	// The seams past the first link run two rounds. The first round's
+	// nodes reach few others within the model's 3 hops, so its kicked
+	// refresh runs by delta and persists a link; that link is durable
+	// before the second round's batch and kick. The small second batch
+	// refreshes by delta too (a second link); the large one seeds more than
+	// the cutover share of the fixture's 400 nodes, so its refresh is full
+	// and its persist folds the chain into a base.
+	local := []string{mutateBody(2, 1.5), mutateBody(6, -2.25), mutateBody(11, 0.5)}
+	small, large := mutateBody(13, 3.5), mutateNodesBody(100, 120, -0.75)
 	cases := []struct {
 		name     string
 		killArgs []string
-		kick     bool // whether the seam needs a refresh kicked to arm
+		kick     bool   // whether the seam needs a refresh kicked to arm
+		second   string // second-round batch, "" for none
 	}{
 		// The 3rd mutation is WAL-durable and staged, but the process dies
 		// before its 202 is written: recoverability precedes acknowledgment,
 		// so even this batch must survive.
-		{"post-mutate-ack", []string{"-die-on-mutate", "3"}, false},
+		{"post-mutate-ack", []string{"-die-on-mutate", "3"}, false, ""},
 		// Superstep 1 of the 2nd pass: the kicked refresh dies mid-flight.
 		// No epoch with an advanced replay mark exists yet; the WAL carries
 		// everything.
-		{"mid-refresh", []string{"-die-at", "1", "-die-on-refresh", "2"}, true},
+		{"mid-refresh", []string{"-die-at", "1", "-die-on-refresh", "2"}, true, ""},
 		// The persist following the kicked refresh dies at its first write:
 		// the newest durable epoch still has the pre-refresh mark.
-		{"mid-slab-persist", []string{"-die-on-slab-persist", "2"}, true},
+		{"mid-slab-persist", []string{"-die-on-slab-persist", "2"}, true, ""},
 		// The refresh's epoch is durable but its WAL truncation never runs:
 		// the replay-mark filter must drop the covered records, not
 		// double-apply them.
-		{"pre-wal-truncate", []string{"-die-on-wal-truncate", "1"}, true},
+		{"pre-wal-truncate", []string{"-die-on-wal-truncate", "1"}, true, ""},
+		// The second link's persist dies: base + first link are on disk, the
+		// WAL holds the second round's batch.
+		{"mid-link-persist", []string{"-die-on-slab-persist", "3"}, true, small},
+		// The fold dies: the old base and its one link stay the durable
+		// state, and the WAL holds the batch the fold would have covered.
+		{"mid-fold", []string{"-die-on-slab-persist", "3"}, true, large},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			want, first := want, batches
+			if tc.second != "" {
+				first = local
+				want = oracleLogits(t, dataPath, modelPath, append(local[:len(local):len(local)], tc.second))
+			}
 			sess := filepath.Join(t.TempDir(), "session")
 			base := []string{"-data", dataPath, "-model", modelPath, "-workers", "4", "-session-dir", sess}
 			_, _, url, exited := startServe(t, append(base, tc.killArgs...)...)
@@ -137,9 +168,9 @@ func TestServerDurableKillMatrix(t *testing.T) {
 			// to guarantee that by accident.
 			waitStats(t, url, `"session_epochs":1`)
 
-			for i, b := range batches {
+			for i, b := range first {
 				st, body := postJSON(t, url+"/v1/mutate", b)
-				killing := tc.name == "post-mutate-ack" && i == len(batches)-1
+				killing := tc.name == "post-mutate-ack" && i == len(first)-1
 				if st != 202 && !killing {
 					t.Fatalf("mutate %d: %d %s", i, st, body)
 				}
@@ -149,7 +180,23 @@ func TestServerDurableKillMatrix(t *testing.T) {
 				// seam; its status is irrelevant.
 				postJSON(t, url+"/v1/refresh", "")
 			}
+			if tc.second != "" {
+				waitStats(t, url, `"session_epochs":2`)
+				if st, body := postJSON(t, url+"/v1/mutate", tc.second); st != 202 {
+					t.Fatalf("second-round mutate: %d %s", st, body)
+				}
+				postJSON(t, url+"/v1/refresh", "")
+			}
 			waitKilled(t, exited)
+			if tc.second != "" {
+				// The kill left the prime's base and the first link, nothing
+				// after them.
+				links, _ := filepath.Glob(filepath.Join(sess, "slabs", "link-*.ckpt"))
+				bases, _ := filepath.Glob(filepath.Join(sess, "slabs", "epoch-*.ckpt"))
+				if len(links) != 1 || len(bases) != 1 {
+					t.Fatalf("session dir at the kill: links %v, bases %v; want one of each", links, bases)
+				}
+			}
 
 			_, out2, url2, _ := startServe(t, base...)
 			if !strings.Contains(out2.String(), "durable session resumed=true") {

@@ -17,6 +17,14 @@
 //     it is only a load-time hint) to name the new epoch — a crash between
 //     2 and 3 leaves a valid epoch the directory scan still finds.
 //
+// A store may also hold links: smaller files in the same format, each bound
+// to one base epoch by name (link-<epoch>-<index>.ckpt) and numbered from 1.
+// Links are written through the same tmp+fsync+rename protocol (on their own
+// tmp file), are invisible to Load, and are pruned with their base. A
+// caller that records state as a base plus deltas reads them back with
+// LoadLink until the first missing or invalid index: the chain's longest
+// valid prefix.
+//
 // Every segment carries a CRC-32C, and the file ends in a footer magic, so
 // torn writes that survive the rename protocol anyway (lost tail on power
 // failure, bit rot) are detected at load; Load then falls back to the next
@@ -59,6 +67,8 @@ const (
 	epochPrefix = "epoch-"
 	epochSuffix = ".ckpt"
 	epochTmp    = "epoch.tmp" // shared scratch file; loads never consider it
+	linkPrefix  = "link-"
+	linkTmp     = "link.tmp"
 
 	defaultRetries = 3
 	defaultBackoff = 10 * time.Millisecond
@@ -139,8 +149,16 @@ func (s *Store) Dir() string { return s.dir }
 // the checkpoint-volume figure surfaced in run stats.
 func (s *Store) BytesWritten() int64 { return s.bytesWritten }
 
+// LastEpoch returns the number of the newest epoch this store has written
+// or found on open, -1 if none.
+func (s *Store) LastEpoch() int { return s.epoch - 1 }
+
 func epochPath(dir string, epoch int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", epochPrefix, epoch, epochSuffix))
+}
+
+func linkPath(dir string, base, idx int) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%08d-%08d%s", linkPrefix, base, idx, epochSuffix))
 }
 
 // listEpochs returns the epoch numbers present in the directory, ascending.
@@ -213,24 +231,11 @@ func decode(b []byte) (step int, segs []Segment, err error) {
 // exponential backoff, then points the manifest at it and prunes epochs
 // beyond the retained window.
 func (s *Store) Save(step int, segs []Segment) error {
-	retries, backoff := s.Retries, s.Backoff
-	if retries <= 0 {
-		retries = defaultRetries
-	}
-	if backoff <= 0 {
-		backoff = defaultBackoff
-	}
 	epoch := s.epoch
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = s.writeEpoch(epoch, step, segs, attempt)
-		if err == nil {
-			break
-		}
-		if attempt >= retries {
-			return fmt.Errorf("checkpoint: save epoch %d: %w", epoch, err)
-		}
-		s.sleep(backoff << attempt)
+	if err := s.retry(func(attempt int) error {
+		return s.writeFile(epochTmp, epochPath(s.dir, epoch), step, segs, attempt)
+	}); err != nil {
+		return fmt.Errorf("checkpoint: save epoch %d: %w", epoch, err)
 	}
 	s.epoch = epoch + 1
 	s.bytesWritten += int64(epochSize(segs))
@@ -243,15 +248,52 @@ func (s *Store) Save(step int, segs []Segment) error {
 	return nil
 }
 
-// writeEpoch is one attempt at the tmp+fsync+rename protocol.
-func (s *Store) writeEpoch(epoch, step int, segs []Segment, attempt int) error {
+// SaveLink durably writes link idx of base epoch base, with the same
+// protocol, checksums and retries as Save. It neither touches the manifest
+// nor prunes: links live and die with their base.
+func (s *Store) SaveLink(base, idx, step int, segs []Segment) error {
+	if err := s.retry(func(attempt int) error {
+		return s.writeFile(linkTmp, linkPath(s.dir, base, idx), step, segs, attempt)
+	}); err != nil {
+		return fmt.Errorf("checkpoint: save link %d of epoch %d: %w", idx, base, err)
+	}
+	s.bytesWritten += int64(epochSize(segs))
+	return nil
+}
+
+// LoadLink reads and validates link idx of base epoch base. Any error —
+// missing, torn or corrupt — ends the chain there.
+func (s *Store) LoadLink(base, idx int) (step int, segs []Segment, err error) {
+	return loadFile(linkPath(s.dir, base, idx))
+}
+
+// retry runs write with bounded exponential backoff between attempts.
+func (s *Store) retry(write func(attempt int) error) error {
+	retries, backoff := s.Retries, s.Backoff
+	if retries <= 0 {
+		retries = defaultRetries
+	}
+	if backoff <= 0 {
+		backoff = defaultBackoff
+	}
+	for attempt := 0; ; attempt++ {
+		err := write(attempt)
+		if err == nil || attempt >= retries {
+			return err
+		}
+		s.sleep(backoff << attempt)
+	}
+}
+
+// writeFile is one attempt at the tmp+fsync+rename protocol: segs go to
+// the scratch file tmpName, which is then renamed onto final.
+func (s *Store) writeFile(tmpName, final string, step int, segs []Segment, attempt int) error {
 	if s.writeHook != nil {
 		if err := s.writeHook(attempt); err != nil {
 			return err
 		}
 	}
-	final := epochPath(s.dir, epoch)
-	tmp := filepath.Join(s.dir, epochTmp)
+	tmp := filepath.Join(s.dir, tmpName)
 	if err := s.streamEpoch(tmp, step, segs); err != nil {
 		os.Remove(tmp)
 		return err
@@ -330,7 +372,8 @@ func (s *Store) writeManifest(epoch int) error {
 }
 
 // prune retires epochs older than the retained window (the newest
-// defaultKeep files stay: the latest epoch plus its fallback). The newest
+// defaultKeep files stay: the latest epoch plus its fallback), and the links
+// of every epoch it retires. The newest
 // retired file is renamed onto the shared tmp name instead of unlinked, so
 // the next epoch overwrites its already-allocated pages in place — kernel
 // page allocation for a fresh multi-megabyte file can cost an order of
@@ -354,22 +397,44 @@ func (s *Store) prune(latest int) {
 		}
 		os.Remove(epochPath(s.dir, n))
 	}
+	ents, err := os.ReadDir(s.dir)
+	if err != nil {
+		return
+	}
+	for _, e := range ents {
+		var base, idx int
+		if _, err := fmt.Sscanf(e.Name(), linkPrefix+"%d-%d"+epochSuffix, &base, &idx); err == nil && base < cutoff {
+			os.Remove(filepath.Join(s.dir, e.Name()))
+		}
+	}
 }
 
 // Load returns the newest valid epoch: the manifest's candidate first, then
 // a descending directory scan past any torn or corrupt files. found=false
 // means nothing recoverable exists (not an error — a cold start).
 func (s *Store) Load() (int, []Segment, bool, error) {
+	_, step, segs, found, err := s.LoadEpoch()
+	return step, segs, found, err
+}
+
+// LoadEpoch is Load that also reports which epoch it returned — the base a
+// chain of links hangs off.
+func (s *Store) LoadEpoch() (epoch, step int, segs []Segment, found bool, err error) {
 	tried := map[string]bool{}
-	if name := s.manifestTarget(); name != "" {
-		tried[name] = true
-		if step, segs, err := loadFile(filepath.Join(s.dir, name)); err == nil {
-			return step, segs, true, nil
-		}
-	}
 	epochs, err := s.listEpochs()
 	if err != nil {
-		return 0, nil, false, err
+		return 0, 0, nil, false, err
+	}
+	if name := s.manifestTarget(); name != "" {
+		tried[name] = true
+		for _, n := range epochs {
+			if filepath.Base(epochPath(s.dir, n)) != name {
+				continue
+			}
+			if step, segs, err := loadFile(epochPath(s.dir, n)); err == nil {
+				return n, step, segs, true, nil
+			}
+		}
 	}
 	for i := len(epochs) - 1; i >= 0; i-- {
 		path := epochPath(s.dir, epochs[i])
@@ -377,10 +442,10 @@ func (s *Store) Load() (int, []Segment, bool, error) {
 			continue
 		}
 		if step, segs, err := loadFile(path); err == nil {
-			return step, segs, true, nil
+			return epochs[i], step, segs, true, nil
 		}
 	}
-	return 0, nil, false, nil
+	return 0, 0, nil, false, nil
 }
 
 func (s *Store) manifestTarget() string {

@@ -363,3 +363,91 @@ func TestPruneRecyclesTmp(t *testing.T) {
 		t.Fatalf("round trip after recycle: step=%d found=%v err=%v", step, found, err)
 	}
 }
+
+// TestF32CodecPathsBitExact: the host's float path (one memmove on
+// little-endian hosts) and the forced per-element path write the same wire
+// bytes and read back every float bit for bit — quiet and signaling NaNs
+// with payloads, both zeros, both infinities, denormals.
+func TestF32CodecPathsBitExact(t *testing.T) {
+	bits := []uint32{
+		0x7fc00000, 0x7fc00123, 0xffc0beef, 0x7f800001, 0xffa00001, // NaNs
+		0x00000000, 0x80000000, // ±0
+		0x7f800000, 0xff800000, // ±Inf
+		0x00000001, 0x807fffff, 0x00400000, // denormals
+		0x3fc00000, 0xc0490fdb, 0x7f7fffff, // ordinary values
+	}
+	v := make([]float32, len(bits))
+	var raw []byte
+	for i, b := range bits {
+		v[i] = math.Float32frombits(b)
+		raw = AppendU32(raw, b)
+	}
+	want := append(AppendU64(nil, uint64(len(v))), raw...)
+
+	host := bulkF32
+	defer func() { bulkF32 = host }()
+	for _, bulk := range []bool{host, false} {
+		bulkF32 = bulk
+		same := func(label string, got []float32) {
+			t.Helper()
+			if len(got) != len(bits) {
+				t.Fatalf("bulk=%v %s: %d floats, want %d", bulk, label, len(got), len(bits))
+			}
+			for i, x := range got {
+				if math.Float32bits(x) != bits[i] {
+					t.Fatalf("bulk=%v %s: float %d is %#08x, want %#08x", bulk, label, i, math.Float32bits(x), bits[i])
+				}
+			}
+		}
+		if got := AppendF32s(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("bulk=%v AppendF32s wrote\n%x\nwant\n%x", bulk, got, want)
+		}
+		same("Reader.F32s", NewReader(want).F32s())
+		if got := F32Bytes(nil, v); !bytes.Equal(got, raw) {
+			t.Fatalf("bulk=%v F32Bytes wrote\n%x\nwant\n%x", bulk, got, raw)
+		}
+		dst := make([]float32, len(v))
+		DecodeF32s(dst, raw)
+		same("DecodeF32s", dst)
+	}
+}
+
+// TestLinksLiveAndDieWithTheirBase: links are invisible to Load, read back
+// by index until the first missing one, and pruned together with their base.
+func TestLinksLiveAndDieWithTheirBase(t *testing.T) {
+	s, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(10, testSegs(1)); err != nil {
+		t.Fatal(err)
+	}
+	base := s.LastEpoch()
+	for idx := 1; idx <= 2; idx++ {
+		if err := s.SaveLink(base, idx, 10+idx, testSegs(byte(idx+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch, step, segs, found, err := s.LoadEpoch()
+	if err != nil || !found || epoch != base || step != 10 || !segsEqual(segs, testSegs(1)) {
+		t.Fatalf("LoadEpoch: epoch=%d step=%d found=%v err=%v", epoch, step, found, err)
+	}
+	for idx := 1; idx <= 2; idx++ {
+		step, segs, err := s.LoadLink(base, idx)
+		if err != nil || step != 10+idx || !segsEqual(segs, testSegs(byte(idx+1))) {
+			t.Fatalf("link %d: step=%d err=%v", idx, step, err)
+		}
+	}
+	if _, _, err := s.LoadLink(base, 3); err == nil {
+		t.Fatal("a link that was never written loaded")
+	}
+	// Two newer bases retire the first, and its links with it.
+	for i := 0; i < 2; i++ {
+		if err := s.Save(20+i, testSegs(9)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if links, _ := filepath.Glob(filepath.Join(s.Dir(), "link-*")); len(links) != 0 {
+		t.Fatalf("links outlived their base: %v", links)
+	}
+}

@@ -8,13 +8,70 @@ package checkpoint
 // per call, so an encoder that sizes its buffer up front never reallocates);
 // Reader walks one back with a sticky error, so decode paths check once at
 // the end instead of after every field.
+//
+// Float slices dominate every persisted byte (slabs, feature rows, WAL
+// payloads). On little-endian hosts their in-memory layout already is the
+// wire layout, so they move in one memmove each way; elsewhere each element
+// is converted through its bit pattern. Both paths write the same bytes.
 
 import (
 	"encoding/binary"
 	"errors"
 	"math"
 	"slices"
+	"unsafe"
 )
+
+// bulkF32 selects the one-memmove float path: true exactly when the host
+// stores a float32 in the wire's little-endian byte order. A variable so
+// tests can force the portable per-element path.
+var bulkF32 = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// f32Mem views v's memory as bytes (nil for an empty slice).
+func f32Mem(v []float32) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+}
+
+// F32Bytes returns v's wire bytes without a length prefix. With the bulk
+// path it is a view of v's own memory — no copy, valid while v is and
+// changing with it; otherwise v is encoded into buf[:0], reusing buf.
+func F32Bytes(buf []byte, v []float32) []byte {
+	if bulkF32 {
+		return f32Mem(v)
+	}
+	buf = slices.Grow(buf[:0], 4*len(v))[:4*len(v)]
+	putF32s(buf, v)
+	return buf
+}
+
+// DecodeF32s fills dst from p, raw little-endian IEEE-754 bits with no
+// length prefix; len(p) must be 4*len(dst).
+func DecodeF32s(dst []float32, p []byte) {
+	if bulkF32 {
+		copy(f32Mem(dst), p)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i : 4*i+4 : 4*i+4]))
+	}
+}
+
+// putF32s writes v's wire bytes into p (len(p) == 4*len(v)).
+func putF32s(p []byte, v []float32) {
+	if bulkF32 {
+		copy(p, f32Mem(v))
+		return
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(x))
+	}
+}
 
 // ErrShortBuffer is the Reader's sticky error once a read runs past the end
 // of the buffer — the signature of a truncated or torn segment.
@@ -73,9 +130,7 @@ func AppendI64s(b []byte, v []int64) []byte {
 // round trip the determinism contract requires (NaN payloads included).
 func AppendF32s(b []byte, v []float32) []byte {
 	b, p := grow(b, len(v), 4)
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(x))
-	}
+	putF32s(p, v)
 	return b
 }
 
@@ -225,8 +280,6 @@ func (r *Reader) F32s() []float32 {
 		return nil
 	}
 	v := make([]float32, n)
-	for i := range v {
-		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i : 4*i+4 : 4*i+4]))
-	}
+	DecodeF32s(v, p)
 	return v
 }

@@ -139,24 +139,27 @@ type Options struct {
 	// this knob only trades wall-clock.
 	Tuning tensor.Tuning
 	// SessionDir makes the incremental Session durable: after every refresh
-	// pass that ran compute, the resident per-layer slabs, emitted
-	// wire-message slabs and graph snapshot are persisted to this directory as a
-	// CRC-checksummed checkpoint epoch (background persister, recycled capture
-	// buffers, off the refresh critical path), and ResumeSession reconstructs
-	// a primed Session from the newest valid epoch after a crash. Honors
-	// CheckpointSync. Ignored by one-shot RunPregel/RunMapReduce.
+	// pass that ran compute, the state it produced is persisted to this
+	// directory by a background persister, off the refresh critical path —
+	// a full pass as a base epoch (graph, per-layer slabs, emitted
+	// wire-message slabs), a delta pass as a link holding only the rows it
+	// changed and the batches applied since the previous link. Files are
+	// CRC-checksummed checkpoint epochs. ResumeSession reconstructs a
+	// primed Session from the newest valid base and its chain after a
+	// crash. Honors CheckpointSync. Ignored by one-shot
+	// RunPregel/RunMapReduce.
 	SessionDir string
 	// SessionPersistBeginHook, when non-nil, runs on the persister goroutine
-	// immediately before each epoch write, receiving the replay mark the epoch
-	// will record; a non-nil error aborts that persist (counted as a failure,
-	// resident state unaffected). Fault-injection seam for the
-	// mid-slab-persist crash tests.
+	// immediately before each base or link write, receiving the replay mark
+	// it will record; a non-nil error aborts that persist (counted as a
+	// failure, resident state unaffected; the next write is a base).
+	// Fault-injection seam for the mid-persist crash tests.
 	SessionPersistBeginHook func(mark uint64) error
 	// SessionPersistHook, when non-nil, runs on the persister goroutine after
-	// each persist attempt with the epoch number, the replay mark it covers,
-	// and the write error (nil on success). The serving layer truncates the
-	// mutation WAL here — strictly after the slabs covering those mutations
-	// are durable.
+	// each persist attempt with the count of bases and links written so far,
+	// the replay mark it covers, and the write error (nil on success). The
+	// serving layer truncates the mutation WAL here — strictly after the
+	// state covering those mutations is durable.
 	SessionPersistHook func(epoch int, mark uint64, err error)
 	// DeltaCutover is the incremental Session's fallback fraction: when a
 	// mutation's L-hop flood is estimated to touch more than this fraction of

@@ -68,6 +68,15 @@ type Session struct {
 	dur        *sessionDurable
 	replayMark uint64       // highest mutation seq the resident state accounts for
 	resumed    ResumeTiming // zero unless ResumeSession built this session
+	// wholeNext makes the next capture whole: this process has captured no
+	// base yet, or a failed pass may have changed rows it never captured.
+	wholeNext bool
+	// linkDeltas holds the linkDeltaN batches applied since the last
+	// capture, each length-prefixed in graph.AppendDelta's encoding.
+	linkDeltas []byte
+	linkDeltaN int
+	dirtyIDs   []int32 // dirtyRows' scratch
+	unionIDs   []int32 // persistResident's merge scratch
 }
 
 // NewSession validates the model/graph pair and the options. The strategy
@@ -147,6 +156,9 @@ func (s *Session) Mutate(d graph.Delta) (*graph.DeltaEffect, error) {
 		s.gi = nil // structure or node count changed; rebuilt lazily
 	}
 	s.pending = true
+	if s.dur != nil && s.primed && !s.wholeNext {
+		s.recordDelta(d)
+	}
 	if !s.primed {
 		// No resident state to maintain: the first Refresh runs a full pass
 		// over whatever graph is current by then.
@@ -206,11 +218,12 @@ func (s *Session) fullPass(g *graph.Graph) (*Result, error) {
 	}
 	res, err := RunPregel(s.model, g, o)
 	if err != nil {
+		s.wholeNext = true
 		return nil, err
 	}
 	s.primed = true
 	s.clearPending()
-	s.persistResident(g)
+	s.persistResident(g, nil, true)
 	return res, nil
 }
 
@@ -220,7 +233,8 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	if s.gi == nil {
 		s.gi = graph.BuildGatherIndex(g)
 	}
-	s.repairMessages(g, s.growSlabs(g))
+	added := s.growSlabs(g)
+	s.repairMessages(g, added)
 	for i := range s.dirtyStep {
 		s.dirtyStep[i] = -1
 	}
@@ -256,6 +270,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	}
 	eng := pregel.NewEngine[deltaVtx, deltaPing](pregel.GraphTopology{G: g}, driver, cfg)
 	if err := eng.Run(); err != nil {
+		s.wholeNext = true
 		return nil, err
 	}
 
@@ -269,8 +284,10 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	res.Stats.CheckpointWallNs = cs.SnapshotNs
 	res.Stats.PersistWallNs = cs.PersistNs
 	res.Stats.WatchdogTrips = eng.WatchdogTrips()
+	if s.dur != nil {
+		s.persistResident(g, s.dirtyRows(g.NumNodes, added), false)
+	}
 	s.clearPending()
-	s.persistResident(g)
 	return res, nil
 }
 

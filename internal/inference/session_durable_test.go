@@ -265,7 +265,9 @@ func waitSessionEpochs(t *testing.T, landed <-chan int, n int) {
 func TestResumeSessionCorruptNewestEpoch(t *testing.T) {
 	dir := t.TempDir()
 	m := gas.NewGCNModel("cor-gcn", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(151))
-	opts := Options{NumWorkers: 2, DeltaCutover: 1.1, SessionDir: dir}
+	// Every refresh runs full and so writes a base: the newest epoch has a
+	// base before it and no chain after either.
+	opts := Options{NumWorkers: 2, DeltaCutover: 1e-9, SessionDir: dir}
 	landed := sessionEpochs(&opts)
 	sess, err := NewSession(m, sessionTestGraph(47, false), opts)
 	if err != nil {
@@ -509,12 +511,13 @@ func setEpochVersion(t *testing.T, dir string, v uint32) {
 }
 
 // TestResumeSessionRefusesOldEpochVersion: an epoch written in an older
-// format — version 1 (gob graph) or version 2 (no GAT message slabs) — is
-// an error naming both versions — never a panic, and never a silent cold
+// format — version 1 (gob graph), version 2 (no GAT message slabs) or
+// version 3 (whole-state epochs, no links) — is an error naming both
+// versions — never a panic, and never a silent cold
 // start, which would drop mutations the epoch holds but whose WAL records
 // are already truncated.
 func TestResumeSessionRefusesOldEpochVersion(t *testing.T) {
-	for _, old := range []uint32{1, 2} {
+	for _, old := range []uint32{1, 2, 3} {
 		dir := t.TempDir()
 		m := gas.NewGCNModel("old-epoch", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(141))
 		sess, err := NewSession(m, sessionTestGraph(43, false), Options{NumWorkers: 2, SessionDir: dir})
@@ -536,15 +539,15 @@ func TestResumeSessionRefusesOldEpochVersion(t *testing.T) {
 	}
 }
 
-// persistAllocBound is what a steady-state persistOne may allocate: the
+// persistAllocBound is what a steady-state persist may allocate: the
 // store's per-file bookkeeping (file handles, the directory listing behind
-// pruning, the manifest), none of it proportional to the epoch. The test
-// epoch is over 60x larger, so a single re-made segment buffer fails it.
+// pruning, the manifest), none of it proportional to the state written. The
+// test base is over 60x larger, so a single re-made segment buffer fails it.
 const persistAllocBound = 16 << 10
 
-// TestSessionPersistSteadyStateAllocs: once one epoch has grown the
-// persister's encode buffers, a second epoch of the same shape reuses them
-// all — no graph, slab or meta buffer is re-made.
+// TestSessionPersistSteadyStateAllocs: once one base has grown the
+// persister's encode buffers, further links and folds of the same shape
+// reuse them all — no graph, slab, row or meta buffer is re-made.
 func TestSessionPersistSteadyStateAllocs(t *testing.T) {
 	m := gas.NewGCNModel("alloc", gas.TaskSingleLabel, 32, 32, 3, 2, tensor.NewRNG(151))
 	g := datagen.Generate(datagen.Config{
@@ -563,32 +566,41 @@ func TestSessionPersistSteadyStateAllocs(t *testing.T) {
 	}
 	waitSessionEpochs(t, landed, 1)
 	// The persister goroutine is idle now (nothing in its mailbox), so the
-	// test may drive its encode path directly.
+	// test may drive its write path directly, with a link capture of every
+	// tenth vertex built the way a refresh builds one.
 	d := sess.dur
-	L := m.NumLayers()
-	job := &sessionPersistJob{g: sess.Graph(), layers: sess.layers, msgs: make([]*tensor.Matrix, L), mark: 1}
-	for k := 0; k < L; k++ {
-		if sess.emits[k] {
-			job.msgs[k] = sess.msgs[k]
-		}
-	}
 	epochBytes := d.store.BytesWritten()
-	var ms runtime.MemStats
-	least := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		if err := d.persistOne(m, job); err != nil {
-			t.Fatal(err)
+	job := &sessionPersistJob{g: sess.Graph(), mark: 1}
+	for v := 0; v < g.NumNodes; v += 10 {
+		job.ids = append(job.ids, int32(v))
+	}
+	sess.copyRows(job)
+	for _, tc := range []struct {
+		kind  string
+		stale bool // a stale chain makes the persister write a base
+	}{{"link", false}, {"fold", true}} {
+		var ms runtime.MemStats
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			d.stale = tc.stale
+			links := d.nLinks
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if err := d.persist(m, job); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			least = min(least, ms.TotalAlloc-before)
+			if wrote := d.nLinks == links+1; wrote == tc.stale {
+				t.Fatalf("%s persist: links %d -> %d", tc.kind, links, d.nLinks)
+			}
 		}
-		runtime.ReadMemStats(&ms)
-		least = min(least, ms.TotalAlloc-before)
+		if epochBytes < 60*persistAllocBound {
+			t.Fatalf("test base is only %d bytes; grow it past %d", epochBytes, 60*persistAllocBound)
+		}
+		if least > persistAllocBound {
+			t.Fatalf("steady-state %s allocated %d bytes (base %d bytes), want <= %d", tc.kind, least, epochBytes, persistAllocBound)
+		}
+		t.Logf("steady-state %s allocated %d bytes; a base is %d bytes", tc.kind, least, epochBytes)
 	}
-	if epochBytes < 60*persistAllocBound {
-		t.Fatalf("test epoch is only %d bytes; grow it past %d", epochBytes, 60*persistAllocBound)
-	}
-	if least > persistAllocBound {
-		t.Fatalf("steady-state persist allocated %d bytes (epoch %d bytes), want <= %d", least, epochBytes, persistAllocBound)
-	}
-	t.Logf("steady-state persist allocated %d bytes for a %d-byte epoch", least, epochBytes)
 }

@@ -86,6 +86,7 @@ func (s *Server) finish(j *job, r jobResult) {
 	case metricError:
 		s.m.errors.Add(1)
 	}
+	s.counted()
 }
 
 // runBatcher is one batch executor; Start runs s.executors of them on the
@@ -191,6 +192,7 @@ func (s *Server) execBatch(batch []*job) {
 			// Every live member's deadline expired mid-pass and the engine
 			// aborted at a superstep boundary: degrade them all.
 			s.m.cancelAborts.Add(1)
+			s.counted()
 			for _, j := range live {
 				s.degrade(j, "deadline exceeded during compute")
 			}

@@ -38,9 +38,6 @@ import (
 	"inferturbo/internal/pregel"
 )
 
-// walDeltaVersion versions the WAL payload encoding of one graph.Delta.
-const walDeltaVersion = 1
-
 // stagedDelta is one acknowledged mutation batch awaiting a refresh drain,
 // tagged with its WAL sequence number (0 when the server runs without a WAL).
 type stagedDelta struct {
@@ -48,70 +45,12 @@ type stagedDelta struct {
 	d   graph.Delta
 }
 
-// encodeDelta serializes one delta batch as a WAL record payload.
-func encodeDelta(b []byte, d graph.Delta) []byte {
-	b = checkpoint.AppendU32(b, walDeltaVersion)
-	b = checkpoint.AppendU64(b, uint64(len(d.Features)))
-	for _, f := range d.Features {
-		b = checkpoint.AppendU32(b, uint32(f.Node))
-		b = checkpoint.AppendF32s(b, f.Features)
-	}
-	b = checkpoint.AppendU64(b, uint64(len(d.AddNodes)))
-	for _, a := range d.AddNodes {
-		b = checkpoint.AppendF32s(b, a.Features)
-	}
-	b = checkpoint.AppendU64(b, uint64(len(d.AddEdges)))
-	for _, e := range d.AddEdges {
-		b = checkpoint.AppendU32(b, uint32(e.Src))
-		b = checkpoint.AppendU32(b, uint32(e.Dst))
-		b = checkpoint.AppendF32s(b, e.Features)
-	}
-	b = checkpoint.AppendU64(b, uint64(len(d.RemoveEdges)))
-	for _, e := range d.RemoveEdges {
-		b = checkpoint.AppendU32(b, uint32(e.Src))
-		b = checkpoint.AppendU32(b, uint32(e.Dst))
-	}
-	return b
-}
-
-// decodeDelta parses one WAL record payload. Counts are bounds-checked by
-// the Reader's length caps, so hostile payloads error instead of allocating.
-func decodeDelta(b []byte) (graph.Delta, error) {
-	var d graph.Delta
-	r := checkpoint.NewReader(b)
-	if v := r.U32(); v != walDeltaVersion {
-		return d, fmt.Errorf("serve: WAL delta version %d, want %d", v, walDeltaVersion)
-	}
-	nf := int(r.U64())
-	for i := 0; i < nf && r.Err() == nil; i++ {
-		node := int32(r.U32())
-		d.Features = append(d.Features, graph.FeatureUpdate{Node: node, Features: r.F32s()})
-	}
-	nn := int(r.U64())
-	for i := 0; i < nn && r.Err() == nil; i++ {
-		d.AddNodes = append(d.AddNodes, graph.NodeAdd{Features: r.F32s()})
-	}
-	ne := int(r.U64())
-	for i := 0; i < ne && r.Err() == nil; i++ {
-		src, dst := int32(r.U32()), int32(r.U32())
-		var feat []float32
-		if f := r.F32s(); len(f) > 0 {
-			feat = f
-		}
-		d.AddEdges = append(d.AddEdges, graph.EdgeAdd{Src: src, Dst: dst, Features: feat})
-	}
-	nr := int(r.U64())
-	for i := 0; i < nr && r.Err() == nil; i++ {
-		d.RemoveEdges = append(d.RemoveEdges, graph.EdgeKey{Src: int32(r.U32()), Dst: int32(r.U32())})
-	}
-	if err := r.Err(); err != nil {
-		return graph.Delta{}, fmt.Errorf("serve: WAL delta payload: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return graph.Delta{}, fmt.Errorf("serve: WAL delta payload has %d trailing bytes", r.Remaining())
-	}
-	return d, nil
-}
+// encodeDelta and decodeDelta are the WAL record payload codec: one delta
+// batch in graph.AppendDelta's encoding (version graph.DeltaVersion).
+var (
+	encodeDelta = graph.AppendDelta
+	decodeDelta = graph.DecodeDelta
+)
 
 // serveFaults arms the serve-level fault points from a FaultPlan. Each entry
 // fires once when its point's occurrence counter reaches Fault.Superstep

@@ -18,20 +18,6 @@ import (
 	"inferturbo/internal/pregel"
 )
 
-// waitFor polls cond until it holds or the deadline passes — the durable
-// machinery (epoch persist, WAL truncation) completes on a background
-// goroutine after Refresh returns.
-func waitFor(t *testing.T, msg string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", msg)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // durableServer builds a started server with SessionDir wired, plus its
 // HTTP front end. Unlike newTestServer it does not t.Cleanup-close — the
 // warm-restart tests close and reopen explicitly.
@@ -47,10 +33,19 @@ func durableServer(t *testing.T, dir string, mutate func(*Config)) (*Server, *ht
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	wake, notify := newWake()
+	user := cfg.Refresh.SessionPersistHook
+	cfg.Refresh.SessionPersistHook = func(epoch int, mark uint64, err error) {
+		if user != nil {
+			user(epoch, mark, err)
+		}
+		notify()
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	armWake(t, s, wake, notify)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +78,7 @@ func TestDurableRefusesOldEpochVersion(t *testing.T) {
 	if err := a.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "epoch persist + WAL truncation", func() bool {
+	waitFor(t, a, "epoch persist + WAL truncation", func() bool {
 		m := a.Metrics()
 		return m.SessionEpochs >= 2 && m.WALRecords == 0
 	})
@@ -112,7 +107,7 @@ func TestDurableRefusesOldEpochVersion(t *testing.T) {
 	if err == nil {
 		t.Fatal("New cold-started past a version-1 session epoch")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "want 3") {
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "want 4") {
 		t.Fatalf("error %q does not name both versions", msg)
 	}
 }
@@ -148,7 +143,7 @@ func TestDurableWarmRestartBitIdentical(t *testing.T) {
 	if err := a.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "epoch persist + WAL truncation", func() bool {
+	waitFor(t, a, "epoch persist + WAL truncation", func() bool {
 		m := a.Metrics()
 		return m.SessionEpochs >= 2 && m.WALRecords == 0
 	})
@@ -218,7 +213,7 @@ func TestDurableWarmRestartBitIdentical(t *testing.T) {
 	}
 	// The WAL-only batch was consumed by the restart's delta pass; its
 	// truncation follows the pass's epoch.
-	waitFor(t, "post-restart truncation", func() bool { return b.Metrics().WALRecords == 0 })
+	waitFor(t, b, "post-restart truncation", func() bool { return b.Metrics().WALRecords == 0 })
 }
 
 // TestDurableFaultWALAppend: an injected WAL-append failure refuses the
@@ -258,7 +253,7 @@ func TestDurableFaultSlabPersist(t *testing.T) {
 		}}
 	})
 	defer func() { ts.Close(); s.Close() }()
-	waitFor(t, "prime persist", func() bool { return s.Metrics().SessionEpochs == 1 })
+	waitFor(t, s, "prime persist", func() bool { return s.Metrics().SessionEpochs == 1 })
 
 	if st, _ := postMutate(t, ts, `{"features":[{"node":2,"features":[4,4,4,4,4,4]}]}`); st != 202 {
 		t.Fatal("mutate failed")
@@ -266,7 +261,7 @@ func TestDurableFaultSlabPersist(t *testing.T) {
 	if err := s.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "aborted persist", func() bool { return s.Metrics().SessionPersistFailures == 1 })
+	waitFor(t, s, "aborted persist", func() bool { return s.Metrics().SessionPersistFailures == 1 })
 	if m := s.Metrics(); m.WALRecords != 1 || m.SessionEpochs != 1 {
 		t.Fatalf("after aborted persist: %+v", m)
 	}
@@ -277,7 +272,7 @@ func TestDurableFaultSlabPersist(t *testing.T) {
 	if err := s.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "recovered persist + truncation", func() bool {
+	waitFor(t, s, "recovered persist + truncation", func() bool {
 		m := s.Metrics()
 		return m.SessionEpochs == 2 && m.WALRecords == 0
 	})
@@ -301,7 +296,7 @@ func TestDurableFaultWALTruncateDedup(t *testing.T) {
 	if err := a.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "skipped truncation", func() bool { return a.Metrics().WALTruncSkipped == 1 })
+	waitFor(t, a, "skipped truncation", func() bool { return a.Metrics().WALTruncSkipped == 1 })
 	if m := a.Metrics(); m.WALRecords != 1 {
 		t.Fatalf("truncation not skipped: %+v", m)
 	}
@@ -526,7 +521,7 @@ func TestDurableSlowDiskNeverBlocksRefresh(t *testing.T) {
 	want := fetchLogits(t, aTS)
 
 	close(release)
-	waitFor(t, "newest epoch + WAL truncation through it", func() bool {
+	waitFor(t, a, "newest epoch + WAL truncation through it", func() bool {
 		m := a.Metrics()
 		return m.SessionEpochs == 2 && m.WALRecords == 0
 	})

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -222,9 +223,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MutateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = decodeMutate(body, &req)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, MutateResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -383,6 +386,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case s.queue <- j:
+		if s.admitHook != nil {
+			s.admitHook()
+		}
 	default:
 		s.m.shed.Add(1)
 		w.Header().Set("Retry-After", retryAfter)

@@ -129,12 +129,21 @@ type Stats struct {
 	// over before their epoch write began (the persister was still busy with
 	// an older one); the newer epoch covers them.
 	SessionEpochsSuperseded int64 `json:"session_epochs_superseded"`
-	// ResumeLoadMs / ResumeGraphMs / ResumeSlabsMs decompose the startup
-	// session resume: epoch read plus CRC, graph decode, slab decode. All
+	// SessionEpochs counts bases and links alike. SessionLinks gauges the
+	// links written since the newest base, SessionFolds counts bases
+	// written over a non-empty chain, and SessionEpochLastBytes is the size
+	// of the newest base or link.
+	SessionLinks          int64 `json:"session_links"`
+	SessionFolds          int64 `json:"session_folds"`
+	SessionEpochLastBytes int64 `json:"session_epoch_last_bytes"`
+	// ResumeLoadMs / ResumeGraphMs / ResumeSlabsMs / ResumeChainMs
+	// decompose the startup session resume: base read plus CRC, graph
+	// decode, slab decode, and the chain of links read and re-applied. All
 	// zero when the session started cold.
 	ResumeLoadMs  float64 `json:"resume_load_ms"`
 	ResumeGraphMs float64 `json:"resume_graph_ms"`
 	ResumeSlabsMs float64 `json:"resume_slabs_ms"`
+	ResumeChainMs float64 `json:"resume_chain_ms"`
 }
 
 // Metrics assembles a consistent-enough view of the serving counters.
@@ -189,10 +198,14 @@ func (s *Server) Metrics() Stats {
 		ds := s.session.DurableStats()
 		st.SessionPersistMs = float64(ds.LastWallNs) / 1e6
 		st.SessionEpochsSuperseded = ds.Superseded
+		st.SessionLinks = ds.Links
+		st.SessionFolds = ds.Folds
+		st.SessionEpochLastBytes = ds.LastBytes
 		rt := s.session.ResumeTiming()
 		st.ResumeLoadMs = float64(rt.LoadNs) / 1e6
 		st.ResumeGraphMs = float64(rt.GraphNs) / 1e6
 		st.ResumeSlabsMs = float64(rt.SlabsNs) / 1e6
+		st.ResumeChainMs = float64(rt.ChainNs) / 1e6
 	}
 	st.Ready, _ = s.Ready()
 	if snap := s.snap.Load(); snap != nil {

@@ -165,6 +165,19 @@ type Server struct {
 	// panic recovery) before inference — the test seam for slow and
 	// poisoned queries.
 	execHook func(batch []*job)
+	// admitHook and countHook, when non-nil, run after a query enters the
+	// admission queue and after a counter a test waits on is bumped (a
+	// delivered job's metric, a cancel abort, a published refresh): the
+	// seams tests block on instead of polling. Set before Start.
+	admitHook func()
+	countHook func()
+}
+
+// counted runs countHook, if set.
+func (s *Server) counted() {
+	if s.countHook != nil {
+		s.countHook()
+	}
 }
 
 // New validates cfg, applies defaults, and returns an unstarted Server. The
@@ -350,6 +363,7 @@ func (s *Server) refreshLocked() error {
 		RefreshWall: time.Since(start),
 	})
 	s.m.refreshes.Add(1)
+	s.counted()
 	return nil
 }
 

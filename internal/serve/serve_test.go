@@ -50,6 +50,8 @@ func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *httptest.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
+	wake, notify := newWake()
+	armWake(t, s, wake, notify)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,16 +163,52 @@ func (p *parked) releaseOne() { p.gate <- struct{}{} }
 // releaseAll lets every parked executor go. Idempotent.
 func (p *parked) releaseAll() { p.once.Do(func() { close(p.gate) }) }
 
+// wakes maps each test server to the channel its seams feed: one wake-up
+// per admitted query, bumped counter or persist outcome.
+var wakes sync.Map // *Server → chan struct{}
+
+// newWake makes a wake channel and the hook that feeds it. The hook never
+// blocks — it runs on serving goroutines — and a full buffer already holds
+// a wake-up.
+func newWake() (chan struct{}, func()) {
+	ch := make(chan struct{}, 16)
+	return ch, func() {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// armWake registers s's wake channel and points its admission and counter
+// seams at notify. Call before Start.
+func armWake(t testing.TB, s *Server, ch chan struct{}, notify func()) {
+	wakes.Store(s, ch)
+	t.Cleanup(func() { wakes.Delete(s) })
+	s.admitHook, s.countHook = notify, notify
+}
+
+// waitFor blocks until cond holds, re-checking it after every wake-up of s
+// — what it waits on completes on a serving goroutine (a handler, a batch
+// executor, the refresh loop or the session persister). The deadline only
+// bounds a failure.
+func waitFor(t testing.TB, s *Server, msg string, cond func() bool) {
+	t.Helper()
+	ch, _ := wakes.Load(s)
+	timeout := time.After(10 * time.Second)
+	for !cond() {
+		select {
+		case <-ch.(chan struct{}):
+		case <-timeout:
+			t.Fatalf("timed out waiting for %s", msg)
+		}
+	}
+}
+
 // waitQueued waits until n jobs sit in the admission queue.
 func waitQueued(t *testing.T, s *Server, n int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d never reached %d", len(s.queue), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, s, fmt.Sprintf("%d queued jobs", n), func() bool { return len(s.queue) >= n })
 }
 
 func bitEqual(a, b []float32) bool {
@@ -316,7 +354,7 @@ func TestDeadlineDegradesToStaleStoreAnswer(t *testing.T) {
 	if !bitEqual(a.Logits, s.Store().Logits.Row(11)) {
 		t.Fatal("degraded answer diverges from the store")
 	}
-	waitCounter(t, &s.m.degraded, 1)
+	waitCounter(t, s, &s.m.degraded, 1)
 	// What-if queries have no store fallback: an expired deadline is an
 	// honest 504, never a silently wrong answer.
 	status, qr, _ = postQuery(t, ts, QueryRequest{
@@ -369,7 +407,7 @@ func TestFullBatchCancelAbortsCompute(t *testing.T) {
 			t.Fatalf("member %d: status=%d answers=%+v, want a degraded 200 store answer", i, o.status, o.qr.Answers)
 		}
 	}
-	waitCounter(t, &s.m.cancelAborts, 1)
+	waitCounter(t, s, &s.m.cancelAborts, 1)
 }
 
 // A poisoned query panics its batch: the batch splits, mates re-execute
@@ -780,6 +818,8 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		ts.Close()
 		s.Close()
 	}()
+	// A poll, not a wait on a seam: no hook observes a goroutine's exit.
+	// The sleep orders nothing; the assertion is the count it converges to.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
@@ -856,7 +896,7 @@ func TestMutateDeltaRefreshBitIdenticalOverHTTP(t *testing.T) {
 	if st != 202 || mr.Refresh == "" {
 		t.Fatalf("batch 2: status=%d resp=%+v", st, mr)
 	}
-	waitCounter(t, &s.m.refreshes, 2)
+	waitCounter(t, s, &s.m.refreshes, 2)
 
 	snap := s.Store()
 	if snap.Epoch != 2 || snap.RefreshKind != "delta" {
@@ -975,7 +1015,7 @@ func TestMutateChaosDeltaRefresh(t *testing.T) {
 	if st != 202 {
 		t.Fatalf("mutate: status=%d resp=%+v", st, mr)
 	}
-	waitCounter(t, &s.m.refreshes, 2)
+	waitCounter(t, s, &s.m.refreshes, 2)
 
 	snap := s.Store()
 	if snap.RefreshKind != "delta" {
@@ -1065,13 +1105,7 @@ func TestMutateRejections(t *testing.T) {
 	}
 }
 
-func waitCounter(t *testing.T, c interface{ Load() int64 }, want int64) {
+func waitCounter(t *testing.T, s *Server, c interface{ Load() int64 }, want int64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Load() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("counter stuck at %d, want >= %d", c.Load(), want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, s, fmt.Sprintf("counter >= %d", want), func() bool { return c.Load() >= want })
 }
