@@ -25,20 +25,13 @@ func main() {
 	var (
 		exp   = flag.String("exp", "all", "table1|table2|table3|table4|fig7|fig8|fig9|fig10|fig11|fig12|fig13|all")
 		scale = flag.String("scale", "full", "quick | full")
-		perf  = flag.String("perf", "", "run the plane + pipelined + partitioning perf suites and write JSON results to this path")
+		perf  = flag.String("perf", "", "run the perf suites (planes, checkpointing, partitioning, serving, delta, recovery, identity) and write JSON results to this path")
 
-		// Identity-gate sizing: quick trims the legacy strategy lattice to
-		// two worker counts so PR CI stays inside its time budget; full (the
-		// bench-full.yml setting) runs the whole 128-combo lattice. Both run
-		// the full pipelined bit-identity matrix. Empty picks by -scale.
+		// Identity-gate sizing: quick trims the strategy lattice to two
+		// worker counts so PR CI stays inside its time budget; full (the
+		// bench-full.yml setting) runs the whole 128-combo lattice. Empty
+		// picks by -scale.
 		combos = flag.String("identity-combos", "", "identity gate combo set: quick | full (default: quick at -scale quick, else full)")
-
-		// Pipelined-plane knobs for the PR 5 suite (-perf). Both are
-		// result-identical at any value — they trade when delivery work
-		// happens, never what is delivered; see cmd/infer's -pipeline,
-		// -pipeline-chunk and -pipeline-depth for the inference-time flags.
-		pipeChunk = flag.Int("pipeline-chunk", 0, "pipelined chunk size in owned vertices per seal for the PR5 suite (0 = engine default)")
-		pipeDepth = flag.Int("pipeline-depth", 0, "max in-flight sealed extents per receiver for the PR5 suite (0 = engine default)")
 
 		// Kernel tuning knobs (0 = default). Any setting is bit-identical;
 		// these trade wall-clock only.
@@ -53,7 +46,7 @@ func main() {
 		if *scale != "quick" && *scale != "full" {
 			fatalf("unknown scale %q", *scale)
 		}
-		if err := runPerf(*perf, *scale, *combos, *pipeChunk, *pipeDepth); err != nil {
+		if err := runPerf(*perf, *scale, *combos); err != nil {
 			fatalf("perf: %v", err)
 		}
 		fmt.Printf("perf results written to %s\n", *perf)

@@ -6,18 +6,13 @@ package main
 // strategy, plus the MapReduce backend and the reference forward as fixed
 // points, a
 // partitioning suite comparing vertex-placement strategies (hash, degree-
-// balanced, LDG, Fennel) on homophilous power-law graphs, and the PR 5
-// pipelined suite comparing the pipelined superstep plane (chunked eager
-// flushing + background inbox assembly) against the BSP columnar plane on a
-// message-heavy multi-worker skew-in power-law graph.
+// balanced, LDG, Fennel) on homophilous power-law graphs.
 //
 // Gates fail the run (and CI): the identity check — predictions
-// byte-identical across the pipelined and BSP planes, strategies, worker
-// counts AND placement strategies; at full scale, the PR 3 reductions vs the
-// recorded PR 2 baseline; the partitioning gate — LDG must cut cross-worker message bytes by ≥ 25% vs
-// hash on the skew-in benchmark graph; the pipelined gate — the pipelined
-// plane must be ≥ 15% ns/op faster than the BSP columnar plane measured in
-// the same run on the multi-worker skew-in bench; the PR 6 checkpoint
+// byte-identical across strategies, worker counts AND placement strategies;
+// at full scale, the PR 3 reductions vs the recorded PR 2 baseline; the
+// partitioning gate — LDG must cut cross-worker message bytes by ≥ 25% vs
+// hash on the skew-in benchmark graph; the PR 6 checkpoint
 // gate — durable disk checkpoints at CheckpointEvery=4 must cost ≤ 10%
 // ns/op vs the same bench with checkpoints off; the PR 7 serving SLO gates;
 // and the PR 8 delta gate — an incremental refresh of a 1% mutation batch
@@ -26,14 +21,13 @@ package main
 // commit: BENCH_PR2.json at the repository root records the run that landed
 // the columnar message plane, BENCH_PR3.json the batched compute plane,
 // BENCH_PR4.json the pluggable partitioning subsystem, BENCH_PR5.json the
-// pipelined superstep plane, BENCH_PR6.json the fault-tolerance subsystem,
-// BENCH_PR7.json the online serving layer.
+// since-deleted pipelined superstep plane, BENCH_PR6.json the
+// fault-tolerance subsystem, BENCH_PR7.json the online serving layer.
 //
 // The identity gate's combo set is selectable (-identity-combos quick|full)
-// so CI stays inside its time budget: quick trims the legacy strategy
-// lattice to two worker counts while keeping the full pipelined matrix
-// ({1,4,8,16} workers × {hash,ldg} × two chunk sizes); the full set runs
-// everything and stays on bench-full.yml.
+// so CI stays inside its time budget: quick trims the strategy lattice to
+// two worker counts; the full set runs everything and stays on
+// bench-full.yml.
 
 import (
 	"encoding/json"
@@ -69,9 +63,6 @@ type perfIdentity struct {
 	Combos                 int      `json:"combos"`
 	PlacementBitIdentical  bool     `json:"placement_bit_identical"`
 	ClassesMatchReference  bool     `json:"classes_match_reference"`
-	PipelinedCombos        int      `json:"pipelined_combos"`
-	PipelinedBitIdentical  bool     `json:"pipelined_bit_identical"`
-	PipelinedChunksTested  []int    `json:"pipelined_chunks_tested"`
 	Failures               []string `json:"failures,omitempty"`
 	WorkersTested          []int    `json:"workers_tested"`
 	PartitionersTested     []string `json:"partitioners_tested"`
@@ -91,19 +82,6 @@ type perfReduction struct {
 	Baseline           string  `json:"baseline"`
 	AllocsReductionPct float64 `json:"allocs_reduction_pct"`
 	NsReductionPct     float64 `json:"ns_reduction_pct"`
-}
-
-// perfPipelineGate records one pipelined-vs-BSP comparison of the PR 5 CI
-// gate: both planes measured in the same run, on the same machine, so
-// machine speed cancels out. The multi-worker skew-in row requires the
-// pipelined plane to be at least 15% faster in ns/op.
-type perfPipelineGate struct {
-	Benchmark   string  `json:"benchmark"`
-	BSPNs       float64 `json:"bsp_ns_per_op"`
-	PipelinedNs float64 `json:"pipelined_ns_per_op"`
-	SpeedupPct  float64 `json:"speedup_pct"`
-	Gated       bool    `json:"gated"`
-	Pass        bool    `json:"pass"`
 }
 
 // perfCheckpointGate records the PR 6 fault-tolerance overhead comparison:
@@ -161,8 +139,6 @@ type perfReport struct {
 	Benchmarks          []perfBenchResult        `json:"benchmarks"`
 	BaselinePR2         perfBaseline             `json:"baseline_pr2"`
 	Reductions          []perfReduction          `json:"reduction_vs_pr2"`
-	Pipelined           []perfBenchResult        `json:"pipelined"`
-	PipelineGates       []perfPipelineGate       `json:"gate_pipelined_vs_bsp"`
 	Checkpointing       []perfBenchResult        `json:"checkpointing"`
 	CheckpointGates     []perfCheckpointGate     `json:"gate_checkpoint_overhead"`
 	Partitioning        []perfPartitionResult    `json:"partitioning"`
@@ -307,18 +283,16 @@ func perfDataset(nodes int, skew datagen.Skew) (*gas.Model, *datagen.Dataset) {
 	return m, ds
 }
 
-// pipelineDataset builds the PR 5 suite's message-heavy multi-worker
-// skew-in power-law benchmark: a dense (avg degree 32) power-law graph with
-// hub in-degrees, a 6-layer model so per-run setup amortizes over seven
-// supersteps, and a 16-wide state so messaging (not the dense kernels)
-// carries the superstep — the regime where the barrier the pipelined plane
-// attacks is the bottleneck, as it is at the paper's cluster scale.
-func pipelineDataset(nodes int) (*gas.Model, *datagen.Dataset) {
+// msgHeavyDataset builds a message-heavy skew-in power-law benchmark: a
+// dense (avg degree 32) power-law graph with hub in-degrees, a 6-layer model
+// so per-run setup amortizes over seven supersteps, and a 16-wide state so
+// messaging (not the dense kernels) carries the superstep.
+func msgHeavyDataset(nodes int) (*gas.Model, *datagen.Dataset) {
 	ds := datagen.Generate(datagen.Config{
-		Name: "pipe-bench", Nodes: nodes, AvgDegree: 32, Skew: datagen.SkewIn, Exponent: 1.8,
+		Name: "msg-heavy", Nodes: nodes, AvgDegree: 32, Skew: datagen.SkewIn, Exponent: 1.8,
 		FeatureDim: 16, NumClasses: 4, Seed: 11,
 	})
-	m := gas.NewSAGEModel("pipe-bench", gas.TaskSingleLabel, 16, 16, 4, 6, 0, tensor.NewRNG(12))
+	m := gas.NewSAGEModel("msg-heavy", gas.TaskSingleLabel, 16, 16, 4, 6, 0, tensor.NewRNG(12))
 	return m, ds
 }
 
@@ -328,7 +302,7 @@ func pipelineDataset(nodes int) (*gas.Model, *datagen.Dataset) {
 // and checkpoint cost (proportional to state bytes, O((N+E)·D)) is priced
 // against real compute. The overhead ratio scales as 1/D, so the hidden
 // width matters: 160 sits in the range production GNNs run (128–256) and
-// makes the kernels genuinely dominant. The message-heavy pipeline bench
+// makes the kernels genuinely dominant. The message-heavy bench
 // (degree 32, 16-wide state) is the opposite regime — state bytes dwarf
 // kernel work — and is kept as an ungated report row so the worst case
 // stays visible.
@@ -450,126 +424,6 @@ func runPlaneSuite(rep *perfReport, scale string) (bool, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Suite: pipelined superstep plane (PR 5 benchmarks + gate).
-
-// runPipelineSuite measures the pipelined plane against the BSP columnar
-// plane on the message-heavy multi-worker skew-in power-law bench, plus
-// report-only variants (chunk sweep, parallel execution, partial-gather,
-// modest worker count). The 32-worker serial pair is the gate: pipelined
-// must be ≥ 15% faster in ns/op, same run, same machine.
-func runPipelineSuite(rep *perfReport, scale string, chunk, depth int) (bool, error) {
-	nodes := 3000
-	if scale == "quick" {
-		nodes = 1200
-	}
-	m, ds := pipelineDataset(nodes)
-	g := ds.Graph
-	steps := m.NumLayers() + 1
-
-	const workers = 32
-	bspOpts := inference.Options{NumWorkers: workers}
-	pipeOpts := bspOpts
-	pipeOpts.Pipelined = true
-	pipeOpts.PipelineChunk = chunk
-	pipeOpts.PipelineDepth = depth
-
-	// The gated pair, alternated with best-of-rounds to keep a shared-
-	// container slowdown from polluting exactly one side.
-	bsp, pipe, err := measureBest(
-		pregelSpec("pr5/skew-in-heavy/w32/bsp", m, g, steps, bspOpts),
-		pregelSpec("pr5/skew-in-heavy/w32/pipelined", m, g, steps, pipeOpts),
-		2)
-	if err != nil {
-		return false, err
-	}
-	rep.Pipelined = append(rep.Pipelined, bsp, pipe)
-
-	// Full scale holds the PR's ≥ 15% acceptance threshold (the recorded
-	// BENCH_PR5.json run measured +21.0%). Quick scale — what every PR's CI
-	// runs — measures the same delta at roughly +15–24% across repeats on a
-	// shared container with ~±10% run-to-run noise, so its threshold backs
-	// off to 10%: still a hard regression tripwire, without flaking
-	// unrelated PRs on a slow runner. The full threshold stays enforced by
-	// bench-full.yml and the recorded full-scale run.
-	need := 15.0
-	if scale == "quick" {
-		need = 10
-	}
-	gate := perfPipelineGate{
-		Benchmark:   "pr5/skew-in-heavy/w32",
-		BSPNs:       bsp.NsPerOp,
-		PipelinedNs: pipe.NsPerOp,
-		SpeedupPct:  100 * (1 - pipe.NsPerOp/bsp.NsPerOp),
-		Gated:       true,
-	}
-	gate.Pass = gate.SpeedupPct >= need
-	rep.PipelineGates = append(rep.PipelineGates, gate)
-	fmt.Printf("gate %-40s pipelined %12.0f ns/op vs bsp %12.0f ns/op (%+.1f%%, need ≥%.0f%%) pass=%v\n",
-		gate.Benchmark, gate.PipelinedNs, gate.BSPNs, gate.SpeedupPct, need, gate.Pass)
-
-	// Report-only variants: chunk sweep, parallel execution, partial-gather
-	// (sender-side combining shrinks delivery, the pipelined plane's
-	// territory, so its delta is structurally smaller), and a modest worker
-	// count (the ownership-order merge's advantage scales with workers).
-	altChunk := 16
-	if chunk == altChunk {
-		altChunk = 128
-	}
-	chunkOpts := pipeOpts
-	chunkOpts.PipelineChunk = altChunk
-	parOptsB := bspOpts
-	parOptsB.Parallel = true
-	parOptsP := pipeOpts
-	parOptsP.Parallel = true
-	pgB := bspOpts
-	pgB.PartialGather = true
-	pgP := pipeOpts
-	pgP.PartialGather = true
-	w8B := inference.Options{NumWorkers: 8}
-	w8P := w8B
-	w8P.Pipelined = true
-	w8P.PipelineChunk = chunk
-	w8P.PipelineDepth = depth
-
-	extra := []benchSpec{
-		pregelSpec(fmt.Sprintf("pr5/skew-in-heavy/w32/pipelined/chunk=%d", altChunk), m, g, steps, chunkOpts),
-		pregelSpec("pr5/skew-in-heavy/w32/bsp/parallel", m, g, steps, parOptsB),
-		pregelSpec("pr5/skew-in-heavy/w32/pipelined/parallel", m, g, steps, parOptsP),
-		pregelSpec("pr5/skew-in-heavy/w32/pg/bsp", m, g, steps, pgB),
-		pregelSpec("pr5/skew-in-heavy/w32/pg/pipelined", m, g, steps, pgP),
-		pregelSpec("pr5/skew-in-heavy/w8/bsp", m, g, steps, w8B),
-		pregelSpec("pr5/skew-in-heavy/w8/pipelined", m, g, steps, w8P),
-	}
-	results, byName, err := runSpecs(extra)
-	if err != nil {
-		return false, err
-	}
-	rep.Pipelined = append(rep.Pipelined, results...)
-
-	// Ungated observation rows so the JSON carries the deltas directly.
-	for _, pair := range [][3]string{
-		{"pr5/skew-in-heavy/w32/parallel", "pr5/skew-in-heavy/w32/bsp/parallel", "pr5/skew-in-heavy/w32/pipelined/parallel"},
-		{"pr5/skew-in-heavy/w32/pg", "pr5/skew-in-heavy/w32/pg/bsp", "pr5/skew-in-heavy/w32/pg/pipelined"},
-		{"pr5/skew-in-heavy/w8", "pr5/skew-in-heavy/w8/bsp", "pr5/skew-in-heavy/w8/pipelined"},
-	} {
-		b, okB := byName[pair[1]]
-		p, okP := byName[pair[2]]
-		if !okB || !okP {
-			continue
-		}
-		rep.PipelineGates = append(rep.PipelineGates, perfPipelineGate{
-			Benchmark:   pair[0],
-			BSPNs:       b.NsPerOp,
-			PipelinedNs: p.NsPerOp,
-			SpeedupPct:  100 * (1 - p.NsPerOp/b.NsPerOp),
-			Gated:       false,
-			Pass:        true,
-		})
-	}
-	return gate.Pass, nil
-}
-
-// ---------------------------------------------------------------------------
 // Suite: fault tolerance (PR 6 checkpoint overhead + chaos observations).
 
 // runCheckpointSuite prices the fault-tolerance subsystem. The gated pair
@@ -584,7 +438,7 @@ func runPipelineSuite(rep *perfReport, scale string, chunk, depth int) (bool, er
 // loss but pays an fsync journal commit per epoch (15–30ms on commodity
 // disks, comparable to an entire superstep at bench scale), so it is priced
 // as a report-only row instead. Other report-only rows: the in-memory sink,
-// the message-heavy pipeline bench with disk checkpoints (the
+// the message-heavy bench with disk checkpoints (the
 // state-bytes-dominated worst case, where state dwarfs kernel work), and a
 // two-crash fault-plan run (checkpoint + rollback + replay cost — replayed
 // supersteps legitimately cost wall-clock).
@@ -660,7 +514,7 @@ func runCheckpointSuite(rep *perfReport, scale string) (bool, error) {
 		{Superstep: 2, Point: pregel.FaultMidPipeline},
 		{Superstep: 5, Point: pregel.FaultAtBarrier},
 	}}
-	mHeavy, dsHeavy := pipelineDataset(heavyNodes)
+	mHeavy, dsHeavy := msgHeavyDataset(heavyNodes)
 	heavyOpts := offOpts
 	heavyOpts.CheckpointDir = filepath.Join(dir, "heavy")
 	heavyOpts.CheckpointEvery = 4
@@ -769,34 +623,18 @@ func runPartitionSuite(rep *perfReport, scale string) (bool, error) {
 type comboSet struct {
 	name    string
 	workers []int
-	// pipelined matrix: worker counts × {hash,ldg} × chunk sizes, each
-	// compared bit-for-bit against the same-options BSP
-	// run. This matrix is the PR 5 acceptance criterion, so both sets carry
-	// it in full.
-	pipeWorkers []int
-	pipeChunks  []int
 }
 
 // comboSetByName resolves the -identity-combos flag: "quick" trims the
 // legacy strategy lattice to two worker counts (64 combos) so PR CI stays
 // inside its time budget; "full" keeps the PR 4 128-combo lattice and runs
-// on bench-full.yml. Both run the full pipelined matrix.
+// on bench-full.yml.
 func comboSetByName(name string) (comboSet, error) {
 	switch name {
 	case "quick":
-		return comboSet{
-			name:        "quick",
-			workers:     []int{1, 8},
-			pipeWorkers: []int{1, 4, 8, 16},
-			pipeChunks:  []int{16, 256},
-		}, nil
+		return comboSet{name: "quick", workers: []int{1, 8}}, nil
 	case "full":
-		return comboSet{
-			name:        "full",
-			workers:     []int{1, 4, 8, 16},
-			pipeWorkers: []int{1, 4, 8, 16},
-			pipeChunks:  []int{16, 256},
-		}, nil
+		return comboSet{name: "full", workers: []int{1, 4, 8, 16}}, nil
 	default:
 		return comboSet{}, fmt.Errorf("unknown identity combo set %q; want quick or full", name)
 	}
@@ -807,9 +645,7 @@ func comboSetByName(name string) (comboSet, error) {
 // predicted classes are byte-identical to the reference forward; for the
 // placement-invariant configs (everything except partial-gather, whose
 // sender-side combining regroups float sums) logits are bit-identical across
-// ALL worker counts and placements to one global reference; and the
-// pipelined plane reproduces the BSP plane bit for bit across its whole
-// worker × placement × chunk-size matrix.
+// ALL worker counts and placements to one global reference.
 func verifyIdentity(set comboSet) perfIdentity {
 	m, ds := perfDataset(400, datagen.SkewOut)
 	g := ds.Graph
@@ -819,8 +655,6 @@ func verifyIdentity(set comboSet) perfIdentity {
 		ComboSet:              set.name,
 		PlacementBitIdentical: true,
 		ClassesMatchReference: true,
-		PipelinedBitIdentical: true,
-		PipelinedChunksTested: set.pipeChunks,
 		WorkersTested:         set.workers,
 	}
 	for _, p := range partitioners {
@@ -880,42 +714,6 @@ func verifyIdentity(set comboSet) perfIdentity {
 		id.StrategyCombosPerCount = combos
 	}
 
-	// Pipelined matrix: {workers} × {hash,ldg} × {chunk sizes}, every cell bit-identical (logits AND IO stats) to the
-	// BSP run with the same options.
-	for _, w := range set.pipeWorkers {
-		for _, strat := range partitioners {
-			opts := inference.Options{NumWorkers: w, Partitioner: strat, Parallel: true}
-			bsp, err := inference.RunPregel(m, g, opts)
-			if err != nil {
-				id.fail(fmt.Sprintf("pipelined w%d/%s: bsp: %v", w, strat.Name(), err))
-				continue
-			}
-			for _, chunk := range set.pipeChunks {
-				po := opts
-				po.Pipelined = true
-				po.PipelineChunk = chunk
-				name := fmt.Sprintf("pipelined w%d/%s/chunk=%d", w, strat.Name(), chunk)
-				pipe, err := inference.RunPregel(m, g, po)
-				if err != nil {
-					id.fail(name + ": " + err.Error())
-					continue
-				}
-				if !pipe.Logits.Equal(bsp.Logits) {
-					id.PipelinedBitIdentical = false
-					id.fail(name + ": logits diverge from the BSP plane")
-				}
-				if pipe.Stats.MessagesSent != bsp.Stats.MessagesSent ||
-					pipe.Stats.BytesSent != bsp.Stats.BytesSent ||
-					pipe.Stats.BytesReceived != bsp.Stats.BytesReceived ||
-					pipe.Stats.RemoteBytes != bsp.Stats.RemoteBytes ||
-					pipe.Stats.CombinedAway != bsp.Stats.CombinedAway {
-					id.PipelinedBitIdentical = false
-					id.fail(name + ": IO stats diverge from the BSP plane")
-				}
-				id.PipelinedCombos++
-			}
-		}
-	}
 	return id
 }
 
@@ -931,9 +729,9 @@ func (id *perfIdentity) fail(msg string) {
 // runPerf executes every suite and writes the JSON report to path.
 // Baselines were recorded at full scale; the quick preset shrinks the
 // graphs (for CI smoke) and is labelled accordingly. The same-run gates
-// (pipelined vs BSP, checkpoint overhead) run at every scale because they
-// compare within one run on one machine.
-func runPerf(path, scale, combos string, pipeChunk, pipeDepth int) error {
+// (checkpoint overhead, serving, delta, recovery) run at every scale
+// because they compare within one run on one machine.
+func runPerf(path, scale, combos string) error {
 	if combos == "" {
 		combos = "full"
 		if scale == "quick" {
@@ -950,7 +748,7 @@ func runPerf(path, scale, combos string, pipeChunk, pipeDepth int) error {
 		Description: "Crash-durable serving: mutation WAL + persisted session slabs make the " +
 			"mutate→refresh pipeline survive SIGKILL with zero acknowledged batches lost; warm " +
 			"restart gated at 3x faster than cold re-prime and WAL appends at ≤10% added mutate " +
-			"latency at sync=never; plus the plane, pipelined, checkpointing, partitioning, " +
+			"latency at sync=never; plus the plane, checkpointing, partitioning, " +
 			"serving, delta and identity suites of PR 2-8",
 		Generated:   time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
@@ -971,11 +769,6 @@ func runPerf(path, scale, combos string, pipeChunk, pipeDepth int) error {
 			name: "planes",
 			fail: "batched plane reductions vs the recorded PR 2 columnar baseline below target (ns ≥20%, allocs ≥50%; full scale only)",
 			run:  func() (bool, error) { return runPlaneSuite(&report, scale) },
-		},
-		{
-			name: "pipelined",
-			fail: "pipelined plane under the gated speedup threshold vs the same-run BSP columnar plane on the multi-worker skew-in bench (≥15% at full scale, ≥10% at quick)",
-			run:  func() (bool, error) { return runPipelineSuite(&report, scale, pipeChunk, pipeDepth) },
 		},
 		{
 			name: "checkpointing",
@@ -1008,11 +801,9 @@ func runPerf(path, scale, combos string, pipeChunk, pipeDepth int) error {
 			run: func() (bool, error) {
 				report.Identity = verifyIdentity(set)
 				id := report.Identity
-				fmt.Printf("identity[%s]: %d combos + %d pipelined, placement=%v classes=%v pipelined=%v\n",
-					id.ComboSet, id.Combos, id.PipelinedCombos,
-					id.PlacementBitIdentical, id.ClassesMatchReference, id.PipelinedBitIdentical)
-				ok := id.PlacementBitIdentical &&
-					id.ClassesMatchReference && id.PipelinedBitIdentical && len(id.Failures) == 0
+				fmt.Printf("identity[%s]: %d combos, placement=%v classes=%v\n",
+					id.ComboSet, id.Combos, id.PlacementBitIdentical, id.ClassesMatchReference)
+				ok := id.PlacementBitIdentical && id.ClassesMatchReference && len(id.Failures) == 0
 				return ok, nil
 			},
 		},

@@ -31,9 +31,6 @@ func main() {
 		bc      = flag.Bool("broadcast", false, "enable broadcast for hub out-edges")
 		sn      = flag.Bool("shadow-nodes", false, "enable shadow-nodes preprocessing")
 		part    = flag.String("partitioner", "hash", "vertex placement: hash | degree | ldg | fennel")
-		pipe    = flag.Bool("pipeline", false, "pipelined supersteps: overlap scatter/delivery with compute via chunked eager flushing and background inbox assembly (pregel backend; results bit-identical to the BSP path)")
-		pipeCk  = flag.Int("pipeline-chunk", 0, "pipelined chunk size in owned vertices per seal (0 = engine default; any value is result-identical)")
-		pipeDp  = flag.Int("pipeline-depth", 0, "max in-flight sealed extents per receiver before senders block (0 = engine default; any value is result-identical)")
 		lambda  = flag.Float64("lambda", 0.1, "hub threshold heuristic λ")
 		spill   = flag.String("spill", "", "disk-spill dir (mapreduce backend)")
 		outPath = flag.String("out", "", "optional predictions output (one class id per line)")
@@ -62,9 +59,8 @@ func main() {
 		fatalf("%v", err)
 	}
 	opts := inferturbo.InferOptions{
-		NumWorkers: *workers, PartialGather: *pg, Broadcast: *bc,
+		NumWorkers: *workers, PartialGather: *pg, Broadcast: *bc, Partitioner: strat,
 		ShadowNodes: *sn, Lambda: *lambda, SpillDir: *spill, Parallel: *parallel,
-		Partitioner: strat, Pipelined: *pipe, PipelineChunk: *pipeCk, PipelineDepth: *pipeDp,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
 	}
 	switch *ckptSync {
@@ -135,9 +131,6 @@ func main() {
 	}
 	if st.Recoveries > 0 {
 		fmt.Printf("recoveries         %d (in-run checkpoint rollbacks)\n", st.Recoveries)
-	}
-	if st.WatchdogTrips > 0 {
-		fmt.Printf("watchdog trips     %d (assemblers degraded to inline)\n", st.WatchdogTrips)
 	}
 
 	rep, err := inferturbo.SimulateCluster(spec, res)

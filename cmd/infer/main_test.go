@@ -61,9 +61,8 @@ func runInfer(t *testing.T, args ...string) (string, error) {
 }
 
 // TestKillAndResumeByteIdentical is the end-to-end crash-resume guarantee:
-// for every {serial,parallel} × {BSP,pipelined} combination, a run
-// SIGKILLed mid-superstep and restarted with -resume produces logits
-// byte-identical to an uninterrupted run.
+// serial and parallel, a run SIGKILLed mid-superstep and restarted with
+// -resume produces logits byte-identical to an uninterrupted run.
 func TestKillAndResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess matrix")
@@ -72,60 +71,54 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	base := []string{"-data", dataPath, "-model", modelPath, "-workers", "4"}
 
 	for _, parallel := range []bool{false, true} {
-		for _, pipelined := range []bool{false, true} {
-			name := fmt.Sprintf("parallel=%v/pipelined=%v", parallel, pipelined)
-			t.Run(name, func(t *testing.T) {
-				combo := append([]string{}, base...)
-				combo = append(combo, fmt.Sprintf("-parallel=%v", parallel))
-				if pipelined {
-					combo = append(combo, "-pipeline", "-pipeline-chunk", "7")
-				}
-				work := t.TempDir()
-				cleanBin := filepath.Join(work, "clean.bin")
-				resumedBin := filepath.Join(work, "resumed.bin")
-				ckptDir := filepath.Join(work, "ckpt")
+		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
+			combo := append([]string{}, base...)
+			combo = append(combo, fmt.Sprintf("-parallel=%v", parallel))
+			work := t.TempDir()
+			cleanBin := filepath.Join(work, "clean.bin")
+			resumedBin := filepath.Join(work, "resumed.bin")
+			ckptDir := filepath.Join(work, "ckpt")
 
-				out, err := runInfer(t, append(combo, "-out-logits", cleanBin)...)
-				if err != nil {
-					t.Fatalf("clean run: %v\n%s", err, out)
-				}
+			out, err := runInfer(t, append(combo, "-out-logits", cleanBin)...)
+			if err != nil {
+				t.Fatalf("clean run: %v\n%s", err, out)
+			}
 
-				// Kill the process for real at superstep 3 (the epoch for
-				// superstep 2 is durable by then).
-				out, err = runInfer(t, append(combo, "-checkpoint-dir", ckptDir, "-die-at", "3")...)
-				if err == nil {
-					t.Fatalf("die-at run survived:\n%s", out)
-				}
-				ee, ok := err.(*exec.ExitError)
-				if !ok || ee.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
-					t.Fatalf("die-at run did not die by SIGKILL: %v\n%s", err, out)
-				}
-				if names, _ := filepath.Glob(filepath.Join(ckptDir, "epoch-*.ckpt")); len(names) == 0 {
-					t.Fatal("killed run left no durable epochs")
-				}
+			// Kill the process for real at superstep 3 (the epoch for
+			// superstep 2 is durable by then).
+			out, err = runInfer(t, append(combo, "-checkpoint-dir", ckptDir, "-die-at", "3")...)
+			if err == nil {
+				t.Fatalf("die-at run survived:\n%s", out)
+			}
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
+				t.Fatalf("die-at run did not die by SIGKILL: %v\n%s", err, out)
+			}
+			if names, _ := filepath.Glob(filepath.Join(ckptDir, "epoch-*.ckpt")); len(names) == 0 {
+				t.Fatal("killed run left no durable epochs")
+			}
 
-				out, err = runInfer(t, append(combo,
-					"-checkpoint-dir", ckptDir, "-resume", "-out-logits", resumedBin)...)
-				if err != nil {
-					t.Fatalf("resume run: %v\n%s", err, out)
-				}
-				if !strings.Contains(out, "resumed            true") {
-					t.Fatalf("resume run did not report resuming:\n%s", out)
-				}
+			out, err = runInfer(t, append(combo,
+				"-checkpoint-dir", ckptDir, "-resume", "-out-logits", resumedBin)...)
+			if err != nil {
+				t.Fatalf("resume run: %v\n%s", err, out)
+			}
+			if !strings.Contains(out, "resumed            true") {
+				t.Fatalf("resume run did not report resuming:\n%s", out)
+			}
 
-				clean, err := os.ReadFile(cleanBin)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resumed, err := os.ReadFile(resumedBin)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(clean, resumed) {
-					t.Fatal("resumed logits differ from uninterrupted run")
-				}
-			})
-		}
+			clean, err := os.ReadFile(cleanBin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := os.ReadFile(resumedBin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(clean, resumed) {
+				t.Fatal("resumed logits differ from uninterrupted run")
+			}
+		})
 	}
 }
 

@@ -6,10 +6,10 @@
 // and runs them full-graph, sampling-free, on either of two distributed
 // execution backends — a Pregel-like graph processing engine or a MapReduce
 // batch engine — with the paper's three skew strategies (partial-gather,
-// broadcast, shadow-nodes), pluggable, locality-aware vertex placement
-// (InferOptions.Partitioner: hash, degree-balanced, streaming LDG, Fennel),
-// and pipelined supersteps (InferOptions.Pipelined) overlapping each
-// superstep's scatter/delivery with its compute, bit-identical to strict BSP.
+// broadcast, shadow-nodes) and pluggable, locality-aware vertex placement
+// (InferOptions.Partitioner: hash, degree-balanced, streaming LDG, Fennel).
+// The Pregel engine runs strict BSP: each superstep gathers, applies and
+// scatters, and one barrier delivers its messages before the next begins.
 // Predictions are deterministic: identical across runs, worker counts,
 // vertex placements, backends and strategy combinations — including the
 // goroutine-parallel compute kernels, which are bit-identical at any

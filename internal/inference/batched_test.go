@@ -41,6 +41,22 @@ func runSerialParallel(t *testing.T, m *gas.Model, g *graph.Graph, opts Options)
 	return serial
 }
 
+// requireSameRun asserts bit-identical logits and identical run stats.
+func requireSameRun(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if !want.Logits.Equal(got.Logits) {
+		t.Fatalf("%s: logits diverge: max diff %v",
+			label, want.Logits.MaxAbsDiff(got.Logits))
+	}
+	ws, gs := want.Stats, got.Stats
+	if ws.MessagesSent != gs.MessagesSent || ws.BytesSent != gs.BytesSent ||
+		ws.BytesReceived != gs.BytesReceived || ws.RemoteMessages != gs.RemoteMessages ||
+		ws.RemoteBytes != gs.RemoteBytes || ws.CombinedAway != gs.CombinedAway ||
+		ws.BroadcastHubs != gs.BroadcastHubs || ws.Supersteps != gs.Supersteps {
+		t.Fatalf("%s: stats diverge:\nwant %+v\ngot  %+v", label, ws, gs)
+	}
+}
+
 // requireReference checks res against the reference forward's logits ref:
 // bit for bit when exact, else to logitTol; the classes always exactly.
 func requireReference(t *testing.T, label string, res *Result, ref *tensor.Matrix, exact bool) {
@@ -186,7 +202,7 @@ func TestBatchedPlaneEdgeFeatures(t *testing.T) {
 
 // TestBatchedEmbeddingsMatchReference: the retained penultimate slab
 // matches the reference forward's penultimate state, and is bit-identical
-// across worker counts, serial, parallel and pipelined; for a one-layer
+// across worker counts, serial and parallel; for a one-layer
 // model it is the raw feature row.
 func TestBatchedEmbeddingsMatchReference(t *testing.T) {
 	g := testGraph(t, datagen.SkewIn, 140)
@@ -198,7 +214,6 @@ func TestBatchedEmbeddingsMatchReference(t *testing.T) {
 		for _, opts := range []Options{
 			{NumWorkers: 1},
 			{NumWorkers: 5, Parallel: true},
-			{NumWorkers: 3, Pipelined: true, PipelineChunk: 7},
 		} {
 			opts.EmitEmbeddings = true
 			res, err := RunPregel(m, g, opts)
@@ -238,7 +253,7 @@ func TestBatchedRecoveryByteIdentical(t *testing.T) {
 		for fail := 1; fail <= m.NumLayers(); fail++ {
 			crashed := opts
 			crashed.CheckpointEvery = 1
-			crashed.FailAtSuperstep = fail
+			crashed.Faults = crashBefore(fail)
 			rec, err := RunPregel(m, g, crashed)
 			if err != nil {
 				t.Fatalf("%s fail@%d: %v", comboName(opts), fail, err)
@@ -263,7 +278,7 @@ func TestBatchedEmbeddingsSurviveRecovery(t *testing.T) {
 	}
 	crashed := opts
 	crashed.CheckpointEvery = 1
-	crashed.FailAtSuperstep = m.NumLayers() // final superstep lost and replayed
+	crashed.Faults = crashBefore(m.NumLayers()) // final superstep lost and replayed
 	rec, err := RunPregel(m, g, crashed)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +298,6 @@ func TestGATEmitSurvivesRecovery(t *testing.T) {
 	for _, opts := range []Options{
 		{NumWorkers: 4, Parallel: true, Broadcast: true},
 		{NumWorkers: 3},
-		{NumWorkers: 4, Parallel: true, Pipelined: true, PipelineChunk: 5},
 	} {
 		clean, err := RunPregel(m, g, opts)
 		if err != nil {
@@ -292,7 +306,7 @@ func TestGATEmitSurvivesRecovery(t *testing.T) {
 		for fail := 1; fail <= m.NumLayers(); fail++ {
 			crashed := opts
 			crashed.CheckpointEvery = 1
-			crashed.FailAtSuperstep = fail
+			crashed.Faults = crashBefore(fail)
 			rec, err := RunPregel(m, g, crashed)
 			if err != nil {
 				t.Fatalf("%s fail@%d: %v", comboName(opts), fail, err)

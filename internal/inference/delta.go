@@ -209,16 +209,12 @@ func (d *deltaDriver) Compute(*pregel.Context[deltaVtx, deltaPing], []deltaPing)
 func (d *deltaDriver) ComputeBatch(ctx *pregel.BatchContext[deltaVtx, deltaPing]) {
 	w, k := ctx.WorkerID(), ctx.Superstep
 	owned := ctx.Owned()
-	chunk := ctx.ChunkSize() // 0 off the pipelined plane
 	if k == 0 {
 		for li, v := range owned {
 			if !ctx.Computed(li) {
 				continue
 			}
 			d.seedStep(ctx, v)
-			if chunk > 0 && (li+1)%chunk == 0 {
-				ctx.FlushChunk()
-			}
 		}
 		return
 	}
@@ -233,9 +229,6 @@ func (d *deltaDriver) ComputeBatch(ctx *pregel.BatchContext[deltaVtx, deltaPing]
 			ctx.Halt(li)
 		}
 		cost += layerNodeFlops(d.model.Layers[k-1]) + int64(d.g.InDegree(v))*layerMsgFlops(d.model.Layers[k-1])
-		if chunk > 0 && (li+1)%chunk == 0 {
-			ctx.FlushChunk()
-		}
 	}
 	ctx.AddCost(cost)
 }

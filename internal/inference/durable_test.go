@@ -13,6 +13,11 @@ import (
 	"inferturbo/internal/tensor"
 )
 
+// crashBefore is a one-entry fault plan crashing before superstep step.
+func crashBefore(step int) *pregel.FaultPlan {
+	return &pregel.FaultPlan{Crashes: []pregel.Fault{{Superstep: step, Point: pregel.FaultBeforeSuperstep}}}
+}
+
 // corruptLatestEpoch flips a byte in the middle of the newest epoch file so
 // resume must fall back to the previous epoch (and therefore recompute the
 // supersteps in between).
@@ -52,7 +57,7 @@ func TestDurableCheckpointStats(t *testing.T) {
 	}
 }
 
-// TestResumeFromDurableEpoch: serial, parallel and pipelined, a resumed run
+// TestResumeFromDurableEpoch: serial and parallel, a resumed run
 // over an existing checkpoint directory — with the newest epoch corrupted, so
 // resume falls back an epoch and recomputes the tail supersteps — produces
 // byte-identical predictions.
@@ -62,7 +67,6 @@ func TestResumeFromDurableEpoch(t *testing.T) {
 	planes := []Options{
 		{NumWorkers: 4, Parallel: true},
 		{NumWorkers: 4},
-		{NumWorkers: 4, Parallel: true, Pipelined: true, PipelineChunk: 7},
 		{NumWorkers: 3, Broadcast: true, ShadowNodes: true, PartialGather: true, EmitEmbeddings: true},
 	}
 	for _, opts := range planes {
@@ -120,8 +124,7 @@ func TestResumeColdStart(t *testing.T) {
 }
 
 // TestFaultPlanInference: a multi-crash fault plan — including a superstep-0
-// crash the legacy FailAtSuperstep field cannot express — recovers to
-// byte-identical predictions, BSP and pipelined.
+// crash — recovers to byte-identical predictions.
 func TestFaultPlanInference(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 180)
 	m := sageModel(t)
@@ -131,28 +134,23 @@ func TestFaultPlanInference(t *testing.T) {
 		{Superstep: 2, Point: pregel.FaultDuringCheckpoint},
 		{Superstep: m.NumLayers(), Point: pregel.FaultBeforeSuperstep},
 	}}
-	for _, opts := range []Options{
-		{NumWorkers: 4, Parallel: true},
-		{NumWorkers: 4, Pipelined: true, Parallel: true},
-	} {
-		clean, err := RunPregel(m, g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chaotic := opts
-		chaotic.CheckpointEvery = 1
-		chaotic.Faults = plan
-		res, err := RunPregel(m, g, chaotic)
-		if err != nil {
-			t.Fatalf("%s: %v", comboName(opts), err)
-		}
-		if res.Stats.Recoveries != len(plan.Crashes) {
-			t.Fatalf("%s: recoveries = %d, want %d", comboName(opts), res.Stats.Recoveries, len(plan.Crashes))
-		}
-		if !clean.Logits.Equal(res.Logits) {
-			t.Fatalf("%s: logits diverge after fault plan: max diff %v",
-				comboName(opts), clean.Logits.MaxAbsDiff(res.Logits))
-		}
+	opts := Options{NumWorkers: 4, Parallel: true}
+	clean, err := RunPregel(m, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaotic := opts
+	chaotic.CheckpointEvery = 1
+	chaotic.Faults = plan
+	res, err := RunPregel(m, g, chaotic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Recoveries != len(plan.Crashes) {
+		t.Fatalf("recoveries = %d, want %d", res.Stats.Recoveries, len(plan.Crashes))
+	}
+	if !clean.Logits.Equal(res.Logits) {
+		t.Fatalf("logits diverge after fault plan: max diff %v", clean.Logits.MaxAbsDiff(res.Logits))
 	}
 }
 

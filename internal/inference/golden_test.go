@@ -90,15 +90,13 @@ var goldenFaults = &pregel.FaultPlan{Crashes: []pregel.Fault{
 	{Superstep: 2, Point: pregel.FaultBeforeSuperstep},
 }}
 
-// goldenPlanes are the five runs every golden asserts: serial and parallel,
-// BSP and pipelined, with and without broadcast, and one recovered from
-// injected crashes.
+// goldenPlanes are the four runs every golden asserts: serial and parallel,
+// with and without broadcast, and one recovered from injected crashes.
 var goldenPlanes = []goldenPlane{
 	{"batched/w8/parallel+broadcast", Options{NumWorkers: 8, Parallel: true, Broadcast: true}},
 	{"batched/w3/serial", Options{NumWorkers: 3}},
 	{"batched/w4/serial+broadcast", Options{NumWorkers: 4, Broadcast: true}},
 	{"batched/w4/recovered", Options{NumWorkers: 4, CheckpointEvery: 1, Faults: goldenFaults}},
-	{"pipelined/w4/chunk7/parallel+broadcast", Options{NumWorkers: 4, Pipelined: true, PipelineChunk: 7, Parallel: true, Broadcast: true}},
 }
 
 // goldenGraph is goldenGAT's graph: 600 skew-out nodes whose hubs take the

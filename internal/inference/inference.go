@@ -15,7 +15,6 @@ package inference
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"inferturbo/internal/checkpoint"
 	"inferturbo/internal/cluster"
@@ -58,34 +57,11 @@ type Options struct {
 	HubThreshold int
 	// Parallel runs workers on goroutines; results are identical either way.
 	Parallel bool
-	// Pipelined switches the Pregel backend onto the pipelined superstep
-	// plane: scatter and delivery overlap with compute through chunked eager
-	// flushing and background inbox assembly, shrinking the superstep
-	// barrier to a drain plus the ascending-source merge. Results, delivery
-	// order and IO stats are bit-identical to the BSP path at any chunk size
-	// and pipeline depth. MapReduce ignores this.
-	Pipelined bool
-	// PipelineChunk is the pipelined plane's chunk granularity in owned
-	// vertices (how often a worker seals and flushes its sends). 0 selects
-	// the engine default. Any value is result-identical.
-	PipelineChunk int
-	// PipelineDepth bounds each receiver's in-flight sealed-extent queue
-	// under Parallel execution; a sender that runs further ahead blocks
-	// until the receiver's background assembly catches up. 0 selects the
-	// engine default. Any value is result-identical.
-	PipelineDepth int
 	// CheckpointEvery snapshots Pregel engine state (including the driver's
 	// per-worker state slabs) every n supersteps, enabling recovery
 	// from a worker failure. 0 disables checkpointing. MapReduce ignores
 	// this.
 	CheckpointEvery int
-	// FailAtSuperstep injects one simulated Pregel worker crash at the
-	// given superstep (> 0); the engine restores the latest checkpoint and
-	// replays, and results are identical to a failure-free run. Used by the
-	// fault-tolerance tests. Superseded by Faults (which can target
-	// superstep 0 and schedule multiple crashes); kept for back-compat and
-	// folded into the same schedule.
-	FailAtSuperstep int
 	// Faults schedules deterministic injected crashes for the Pregel
 	// backend — the chaos-test surface. Each entry fires once at its
 	// superstep and lifecycle point; the engine recovers from the latest
@@ -109,12 +85,6 @@ type Options struct {
 	// survive process crashes (the guarantee the kill-and-resume tests
 	// exercise), but an OS crash may lose the newest ones.
 	CheckpointSync checkpoint.SyncMode
-	// PipelineWatchdog bounds how long a pipelined sender waits on a
-	// receiver's backed-up assembly queue before degrading that receiver to
-	// inline assembly for the rest of the superstep (results unchanged —
-	// assembly is commutative). 0 selects the engine default (30s);
-	// negative disables the watchdog.
-	PipelineWatchdog time.Duration
 	// SuperstepHook runs on the engine goroutine at the start of every
 	// superstep, after queued durable epochs have drained — the
 	// deterministic kill point the crash-resume integration tests use.
@@ -435,7 +405,6 @@ type Stats struct {
 	CheckpointBytes  int64 // bytes persisted to the durable sink
 	CheckpointWallNs int64 // snapshot capture time on the superstep critical path
 	PersistWallNs    int64 // background epoch encode+write time (overlapped)
-	WatchdogTrips    int   // pipelined assemblers degraded to inline assembly
 	// StepActive is the frontier size per superstep: how many vertices each
 	// superstep actually computed. A full pass reports the node count at
 	// every step; a delta pass reports the L-hop flood of the change set

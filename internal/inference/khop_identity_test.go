@@ -294,7 +294,6 @@ func TestRunInducedRejectsOtherOptions(t *testing.T) {
 	for _, opts := range []Options{
 		{PartialGather: true},
 		{Broadcast: true},
-		{Pipelined: true},
 		{EmitEmbeddings: true},
 		{CheckpointEvery: 1},
 		{SuperstepHook: func(int) {}},

@@ -154,7 +154,7 @@ func TestCheckpointRecoveryWithLDG(t *testing.T) {
 	}
 	recovered, err := RunPregel(m, g, Options{
 		NumWorkers: 4, Partitioner: graph.LDG{},
-		CheckpointEvery: 1, FailAtSuperstep: 2,
+		CheckpointEvery: 1, Faults: crashBefore(2),
 	})
 	if err != nil {
 		t.Fatal(err)

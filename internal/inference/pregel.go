@@ -348,20 +348,15 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 	}
 
 	cfg := pregel.Config[gnnMsg]{
-		NumWorkers:       opts.NumWorkers,
-		Partitioner:      driver.part,
-		MaxSupersteps:    model.NumLayers() + 1,
-		Parallel:         opts.Parallel,
-		Batched:          true,
-		Pipelined:        opts.Pipelined,
-		ChunkSize:        opts.PipelineChunk,
-		PipelineDepth:    opts.PipelineDepth,
-		CheckpointEvery:  opts.CheckpointEvery,
-		FailAtSuperstep:  opts.FailAtSuperstep,
-		Faults:           opts.Faults,
-		PipelineWatchdog: opts.PipelineWatchdog,
-		SuperstepHook:    opts.SuperstepHook,
-		Cancel:           opts.Cancel,
+		NumWorkers:      opts.NumWorkers,
+		Partitioner:     driver.part,
+		MaxSupersteps:   model.NumLayers() + 1,
+		Parallel:        opts.Parallel,
+		Batched:         true,
+		CheckpointEvery: opts.CheckpointEvery,
+		Faults:          opts.Faults,
+		SuperstepHook:   opts.SuperstepHook,
+		Cancel:          opts.Cancel,
 	}
 	ops := &pregel.ColumnarOps{Bytes: columnarBytes}
 	if opts.PartialGather {
@@ -446,7 +441,6 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 	res.Stats.CheckpointBytes = cs.Bytes
 	res.Stats.CheckpointWallNs = cs.SnapshotNs
 	res.Stats.PersistWallNs = cs.PersistNs
-	res.Stats.WatchdogTrips = eng.WatchdogTrips()
 	return res, nil
 }
 

@@ -233,10 +233,7 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 // scatterBatch walks the partition's slab rows in owned-vertex order through
 // scatterColumnar. A layer that reads its emitted rows back has them emitted
 // first, for every live row in one pooled call, and keeps them for the next
-// apply; other emitters write one row at a time into scratch. On the
-// pipelined plane the walk seals and flushes at the engine's chunk cadence,
-// letting receivers assemble this partition's extents while later rows are
-// still scattering.
+// apply; other emitters write one row at a time into scratch.
 func (d *pregelDriver) scatterBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], k int) {
 	w := ctx.WorkerID()
 	st := d.states[w]
@@ -246,7 +243,6 @@ func (d *pregelDriver) scatterBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], 
 		kept = d.emitSlab(w, st, k)
 		d.emits[w] = kept
 	}
-	chunk := ctx.ChunkSize() // 0 off the pipelined plane
 	for li, v := range owned {
 		if r, ok := d.slabRow(w, li, k); ok {
 			var msg []float32
@@ -256,9 +252,6 @@ func (d *pregelDriver) scatterBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], 
 				msg = d.vertexMsg(w, v, st.Row(r), k)
 			}
 			d.scatterColumnar(ctx, w, v, msg, k)
-		}
-		if chunk > 0 && (li+1)%chunk == 0 {
-			ctx.FlushChunk()
 		}
 	}
 }

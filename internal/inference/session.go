@@ -250,21 +250,16 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	driver := newDeltaDriver(s.model, g, s.gi, s.layers, s.msgs, s.emits,
 		s.pendState, s.pendInbox, s.pendPinned, s.dirtyStep, o.NumWorkers)
 	cfg := pregel.Config[deltaPing]{
-		NumWorkers:       o.NumWorkers,
-		Partitioner:      part,
-		MaxSupersteps:    s.model.NumLayers() + 1,
-		Parallel:         o.Parallel,
-		Batched:          true,
-		Pipelined:        o.Pipelined,
-		ChunkSize:        o.PipelineChunk,
-		PipelineDepth:    o.PipelineDepth,
-		CheckpointEvery:  o.CheckpointEvery,
-		FailAtSuperstep:  o.FailAtSuperstep,
-		Faults:           o.Faults,
-		PipelineWatchdog: o.PipelineWatchdog,
-		SuperstepHook:    o.SuperstepHook,
-		Cancel:           o.Cancel,
-		Frontier:         frontier,
+		NumWorkers:      o.NumWorkers,
+		Partitioner:     part,
+		MaxSupersteps:   s.model.NumLayers() + 1,
+		Parallel:        o.Parallel,
+		Batched:         true,
+		CheckpointEvery: o.CheckpointEvery,
+		Faults:          o.Faults,
+		SuperstepHook:   o.SuperstepHook,
+		Cancel:          o.Cancel,
+		Frontier:        frontier,
 		// Pings are headers-only; reserves stay minimal.
 		Columnar: &pregel.ColumnarOps{Bytes: columnarBytes, ReserveMsgs: len(frontier)/o.NumWorkers + 1},
 	}
@@ -283,7 +278,6 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	res.Stats.CheckpointBytes = cs.Bytes
 	res.Stats.CheckpointWallNs = cs.SnapshotNs
 	res.Stats.PersistWallNs = cs.PersistNs
-	res.Stats.WatchdogTrips = eng.WatchdogTrips()
 	if s.dur != nil {
 		s.persistResident(g, s.dirtyRows(g.NumNodes, added), false)
 	}

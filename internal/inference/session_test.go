@@ -76,8 +76,7 @@ func sessionTestGraph(seed int64, edgeFeatures bool) *graph.Graph {
 // mode: random mutation batches followed by delta refreshes stay bit-
 // identical to a from-scratch full pass on the mutated graph, across models
 // (degree-scaled GCN, GIN, SAGE with edge-dependent messages, GAT's emitted
-// rows), both compute planes, BSP and pipelined supersteps, and worker
-// counts.
+// rows), serial and parallel, and worker counts.
 func TestSessionDeltaMatchesScratch(t *testing.T) {
 	models := map[string]*gas.Model{
 		"gcn":     gas.NewGCNModel("s-gcn", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(21)),
@@ -89,14 +88,12 @@ func TestSessionDeltaMatchesScratch(t *testing.T) {
 		{NumWorkers: 1},
 		{NumWorkers: 3, Parallel: true},
 		{NumWorkers: 3},
-		{NumWorkers: 2, Pipelined: true, PipelineChunk: 7, Parallel: true},
-		{NumWorkers: 2, Pipelined: true},
 	}
 	seed := int64(100)
 	for name, m := range models {
 		for _, opts := range planes {
 			seed++
-			label := fmt.Sprintf("%s/w%d/parallel=%v/pipelined=%v", name, opts.NumWorkers, opts.Parallel, opts.Pipelined)
+			label := fmt.Sprintf("%s/w%d/parallel=%v", name, opts.NumWorkers, opts.Parallel)
 			g := sessionTestGraph(seed, true)
 			opts.DeltaCutover = 1.1 // never fall back: this test pins the delta path
 			sess, err := NewSession(m, g, opts)

@@ -53,15 +53,11 @@ func (p *batchSumProg) ComputeBatch(ctx *BatchContext[float32, [3]float32]) {
 		return
 	}
 	var pay [3]float32
-	chunk := ctx.ChunkSize() // 0 off the pipelined plane
 	for li, v := range owned {
 		dsts, _ := ctx.OutEdges(v)
 		pay = [3]float32{p.vals[w][li], float32(v), 1}
 		for _, d := range dsts {
 			ctx.SendColumnar(d, 0, v, 1, pay[:])
-		}
-		if chunk > 0 && (li+1)%chunk == 0 {
-			ctx.FlushChunk()
 		}
 	}
 }
@@ -129,13 +125,13 @@ func TestBatchedMatchesPerVertex(t *testing.T) {
 // the engine to checkpoint the program-owned slabs through ProgramStater.
 func TestBatchedRecoveryByteIdentical(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
-	run := func(failAt int) ([]float32, int) {
+	run := func(faults *FaultPlan) ([]float32, int) {
 		eng := NewEngine[float32, [3]float32](topo, newBatchSumProg(6, 4), Config[[3]float32]{
 			NumWorkers:      4,
 			Parallel:        true,
 			MaxSupersteps:   10,
 			CheckpointEvery: 2,
-			FailAtSuperstep: failAt,
+			Faults:          faults,
 			Columnar:        &ColumnarOps{Combine: colSumCombiner},
 			Batched:         true,
 		})
@@ -144,11 +140,11 @@ func TestBatchedRecoveryByteIdentical(t *testing.T) {
 		}
 		return append([]float32(nil), eng.Values()...), eng.Recoveries()
 	}
-	clean, rec0 := run(0)
+	clean, rec0 := run(nil)
 	if rec0 != 0 {
 		t.Fatal("clean run must not recover")
 	}
-	failed, rec1 := run(5) // fails one superstep past the step-4 checkpoint
+	failed, rec1 := run(crashBefore(5)) // fails one superstep past the step-4 checkpoint
 	if rec1 != 1 {
 		t.Fatalf("recoveries = %d, want 1", rec1)
 	}

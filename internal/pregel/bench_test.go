@@ -168,30 +168,9 @@ func benchmarkColumnar(b *testing.B, combine, parallel bool) {
 	}
 }
 
-func benchmarkPipelined(b *testing.B, combine, parallel bool) {
-	topo := benchTopology(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ops := &ColumnarOps{}
-		if combine {
-			ops.Combine = benchColCombiner
-		}
-		eng := NewEngine[[]float32, benchMsg](topo, &benchColProg{rounds: benchRounds}, Config[benchMsg]{
-			NumWorkers: 8, Parallel: parallel, Columnar: ops, Pipelined: true,
-		})
-		if err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSuperstepBoxed(b *testing.B)             { benchmarkBoxed(b, false, false) }
-func BenchmarkSuperstepBoxedCombine(b *testing.B)      { benchmarkBoxed(b, true, false) }
-func BenchmarkSuperstepColumnar(b *testing.B)          { benchmarkColumnar(b, false, false) }
-func BenchmarkSuperstepColumnarCombine(b *testing.B)   { benchmarkColumnar(b, true, false) }
-func BenchmarkSuperstepBoxedParallel(b *testing.B)     { benchmarkBoxed(b, true, true) }
-func BenchmarkSuperstepColumnarParallel(b *testing.B)  { benchmarkColumnar(b, true, true) }
-func BenchmarkSuperstepPipelined(b *testing.B)         { benchmarkPipelined(b, false, false) }
-func BenchmarkSuperstepPipelinedCombine(b *testing.B)  { benchmarkPipelined(b, true, false) }
-func BenchmarkSuperstepPipelinedParallel(b *testing.B) { benchmarkPipelined(b, true, true) }
+func BenchmarkSuperstepBoxed(b *testing.B)            { benchmarkBoxed(b, false, false) }
+func BenchmarkSuperstepBoxedCombine(b *testing.B)     { benchmarkBoxed(b, true, false) }
+func BenchmarkSuperstepColumnar(b *testing.B)         { benchmarkColumnar(b, false, false) }
+func BenchmarkSuperstepColumnarCombine(b *testing.B)  { benchmarkColumnar(b, true, false) }
+func BenchmarkSuperstepBoxedParallel(b *testing.B)    { benchmarkBoxed(b, true, true) }
+func BenchmarkSuperstepColumnarParallel(b *testing.B) { benchmarkColumnar(b, true, true) }

@@ -11,8 +11,7 @@ package pregel
 // captures the immutable in-memory snapshot synchronously (the same deep
 // copies the fast path needs anyway) and hands it to a single background
 // persister goroutine that encodes and writes it while the next supersteps
-// compute — the same overlap discipline as the PR 5 pipelined plane. A
-// snapshot is never written after capture (the invariant the in-memory
+// compute. A snapshot is never written after capture (the invariant the in-memory
 // restore path already relies on), which is what makes the background
 // encode race-free. The persist queue holds one snapshot, so at most two
 // epochs are outstanding and a fast-checkpointing run backpressures instead
@@ -196,14 +195,15 @@ const (
 	segAgg     = "agg"
 	segColIn   = "colin"
 	segColMail = "colmail"
-	segPendIn  = "pendin"
 	segBoxOff  = "boxoff"
 	segBoxMsgs = "boxmsgs"
 	segBoxMail = "boxmail"
 	segProg    = "prog"
 )
 
-const snapshotVersion = 1
+// snapshotVersion leads the meta segment; decodeSnapshot refuses epochs of
+// any other version.
+const snapshotVersion = 2
 
 // segArena builds an epoch's segments inside one reusable buffer. Appends
 // may reallocate the buffer, so segment boundaries are tracked as end
@@ -267,7 +267,7 @@ func (e *Engine[V, M]) encodeSnapshot(cp *snapshot[V, M]) ([]checkpoint.Segment,
 	a.grow(est + est/8)
 	b := a.buf
 	b = checkpoint.AppendU32(b, snapshotVersion)
-	b = checkpoint.AppendBools(b, []bool{e.columnar, e.pipelined, cp.hasProg, cp.aggPrev != nil})
+	b = checkpoint.AppendBools(b, []bool{e.columnar, cp.hasProg, cp.aggPrev != nil})
 	b = checkpoint.AppendU32(b, uint32(nw))
 	b = checkpoint.AppendU64(b, uint64(len(cp.values)))
 	b = checkpoint.AppendI64(b, int64(cp.inTotal))
@@ -314,15 +314,6 @@ func (e *Engine[V, M]) encodeSnapshot(cp *snapshot[V, M]) ([]checkpoint.Segment,
 		}
 		a.buf = b
 		a.seal(segColMail)
-		if e.pipelined {
-			b = a.buf
-			for r := 0; r < nw; r++ {
-				b = checkpoint.AppendI64(b, cp.pendIn[r].msgs)
-				b = checkpoint.AppendI64(b, cp.pendIn[r].bytes)
-			}
-			a.buf = b
-			a.seal(segPendIn)
-		}
 	} else {
 		b := a.buf
 		for r := 0; r < nw; r++ {
@@ -459,23 +450,23 @@ func (e *Engine[V, M]) decodeSnapshot(step int, segs []checkpoint.Segment) (*sna
 	if err != nil {
 		return nil, err
 	}
-	version := mr.U32()
+	// The version leads the meta segment and is checked before the rest is
+	// parsed: other versions lay the meta out differently.
+	if version := mr.U32(); mr.Err() == nil && version != snapshotVersion {
+		return nil, fmt.Errorf("pregel: checkpoint version %d, engine speaks %d", version, snapshotVersion)
+	}
 	flags := mr.Bools()
 	nw := int(mr.U32())
 	nvert := int(mr.U64())
 	inTotal := int(mr.I64())
 	mailTotal := int(mr.I64())
-	if mr.Err() != nil || len(flags) != 4 || nw < 0 || nvert < 0 || inTotal < 0 || mailTotal < 0 {
+	if mr.Err() != nil || len(flags) != 3 || nw < 0 || nvert < 0 || inTotal < 0 || mailTotal < 0 {
 		return nil, errors.New("pregel: checkpoint meta segment malformed")
 	}
-	if version != snapshotVersion {
-		return nil, fmt.Errorf("pregel: checkpoint version %d, engine speaks %d", version, snapshotVersion)
-	}
-	columnar, pipelined, hasProg, hasAgg := flags[0], flags[1], flags[2], flags[3]
-	if columnar != e.columnar || pipelined != e.pipelined ||
-		nw != e.cfg.NumWorkers || nvert != len(e.values) {
-		return nil, fmt.Errorf("pregel: checkpoint shape (columnar=%v pipelined=%v workers=%d vertices=%d) does not match engine (columnar=%v pipelined=%v workers=%d vertices=%d)",
-			columnar, pipelined, nw, nvert, e.columnar, e.pipelined, e.cfg.NumWorkers, len(e.values))
+	columnar, hasProg, hasAgg := flags[0], flags[1], flags[2]
+	if columnar != e.columnar || nw != e.cfg.NumWorkers || nvert != len(e.values) {
+		return nil, fmt.Errorf("pregel: checkpoint shape (columnar=%v workers=%d vertices=%d) does not match engine (columnar=%v workers=%d vertices=%d)",
+			columnar, nw, nvert, e.columnar, e.cfg.NumWorkers, len(e.values))
 	}
 
 	cp := &snapshot[V, M]{step: step, inTotal: inTotal, mailTotal: mailTotal, hasProg: hasProg}
@@ -539,20 +530,6 @@ func (e *Engine[V, M]) decodeSnapshot(step int, segs []checkpoint.Segment) (*sna
 			}
 			if err := validateColSnap(cp.colMail[r], 0); err != nil {
 				return nil, fmt.Errorf("pregel: checkpoint worker mail for worker %d malformed: %w", r, err)
-			}
-		}
-		if e.pipelined {
-			pr, err := need(segPendIn)
-			if err != nil {
-				return nil, err
-			}
-			cp.pendIn = make([]inMetrics, nw)
-			for r := 0; r < nw; r++ {
-				cp.pendIn[r].msgs = pr.I64()
-				cp.pendIn[r].bytes = pr.I64()
-			}
-			if pr.Err() != nil {
-				return nil, errors.New("pregel: checkpoint pendin segment malformed")
 			}
 		}
 	} else {

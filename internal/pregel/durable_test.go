@@ -5,9 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"inferturbo/internal/checkpoint"
 )
@@ -111,17 +109,24 @@ func (p *batchSumProg) DecodeProgState(data []byte) (any, error) {
 }
 
 // colConfig builds the standard columnar test config for one plane combo.
-func colConfig(parallel, pipelined, batched bool, chunk int) Config[[3]float32] {
+func colConfig(parallel, batched bool) Config[[3]float32] {
 	return Config[[3]float32]{
 		NumWorkers:      4,
 		Parallel:        parallel,
 		MaxSupersteps:   10,
 		CheckpointEvery: 2,
 		Columnar:        &ColumnarOps{Combine: colSumCombiner},
-		Pipelined:       pipelined,
 		Batched:         batched,
-		ChunkSize:       chunk,
 	}
+}
+
+// colPlanes are the compute planes the fault and resume matrices cover.
+var colPlanes = []struct {
+	name    string
+	batched bool
+}{
+	{"pervertex", false},
+	{"batched", true},
 }
 
 func newColProg(batched bool) VertexProgram[float32, [3]float32] {
@@ -136,16 +141,6 @@ func newColProg(batched bool) VertexProgram[float32, [3]float32] {
 // and message totals bit-identical to the failure-free run.
 func TestFaultPlanMatrixByteIdentical(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
-	planes := []struct {
-		name               string
-		pipelined, batched bool
-		chunk              int
-	}{
-		{"bsp-pervertex", false, false, 0},
-		{"pipelined-pervertex", true, false, 5},
-		{"pipelined-batched", true, true, 4},
-		{"pipelined-awkward-chunk", true, true, 7}, // chunk doesn't divide partitions: epoch state spans partial FlushChunk extents
-	}
 	faultSets := map[string][]Fault{
 		"before":     {{Superstep: 5, Point: FaultBeforeSuperstep}},
 		"mid":        {{Superstep: 5, Point: FaultMidPipeline}},
@@ -158,9 +153,9 @@ func TestFaultPlanMatrixByteIdentical(t *testing.T) {
 			{Superstep: 5, Point: FaultBeforeSuperstep}, // fires on the replay pass
 		},
 	}
-	for _, pl := range planes {
+	for _, pl := range colPlanes {
 		run := func(plan *FaultPlan) ([]float32, int, int64) {
-			cfg := colConfig(true, pl.pipelined, pl.batched, pl.chunk)
+			cfg := colConfig(true, pl.batched)
 			cfg.Faults = plan
 			eng := NewEngine[float32, [3]float32](topo, newColProg(pl.batched), cfg)
 			if err := eng.Run(); err != nil {
@@ -195,13 +190,12 @@ func TestFaultPlanMatrixByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFaultAtSuperstepZero: the legacy FailAtSuperstep field cannot target
-// superstep 0 (its zero value means "off"); a FaultPlan entry can, and the
-// always-taken step-0 checkpoint recovers it.
+// TestFaultAtSuperstepZero: a FaultPlan entry can target superstep 0, and
+// the step-0 checkpoint an armed plan takes recovers it.
 func TestFaultAtSuperstepZero(t *testing.T) {
 	topo := randomTopology(t, 50, 200, 13)
 	run := func(plan *FaultPlan) ([]float32, int) {
-		cfg := colConfig(false, false, false, 0)
+		cfg := colConfig(false, false)
 		cfg.Faults = plan
 		eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(5, 4), cfg)
 		if err := eng.Run(); err != nil {
@@ -291,9 +285,9 @@ func TestBoxedPlaneFaultRecovery(t *testing.T) {
 // runDurable executes one engine run against a disk store in dir, optionally
 // resuming, with MaxSupersteps capped at maxSteps (simulating a kill by
 // stopping the loop early while epochs stay on disk).
-func runDurable(t *testing.T, topo Topology, pipelined, batched bool, chunk, maxSteps int, dir string, resume bool) ([]float32, bool) {
+func runDurable(t *testing.T, topo Topology, batched bool, maxSteps int, dir string, resume bool) ([]float32, bool) {
 	t.Helper()
-	cfg := colConfig(true, pipelined, batched, chunk)
+	cfg := colConfig(true, batched)
 	cfg.MaxSupersteps = maxSteps
 	eng := NewEngine[float32, [3]float32](topo, newColProg(batched), cfg)
 	st, err := checkpoint.NewStore(dir)
@@ -315,24 +309,14 @@ func runDurable(t *testing.T, topo Topology, pipelined, batched bool, chunk, max
 
 // TestDurableResumeBitIdentical: stop a run partway (epochs on disk), build
 // a fresh engine over the same store, Resume, finish — values must equal an
-// uninterrupted run's, on every plane combo including awkward chunk sizes.
+// uninterrupted run's, on every compute plane.
 func TestDurableResumeBitIdentical(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
-	planes := []struct {
-		name               string
-		pipelined, batched bool
-		chunk              int
-	}{
-		{"bsp-pervertex", false, false, 0},
-		{"pipelined-pervertex", true, false, 5},
-		{"pipelined-batched", true, true, 4},
-		{"pipelined-awkward-chunk", true, true, 7},
-	}
-	for _, pl := range planes {
-		clean, _ := runDurable(t, topo, pl.pipelined, pl.batched, pl.chunk, 10, t.TempDir(), false)
+	for _, pl := range colPlanes {
+		clean, _ := runDurable(t, topo, pl.batched, 10, t.TempDir(), false)
 		dir := t.TempDir()
-		runDurable(t, topo, pl.pipelined, pl.batched, pl.chunk, 4, dir, false) // "killed" after superstep 3
-		resumedVals, resumed := runDurable(t, topo, pl.pipelined, pl.batched, pl.chunk, 10, dir, true)
+		runDurable(t, topo, pl.batched, 4, dir, false) // "killed" after superstep 3
+		resumedVals, resumed := runDurable(t, topo, pl.batched, 10, dir, true)
 		if !resumed {
 			t.Fatalf("%s: no epoch found to resume from", pl.name)
 		}
@@ -388,9 +372,9 @@ func TestDurableResumeBoxedPlane(t *testing.T) {
 // must recover from the previous epoch and still finish bit-identically.
 func TestResumeFallsBackPastCorruptEpoch(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
-	clean, _ := runDurable(t, topo, true, true, 4, 10, t.TempDir(), false)
+	clean, _ := runDurable(t, topo, true, 10, t.TempDir(), false)
 	dir := t.TempDir()
-	runDurable(t, topo, true, true, 4, 10, dir, false)
+	runDurable(t, topo, true, 10, dir, false)
 	// Corrupt the newest epoch: flip a byte in the middle.
 	names, err := filepath.Glob(filepath.Join(dir, "epoch-*.ckpt"))
 	if err != nil || len(names) < 2 {
@@ -400,7 +384,7 @@ func TestResumeFallsBackPastCorruptEpoch(t *testing.T) {
 	b, _ := os.ReadFile(latest)
 	b[len(b)/2] ^= 0xff
 	os.WriteFile(latest, b, 0o644)
-	got, resumed := runDurable(t, topo, true, true, 4, 10, dir, true)
+	got, resumed := runDurable(t, topo, true, 10, dir, true)
 	if !resumed {
 		t.Fatal("fallback epoch not found")
 	}
@@ -416,13 +400,47 @@ func TestResumeFallsBackPastCorruptEpoch(t *testing.T) {
 func TestResumeShapeMismatch(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
 	dir := t.TempDir()
-	runDurable(t, topo, false, false, 0, 4, dir, false) // BSP epoch
-	cfg := colConfig(true, true, false, 5)              // pipelined engine
-	eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), cfg)
+	runDurable(t, topo, false, 4, dir, false) // 4-worker epoch
+	cfg := colConfig(true, false)
+	cfg.NumWorkers = 3
+	eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 3), cfg)
 	st, _ := checkpoint.NewStore(dir)
 	eng.SetSink(st, colCodec{})
 	if _, err := eng.Resume(); err == nil || !strings.Contains(err.Error(), "does not match engine") {
 		t.Fatalf("shape mismatch not rejected: %v", err)
+	}
+}
+
+// TestResumeRefusesV1Snapshot: an epoch whose meta carries snapshot format
+// v1 (with its extra plane flag) fails Resume naming both versions.
+func TestResumeRefusesV1Snapshot(t *testing.T) {
+	topo := randomTopology(t, 70, 300, 21)
+	dir := t.TempDir()
+	runDurable(t, topo, false, 4, dir, false)
+	st, _ := checkpoint.NewStore(dir)
+	step, segs, found, err := st.Load()
+	if err != nil || !found {
+		t.Fatalf("load: found=%v err=%v", found, err)
+	}
+	for i, sg := range segs {
+		if sg.Name != segMeta {
+			continue
+		}
+		r := checkpoint.NewReader(sg.Data)
+		r.U32()
+		flags := r.Bools()
+		b := checkpoint.AppendU32(nil, 1)
+		b = checkpoint.AppendBools(b, []bool{flags[0], false, flags[1], flags[2]})
+		segs[i].Data = append(b, sg.Data[len(sg.Data)-r.Remaining():]...)
+	}
+	old, _ := checkpoint.NewStore(t.TempDir())
+	if err := old.Save(step, segs); err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), colConfig(true, false))
+	eng.SetSink(old, colCodec{})
+	if _, err = eng.Resume(); err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "speaks 2") {
+		t.Fatalf("v1 snapshot not refused by version: %v", err)
 	}
 }
 
@@ -448,7 +466,7 @@ func TestResumeEmptyStore(t *testing.T) {
 // be visible.
 func TestCheckpointStatsObservability(t *testing.T) {
 	topo := randomTopology(t, 50, 200, 5)
-	cfg := colConfig(false, false, false, 0)
+	cfg := colConfig(false, false)
 	eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), cfg)
 	st, _ := checkpoint.NewStore(t.TempDir())
 	eng.SetSink(st, colCodec{})
@@ -476,70 +494,5 @@ func TestCheckpointStatsObservability(t *testing.T) {
 	}
 	if total != perStep {
 		t.Fatalf("TotalMetrics checkpoint time %d != per-step sum %d", total, perStep)
-	}
-}
-
-// TestWatchdogDegradesToInlineAssembly: a healthy drain never trips the
-// watchdog; stalled drains must degrade senders to inline assembly, the run
-// must finish, and results must stay bit-identical to the healthy run. The
-// wdOverdue seam stands in for the 2 ms timer, so neither verdict depends on
-// how the scheduler happens to run the drain goroutines.
-func TestWatchdogDegradesToInlineAssembly(t *testing.T) {
-	topo := randomTopology(t, 70, 300, 21)
-	run := func(stall bool) ([]float32, int) {
-		cfg := colConfig(true, true, false, 2)
-		cfg.PipelineDepth = 1
-		cfg.PipelineWatchdog = 2 * time.Millisecond
-		eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), cfg)
-		// Healthy: no drain is ever overdue. Stalled: every drain blocks on
-		// its first extent until a sender has found a full queue and been
-		// told the drain is overdue; from then on drains run freely.
-		release := make(chan struct{})
-		var once sync.Once
-		eng.wdOverdue = func(int) bool {
-			if stall {
-				once.Do(func() { close(release) })
-			}
-			return stall
-		}
-		if stall {
-			eng.asmStall = func(int) { <-release }
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return append([]float32(nil), eng.Values()...), eng.WatchdogTrips()
-	}
-	clean, trips0 := run(false)
-	if trips0 != 0 {
-		t.Fatalf("unstalled run tripped the watchdog %d times", trips0)
-	}
-	stalled, trips := run(true)
-	if trips == 0 {
-		t.Fatal("stalled run never tripped the watchdog")
-	}
-	for v := range clean {
-		if math.Float32bits(clean[v]) != math.Float32bits(stalled[v]) {
-			t.Fatalf("value[%d] differs under degraded assembly: %v vs %v", v, clean[v], stalled[v])
-		}
-	}
-}
-
-// TestLegacyFailAtSuperstepStillWorks pins the back-compat fold of the old
-// field into the fault plan.
-func TestLegacyFailAtSuperstepStillWorks(t *testing.T) {
-	topo := ringTopology(t, 20)
-	prog := &PageRankProgram{NumVertices: 20, Iterations: 8}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-		NumWorkers:      3,
-		CheckpointEvery: 2,
-		FailAtSuperstep: 3,
-		Faults:          &FaultPlan{Crashes: []Fault{{Superstep: 5, Point: FaultAtBarrier}}},
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Recoveries() != 2 {
-		t.Fatalf("recoveries = %d, want 2 (legacy field + plan entry)", eng.Recoveries())
 	}
 }

@@ -10,19 +10,17 @@ package pregel
 
 // FaultPoint identifies where within a superstep's lifecycle an injected
 // crash fires. All points sit at single-goroutine phase boundaries — worker
-// goroutines (compute, pipelined assembly) are always quiescent or joined
-// when a fault fires, which is what keeps injected runs deterministic.
+// goroutines (compute, delivery) are always joined when a fault fires, which is what keeps injected runs deterministic.
 type FaultPoint int
 
 const (
-	// FaultBeforeSuperstep crashes before the superstep's compute begins —
-	// the legacy FailAtSuperstep semantics. Nothing of the superstep
-	// executed; recovery replays from the latest checkpoint.
+	// FaultBeforeSuperstep crashes before the superstep's compute begins.
+	// Nothing of the superstep executed; recovery replays from the latest
+	// checkpoint.
 	FaultBeforeSuperstep FaultPoint = iota
-	// FaultMidPipeline crashes after the compute phase has produced (and, on
-	// the pipelined plane, flushed and partially assembled) send data, but
-	// before the barrier merges any of it: in-flight assembler state and the
-	// filled send buffers are lost work that recovery must discard.
+	// FaultMidPipeline crashes after the compute phase has produced its send
+	// data but before the barrier delivers any of it: the filled send
+	// buffers are lost work that recovery must discard.
 	FaultMidPipeline
 	// FaultAtBarrier crashes after the barrier's delivery/merge has rebuilt
 	// the inboxes but before the superstep commits (totals, aggregators, the
@@ -79,8 +77,7 @@ func (p FaultPoint) String() string {
 
 // Fault is one injected crash: it fires the first time the run reaches
 // Point at Superstep, then disarms (a replayed superstep does not re-crash,
-// matching a real transient failure). Superstep 0 is targetable — unlike
-// the legacy FailAtSuperstep field, whose zero value means "off".
+// matching a real transient failure). Superstep 0 is targetable.
 type Fault struct {
 	Superstep int
 	Point     FaultPoint
@@ -100,17 +97,14 @@ type faultState struct {
 	fired bool
 }
 
-// buildFaults folds the configured FaultPlan and the legacy FailAtSuperstep
-// field into one armed schedule.
-func buildFaults[M any](cfg Config[M]) []faultState {
-	var fs []faultState
-	if cfg.Faults != nil {
-		for _, f := range cfg.Faults.Crashes {
-			fs = append(fs, faultState{Fault: f})
-		}
+// buildFaults arms the configured FaultPlan.
+func buildFaults(plan *FaultPlan) []faultState {
+	if plan == nil {
+		return nil
 	}
-	if cfg.FailAtSuperstep > 0 {
-		fs = append(fs, faultState{Fault: Fault{Superstep: cfg.FailAtSuperstep, Point: FaultBeforeSuperstep}})
+	fs := make([]faultState, len(plan.Crashes))
+	for i, f := range plan.Crashes {
+		fs[i] = faultState{Fault: f}
 	}
 	return fs
 }

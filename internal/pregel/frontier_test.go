@@ -104,3 +104,63 @@ func TestFrontierOutOfRangePanics(t *testing.T) {
 		NumWorkers: 1, Frontier: []int32{9},
 	})
 }
+
+// sparseProg keeps only a tiny moving frontier sending: vertex k sends to
+// its out-neighbors at superstep k, everyone else stays halted, so every
+// superstep delivers a handful of messages from sources far apart in the id
+// space.
+type sparseProg struct{ rounds int }
+
+func (p *sparseProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float32) {
+	if ctx.Superstep > 0 {
+		in := ctx.ColumnarInbox()
+		for i := 0; i < in.Len(); i++ {
+			*ctx.Value += in.Payloads[i][0]
+		}
+	}
+	if ctx.Superstep < p.rounds && int(ctx.ID) == ctx.Superstep*37%97 {
+		dsts, _ := ctx.OutEdges()
+		pay := [3]float32{float32(ctx.ID) + 1, float32(ctx.ID), 1}
+		for _, d := range dsts {
+			ctx.SendColumnar(d, 0, ctx.ID, 1, pay[:])
+		}
+	}
+	ctx.VoteToHalt()
+}
+
+// TestSparseFrontierMatchesSingleWorker: supersteps that carry a few
+// messages over a large id space deliver the same values and traffic at
+// any worker count, parallel or not.
+func TestSparseFrontierMatchesSingleWorker(t *testing.T) {
+	topo := randomTopology(t, 400, 1600, 23)
+	run := func(workers int, parallel bool) ([]float32, int64) {
+		eng := NewEngine[float32, [3]float32](topo, &sparseProg{rounds: 10}, Config[[3]float32]{
+			NumWorkers: workers, Parallel: parallel, MaxSupersteps: 12, Columnar: &ColumnarOps{},
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var recv int64
+		for _, m := range eng.TotalMetrics() {
+			recv += m.MessagesReceived
+		}
+		return append([]float32(nil), eng.Values()...), recv
+	}
+	ref, refRecv := run(1, false)
+	if refRecv == 0 {
+		t.Fatal("sparse frontier delivered nothing")
+	}
+	for _, workers := range []int{3, 8} {
+		for _, parallel := range []bool{false, true} {
+			got, recv := run(workers, parallel)
+			if recv != refRecv {
+				t.Fatalf("workers=%d parallel=%v: received %d messages, want %d", workers, parallel, recv, refRecv)
+			}
+			for v := range ref {
+				if got[v] != ref[v] {
+					t.Fatalf("workers=%d parallel=%v: value[%d] = %v, want %v", workers, parallel, v, got[v], ref[v])
+				}
+			}
+		}
+	}
+}

