@@ -1,13 +1,13 @@
 // Command bench regenerates every table and figure of the paper's
 // evaluation section and prints them side-by-side with the paper's shape
-// claims. The EXPERIMENTS.md at the repository root records one full run.
+// claims. The EXPERIMENTS.md at the repository root records one full run;
+// regenerate it with `go run ./cmd/bench` from the repository root.
 //
 // Usage:
 //
 //	bench                 # run everything at the full preset
 //	bench -scale quick    # the fast preset the tests use
 //	bench -exp table3     # one experiment
-//	bench -perf out.json  # plane + partitioning benchmarks, identity checks as JSON
 package main
 
 import (
@@ -25,13 +25,6 @@ func main() {
 	var (
 		exp   = flag.String("exp", "all", "table1|table2|table3|table4|fig7|fig8|fig9|fig10|fig11|fig12|fig13|all")
 		scale = flag.String("scale", "full", "quick | full")
-		perf  = flag.String("perf", "", "run the perf suites (planes, checkpointing, partitioning, serving, delta, recovery, identity) and write JSON results to this path")
-
-		// Identity-gate sizing: quick trims the strategy lattice to two
-		// worker counts so PR CI stays inside its time budget; full (the
-		// bench-full.yml setting) runs the whole 128-combo lattice. Empty
-		// picks by -scale.
-		combos = flag.String("identity-combos", "", "identity gate combo set: quick | full (default: quick at -scale quick, else full)")
 
 		// Kernel tuning knobs (0 = default). Any setting is bit-identical;
 		// these trade wall-clock only.
@@ -41,17 +34,6 @@ func main() {
 	)
 	flag.Parse()
 	tensor.SetTuning(tensor.Tuning{Workers: *kWorkers, BlockSize: *kBlock, ParallelThreshold: *kThreshold})
-
-	if *perf != "" {
-		if *scale != "quick" && *scale != "full" {
-			fatalf("unknown scale %q", *scale)
-		}
-		if err := runPerf(*perf, *scale, *combos); err != nil {
-			fatalf("perf: %v", err)
-		}
-		fmt.Printf("perf results written to %s\n", *perf)
-		return
-	}
 
 	var s experiments.Scale
 	switch *scale {
