@@ -3,7 +3,8 @@ package inferturbo
 // One benchmark per table and figure of the paper's evaluation section,
 // each regenerating the corresponding experiment at the quick preset. Run
 // cmd/bench for the full-scale harness with formatted output; EXPERIMENTS.md
-// records the paper-vs-measured comparison.
+// records the paper-vs-measured comparison, and `go run ./cmd/bench` from the
+// repository root regenerates it.
 
 import (
 	"fmt"

@@ -27,8 +27,10 @@
 //	    NumWorkers: 100, PartialGather: true, Broadcast: true,
 //	})
 //
-// See examples/ for runnable scenarios and cmd/bench for the harness that
-// regenerates every table and figure of the paper's evaluation.
+// See examples/ for runnable scenarios, cmd/bench for the harness that
+// regenerates every table and figure of the paper's evaluation (EXPERIMENTS.md
+// records one full-preset run; `go run ./cmd/bench` regenerates it), and
+// benchmark/ for the end-to-end and per-layer cost measurements.
 package inferturbo
 
 import (

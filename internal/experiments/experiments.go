@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section at laptop scale. Each experiment is a pure function of
 // a Scale preset, returning structured results plus a formatted text block;
-// cmd/bench prints them and EXPERIMENTS.md records paper-vs-measured.
+// cmd/bench prints them and EXPERIMENTS.md records paper-vs-measured
+// (regenerate it with `go run ./cmd/bench` from the repository root).
 //
 // Absolute numbers cannot match the paper (its substrate was a production
 // cluster, ours is a simulated one — see DESIGN.md); every experiment
