@@ -15,10 +15,8 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"syscall"
 
 	"inferturbo"
-	"inferturbo/internal/checkpoint"
 )
 
 func main() {
@@ -36,12 +34,7 @@ func main() {
 		outPath = flag.String("out", "", "optional predictions output (one class id per line)")
 
 		parallel  = flag.Bool("parallel", true, "run workers on goroutines (results identical either way)")
-		ckptDir   = flag.String("checkpoint-dir", "", "durable checkpoint directory (pregel backend): epochs are CRC-checksummed and atomically written, so a killed process can restart with -resume")
-		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint every n supersteps (0 = 2 when -checkpoint-dir is set, else off)")
-		ckptSync  = flag.String("checkpoint-sync", "always", "epoch durability: always (fsync per epoch, survives power loss) | never (no fsync; atomic epochs survive process crashes only)")
-		resume    = flag.Bool("resume", false, "resume from the latest valid epoch in -checkpoint-dir; predictions are bit-identical to an uninterrupted run")
 		outLogits = flag.String("out-logits", "", "optional raw logits output (little-endian float32 bits) for bit-exact comparison")
-		dieAt     = flag.Int("die-at", -1, "kill -9 this process at the start of the given superstep, after pending epochs are durable (crash-resume testing)")
 	)
 	flag.Parse()
 
@@ -61,26 +54,6 @@ func main() {
 	opts := inferturbo.InferOptions{
 		NumWorkers: *workers, PartialGather: *pg, Broadcast: *bc, Partitioner: strat,
 		ShadowNodes: *sn, Lambda: *lambda, SpillDir: *spill, Parallel: *parallel,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
-	}
-	switch *ckptSync {
-	case "always":
-		opts.CheckpointSync = checkpoint.SyncAlways
-	case "never":
-		opts.CheckpointSync = checkpoint.SyncNever
-	default:
-		fatalf("unknown -checkpoint-sync %q (want always | never)", *ckptSync)
-	}
-	if *dieAt >= 0 {
-		// The hook runs on the engine goroutine after queued durable epochs
-		// have drained, so every checkpoint the run reported before this
-		// superstep is on disk when the process dies.
-		target := *dieAt
-		opts.SuperstepHook = func(step int) {
-			if step == target {
-				syscall.Kill(os.Getpid(), syscall.SIGKILL)
-			}
-		}
 	}
 
 	var res *inferturbo.InferResult
@@ -100,9 +73,6 @@ func main() {
 		fatalf("unknown backend %q", *backend)
 	}
 	if err != nil {
-		if *resume {
-			fatalf("inference: %v\nhint: -resume found unusable state in %q; a torn final epoch is skipped automatically, so this is a malformed (CRC-valid but inconsistent) epoch — clear the directory or drop -resume to rerun from scratch", err, *ckptDir)
-		}
 		fatalf("inference: %v", err)
 	}
 
@@ -123,15 +93,6 @@ func main() {
 	fmt.Printf("combined away      %d (partial-gather)\n", st.CombinedAway)
 	fmt.Printf("broadcast hubs     %d node-steps\n", st.BroadcastHubs)
 	fmt.Printf("shadow mirrors     %d\n", st.ShadowMirrors)
-	if st.Checkpoints > 0 || st.Resumed {
-		fmt.Printf("checkpoints        %d (%d bytes durable, %.1fms snapshot + %.1fms persist)\n",
-			st.Checkpoints, st.CheckpointBytes,
-			float64(st.CheckpointWallNs)/1e6, float64(st.PersistWallNs)/1e6)
-		fmt.Printf("resumed            %v\n", st.Resumed)
-	}
-	if st.Recoveries > 0 {
-		fmt.Printf("recoveries         %d (in-run checkpoint rollbacks)\n", st.Recoveries)
-	}
 
 	rep, err := inferturbo.SimulateCluster(spec, res)
 	if err != nil {
@@ -184,9 +145,8 @@ func main() {
 }
 
 // runGuarded converts any residual panic out of the inference engines into
-// an error so a malformed checkpoint (or any other poisoned input that
-// slipped past validation) exits with a diagnosable message instead of a
-// bare stack trace.
+// an error so a poisoned input that slipped past validation exits with a
+// diagnosable message instead of a bare stack trace.
 func runGuarded(run func() (*inferturbo.InferResult, error)) (res *inferturbo.InferResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -11,15 +11,12 @@
 // The service degrades gracefully under pressure: a full admission queue
 // sheds with 429 + Retry-After, a fresh query that misses its deadline
 // falls back to the resident store (marked stale), and background refreshes
-// — optionally durable via -checkpoint-dir — never block reads. With
-// -checkpoint-dir and -resume, a process killed mid-refresh restarts and
-// completes the interrupted pass from its latest durable epoch,
-// bit-identical to an uninterrupted run.
+// never block reads.
 //
-// Without -checkpoint-dir the server runs in incremental mode: POST
-// /v1/mutate stages graph deltas (feature updates, new nodes, edge changes)
-// and the next refresh recomputes only their L-hop flood against resident
-// state — bit-identical to a full pass, proportional to the change set.
+// By default the server runs in incremental mode: POST /v1/mutate stages
+// graph deltas (feature updates, new nodes, edge changes) and the next
+// refresh recomputes only their L-hop flood against resident state —
+// bit-identical to a full pass, proportional to the change set.
 // -no-incremental restores full passes everywhere.
 //
 // -session-dir makes the mutate→refresh pipeline crash-durable: every
@@ -69,14 +66,10 @@ func main() {
 		refreshEvery  = flag.Duration("refresh-every", 0, "periodic refresh interval (0 = on demand via POST /v1/refresh)")
 		noIncremental = flag.Bool("no-incremental", false, "disable the incremental delta-refresh session; every refresh is a full pass and /v1/mutate answers 409")
 
-		ckptDir   = flag.String("checkpoint-dir", "", "durable checkpoint directory for refresh passes")
-		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint every n supersteps (0 = 2 when -checkpoint-dir is set, else off)")
-		ckptSync  = flag.String("checkpoint-sync", "always", "epoch durability: always | never")
-		resume    = flag.Bool("resume", false, "resume an interrupted refresh from the latest valid epoch in -checkpoint-dir")
-
+		ckptSync   = flag.String("checkpoint-sync", "always", "durability of -session-dir's epochs and WAL: always (fsync, survives power loss) | never (no fsync; survives process crashes only)")
 		sessionDir = flag.String("session-dir", "", "durable session directory: mutations WAL-append before acknowledgment, resident state persists as a base plus links of changed rows, restarts resume and replay (requires incremental mode)")
 
-		dieAt        = flag.Int("die-at", -1, "kill -9 this process at the start of the given superstep of the -die-on-refresh'th pass (crash-resume testing)")
+		dieAt        = flag.Int("die-at", -1, "kill -9 this process at the start of the given superstep of the -die-on-refresh'th pass (crash testing)")
 		dieOnRefresh = flag.Int("die-on-refresh", 1, "which full-graph pass -die-at targets (1 = the initial store build)")
 		dieOnMutate  = flag.Int("die-on-mutate", 0, "kill -9 this process right after the n'th mutation batch is WAL-durable and staged, before its 202 is written (1-based; 0 = off)")
 		dieOnTrunc   = flag.Int("die-on-wal-truncate", 0, "kill -9 this process right before the n'th WAL truncation, after its covering epoch is durable (1-based; 0 = off)")
@@ -84,15 +77,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if *sessionDir != "" {
-		// A durable session must never fall back to a lossy mode silently:
-		// refuse flag combinations that would disable the incremental session.
-		if *noIncremental {
-			fatalf("-session-dir requires incremental mode; drop -no-incremental")
-		}
-		if *ckptDir != "" {
-			fatalf("-session-dir and -checkpoint-dir are mutually exclusive: per-superstep refresh checkpoints disable the incremental session that -session-dir persists")
-		}
+	if *sessionDir != "" && *noIncremental {
+		// A durable session must never fall back to a lossy mode silently.
+		fatalf("-session-dir requires incremental mode; drop -no-incremental")
 	}
 
 	g, err := inferturbo.LoadGraphFile(*data)
@@ -108,10 +95,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	refresh := inference.Options{
-		NumWorkers: *workers, Parallel: *parallel, Partitioner: strat,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
-	}
+	refresh := inference.Options{NumWorkers: *workers, Parallel: *parallel, Partitioner: strat}
 	switch *ckptSync {
 	case "always":
 		refresh.CheckpointSync = checkpoint.SyncAlways
@@ -123,9 +107,8 @@ func main() {
 	if *dieAt >= 0 {
 		// Passes are counted by watching the superstep sequence restart: a
 		// hook step that does not extend the previous pass begins the next
-		// one. The hook runs on the engine goroutine after queued durable
-		// epochs have drained, so everything the run reported as
-		// checkpointed is on disk when the process dies.
+		// one. The hook runs on the engine goroutine before the superstep
+		// computes, so the process dies at a fixed point of the pass.
 		pass, last := 0, -1
 		target, targetPass := *dieAt, *dieOnRefresh
 		refresh.SuperstepHook = func(step int) {
@@ -180,14 +163,11 @@ func main() {
 	// The initial pass runs before the socket opens: once the address is
 	// printed, the store is resident and /readyz is green.
 	if err := s.Start(); err != nil {
-		if *resume {
-			fatalf("initial full-graph pass: %v\nhint: -resume found unusable state in %q; a torn final epoch is skipped automatically, so this is a malformed (CRC-valid but inconsistent) epoch — clear the directory or drop -resume to rebuild from scratch", err, *ckptDir)
-		}
 		fatalf("initial full-graph pass: %v", err)
 	}
 	snap := s.Store()
-	fmt.Printf("serve: store epoch %d resident (%d nodes, %d supersteps, resumed=%v)\n",
-		snap.Epoch, g.NumNodes, snap.Stats.Supersteps, snap.Stats.Resumed)
+	fmt.Printf("serve: store epoch %d resident (%d nodes, %d supersteps)\n",
+		snap.Epoch, g.NumNodes, snap.Stats.Supersteps)
 	if *sessionDir != "" {
 		ms := s.Metrics()
 		fmt.Printf("serve: durable session resumed=%v wal_replayed=%d replay_ms=%.1f refresh=%s\n",

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -19,8 +18,9 @@ import (
 
 // TestMain lets the test binary stand in for the serve command: a child
 // launched with SERVE_MAIN_RUN=1 runs main() against its own flags. The
-// chaos test SIGKILLs a live server mid-refresh and restarts it with
-// -resume — a real crash, a real recovery, over real HTTP.
+// kill-matrix tests SIGKILL a live server at its durability seams and
+// restart it over the same session directory — a real crash, a real
+// recovery, over real HTTP.
 func TestMain(m *testing.M) {
 	if os.Getenv("SERVE_MAIN_RUN") == "1" {
 		main()
@@ -128,94 +128,6 @@ func postJSON(t *testing.T, url string, body string) (int, []byte) {
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
 	return resp.StatusCode, b
-}
-
-// TestServerChaosKillRefreshAndResume is the serving layer's crash-resume
-// guarantee end to end: a live server is SIGKILLed in the middle of a
-// background refresh while answering queries; a restarted server resumes
-// the interrupted pass from its durable epochs and presents a resident
-// store byte-identical to the pre-crash one, still answering.
-func TestServerChaosKillRefreshAndResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess chaos")
-	}
-	dataPath, modelPath := writeFixture(t)
-	ckptDir := filepath.Join(t.TempDir(), "ckpt")
-	base := []string{"-data", dataPath, "-model", modelPath, "-workers", "4", "-checkpoint-dir", ckptDir}
-
-	// Phase 1: serve, then die at superstep 3 of the second pass — the
-	// refresh we kick below. The epoch for superstep 2 is durable by then.
-	_, _, url1, exited := startServe(t, append(base, "-die-at", "3", "-die-on-refresh", "2")...)
-
-	if st, _ := httpGet(t, url1+"/readyz"); st != 200 {
-		t.Fatalf("readyz=%d before chaos", st)
-	}
-	st, before := httpGet(t, url1+"/v1/logits")
-	if st != 200 || len(before) == 0 {
-		t.Fatalf("logits dump: status=%d len=%d", st, len(before))
-	}
-	if st, body := postJSON(t, url1+"/v1/query", `{"roots":[5,9],"deadline_ms":5000}`); st != 200 {
-		t.Fatalf("query before chaos: %d %s", st, body)
-	}
-
-	if st, body := postJSON(t, url1+"/v1/refresh", ""); st != 202 {
-		t.Fatalf("refresh kick: %d %s", st, body)
-	}
-	// The server must keep answering store lookups until the very moment
-	// the kill lands.
-	for alive := true; alive; {
-		select {
-		case err := <-exited:
-			exited <- err // keep the cleanup in startServe unblocked
-			ee, ok := err.(*exec.ExitError)
-			if !ok || ee.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
-				t.Fatalf("server did not die by SIGKILL: %v", err)
-			}
-			alive = false
-		default:
-			if st, _ := httpGet(t, url1+"/v1/nodes/0"); st != 0 && st != 200 {
-				t.Fatalf("store lookup failed during refresh: %d", st)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	if names, _ := filepath.Glob(filepath.Join(ckptDir, "epoch-*.ckpt")); len(names) == 0 {
-		t.Fatal("killed server left no durable epochs")
-	}
-
-	// Phase 2: restart with -resume. The initial pass continues the killed
-	// refresh from its latest epoch instead of starting over.
-	_, out2, url2, _ := startServe(t, append(base, "-resume")...)
-	if !strings.Contains(out2.String(), "resumed=true") {
-		t.Fatalf("restarted server did not resume:\n%s", out2.String())
-	}
-	st, statsBody := httpGet(t, url2+"/v1/stats")
-	if st != 200 {
-		t.Fatalf("stats: %d", st)
-	}
-	var stats struct {
-		Resumed bool  `json:"resumed"`
-		Epoch   int64 `json:"epoch"`
-	}
-	if err := json.Unmarshal(statsBody, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Resumed || stats.Epoch != 1 {
-		t.Fatalf("stats after resume: %s", statsBody)
-	}
-
-	// The recovered store is bit-identical to the pre-crash one: same
-	// model, same graph, and recovery replays the pass exactly.
-	st, after := httpGet(t, url2+"/v1/logits")
-	if st != 200 {
-		t.Fatalf("logits after resume: %d", st)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("resident store bytes changed across SIGKILL + resume")
-	}
-	if st, body := postJSON(t, url2+"/v1/query", `{"roots":[5,9],"deadline_ms":5000}`); st != 200 {
-		t.Fatalf("query after resume: %d %s", st, body)
-	}
 }
 
 // TestServerGracefulShutdown: SIGTERM stops the server cleanly.

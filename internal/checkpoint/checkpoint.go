@@ -1,11 +1,11 @@
-// Package checkpoint implements the durable epoch store behind the Pregel
-// engine's crash recovery: versioned, CRC-checksummed segment files written
-// atomically, with a manifest naming the latest valid epoch and load-time
-// fallback past torn or corrupt files.
+// Package checkpoint implements the durable stores behind the incremental
+// Session's crash recovery: an epoch store of versioned, CRC-checksummed
+// segment files written atomically, with a manifest naming the latest valid
+// epoch and load-time fallback past torn or corrupt files, plus the
+// mutation write-ahead log (wal.go).
 //
 // One epoch file holds one recovery point as a list of named segments
-// (vertex-state slab, program state, inbox arenas, step metadata — the store
-// never interprets them). The write protocol makes a crash at any instant
+// (graph, per-layer slabs, replay mark — the store never interprets them). The write protocol makes a crash at any instant
 // recoverable:
 //
 //  1. the whole epoch is serialized into epoch.tmp (a recycled scratch file
@@ -52,14 +52,6 @@ type Segment struct {
 	Data []byte
 }
 
-// Sink is the engine-facing persistence interface: Save durably records the
-// recovery point for superstep step, Load returns the newest valid one
-// (found=false on a cold start with nothing recoverable).
-type Sink interface {
-	Save(step int, segs []Segment) error
-	Load() (step int, segs []Segment, found bool, err error)
-}
-
 const (
 	fileMagic   = "ITCKPT01" // header magic + format version in one token
 	footerMagic = "ITCKEND1" // present iff the file was written to its end
@@ -92,13 +84,13 @@ const (
 	// survives process death) — but an OS crash or power failure may lose
 	// the newest epochs. Load's descending scan then recovers from whatever
 	// survived. The mode exists because fsync latency on commodity disks
-	// (5–30ms per journal commit) can exceed a whole superstep.
+	// (5–30ms per journal commit) can exceed a whole delta refresh.
 	SyncNever
 )
 
-// Store is the on-disk Sink: one directory of epoch files plus a manifest.
-// A Store is not safe for concurrent use by multiple goroutines; the
-// engine's single persister goroutine is the intended caller.
+// Store is one directory of epoch files plus a manifest. A Store is not
+// safe for concurrent use by multiple goroutines; the Session's single
+// persister goroutine is the intended caller.
 type Store struct {
 	dir   string
 	epoch int // next epoch number to write

@@ -68,26 +68,16 @@ type Options struct {
 	// checkpoint and results stay bit-identical to a failure-free run.
 	// MapReduce rejects this.
 	Faults *pregel.FaultPlan
-	// CheckpointDir makes Pregel checkpoints durable: every snapshot is
-	// also written to this directory as a CRC-checksummed epoch file
-	// (atomic temp+fsync+rename with a manifest), so a killed process can
-	// restart from the latest valid epoch. Setting it defaults
-	// CheckpointEvery to 2 when unset. MapReduce rejects this.
-	CheckpointDir string
-	// Resume loads the latest valid epoch from CheckpointDir before
-	// running and continues from its superstep; predictions are
-	// bit-identical to an uninterrupted run. A cold start (no valid epoch)
-	// runs from superstep 0. MapReduce rejects this.
-	Resume bool
-	// CheckpointSync selects the epoch store's durability level:
-	// checkpoint.SyncAlways (default) fsyncs every epoch — survives power
-	// loss; checkpoint.SyncNever skips fsync — epochs stay atomic and
-	// survive process crashes (the guarantee the kill-and-resume tests
-	// exercise), but an OS crash may lose the newest ones.
+	// CheckpointSync selects the durability level of SessionDir's bases and
+	// links and of the serving layer's mutation WAL:
+	// checkpoint.SyncAlways (default) fsyncs every write — survives power
+	// loss; checkpoint.SyncNever skips fsync — files stay atomic and
+	// survive process crashes (the guarantee the kill tests exercise), but
+	// an OS crash may lose the newest ones.
 	CheckpointSync checkpoint.SyncMode
 	// SuperstepHook runs on the engine goroutine at the start of every
-	// superstep, after queued durable epochs have drained — the
-	// deterministic kill point the crash-resume integration tests use.
+	// superstep — the deterministic kill point the serving layer's
+	// process-kill tests use.
 	SuperstepHook func(step int)
 	// Cancel, when non-nil, is polled by the Pregel backend at the start of
 	// every superstep; a non-nil return aborts the run with that error.
@@ -144,8 +134,7 @@ type Options struct {
 	// (k = 1..NumLayers; entry 0 is the caller's alias of the feature
 	// matrix). The incremental Session sets this so a full pass doubles as
 	// resident-state population. Requires ShadowNodes off (mirror vertex ids
-	// would not map onto the capture rows); incompatible with durable
-	// cross-process resume, where earlier supersteps never re-execute.
+	// would not map onto the capture rows).
 	captureLayers []*tensor.Matrix
 	// captureMsgs, under the same rules, makes the drivers copy every
 	// vertex's layer-k wire message into captureMsgs[k] as it scatters it,
@@ -399,12 +388,9 @@ type Stats struct {
 	BroadcastHubs  int64 // node-steps that used the broadcast path
 	ShadowMirrors  int64 // extra vertices created by shadow-nodes
 	// Fault-tolerance counters (Pregel backend).
-	Resumed          bool  // run continued from a durable epoch on disk
-	Recoveries       int   // injected/simulated crashes recovered in-run
-	Checkpoints      int   // snapshots committed (in-memory or durable)
-	CheckpointBytes  int64 // bytes persisted to the durable sink
+	Recoveries       int   // injected crashes recovered in-run
+	Checkpoints      int   // in-memory snapshots committed
 	CheckpointWallNs int64 // snapshot capture time on the superstep critical path
-	PersistWallNs    int64 // background epoch encode+write time (overlapped)
 	// StepActive is the frontier size per superstep: how many vertices each
 	// superstep actually computed. A full pass reports the node count at
 	// every step; a delta pass reports the L-hop flood of the change set

@@ -177,11 +177,11 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 	if err := validateModelGraph(model, g); err != nil {
 		return nil, err
 	}
-	// The fault-tolerance surface is Pregel-only: rounds here have no
-	// checkpoint boundary to resume from, so silently ignoring these options
-	// would miscommunicate durability the backend doesn't provide.
-	if opts.CheckpointDir != "" || opts.Resume || opts.Faults != nil {
-		return nil, fmt.Errorf("inference: durable checkpoints, resume and fault plans require the Pregel backend")
+	// Fault injection is Pregel-only: rounds here have no checkpoint
+	// boundary to recover from, so silently ignoring a plan would
+	// miscommunicate fault tolerance the backend doesn't provide.
+	if opts.Faults != nil {
+		return nil, fmt.Errorf("inference: fault plans require the Pregel backend")
 	}
 	// Cancellation is Pregel-only too: rounds here have no superstep
 	// boundary to poll it at.

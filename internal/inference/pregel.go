@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"inferturbo/internal/checkpoint"
 	"inferturbo/internal/cluster"
 	"inferturbo/internal/gas"
 	"inferturbo/internal/graph"
@@ -303,9 +302,6 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 		return nil, fmt.Errorf("inference: layer capture is incompatible with ShadowNodes")
 	}
 	defer applyTuning(opts)()
-	if opts.CheckpointDir != "" && opts.CheckpointEvery == 0 {
-		opts.CheckpointEvery = 2
-	}
 	threshold := opts.threshold(g)
 
 	sg := IdentityShadow(g)
@@ -378,20 +374,6 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 	cfg.Columnar = ops
 
 	eng := pregel.NewEngine[vtxValue, gnnMsg](pregel.GraphTopology{G: sg.G}, driver, cfg)
-	resumed := false
-	if opts.CheckpointDir != "" {
-		store, err := checkpoint.NewStore(opts.CheckpointDir)
-		if err != nil {
-			return nil, err
-		}
-		store.Sync = opts.CheckpointSync
-		eng.SetSink(store, gnnCodec{})
-		if opts.Resume {
-			if resumed, err = eng.Resume(); err != nil {
-				return nil, err
-			}
-		}
-	}
 	if err := eng.Run(); err != nil {
 		return nil, err
 	}
@@ -434,13 +416,10 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 			}
 		}
 	}
-	res.Stats.Resumed = resumed
 	res.Stats.Recoveries = eng.Recoveries()
 	cs := eng.CheckpointStats()
 	res.Stats.Checkpoints = cs.Checkpoints
-	res.Stats.CheckpointBytes = cs.Bytes
 	res.Stats.CheckpointWallNs = cs.SnapshotNs
-	res.Stats.PersistWallNs = cs.PersistNs
 	return res, nil
 }
 

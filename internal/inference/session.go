@@ -79,13 +79,11 @@ type Session struct {
 	unionIDs   []int32 // persistResident's merge scratch
 }
 
-// NewSession validates the model/graph pair and the options. The strategy
-// and durability knobs that assume a one-shot run are rejected: skew
-// strategies rewrite the executed graph or change the message mix
-// (ShadowNodes, Broadcast, PartialGather), EmitEmbeddings targets one-shot
-// runs, and durable cross-process resume (CheckpointDir/Resume) cannot
-// replay the capture of supersteps that never re-execute. In-process fault
-// tolerance (CheckpointEvery, Faults) is fully supported.
+// NewSession validates the model/graph pair and the options. The knobs that
+// assume a one-shot run are rejected: skew strategies rewrite the executed
+// graph or change the message mix (ShadowNodes, Broadcast, PartialGather),
+// and EmitEmbeddings targets one-shot runs. In-process fault tolerance
+// (CheckpointEvery, Faults) is fully supported.
 func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error) {
 	opts = opts.withDefaults()
 	if err := validateModelGraph(model, g); err != nil {
@@ -96,8 +94,6 @@ func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error
 		"Broadcast":      opts.Broadcast,
 		"ShadowNodes":    opts.ShadowNodes,
 		"EmitEmbeddings": opts.EmitEmbeddings,
-		"CheckpointDir":  opts.CheckpointDir != "",
-		"Resume":         opts.Resume,
 	} {
 		if set {
 			return nil, fmt.Errorf("inference: incremental Session does not support %s", name)
@@ -275,9 +271,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	res.Stats.Recoveries = eng.Recoveries()
 	cs := eng.CheckpointStats()
 	res.Stats.Checkpoints = cs.Checkpoints
-	res.Stats.CheckpointBytes = cs.Bytes
 	res.Stats.CheckpointWallNs = cs.SnapshotNs
-	res.Stats.PersistWallNs = cs.PersistNs
 	if s.dur != nil {
 		s.persistResident(g, s.dirtyRows(g.NumNodes, added), false)
 	}

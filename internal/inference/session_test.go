@@ -291,8 +291,6 @@ func TestSessionRejectsUnsupported(t *testing.T) {
 		{Broadcast: true},
 		{ShadowNodes: true},
 		{EmitEmbeddings: true},
-		{CheckpointDir: t.TempDir()},
-		{Resume: true},
 	} {
 		if _, err := NewSession(m, g, opts); err == nil {
 			t.Fatalf("options %+v not rejected", opts)

@@ -28,9 +28,7 @@ const (
 	FaultAtBarrier
 	// FaultDuringCheckpoint crashes while the checkpoint following the given
 	// superstep is being captured: the partially built snapshot is discarded
-	// and the previous checkpoint must remain the recovery point. (Torn
-	// epoch files on disk are the Store's own test surface — see
-	// internal/checkpoint.)
+	// and the previous checkpoint must remain the recovery point.
 	FaultDuringCheckpoint
 
 	// The remaining points target the serving layer's durable-session

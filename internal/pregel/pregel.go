@@ -46,10 +46,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"inferturbo/internal/checkpoint"
 	"inferturbo/internal/graph"
 )
 
@@ -167,9 +165,9 @@ type Config[M any] struct {
 	// nothing.
 	Faults *FaultPlan
 	// SuperstepHook, when non-nil, runs on the engine goroutine at the start
-	// of every superstep, after all previously enqueued durable checkpoints
-	// have been flushed to the sink. The flush makes hook-driven process
-	// kills (cmd/infer -die-at) deterministic about which epochs survive.
+	// of every superstep, before the cancellation poll and any compute. A
+	// hook that kills the process (cmd/serve -die-at) therefore dies at a
+	// deterministic point of the pass.
 	SuperstepHook func(step int)
 	// Cancel, when non-nil, is polled on the engine goroutine at the start
 	// of every superstep; a non-nil return aborts the run with that error
@@ -207,8 +205,7 @@ type StepMetrics struct {
 	ComputeCost        int64 // user-charged units via Context.AddCost
 	// CheckpointNs is the wall time of the in-memory snapshot taken after
 	// this superstep, charged to worker 0's row (capture blocks the whole
-	// engine; durable persistence overlaps compute and is reported in
-	// CheckpointStats instead). Zero on non-checkpoint supersteps.
+	// engine). Zero on non-checkpoint supersteps.
 	CheckpointNs int64
 }
 
@@ -693,25 +690,8 @@ type Engine[V, M any] struct {
 	recoveries int
 	faults     []faultState
 
-	// Durable checkpointing (see durable.go): sink/codec attached via
-	// SetSink, snapshots encoded and written by one persister goroutine.
-	sink           checkpoint.Sink
-	codec          SnapshotCodec[V, M]
-	encArena       segArena             // persister-goroutine-only encode scratch
-	encSegs        []checkpoint.Segment // persister-goroutine-only segment views
-	boxScratch     []byte               // persister-goroutine-only boxed-plane scratch
-	persistCh      chan *snapshot[V, M]
-	persistDone    chan struct{}
-	persistWG      sync.WaitGroup
-	persistMu      sync.Mutex
-	persistFailure error
-	startStep      int
-	resumed        bool
-
 	ckptCount  int
 	ckptWallNs int64
-	ckptBytes  int64 // atomic; written by the persister
-	persistNs  int64 // atomic; written by the persister
 }
 
 // snapshot is a recovery point: everything the next superstep reads. All
@@ -722,11 +702,6 @@ type snapshot[V, M any] struct {
 	values  []V
 	active  []bool
 	aggPrev map[string][]float32
-
-	// ioDone (atomic) is 1 once the persister has finished with this
-	// snapshot (or it was never enqueued); takeCheckpoint only recycles a
-	// displaced snapshot's slabs after observing it.
-	ioDone uint32
 
 	inTotal   int
 	mailTotal int
@@ -859,33 +834,15 @@ func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M])
 // flight, or MaxSupersteps is reached. When checkpointing is on and a
 // failure is injected, the engine rolls back to the latest checkpoint and
 // re-executes — results are identical to a failure-free run because every
-// superstep is deterministic. With a durable sink attached (SetSink),
-// checkpoints are additionally persisted by a background goroutine whose
-// first failure surfaces from Run after the computation finishes.
+// superstep is deterministic.
 func (e *Engine[V, M]) Run() error {
-	if e.sink != nil {
-		e.startPersister()
-	}
-	err := e.runLoop()
-	if e.sink != nil {
-		e.persistWG.Wait()
-		if perr := e.stopPersister(); err == nil {
-			err = perr
-		}
-	}
-	return err
-}
-
-func (e *Engine[V, M]) runLoop() error {
-	if e.cfg.CheckpointEvery > 0 && !e.resumed && len(e.faults) > 0 {
+	if e.cfg.CheckpointEvery > 0 && len(e.faults) > 0 {
 		// The superstep-0 seed is the rollback target for faults injected
-		// before the first periodic checkpoint — the only way an in-process
-		// rollback can be needed that early. Real crashes kill the process
-		// and resume from disk, where a superstep-0 epoch equals a cold
-		// start, so fault-free runs skip the capture entirely.
+		// before the first periodic checkpoint. Only an injected fault can
+		// roll back, so fault-free runs skip the capture entirely.
 		e.takeCheckpoint(0)
 	}
-	for step := e.startStep; step < e.cfg.MaxSupersteps; step++ {
+	for step := 0; step < e.cfg.MaxSupersteps; step++ {
 		// Delivery reactivates destinations, so in-flight vertex messages
 		// imply an active vertex; the explicit totals guard worker mail and
 		// keep the invariant local.
@@ -903,7 +860,6 @@ func (e *Engine[V, M]) runLoop() error {
 		}
 
 		if e.cfg.SuperstepHook != nil {
-			e.drainPersist()
 			e.cfg.SuperstepHook(step)
 		}
 
@@ -960,8 +916,7 @@ func (e *Engine[V, M]) recoverFromCrash(step int) error {
 }
 
 // takeCheckpoint snapshots everything the upcoming superstep consumes and
-// commits the snapshot as the recovery point, handing it to the background
-// persister when a durable sink is attached. Capture wall time is charged
+// commits the snapshot as the recovery point. Capture wall time is charged
 // to worker 0's metrics row of the superstep just finished (the initial
 // step-0 capture precedes all metrics and lands only in CheckpointStats).
 func (e *Engine[V, M]) takeCheckpoint(step int) {
@@ -978,20 +933,13 @@ func (e *Engine[V, M]) takeCheckpoint(step int) {
 	if len(e.metrics) > 0 {
 		e.metrics[len(e.metrics)-1][0].CheckpointNs += ns
 	}
-	// The superstep-0 seed never reaches the sink: resuming from it is
-	// byte-identical to a cold start, so persisting it buys nothing.
-	if e.sink != nil && step > 0 {
-		e.enqueuePersist(cp)
-	} else {
-		atomic.StoreUint32(&cp.ioDone, 1)
-	}
 }
 
-// grabSpare returns the previously displaced checkpoint for slab reuse once
-// the persister is done with it, else a fresh snapshot. Recycling makes the
-// steady-state capture cost a memcpy instead of an allocation storm.
+// grabSpare returns the previously displaced checkpoint for slab reuse, else
+// a fresh snapshot. Recycling makes the steady-state capture cost a memcpy
+// instead of an allocation storm.
 func (e *Engine[V, M]) grabSpare() *snapshot[V, M] {
-	if sp := e.spare; sp != nil && atomic.LoadUint32(&sp.ioDone) == 1 {
+	if sp := e.spare; sp != nil {
 		e.spare = nil
 		return sp
 	}
@@ -1015,7 +963,6 @@ func (e *Engine[V, M]) captureSnapshotInto(cp *snapshot[V, M], step int) {
 	cp.aggPrev = e.aggPrev
 	cp.inTotal = e.inTotal
 	cp.mailTotal = e.mailTotal
-	cp.ioDone = 0
 	cp.values = append(cp.values[:0], e.values...)
 	cp.active = append(cp.active[:0], e.active...)
 	nw := e.cfg.NumWorkers
@@ -1093,6 +1040,17 @@ func (e *Engine[V, M]) restoreCheckpoint() {
 
 // Recoveries reports how many checkpoint recoveries the run performed.
 func (e *Engine[V, M]) Recoveries() int { return e.recoveries }
+
+// CheckpointStats aggregates a run's checkpoint activity.
+type CheckpointStats struct {
+	Checkpoints int   // snapshots committed (including the superstep-0 seed, when taken)
+	SnapshotNs  int64 // wall time capturing in-memory snapshots (blocks the run)
+}
+
+// CheckpointStats reports the run's checkpoint activity. Valid after Run.
+func (e *Engine[V, M]) CheckpointStats() CheckpointStats {
+	return CheckpointStats{Checkpoints: e.ckptCount, SnapshotNs: e.ckptWallNs}
+}
 
 // forEachWorker runs fn(i) for every worker index, on goroutines when the
 // engine is parallel. Callers guarantee fn(i) only touches state owned by

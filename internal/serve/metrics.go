@@ -77,10 +77,9 @@ type Stats struct {
 
 	Refreshes       int64 `json:"refreshes"`
 	RefreshFailures int64 `json:"refresh_failures"`
-	// Resumed / Recoveries reflect the CURRENT snapshot's pass — the chaos
-	// harness asserts a restarted server reports Resumed=true.
-	Resumed    bool `json:"resumed"`
-	Recoveries int  `json:"recoveries"`
+	// Recoveries reflects the CURRENT snapshot's pass: the injected crashes
+	// it recovered from in-process.
+	Recoveries int `json:"recoveries"`
 
 	// Incremental-mode observables. LastRefreshKind/LastRefreshMs describe
 	// the pass behind the current snapshot ("full" or "delta"); PendingDeltas
@@ -210,7 +209,6 @@ func (s *Server) Metrics() Stats {
 	st.Ready, _ = s.Ready()
 	if snap := s.snap.Load(); snap != nil {
 		st.Epoch = snap.Epoch
-		st.Resumed = snap.Stats.Resumed
 		st.Recoveries = snap.Stats.Recoveries
 		st.LastRefreshKind = snap.RefreshKind
 		st.LastRefreshMs = float64(snap.RefreshWall) / 1e6

@@ -50,10 +50,10 @@ import (
 type Config struct {
 	Model *gas.Model
 	Graph *graph.Graph
-	// Refresh configures the resident store's full-graph pass — including,
-	// for chaos testing and crash recovery, CheckpointDir/Resume and a
-	// pregel.FaultPlan. Resume is honored only while the store is empty
-	// (i.e. the first pass after process start).
+	// Refresh configures the resident store's passes — the incremental
+	// Session's, or the one-shot full pass's when incremental mode is off.
+	// Its pregel.FaultPlan is the in-process chaos surface: each refresh
+	// forwards the current plan into its pass.
 	Refresh inference.Options
 	// Hops is the induced-subgraph depth for fresh queries; 0 selects the
 	// model's layer count (the exact, information-complete neighborhood).
@@ -69,16 +69,16 @@ type Config struct {
 	// QueueDepth bounds the admission queue; a full queue sheds with 429
 	// (default 64).
 	QueueDepth int
-	// MaxLatency is the serving SLO window: the default per-request
-	// deadline, and the p99 gate the bench enforces (default 250ms).
+	// MaxLatency is the default per-request deadline (default 250ms); a
+	// request may override it with deadline_ms.
 	MaxLatency time.Duration
 	// RefreshEvery re-runs the full-graph pass periodically when > 0.
 	RefreshEvery time.Duration
 	// DisableIncremental forces every refresh through the one-shot
 	// full-graph pass even when the Refresh options would support an
 	// incremental Session; POST /v1/mutate then answers 409. Refresh
-	// options the Session rejects (durable CheckpointDir/Resume, subgraph
-	// strategy knobs) disable incremental mode implicitly.
+	// options the Session rejects (the skew strategies and EmitEmbeddings)
+	// disable incremental mode implicitly.
 	DisableIncremental bool
 	// SessionDir makes the mutate→refresh pipeline crash-durable: mutation
 	// batches append to a write-ahead log under this directory before they
@@ -220,8 +220,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	} else if !cfg.DisableIncremental {
-		// An incompatible Refresh config (durable checkpoints, subgraph
-		// strategy knobs) falls back to the one-shot path; /v1/mutate then
+		// An incompatible Refresh config (skew strategies, EmitEmbeddings)
+		// falls back to the one-shot path; /v1/mutate then
 		// reports the server as non-incremental. With SessionDir set the
 		// fallback is forbidden — openDurable errors loudly instead.
 		if sess, err := inference.NewSession(cfg.Model, cfg.Graph, cfg.Refresh); err == nil {
@@ -245,10 +245,10 @@ func (s *Server) currentGraph() *graph.Graph {
 	return s.cfg.Graph
 }
 
-// Start runs the initial full-graph pass synchronously (honoring
-// Refresh.Resume, so a restarted process continues a killed pass from its
-// latest durable epoch) and launches the batch executors plus the optional
-// periodic refresher.
+// Start runs the initial refresh synchronously — a full-graph pass, or, for
+// a server resumed from SessionDir, one delta pass over the re-staged WAL
+// records — and launches the batch executors plus the optional periodic
+// refresher.
 func (s *Server) Start() error {
 	if err := s.Refresh(); err != nil {
 		return err
@@ -343,7 +343,7 @@ func (s *Server) TryRefreshAsync() bool {
 func (s *Server) refreshLocked() error {
 	prev := s.snap.Load()
 	start := time.Now()
-	res, kind, g, err := s.runRefresh(prev)
+	res, kind, g, err := s.runRefresh()
 	if err != nil {
 		s.m.refreshFailures.Add(1)
 		return err
@@ -371,21 +371,14 @@ func (s *Server) refreshLocked() error {
 // refresh degrades to an error (the previous snapshot stays live) instead
 // of killing the server. The incremental session drains the staged deltas
 // and decides delta-vs-full itself; the one-shot path always runs full.
-func (s *Server) runRefresh(prev *Snapshot) (res *inference.Result, kind string, g *graph.Graph, err error) {
+func (s *Server) runRefresh() (res *inference.Result, kind string, g *graph.Graph, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("serve: refresh panicked: %v", p)
 		}
 	}()
 	if s.session == nil {
-		opts := s.cfg.Refresh
-		if prev != nil {
-			// Resume only bridges a killed pass across a process restart;
-			// once a pass has completed in this process, later refreshes
-			// start clean.
-			opts.Resume = false
-		}
-		res, err = inference.RunPregel(s.cfg.Model, s.cfg.Graph, opts)
+		res, err = inference.RunPregel(s.cfg.Model, s.cfg.Graph, s.cfg.Refresh)
 		return res, string(inference.RefreshFull), s.cfg.Graph, err
 	}
 
