@@ -236,6 +236,59 @@ func TestFig13ShadowNodesCutTailOutput(t *testing.T) {
 	}
 }
 
+// TestFigVerdictsFollowRows: the Fig 12/13 verdict rows are computed from
+// the measured sweep, so moving a measured saving across the paper's
+// figure flips them, and the rows a run prints are the verdict of that
+// run's own result.
+func TestFigVerdictsFollowRows(t *testing.T) {
+	th := []int{0, 300, 100, 50, 10}
+	fig12 := func(savings ...float64) string {
+		return (&Fig12Result{Thresholds: th, TailSavings: savings}).Verdict()[1]
+	}
+	if v := fig12(0, .1, .40, .43, .44); v != "met" {
+		t.Errorf("fig12 at 40%%, +4 pts below: %s", v)
+	}
+	if v := fig12(0, .1, .40, .58, .74); v != "missed" {
+		t.Errorf("fig12 at 40%%, +34 pts below: %s", v)
+	}
+	if v := fig12(0, .1, .20, .21, .22); v != "missed" {
+		t.Errorf("fig12 at 20%%: %s", v)
+	}
+	fig13 := func(at float64, mirrors ...int64) string {
+		return (&Fig13Result{Thresholds: th, TailSavings: []float64{0, .1, at, .6, .7}, Mirrors: mirrors}).Verdict()[1]
+	}
+	if v := fig13(.50, 0, 5, 55, 158, 1180); v != "met" {
+		t.Errorf("fig13 at 50%%, mirrors growing: %s", v)
+	}
+	if v := fig13(.204, 0, 5, 55, 158, 1180); v != "missed" {
+		t.Errorf("fig13 at 20.4%%: %s", v)
+	}
+	if v := fig13(.50, 0, 5, 55, 40, 1180); v != "missed" {
+		t.Errorf("fig13 with shrinking mirrors: %s", v)
+	}
+
+	if testing.Short() {
+		return
+	}
+	t12, r12, err := Fig12(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t13, r13, err := Fig13(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tbl  *Table
+		want []string
+	}{{t12, r12.Verdict()}, {t13, r13.Verdict()}} {
+		last := c.tbl.Rows[len(c.tbl.Rows)-1]
+		if strings.Join(last, "|") != strings.Join(c.want, "|") {
+			t.Errorf("%s: last row %q, want verdict %q", c.tbl.Title, last, c.want)
+		}
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{
 		Title:   "demo",

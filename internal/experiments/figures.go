@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"inferturbo/internal/baseline"
 	"inferturbo/internal/cluster"
@@ -339,6 +340,22 @@ func outDegThresholds(g graphEdges, workers int) []int {
 	return []int{3 * h, h, h / 2, h / 10}
 }
 
+// heuristicIdx is the heuristic threshold's row in a Fig 12/13 sweep:
+// base, 3h, h, h/2, h/10.
+const heuristicIdx = 2
+
+// shapeTolerance is how far, in percentage points, a measured saving may
+// sit from a paper figure quoted as "~x%" and still meet it.
+const shapeTolerance = 10.0
+
+// verdictWord renders a shape check as the verdict row's second cell.
+func verdictWord(met bool) string {
+	if met {
+		return "met"
+	}
+	return "missed"
+}
+
 type graphEdges interface{ NumEdges() int }
 
 type graphEdgeCount struct{ n int }
@@ -389,7 +406,24 @@ func Fig12(s Scale) (*Table, *Fig12Result, error) {
 		out.TailSavings = append(out.TailSavings, saving)
 		t.Rows = append(t.Rows, []string{name, fmtBytes(total), fmtBytes(int64(tail)), fmt.Sprintf("%.1f%%", 100*saving)})
 	}
+	t.Rows = append(t.Rows, out.Verdict())
 	return t, out, nil
+}
+
+// Verdict checks the sweep against the paper's Fig 12 shape — tail saving
+// ~42% at the heuristic threshold, and less than 5 more points at any
+// threshold below it — and renders the result as a table row.
+func (r *Fig12Result) Verdict() []string {
+	at := 100 * r.TailSavings[heuristicIdx]
+	below := at
+	for _, s := range r.TailSavings[heuristicIdx+1:] {
+		below = max(below, 100*s)
+	}
+	extra := below - at
+	met := math.Abs(at-42) <= shapeTolerance && extra < 5
+	return []string{"verdict", verdictWord(met),
+		fmt.Sprintf("%.1f%% at %d (paper ~42%%)", at, r.Thresholds[heuristicIdx]),
+		fmt.Sprintf("%+.1f pts below it (paper <5)", extra)}
 }
 
 // Fig13Result is the shadow-nodes IO threshold sweep.
@@ -442,5 +476,24 @@ func Fig13(s Scale) (*Table, *Fig13Result, error) {
 		out.Mirrors = append(out.Mirrors, run.res.Stats.ShadowMirrors)
 		t.Rows = append(t.Rows, []string{name, fmtInt(run.res.Stats.ShadowMirrors), fmtBytes(int64(tail)), fmt.Sprintf("%.1f%%", 100*saving)})
 	}
+	t.Rows = append(t.Rows, out.Verdict())
 	return t, out, nil
+}
+
+// Verdict checks the sweep against the paper's Fig 13 shape — tail saving
+// ~53% at the heuristic threshold, and the mirror overhead growing as the
+// threshold drops — and renders the result as a table row.
+func (r *Fig13Result) Verdict() []string {
+	at := 100 * r.TailSavings[heuristicIdx]
+	grows := true
+	for i := 2; i < len(r.Mirrors); i++ {
+		grows = grows && r.Mirrors[i] >= r.Mirrors[i-1]
+	}
+	met := math.Abs(at-53) <= shapeTolerance && grows
+	growth := "mirrors grow as it drops"
+	if !grows {
+		growth = "mirrors do not grow as it drops"
+	}
+	return []string{"verdict", verdictWord(met),
+		fmt.Sprintf("%.1f%% at %d (paper ~53%%)", at, r.Thresholds[heuristicIdx]), growth}
 }

@@ -110,7 +110,7 @@ func TestColumnarPlaneBitIdenticalGAT(t *testing.T) {
 }
 
 // TestColumnarPlaneEdgeFeatures covers the edge-dependent apply_edge
-// scatter path: each out-edge gets its own payload in the arena, so the
+// scatter path: each out-edge gets its own payload copy, so the
 // plain exchange is one message per edge per layer and partial-gather folds
 // them without losing one.
 func TestColumnarPlaneEdgeFeatures(t *testing.T) {

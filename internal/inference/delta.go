@@ -94,8 +94,8 @@ func newDeltaDriver(model *gas.Model, g *graph.Graph, gi *graph.GatherIndex, lay
 }
 
 // ping activates v's out-neighbors for the next superstep. Pings carry no
-// payload — receivers pull values from the resident slabs — so the arena
-// stores headers only.
+// payload — receivers pull values from the resident slabs — so the send
+// buffers store headers only.
 func (d *deltaDriver) ping(send colSender, v int32) {
 	send.SendColumnarFan(d.g.OutNeighbors(v), colTag(pingTag, 0), v, 1, nil)
 }

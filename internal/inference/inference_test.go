@@ -447,7 +447,7 @@ func TestCombineMsgsSemantics(t *testing.T) {
 		t.Fatalf("mean combine = %v count %d ok=%v", acc, n, ok)
 	}
 	if pay[0] != 3 || pay[1] != 4 {
-		t.Fatal("combine mutated its payload (arena extents are shared across a fan)")
+		t.Fatal("combine mutated its payload (payload views are shared across a fan)")
 	}
 	mx := []float32{5, 0}
 	if _, ok := combineColumnar(colTag(msgState, uint8(gas.ReduceMax)), mx, []float32{1, 9}, 1, 1); !ok || mx[0] != 5 || mx[1] != 9 {

@@ -25,7 +25,7 @@ const (
 func colTag(kind, reduce uint8) uint8 { return kind | reduce<<2 }
 
 // combineColumnar is the columnar-plane partial-gather combiner: it
-// accumulates pay into the arena row acc in place — no allocation on any
+// accumulates pay into the payload view acc in place — no allocation on any
 // merge. The engine only calls it for equal tags and payload lengths.
 func combineColumnar(tag uint8, acc, pay []float32, accCount, payCount int32) (int32, bool) {
 	if tag&3 != msgState {
@@ -50,7 +50,7 @@ func combineColumnar(tag uint8, acc, pay []float32, accCount, payCount int32) (i
 	return accCount + payCount, true
 }
 
-// columnarBytes prices a columnar message from its tag and arena extent.
+// columnarBytes prices a columnar message from its tag and payload length.
 func columnarBytes(tag uint8, payloadLen int) int {
 	if tag&3 == msgBCRef {
 		return refBytes
@@ -213,13 +213,13 @@ func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float
 	tag := colTag(msgState, reduce)
 	if sendLayer.BroadcastSafe() {
 		// apply_edge is the identity: the vertex state is the payload for
-		// every out-edge — fanned, so the arena stores it once per
+		// every out-edge — fanned, so the send buffers store it once per
 		// destination worker no matter the out-degree.
 		send.SendColumnarFan(dsts, tag, v, 1, h)
 		return
 	}
 	// Edge-dependent messages: run apply_edge per out-edge. The result is
-	// pool-drawn and recycled as soon as the arena has its copy.
+	// pool-drawn and recycled as soon as the send buffer has its copy.
 	state := rowMat(&d.stateMats[w], h)
 	pool := d.pools[w]
 	for i, dst := range dsts {
@@ -358,19 +358,6 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 	if opts.PartialGather {
 		ops.Combine = combineColumnar
 	}
-	// Pre-size send buffers for the expected steady state: one message per
-	// edge spreads edges/workers² headers per sender→receiver pair. Fanned
-	// identity payloads dedup the arena well below msgs × dim, so the float
-	// reserve stays at half that bound.
-	maxDim := model.InDim()
-	for _, l := range model.Layers {
-		if l.OutDim() > maxDim {
-			maxDim = l.OutDim()
-		}
-	}
-	perBuf := sg.G.NumEdges/(opts.NumWorkers*opts.NumWorkers) + 1
-	ops.ReserveMsgs = perBuf
-	ops.ReserveFloats = perBuf*maxDim/2 + maxDim
 	cfg.Columnar = ops
 
 	eng := pregel.NewEngine[vtxValue, gnnMsg](pregel.GraphTopology{G: sg.G}, driver, cfg)

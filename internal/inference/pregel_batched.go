@@ -19,7 +19,7 @@ import (
 //
 //	gather  — one CSR segment-reduce over the worker's whole columnar inbox
 //	          (tensor.SegmentSumViewsInto / SegmentExtremeViewsInto over
-//	          zero-copy arena views), or for Union the payload views as is
+//	          zero-copy payload views), or for Union the payload views as is
 //	apply   — one pooled (N_local x D) @ (D x D') apply_node over the state
 //	          slab, driving the parallel MatMul kernels
 //	scatter — for a layer that reads its emitted rows back (GAT), one
@@ -120,7 +120,7 @@ func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) 
 // shot: resolve every inbox message to a payload view (broadcast references
 // through the worker's dense index), then segment-reduce the CSR directly
 // into an N_local x D aggregate. No payload is copied for pooled reduces —
-// the kernels read the arena extents in place, in delivery order. On a
+// the kernels read the payload views in place, in delivery order. On a
 // pruned pass the aggregate covers the live slab rows only (see
 // liveRows.compact). It also returns how many messages the aggregate folds.
 func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], layer gas.Conv, off []int32, in pregel.Batch) (*gas.Aggregated, int) {

@@ -256,8 +256,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 		SuperstepHook:   o.SuperstepHook,
 		Cancel:          o.Cancel,
 		Frontier:        frontier,
-		// Pings are headers-only; reserves stay minimal.
-		Columnar: &pregel.ColumnarOps{Bytes: columnarBytes, ReserveMsgs: len(frontier)/o.NumWorkers + 1},
+		Columnar:        &pregel.ColumnarOps{Bytes: columnarBytes},
 	}
 	eng := pregel.NewEngine[deltaVtx, deltaPing](pregel.GraphTopology{G: g}, driver, cfg)
 	if err := eng.Run(); err != nil {

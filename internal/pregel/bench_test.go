@@ -84,7 +84,7 @@ func (p *benchColProg) Compute(ctx *Context[[]float32, benchMsg], _ []benchMsg) 
 		}
 		*ctx.Value = v
 	} else {
-		// SendColumnar copied last round's state into the arena, so unlike
+		// SendColumnar copied last round's state into its send buffer, so unlike
 		// the boxed program this one may accumulate into its state buffer
 		// in place — no per-vertex allocation after initialization.
 		in := ctx.ColumnarInbox()

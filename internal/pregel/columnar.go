@@ -1,22 +1,24 @@
 package pregel
 
 // The columnar message plane: instead of boxing every message as an M value
-// with its own heap-allocated payload, batched programs append payloads into
-// flat []float32 arenas alongside parallel dst/kind/src/count columns. One
-// send buffer exists per (sender, receiver) worker pair and recycles across
-// supersteps through a free list, so a steady-state superstep performs no
-// per-message allocation: the cost of messaging scales with the bytes moved,
-// not the number of messages created.
+// with its own heap-allocated payload, batched programs copy payloads into
+// views carved from recycled []float32 pages, alongside parallel
+// dst/kind/src/count columns. One send buffer exists per (sender, receiver)
+// worker pair and recycles across supersteps through a per-pair free list,
+// so a steady-state superstep performs no per-message allocation and, once
+// the pages of the first two generations exist, no page allocation either:
+// the cost of messaging scales with the bytes moved, not the number of
+// messages created.
 //
 // Delivery is zero-copy. The barrier's counting sort builds per-receiver
-// CSR-shaped inboxes whose payload entries are subslices of the sender
-// arenas — payload floats are written exactly once (at send) and read in
-// place (at gather). The arenas backing an inbox stay alive for one extra
-// superstep (the "live" generation) and only then return to the free list.
+// CSR-shaped inboxes whose payload entries are the sender buffers' views —
+// payload floats are written exactly once (at send) and read in place (at
+// gather). The pages backing an inbox stay alive for one extra superstep
+// (the "live" generation) and only then return to the free list.
 //
 // Checkpoints are the one place this aliasing must be cut: a snapshot
-// deep-copies every payload out of the live arenas into its own flat arena,
-// because by the time a recovery replays, the original arenas have been
+// deep-copies every payload out of the live pages into its own flat arena,
+// because by the time a recovery replays, the original pages have been
 // recycled and overwritten. Restores may alias the snapshot arena in turn —
 // snapshots are immutable after capture; every writer (send append, combine,
 // recycle) targets engine-owned buffers only.
@@ -25,9 +27,12 @@ package pregel
 // Config.Columnar to a non-nil value). In columnar mode the program sends
 // with Context.SendColumnar / SendColumnarToWorker and reads with
 // Context.ColumnarInbox / ColumnarWorkerMail; Compute's msgs argument is
-// always nil, and Config.Combiner / Config.MessageBytes are ignored.
+// always nil, and Config.Combiner / Config.MessageBytes are ignored. Send
+// buffers size themselves: payload pages grow by appending a page and are
+// kept for the pair's later generations, and header columns are sized from
+// the pair's previous generation, so a program states no volume hints.
 type ColumnarOps struct {
-	// Combine merges an in-flight payload into the arena row acc of an
+	// Combine merges an in-flight payload into the payload view acc of an
 	// earlier message for the same destination, in place — Pregel's
 	// sender-side combining without the boxed path's per-merge allocation.
 	// It is only invoked when the two messages carry the same kind byte and
@@ -41,21 +46,12 @@ type ColumnarOps struct {
 	// payload length, feeding the IO accounting. Defaults to 4*payloadLen+16
 	// when nil.
 	Bytes func(kind uint8, payloadLen int) int
-	// ReserveMsgs / ReserveFloats pre-size each sender→receiver send
-	// buffer's first generation (header rows / arena values). Later
-	// generations size themselves from the previous generation's extents;
-	// the first two start cold, and without a hint their columns grow by
-	// log-many append doublings per buffer. Programs that can estimate
-	// per-buffer volume (the GNN driver: edges / workers², at the model's
-	// widest payload) set these; 0 leaves buffers growing on demand.
-	ReserveMsgs   int
-	ReserveFloats int
 }
 
 // Batch is a zero-copy columnar view of the messages addressed to one
 // vertex (Context.ColumnarInbox) or one worker (Context.ColumnarWorkerMail).
-// All columns share indexing; Payloads entries are views into message
-// arenas, valid only for the duration of the current superstep and never to
+// All columns share indexing; Payloads entries are views into the send
+// buffers' pages, valid only for the duration of the current superstep and never to
 // be mutated.
 type Batch struct {
 	Kinds    []uint8
@@ -68,142 +64,213 @@ type Batch struct {
 func (b Batch) Len() int { return len(b.Kinds) }
 
 // colBuf is one sender→receiver send buffer: message headers in parallel
-// columns, payloads packed back-to-back in arena. offs[i] : offs[i]+lens[i]
-// is message i's payload extent; appends grow the arena, in-place combines
-// rewrite an existing extent, so offsets stay valid for the buffer's whole
-// lifetime.
+// columns and, per message, a payload view carved from the buffer's pages.
+// Appends carve fresh views and in-place combines rewrite an existing one;
+// a carved view never moves, so pays[i] stays valid for the buffer's whole
+// generation.
 type colBuf struct {
 	dsts   []int32
 	kinds  []uint8
 	srcs   []int32
 	counts []int32
-	offs   []int
-	lens   []int32
-	arena  []float32
-	// shared[i] marks row i's extent as potentially aliased by other rows
+	pays   [][]float32
+	// shared[i] marks row i's view as potentially aliased by other rows
 	// (fan-out sends); a combine into a shared row materializes a private
 	// accumulator first. Rows appended by add are exclusive.
 	shared []bool
+
+	// pages back the payload views. A page's length is its carved prefix;
+	// cur indexes the page being carved. big holds the pages of payloads
+	// longer than maxPage, one each, nbig of them in use. Pages survive
+	// reset, so a recycled buffer refills the pages of its earlier
+	// generation.
+	pages [][]float32
+	cur   int
+	big   [][]float32
+	nbig  int
 }
 
-// reset truncates the buffer for reuse, keeping every backing array.
+// Page geometry, in floats. Page i of a buffer holds min(minPage<<i,
+// maxPage) floats, so a quiet buffer stays small and a busy one settles at
+// maxPage (64 KiB). A payload never straddles two pages: a new page is
+// widened (up to maxPage) to fit a payload larger than its step, and a
+// payload longer than maxPage gets a page of its own length beside the
+// regular ones. Growth appends a page and copies nothing.
+const (
+	minPage = 1 << 10
+	maxPage = 1 << 14
+)
+
+// pageSize returns the capacity of a new page i that must fit n <= maxPage
+// floats.
+func pageSize(i, n int) int {
+	size := minPage
+	for ; i > 0 && size < maxPage; i-- {
+		size <<= 1
+	}
+	for size < n {
+		size <<= 1
+	}
+	return size
+}
+
+// reset truncates the buffer for reuse, keeping every backing array and
+// every page.
 func (b *colBuf) reset() {
 	b.dsts = b.dsts[:0]
 	b.kinds = b.kinds[:0]
 	b.srcs = b.srcs[:0]
 	b.counts = b.counts[:0]
-	b.offs = b.offs[:0]
-	b.lens = b.lens[:0]
-	b.arena = b.arena[:0]
+	b.pays = b.pays[:0]
 	b.shared = b.shared[:0]
+	for i := range b.pages {
+		b.pages[i] = b.pages[i][:0]
+	}
+	b.cur = 0
+	for i := range b.big {
+		b.big[i] = b.big[i][:0]
+	}
+	b.nbig = 0
 }
 
-// add appends one message, copying the payload into the arena.
+// carve returns an n-float view of the buffer's pages, moving on to the
+// next page when the current one has no room for n more. A kept page too
+// small for n (a wider payload than its earlier generation carved) is
+// replaced.
+func (b *colBuf) carve(n int) []float32 {
+	if n > maxPage {
+		return b.carveBig(n)
+	}
+	if b.cur < len(b.pages) {
+		p := b.pages[b.cur]
+		if l := len(p); cap(p)-l >= n {
+			b.pages[b.cur] = p[:l+n]
+			return p[l : l+n : l+n]
+		}
+		if len(p) > 0 {
+			b.cur++
+		}
+	}
+	if b.cur == len(b.pages) {
+		b.pages = append(b.pages, nil)
+	}
+	if cap(b.pages[b.cur]) < n {
+		b.pages[b.cur] = make([]float32, 0, pageSize(b.cur, n))
+	}
+	p := b.pages[b.cur][:n]
+	b.pages[b.cur] = p
+	return p[:n:n]
+}
+
+// carveBig gives a payload longer than maxPage a page of its own, kept
+// apart from the regular pages so the one being carved is not cut short.
+func (b *colBuf) carveBig(n int) []float32 {
+	if b.nbig == len(b.big) {
+		b.big = append(b.big, nil)
+	}
+	if cap(b.big[b.nbig]) < n {
+		b.big[b.nbig] = make([]float32, 0, n)
+	}
+	p := b.big[b.nbig][:n]
+	b.big[b.nbig] = p
+	b.nbig++
+	return p[:n:n]
+}
+
+// add appends one message, copying the payload into a freshly carved view.
 func (b *colBuf) add(dst int32, kind uint8, src, count int32, pay []float32) {
-	b.dsts = append(b.dsts, dst)
-	b.kinds = append(b.kinds, kind)
-	b.srcs = append(b.srcs, src)
-	b.counts = append(b.counts, count)
-	b.offs = append(b.offs, len(b.arena))
-	b.lens = append(b.lens, int32(len(pay)))
-	b.arena = append(b.arena, pay...)
-	b.shared = append(b.shared, false)
+	v := b.carve(len(pay))
+	copy(v, pay)
+	b.addAlias(dst, kind, src, count, v)
+	b.shared[len(b.shared)-1] = false
 }
 
-// addAlias appends one message whose payload is an existing arena extent
-// [off, off+length): the fan-out path stores a broadcast-identical payload
-// once per buffer and points every further header at it, so a hub vertex's
-// out-edges cost one payload copy per destination worker instead of one per
-// edge. Extents are addressed by index, so arena growth never invalidates an
-// alias.
-func (b *colBuf) addAlias(dst int32, kind uint8, src, count int32, off int, length int32) {
+// addAlias appends one message whose payload is the existing view pay: the
+// fan-out path stores a broadcast-identical payload once per buffer and
+// points every further header at it, so a hub vertex's out-edges cost one
+// payload copy per destination worker instead of one per edge. Views never
+// move, so later carving cannot invalidate an alias.
+func (b *colBuf) addAlias(dst int32, kind uint8, src, count int32, pay []float32) {
 	b.dsts = append(b.dsts, dst)
 	b.kinds = append(b.kinds, kind)
 	b.srcs = append(b.srcs, src)
 	b.counts = append(b.counts, count)
-	b.offs = append(b.offs, off)
-	b.lens = append(b.lens, length)
+	b.pays = append(b.pays, pay)
 	b.shared = append(b.shared, true)
 }
 
-// payload returns message i's arena extent.
-func (b *colBuf) payload(i int) []float32 {
-	return b.arena[b.offs[i] : b.offs[i]+int(b.lens[i])]
-}
-
-// mergeTarget returns the accumulator extent for an in-place combine into
+// mergeTarget returns the accumulator view for an in-place combine into
 // row i. Exclusive rows (appended by add outside a fan) combine in place,
-// the PR 2 hot path. Shared rows — a fan extent other rows may alias —
-// first materialize a private copy at the arena tail, so the combine cannot
-// corrupt sibling messages or the pristine payload later aliases read; the
-// materialized row is exclusive from then on. This is the arena form of the
-// boxed combiner's copy-on-first-merge, and it produces the same merged
-// values: the fold runs on an identical copy of the same accumulator.
+// the PR 2 hot path. Shared rows — a fan view other rows may alias — first
+// materialize a private copy in a freshly carved view, so the combine
+// cannot corrupt sibling messages or the pristine payload later aliases
+// read; the materialized row is exclusive from then on. This is the paged
+// form of the boxed combiner's copy-on-first-merge, and it produces the
+// same merged values: the fold runs on an identical copy of the same
+// accumulator.
 func (b *colBuf) mergeTarget(i int32) []float32 {
 	if !b.shared[i] {
-		return b.payload(int(i))
+		return b.pays[i]
 	}
-	n := int(b.lens[i])
-	off := len(b.arena)
-	b.arena = append(b.arena, b.arena[b.offs[i]:b.offs[i]+n]...)
-	b.offs[i] = off
+	v := b.carve(len(b.pays[i]))
+	copy(v, b.pays[i])
+	b.pays[i] = v
 	b.shared[i] = false
-	return b.arena[off : off+n]
+	return v
 }
 
-// reserve grows the buffer's backing arrays to hold at least msgs headers
-// and floats payload values, replacing log-many append doublings with one
-// allocation per column when the expected volume is known up front.
-func (b *colBuf) reserve(msgs, floats int) {
+// reserve grows the header columns to hold at least msgs rows, replacing
+// log-many append doublings with one allocation per column when the
+// expected count is known up front. Payload floats need no reserve: pages
+// grow by appending, never by copying.
+func (b *colBuf) reserve(msgs int) {
 	if cap(b.dsts) < msgs {
 		b.dsts = make([]int32, 0, msgs)
 		b.kinds = make([]uint8, 0, msgs)
 		b.srcs = make([]int32, 0, msgs)
 		b.counts = make([]int32, 0, msgs)
-		b.offs = make([]int, 0, msgs)
-		b.lens = make([]int32, 0, msgs)
+		b.pays = make([][]float32, 0, msgs)
 		b.shared = make([]bool, 0, msgs)
-	}
-	if cap(b.arena) < floats {
-		b.arena = make([]float32, 0, floats)
 	}
 }
 
-// bufPool is a tensor.Pool-style free list of send buffers. Buffers retire
-// here once the inbox views into their arenas have been consumed (one
-// superstep after they were filled) and are handed back out truncated, so
-// arena capacity is reused across supersteps instead of reallocated.
+// bufPool recycles send buffers per (sender, receiver) slot, s*NumWorkers+r.
+// A buffer retires to its slot once the inbox views into its pages have
+// been consumed (one superstep after it was filled) and comes back out,
+// truncated, to the same pair two generations later, so its pages already
+// fit that pair's volume and a steady state allocates none.
 type bufPool struct {
 	free []*colBuf
 }
 
-// get returns a truncated buffer, pre-reserved to the extents of hint (the
-// previous generation's buffer for the same sender→receiver pair, whose
-// volume the new superstep will roughly repeat). hint may be nil.
-func (p *bufPool) get(hint *colBuf) *colBuf {
-	var b *colBuf
-	if n := len(p.free); n > 0 {
-		b = p.free[n-1]
-		p.free = p.free[:n-1]
-		b.reset()
-	} else {
+// get returns slot's truncated buffer, its header columns reserved to the
+// row count of hint (the previous generation's buffer for the same pair,
+// whose volume the new superstep will roughly repeat). hint may be nil.
+func (p *bufPool) get(slot int, hint *colBuf) *colBuf {
+	b := p.free[slot]
+	p.free[slot] = nil
+	if b == nil {
 		b = &colBuf{}
+	} else {
+		b.reset()
 	}
 	if hint != nil {
-		b.reserve(len(hint.dsts), len(hint.arena))
+		b.reserve(len(hint.dsts))
 	}
 	return b
 }
 
-func (p *bufPool) put(b *colBuf) {
-	if b != nil {
-		p.free = append(p.free, b)
+// put retires b to slot. A recovery retires two generations at once; the
+// slot keeps the first and leaves the other to the GC.
+func (p *bufPool) put(slot int, b *colBuf) {
+	if p.free[slot] == nil {
+		p.free[slot] = b
 	}
 }
 
 // colCols holds flat message columns for a receiver-side inbox or worker
 // mailbox. Backing arrays are reused across supersteps (grow-only); pays
-// entries are zero-copy views into sender arenas.
+// entries are zero-copy views into sender pages.
 type colCols struct {
 	kinds  []uint8
 	srcs   []int32
@@ -266,7 +333,7 @@ type colSnap struct {
 	arena  []float32
 }
 
-// snapColsInto deep-copies columns into a snapshot slot, cutting every arena
+// snapColsInto deep-copies columns into a snapshot slot, cutting every page
 // alias. It reuses the slot's slice capacity, so a recycled snapshot (see
 // takeCheckpoint) captures without reallocating.
 func snapColsInto(s *colSnap, off []int32, c *colCols) {

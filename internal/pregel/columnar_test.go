@@ -277,7 +277,7 @@ func TestColumnarWorkerMailDelivered(t *testing.T) {
 
 // TestColumnarCombinerReducesTraffic mirrors the boxed combiner test on the
 // columnar plane: a star graph where each sending worker's messages for the
-// hub merge in place into one arena row.
+// hub merge in place into one payload view.
 func TestColumnarCombinerReducesTraffic(t *testing.T) {
 	b := starTopologyBuilder(101)
 	run := func(combine bool) (values []float32, sent, combined int64) {
@@ -313,7 +313,7 @@ func TestColumnarCombinerReducesTraffic(t *testing.T) {
 }
 
 // TestColumnarBytesAccounting: a custom Bytes function sees the kind byte
-// and the true arena extent of every message.
+// and the true payload length of every message.
 func TestColumnarBytesAccounting(t *testing.T) {
 	topo := ringTopology(t, 6)
 	prog := progFunc[int, [3]float32](func(ctx *Context[int, [3]float32], _ [][3]float32) {
@@ -386,7 +386,7 @@ func starTopologyBuilder(n int) Topology {
 
 // colFanProg is colSumProg scattering through SendColumnarFan — the
 // broadcast-safe fan path that stores each payload once per destination
-// worker and aliases arena extents for the rest.
+// worker and aliases that view for the rest.
 type colFanProg struct{ rounds int }
 
 func (p *colFanProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float32) {

@@ -14,7 +14,7 @@
 // Messages travel over one of two planes. The boxed plane carries M values
 // (the classic Pregel API: SendMessage / Compute's msgs slice). The
 // columnar plane (Config.Columnar, see columnar.go) carries fixed-header
-// messages with payloads packed into recycled []float32 arenas — the
+// messages with payloads packed into recycled []float32 pages — the
 // allocation-free fast path the GNN driver uses. Both planes share the same
 // barrier: a counting sort builds per-receiver CSR inboxes, with delivery
 // parallelized across receiving workers. Each receiver owns a disjoint
@@ -155,7 +155,7 @@ type Config[M any] struct {
 	// enabling recovery after a worker failure. Vertex programs must
 	// replace, not mutate, their value contents for snapshots to be sound
 	// (both bundled algorithms and the GNN driver do). In-flight message
-	// payloads need no such discipline: snapshots deep-copy the live arenas.
+	// payloads need no such discipline: snapshots deep-copy the live pages.
 	CheckpointEvery int
 	// Faults schedules deterministic crash injections: multiple crashes per
 	// run, at any superstep lifecycle point (before compute, after compute
@@ -251,7 +251,7 @@ func (c *Context[V, M]) SendToWorker(w int, m M) {
 
 // SendColumnar routes a columnar message to vertex dst for the next
 // superstep: kind is an opaque tag (also the combiner's merge gate), src and
-// count ride in header columns, and payload is copied into the send arena —
+// count ride in header columns, and payload is copied into the send buffer —
 // the caller's slice is not retained and may be reused immediately.
 // Columnar plane only.
 //
@@ -266,9 +266,9 @@ func (c *Context[V, M]) SendColumnar(dst int32, kind uint8, src, count int32, pa
 }
 
 // SendColumnarFan routes one identical payload to every destination in
-// dsts, in order, copying it into each destination-worker arena at most
+// dsts, in order, copying it into each destination-worker buffer at most
 // once — results are identical to len(dsts) SendColumnar calls; only the
-// arena bytes moved differ. The natural send for broadcast-safe scatters.
+// payload bytes moved differ. The natural send for broadcast-safe scatters.
 // Columnar plane only. src carries the same delivery-order contract as
 // SendColumnar: pass the computing vertex's id.
 func (c *Context[V, M]) SendColumnarFan(dsts []int32, kind uint8, src, count int32, payload []float32) {
@@ -402,7 +402,7 @@ func (c *BatchContext[V, M]) SendColumnar(dst int32, kind uint8, src, count int3
 }
 
 // SendColumnarFan routes one identical payload along every dst with at most
-// one payload copy per destination-worker arena; see Context.SendColumnarFan.
+// one payload copy per destination-worker buffer; see Context.SendColumnarFan.
 func (c *BatchContext[V, M]) SendColumnarFan(dsts []int32, kind uint8, src, count int32, payload []float32) {
 	c.worker.sendColumnarFan(dsts, kind, src, count, payload)
 }
@@ -488,10 +488,12 @@ type worker[V, M any] struct {
 	computed []bool
 	halted   []bool
 
-	// Fan-out scratch (len NumWorkers, columnar only): fanOff[dw] is the
-	// arena offset of the payload this fan already copied into destination
-	// worker dw's buffer, or -1.
-	fanOff []int64
+	// Fan-out scratch (len NumWorkers, columnar only): fanPay[dw] is the
+	// view of the payload this fan already copied into destination worker
+	// dw's buffer, or nil. It is kept as the view itself, not as a row, so
+	// later aliases read the pristine payload even after a combine has
+	// moved the first row onto a private copy.
+	fanPay [][]float32
 
 	m        *StepMetrics // this worker's metrics entry for the current superstep
 	stepCost int64
@@ -543,7 +545,7 @@ func (w *worker[V, M]) sendColumnar(dst int32, kind uint8, src, count int32, pay
 	if e.colCombine != nil {
 		if w.seenStamp[dst] == w.stamp {
 			i := w.lastSeen[dst]
-			if b.kinds[i] == kind && int(b.lens[i]) == len(pay) {
+			if b.kinds[i] == kind && len(b.pays[i]) == len(pay) {
 				acc := b.mergeTarget(i)
 				if merged, ok := e.colCombine(kind, acc, pay, b.counts[i], count); ok {
 					// The row keeps the src that created it: a merged row
@@ -564,29 +566,27 @@ func (w *worker[V, M]) sendColumnar(dst int32, kind uint8, src, count int32, pay
 
 // sendColumnarFan routes one identical payload to every destination in
 // dsts, in order — the columnar form of a broadcast-safe scatter. The
-// payload is copied into each destination-worker arena at most once; every
+// payload is copied into each destination-worker buffer at most once; every
 // further send to the same worker appends only a header row aliasing that
-// extent, so a hub's out-edges cost one payload copy per worker instead of
-// one per edge. Fan extents are marked shared, which makes any combine into
+// view, so a hub's out-edges cost one payload copy per worker instead of
+// one per edge. Fan views are marked shared, which makes any combine into
 // them copy-on-first-merge (see colBuf.mergeTarget) — delivered values, and
 // therefore results, are identical to issuing len(dsts) individual
-// sendColumnar calls; only the arena bytes differ.
+// sendColumnar calls; only the payload bytes differ.
 func (w *worker[V, M]) sendColumnarFan(dsts []int32, kind uint8, src, count int32, pay []float32) {
 	e := w.engine
 	if !e.columnar {
 		panic("pregel: SendColumnarFan on the boxed plane")
 	}
-	fan := w.fanOff[:e.cfg.NumWorkers]
-	for i := range fan {
-		fan[i] = -1
-	}
+	fan := w.fanPay[:e.cfg.NumWorkers]
+	clear(fan)
 	for _, dst := range dsts {
 		dw := e.workerOf[dst]
 		b := e.colCur[w.id][dw]
 		if e.colCombine != nil {
 			if w.seenStamp[dst] == w.stamp {
 				i := w.lastSeen[dst]
-				if b.kinds[i] == kind && int(b.lens[i]) == len(pay) {
+				if b.kinds[i] == kind && len(b.pays[i]) == len(pay) {
 					acc := b.mergeTarget(i)
 					if merged, ok := e.colCombine(kind, acc, pay, b.counts[i], count); ok {
 						b.counts[i] = merged
@@ -599,15 +599,15 @@ func (w *worker[V, M]) sendColumnarFan(dsts []int32, kind uint8, src, count int3
 				w.lastSeen[dst] = int32(len(b.dsts))
 			}
 		}
-		if off := fan[dw]; off >= 0 {
-			b.addAlias(dst, kind, src, count, int(off), int32(len(pay)))
+		if v := fan[dw]; v != nil {
+			b.addAlias(dst, kind, src, count, v)
 			continue
 		}
-		fan[dw] = int64(len(b.arena))
 		b.add(dst, kind, src, count, pay)
-		// The freshly appended extent is this fan's shared source: combines
+		// The freshly appended view is this fan's shared source: combines
 		// must not fold into it in place, or later aliases would read the
 		// merged value instead of the pristine payload.
+		fan[dw] = b.pays[len(b.pays)-1]
 		b.shared[len(b.shared)-1] = true
 	}
 }
@@ -662,7 +662,7 @@ type Engine[V, M any] struct {
 
 	// Columnar plane: per-receiver inboxes/mailboxes plus the send-buffer
 	// generations. colCur[s][r] is filled by sender s during the current
-	// superstep; colLive holds the previous generation, whose arenas back
+	// superstep; colLive holds the previous generation, whose pages back
 	// the current inbox views, and recycles into colFree at the barrier.
 	colIn   []colInbox
 	colMail []colCols
@@ -789,6 +789,7 @@ func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M])
 		e.colMail = make([]colCols, nw)
 		e.colCur = make([][]*colBuf, nw)
 		e.colLive = make([][]*colBuf, nw)
+		e.colFree.free = make([]*colBuf, nw*nw)
 		for s := 0; s < nw; s++ {
 			e.colCur[s] = make([]*colBuf, nw)
 			e.colLive[s] = make([]*colBuf, nw)
@@ -807,7 +808,7 @@ func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M])
 		if !e.columnar {
 			wk.out = make([]pending[M], nw)
 		} else {
-			wk.fanOff = make([]int64, nw)
+			wk.fanPay = make([][]float32, nw)
 		}
 		if combining {
 			wk.lastSeen = make([]int32, n)
@@ -956,7 +957,7 @@ func (e *Engine[V, M]) captureSnapshot(step int) *snapshot[V, M] {
 
 // captureSnapshotInto deep-copies everything the upcoming superstep consumes
 // into cp, reusing its slice capacity. Message payloads are deep-copied out
-// of the live arenas: by the time a recovery replays, the arenas backing the
+// of the live pages: by the time a recovery replays, the pages backing the
 // current inbox views have been recycled and overwritten.
 func (e *Engine[V, M]) captureSnapshotInto(cp *snapshot[V, M], step int) {
 	cp.step = step
@@ -1008,17 +1009,17 @@ func (e *Engine[V, M]) restoreCheckpoint() {
 			restoreCols(e.colIn[r].off, &e.colIn[r].cols, cp.colIn[r])
 			restoreCols(nil, &e.colMail[r], cp.colMail[r])
 		}
-		// The inbox no longer references the live arenas; recycle them. A
+		// The inbox no longer references the live pages; recycle them. A
 		// crash mid-superstep (FaultMidPipeline / FaultAtBarrier) also leaves
 		// the current generation filled but never shifted — recycle it too.
 		for s := 0; s < nw; s++ {
 			for r := 0; r < nw; r++ {
 				if e.colLive[s][r] != nil {
-					e.colFree.put(e.colLive[s][r])
+					e.colFree.put(s*nw+r, e.colLive[s][r])
 					e.colLive[s][r] = nil
 				}
 				if e.colCur[s][r] != nil {
-					e.colFree.put(e.colCur[s][r])
+					e.colFree.put(s*nw+r, e.colCur[s][r])
 					e.colCur[s][r] = nil
 				}
 			}
@@ -1095,13 +1096,7 @@ func (e *Engine[V, M]) runSuperstep(step int) (crashed bool) {
 		w.stamp++
 		if e.columnar {
 			for r := 0; r < nw; r++ {
-				b := e.colFree.get(e.colLive[w.id][r])
-				if e.colLive[w.id][r] == nil && e.cfg.Columnar.ReserveMsgs > 0 {
-					// Cold buffer (first two generations): apply the
-					// program's volume hint instead of growing by doubling.
-					b.reserve(e.cfg.Columnar.ReserveMsgs, e.cfg.Columnar.ReserveFloats)
-				}
-				e.colCur[w.id][r] = b
+				e.colCur[w.id][r] = e.colFree.get(w.id*nw+r, e.colLive[w.id][r])
 			}
 		} else {
 			for r := range w.out {
@@ -1177,7 +1172,7 @@ func (e *Engine[V, M]) runSuperstep(step int) (crashed bool) {
 		for s := 0; s < nw; s++ {
 			for r := 0; r < nw; r++ {
 				if e.colLive[s][r] != nil {
-					e.colFree.put(e.colLive[s][r])
+					e.colFree.put(s*nw+r, e.colLive[s][r])
 				}
 				e.colLive[s][r] = e.colCur[s][r]
 				e.colCur[s][r] = nil
@@ -1293,7 +1288,7 @@ func (e *Engine[V, M]) accountComputed(m *StepMetrics, in *colInbox, lo, hi int3
 
 // accountSent charges sender s for every message (and its wire bytes) it
 // buffered this superstep. Bytes are measured on the post-combine buffers —
-// from the arena extents on the columnar plane. Traffic addressed to other
+// from the payload views on the columnar plane. Traffic addressed to other
 // workers is additionally recorded as remote: the share a locality-aware
 // partitioner can reduce.
 func (e *Engine[V, M]) accountSent(s int) {
@@ -1305,7 +1300,7 @@ func (e *Engine[V, M]) accountSent(s int) {
 			m.MessagesSent += int64(len(b.dsts))
 			var bytes int64
 			for i := range b.dsts {
-				bytes += int64(e.colBytes(b.kinds[i], int(b.lens[i])))
+				bytes += int64(e.colBytes(b.kinds[i], len(b.pays[i])))
 			}
 			m.BytesSent += bytes
 			if r != s {
@@ -1336,7 +1331,7 @@ func (e *Engine[V, M]) accountSent(s int) {
 // messages are scattered in globally ascending source order via the sender
 // merge, so every destination's inbox order is independent of vertex
 // placement and worker count. Payloads are not copied: inbox entries are
-// views into the sender arenas, which stay live until the next barrier.
+// views into the sender pages, which stay live until the next barrier.
 func (e *Engine[V, M]) deliverColumnar(r int) {
 	in := &e.colIn[r]
 	off := in.off
@@ -1429,7 +1424,7 @@ func (e *Engine[V, M]) scatterColRow(in *colInbox, b *colBuf, i int, dst int32) 
 	li := e.localIdx[dst]
 	slot := in.next[li]
 	in.next[li]++
-	in.cols.set(int(slot), b.kinds[i], b.srcs[i], b.counts[i], b.payload(i))
+	in.cols.set(int(slot), b.kinds[i], b.srcs[i], b.counts[i], b.pays[i])
 	// A message reactivates its destination.
 	e.active[dst] = true
 }
@@ -1448,7 +1443,7 @@ func (e *Engine[V, M]) fillColMail(r, mailN int) {
 		b := e.colCur[s][r]
 		for i, dst := range b.dsts {
 			if dst < 0 {
-				mail.set(mi, b.kinds[i], b.srcs[i], b.counts[i], b.payload(i))
+				mail.set(mi, b.kinds[i], b.srcs[i], b.counts[i], b.pays[i])
 				mi++
 			}
 		}

@@ -141,7 +141,7 @@ func (f progFunc[V, M]) Compute(ctx *Context[V, M], msgs []M) { f(ctx, msgs) }
 
 // scratchSumProg is colSumProg sending every payload from one per-worker
 // scratch buffer it mutates between (and after) sends: sound only because
-// SendColumnar copies into the arena at send time. Combined with failure
+// SendColumnar copies into the send buffer at send time. Combined with failure
 // injection it exercises the checkpoint deep-copy rule end to end.
 type scratchSumProg struct {
 	rounds  int
@@ -178,9 +178,9 @@ func (p *scratchSumProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float
 
 // TestColumnarRecoveryByteIdentical: a columnar run that checkpoints, loses
 // a superstep to an injected failure, and replays must be bit-identical to
-// the failure-free run — the in-flight arena payloads restored from the
+// the failure-free run — the in-flight payloads restored from the
 // snapshot are the ones that were live at the checkpoint, not whatever the
-// recycled arenas hold by the time the failure hits.
+// recycled pages hold by the time the failure hits.
 func TestColumnarRecoveryByteIdentical(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
 	run := func(faults *FaultPlan) ([]float32, int) {
@@ -213,7 +213,7 @@ func TestColumnarRecoveryByteIdentical(t *testing.T) {
 }
 
 // TestCheckpointDeepCopiesArenas is the direct aliasing regression test:
-// take a checkpoint, scribble over every live in-flight payload arena (as
+// take a checkpoint, scribble over every page of every live send buffer (as
 // superstep recycling will), and verify a restore reproduces the original
 // inbox payloads byte for byte from the snapshot's own storage.
 func TestCheckpointDeepCopiesArenas(t *testing.T) {
@@ -235,13 +235,16 @@ func TestCheckpointDeepCopiesArenas(t *testing.T) {
 		t.Fatal("no in-flight payloads to checkpoint")
 	}
 
-	// Mutate every live arena — in production this is the recycling that
+	// Mutate every live page — in production this is the recycling that
 	// happens on the supersteps after the checkpoint.
 	for s := range eng.colLive {
 		for r := range eng.colLive[s] {
 			if b := eng.colLive[s][r]; b != nil {
-				for i := range b.arena {
-					b.arena[i] = -9999
+				for _, pg := range bufPages(b) {
+					pg = pg[:cap(pg)]
+					for i := range pg {
+						pg[i] = -9999
+					}
 				}
 			}
 		}
@@ -253,7 +256,7 @@ func TestCheckpointDeepCopiesArenas(t *testing.T) {
 		for _, p := range eng.colIn[r].cols.pays {
 			for j := range p {
 				if p[j] != want[i][j] {
-					t.Fatalf("restored payload %d[%d] = %v, want %v (checkpoint aliased a live arena)",
+					t.Fatalf("restored payload %d[%d] = %v, want %v (checkpoint aliased a live page)",
 						i, j, p[j], want[i][j])
 				}
 			}

@@ -48,22 +48,41 @@ func (p *Pool) GetNoZero(rows, cols int) *Matrix {
 	}
 	cls := sizeClass(need)
 	p.mu.Lock()
+	// Put files a buffer under floor(log2(cap)), so one of exactly need
+	// floats — the usual case: the same shape coming back — sits in bucket
+	// cls-1 whenever need is not a power of two. Only the buffers there with
+	// cap >= need fit; every buffer in cls and cls+1 does.
+	if cls > 0 {
+		list := p.buckets[cls-1]
+		for i := len(list) - 1; i >= 0; i-- {
+			if m := list[i]; cap(m.Data) >= need {
+				list[i] = list[len(list)-1]
+				p.buckets[cls-1] = list[:len(list)-1]
+				p.mu.Unlock()
+				return reshape(m, rows, cols, need)
+			}
+		}
+	}
 	for c := cls; c < cls+2; c++ {
 		if list := p.buckets[c]; len(list) > 0 {
 			m := list[len(list)-1]
 			p.buckets[c] = list[:len(list)-1]
 			p.mu.Unlock()
-			m.Rows, m.Cols = rows, cols
-			m.Data = m.Data[:need]
-			return m
+			return reshape(m, rows, cols, need)
 		}
 	}
 	p.mu.Unlock()
-	// Exact-size allocation: Put buckets by floor(log2(cap)), and Get only
-	// needs cap >= 1<<bucket, which an exact capacity satisfies too —
-	// rounding up to the class size would inflate peak memory up to ~2x on
-	// the system's largest buffers for no semantic gain.
+	// Exact-size allocation: rounding up to the class size would inflate
+	// peak memory up to ~2x on the system's largest buffers for no semantic
+	// gain, and the cls-1 scan above finds the buffer again once it is Put.
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, need)}
+}
+
+// reshape relabels a pooled buffer as a rows x cols matrix of need floats.
+func reshape(m *Matrix, rows, cols, need int) *Matrix {
+	m.Rows, m.Cols = rows, cols
+	m.Data = m.Data[:need]
+	return m
 }
 
 // maxPerBucket bounds how many free buffers a size class retains; extras
@@ -77,8 +96,9 @@ func (p *Pool) Put(m *Matrix) {
 	if m == nil || cap(m.Data) == 0 {
 		return
 	}
-	// Bucket by floor(log2(cap)) so every buffer in bucket c has capacity
-	// >= 1<<c, which is exactly what GetNoZero(need <= 1<<c) requires.
+	// Bucket by floor(log2(cap)), so every buffer in bucket c has capacity
+	// >= 1<<c and fits any GetNoZero with need <= 1<<c; GetNoZero also
+	// checks bucket c for the larger needs a given buffer still fits.
 	cls := uint(bits.Len(uint(cap(m.Data)))) - 1
 	p.mu.Lock()
 	if len(p.buckets[cls]) < maxPerBucket {

@@ -276,7 +276,7 @@ func checkViews(op string, dst *Matrix, off []int32, rows [][]float32) {
 // of matrix rows: dst.Row(s) = Σ rows[off[s]:off[s+1]], overwriting dst. The
 // views need not come from one backing array — this is the fused
 // whole-partition gather of the batched inference plane, where each view is
-// a zero-copy extent of a message arena. Parallel over segment blocks
+// a zero-copy payload view into a send buffer's pages. Parallel over segment blocks
 // weighted by the CSR offsets (so power-law hub segments don't serialize one
 // worker); each segment accumulates serially in ascending view order, the
 // same order as the per-destination serial loop, so results are
