@@ -249,7 +249,7 @@ func TestFigVerdictsFollowRows(t *testing.T) {
 		t.Errorf("fig12 at 40%%, +4 pts below: %s", v)
 	}
 	if v := fig12(0, .1, .40, .58, .74); v != "missed" {
-		t.Errorf("fig12 at 40%%, +34 pts below: %s", v)
+		t.Errorf("fig12 at 40%%, +18 pts below: %s", v)
 	}
 	if v := fig12(0, .1, .20, .21, .22); v != "missed" {
 		t.Errorf("fig12 at 20%%: %s", v)
