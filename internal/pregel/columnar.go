@@ -201,7 +201,7 @@ func (b *colBuf) addAlias(dst int32, kind uint8, src, count int32, pay []float32
 
 // mergeTarget returns the accumulator view for an in-place combine into
 // row i. Exclusive rows (appended by add outside a fan) combine in place,
-// the PR 2 hot path. Shared rows — a fan view other rows may alias — first
+// the common hot path. Shared rows — a fan view other rows may alias — first
 // materialize a private copy in a freshly carved view, so the combine
 // cannot corrupt sibling messages or the pristine payload later aliases
 // read; the materialized row is exclusive from then on. This is the paged
