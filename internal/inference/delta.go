@@ -64,13 +64,6 @@ type deltaDriver struct {
 	pools     []*tensor.Pool
 }
 
-// deltaVtx carries no per-vertex engine state: everything lives in the
-// session's resident slabs. deltaPing is the (payload-free) message type.
-type (
-	deltaVtx  struct{}
-	deltaPing struct{}
-)
-
 // pingTag is the columnar kind byte of an activation ping.
 const pingTag = msgState
 
@@ -96,13 +89,13 @@ func newDeltaDriver(model *gas.Model, g *graph.Graph, gi *graph.GatherIndex, lay
 // ping activates v's out-neighbors for the next superstep. Pings carry no
 // payload — receivers pull values from the resident slabs — so the send
 // buffers store headers only.
-func (d *deltaDriver) ping(send colSender, v int32) {
-	send.SendColumnarFan(d.g.OutNeighbors(v), colTag(pingTag, 0), v, 1, nil)
+func (d *deltaDriver) ping(ctx *pregel.BatchContext, v int32) {
+	ctx.SendColumnarFan(d.g.OutNeighbors(v), colTag(pingTag, 0), v, 1, nil)
 }
 
 // step runs one vertex's superstep-k (k >= 1) transition and returns whether
 // the vertex votes to halt. pinged reports a non-empty inbox.
-func (d *deltaDriver) step(send colSender, w int, v int32, k int, pinged bool) (halt bool) {
+func (d *deltaDriver) step(ctx *pregel.BatchContext, w int, v int32, k int, pinged bool) (halt bool) {
 	numLayers := d.model.NumLayers()
 	needs := pinged || d.seedInbox[v] || d.dirtyStep[v] == int32(k-1)
 	changed := false
@@ -113,7 +106,7 @@ func (d *deltaDriver) step(send colSender, w int, v int32, k int, pinged bool) (
 		return true
 	}
 	if changed || (d.seedPinned[v] && degreeScaled(d.model.Layers[k])) {
-		d.ping(send, v)
+		d.ping(ctx, v)
 	}
 	return !(d.seedInbox[v] || d.seedPinned[v] || changed)
 }
@@ -126,9 +119,9 @@ func (d *deltaDriver) step(send colSender, w int, v int32, k int, pinged bool) (
 // Nothing halts at superstep 0 — every seed class has later work (state-dirty
 // recomputes layer 1 via dirtyStep == 0, inbox-dirty re-gathers everywhere,
 // pinned pings at later degree-scaled layers).
-func (d *deltaDriver) seedStep(send colSender, v int32) {
+func (d *deltaDriver) seedStep(ctx *pregel.BatchContext, v int32) {
 	if d.seedState[v] || (d.seedPinned[v] && degreeScaled(d.model.Layers[0])) {
-		d.ping(send, v)
+		d.ping(ctx, v)
 	}
 }
 
@@ -196,17 +189,11 @@ func (d *deltaDriver) recompute(w int, v int32, k int) bool {
 	return changed
 }
 
-// Compute implements pregel.VertexProgram, which the engine requires of
-// every program; the delta pass runs on the batched plane only.
-func (d *deltaDriver) Compute(*pregel.Context[deltaVtx, deltaPing], []deltaPing) {
-	panic("inference: deltaDriver runs on the batched plane only")
-}
-
 // ComputeBatch implements pregel.BatchProgram. The frontier restricts it to
 // computed (active or pinged) rows of the partition; everything else keeps
 // its resident slab rows untouched. Work per superstep is proportional to
 // the surviving wave, not the partition.
-func (d *deltaDriver) ComputeBatch(ctx *pregel.BatchContext[deltaVtx, deltaPing]) {
+func (d *deltaDriver) ComputeBatch(ctx *pregel.BatchContext) {
 	w, k := ctx.WorkerID(), ctx.Superstep
 	owned := ctx.Owned()
 	if k == 0 {
@@ -243,7 +230,7 @@ type deltaSnap struct {
 }
 
 // SnapshotProgState implements pregel.ProgramStater: the delta program keeps
-// all superstep-to-superstep state outside the engine's vertex values.
+// all its superstep-to-superstep state in the session's resident slabs.
 func (d *deltaDriver) SnapshotProgState() any {
 	s := &deltaSnap{
 		layers:    make([]*tensor.Matrix, len(d.layers)),

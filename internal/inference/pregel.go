@@ -72,14 +72,6 @@ func min32(a, b float32) float32 {
 	return b
 }
 
-// vtxValue and gnnMsg carry nothing: vertex states live in the driver's
-// per-worker slabs and messages travel as columnar rows, so the engine's
-// per-vertex value array and its boxed message type are never read.
-type (
-	vtxValue struct{}
-	gnnMsg   struct{}
-)
-
 // pregelDriver executes a gas.Model layer-by-layer on the Pregel engine's
 // batched compute plane over columnar messages: each worker's vertex states
 // live in one row-major tensor.Matrix slab, gather is one fused
@@ -145,12 +137,6 @@ func (d *pregelDriver) seenScratch(w int) []bool {
 	return s
 }
 
-// Compute implements pregel.VertexProgram, which the engine requires of
-// every program; the driver runs on the batched plane only (ComputeBatch).
-func (d *pregelDriver) Compute(*pregel.Context[vtxValue, gnnMsg], []gnnMsg) {
-	panic("inference: pregelDriver runs on the batched plane only")
-}
-
 // bcTable lazily rebuilds worker w's broadcast index for the current
 // superstep from its columnar worker mailbox. The index holds zero-copy
 // payload views valid for the current superstep only, so the cache keys on
@@ -173,21 +159,12 @@ func (d *pregelDriver) bcTable(w, execSeq int, mail pregel.Batch) *bcIndex {
 	return t
 }
 
-// colSender is the columnar messaging surface of pregel.BatchContext, which
-// the GNN driver and the Session's delta driver instantiate over different
-// value and message types.
-type colSender interface {
-	SendColumnar(dst int32, kind uint8, src, count int32, payload []float32)
-	SendColumnarFan(dsts []int32, kind uint8, src, count int32, payload []float32)
-	SendColumnarToWorker(w int, kind uint8, src, count int32, payload []float32)
-}
-
 // scatterColumnar scatters one vertex's wire message h (see vertexMsg): the
 // strategy logic — hub decision, destination-worker dedup, per-edge
 // apply_edge with pooled results. Every send copies its payload, so h —
 // including an emit scratch row — stays reusable the moment the call
 // returns.
-func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float32, k int) {
+func (d *pregelDriver) scatterColumnar(ctx *pregel.BatchContext, w int, v int32, h []float32, k int) {
 	sendLayer := d.model.Layers[k]
 	dsts, eids := d.sg.G.OutNeighbors(v), d.sg.G.OutEdgeIDs(v)
 	d.captureMsg(v, k, h)
@@ -202,11 +179,11 @@ func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float
 		}
 		for dw, ok := range seen {
 			if ok {
-				send.SendColumnarToWorker(dw, colTag(msgBCPayload, 0), v, 0, h)
+				ctx.SendColumnarToWorker(dw, colTag(msgBCPayload, 0), v, 0, h)
 			}
 		}
 		// ...and a lightweight, payload-free reference along every out-edge.
-		send.SendColumnarFan(dsts, colTag(msgBCRef, reduce), v, 0, nil)
+		ctx.SendColumnarFan(dsts, colTag(msgBCRef, reduce), v, 0, nil)
 		return
 	}
 
@@ -215,7 +192,7 @@ func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float
 		// apply_edge is the identity: the vertex state is the payload for
 		// every out-edge — fanned, so the send buffers store it once per
 		// destination worker no matter the out-degree.
-		send.SendColumnarFan(dsts, tag, v, 1, h)
+		ctx.SendColumnarFan(dsts, tag, v, 1, h)
 		return
 	}
 	// Edge-dependent messages: run apply_edge per out-edge. The result is
@@ -228,7 +205,7 @@ func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float
 			ef = rowMat(&d.auxMats[w], d.sg.G.EdgeFeatures.Row(int(eids[i])))
 		}
 		payload := gas.ApplyEdgePooled(sendLayer, state, ef, pool)
-		send.SendColumnar(dst, tag, v, 1, payload.Row(0))
+		ctx.SendColumnar(dst, tag, v, 1, payload.Row(0))
 		if payload != state {
 			pool.Put(payload)
 		}
@@ -343,24 +320,22 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 		driver.live = layoutLive(driver.part, ind.Depth, model.NumLayers())
 	}
 
-	cfg := pregel.Config[gnnMsg]{
+	cfg := pregel.Config{
 		NumWorkers:      opts.NumWorkers,
 		Partitioner:     driver.part,
 		MaxSupersteps:   model.NumLayers() + 1,
+		Bytes:           columnarBytes,
 		Parallel:        opts.Parallel,
-		Batched:         true,
 		CheckpointEvery: opts.CheckpointEvery,
 		Faults:          opts.Faults,
 		SuperstepHook:   opts.SuperstepHook,
 		Cancel:          opts.Cancel,
 	}
-	ops := &pregel.ColumnarOps{Bytes: columnarBytes}
 	if opts.PartialGather {
-		ops.Combine = combineColumnar
+		cfg.Combine = combineColumnar
 	}
-	cfg.Columnar = ops
 
-	eng := pregel.NewEngine[vtxValue, gnnMsg](pregel.GraphTopology{G: sg.G}, driver, cfg)
+	eng := pregel.NewEngine(sg.G, driver, cfg)
 	if err := eng.Run(); err != nil {
 		return nil, err
 	}
@@ -411,7 +386,7 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 }
 
 // pregelStats converts engine metrics into run stats and cluster phases.
-func pregelStats(eng *pregel.Engine[vtxValue, gnnMsg], driver *pregelDriver, model *gas.Model, sg *ShadowGraph, opts Options) (Stats, []cluster.Phase) {
+func pregelStats(eng *pregel.Engine, driver *pregelDriver, model *gas.Model, sg *ShadowGraph, opts Options) (Stats, []cluster.Phase) {
 	resident := residentBytes(sg.G, driver.part, model, opts.NumWorkers)
 	st, phases := statsFromMetrics(eng.Metrics(), eng.Supersteps(), model, resident, opts.NumWorkers)
 	st.ShadowMirrors = int64(sg.Mirrors)

@@ -44,7 +44,7 @@ import (
 // partition (a RunInduced pass: to its live rows, see liveRows); the final
 // superstep halts every vertex, leaving the logits in the state slabs for
 // RunPregel to collect.
-func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) {
+func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext) {
 	w, k := ctx.WorkerID(), ctx.Superstep
 	owned := ctx.Owned()
 	numLayers := d.model.NumLayers()
@@ -123,7 +123,7 @@ func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) 
 // the kernels read the payload views in place, in delivery order. On a
 // pruned pass the aggregate covers the live slab rows only (see
 // liveRows.compact). It also returns how many messages the aggregate folds.
-func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], layer gas.Conv, off []int32, in pregel.Batch) (*gas.Aggregated, int) {
+func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext, layer gas.Conv, off []int32, in pregel.Batch) (*gas.Aggregated, int) {
 	w := ctx.WorkerID()
 	pool := d.pools[w]
 	n := in.Len()
@@ -234,7 +234,7 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 // scatterColumnar. A layer that reads its emitted rows back has them emitted
 // first, for every live row in one pooled call, and keeps them for the next
 // apply; other emitters write one row at a time into scratch.
-func (d *pregelDriver) scatterBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], k int) {
+func (d *pregelDriver) scatterBatch(ctx *pregel.BatchContext, k int) {
 	w := ctx.WorkerID()
 	st := d.states[w]
 	owned := ctx.Owned()

@@ -245,20 +245,19 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	part := o.partition(g)
 	driver := newDeltaDriver(s.model, g, s.gi, s.layers, s.msgs, s.emits,
 		s.pendState, s.pendInbox, s.pendPinned, s.dirtyStep, o.NumWorkers)
-	cfg := pregel.Config[deltaPing]{
+	cfg := pregel.Config{
 		NumWorkers:      o.NumWorkers,
 		Partitioner:     part,
 		MaxSupersteps:   s.model.NumLayers() + 1,
+		Bytes:           columnarBytes,
 		Parallel:        o.Parallel,
-		Batched:         true,
 		CheckpointEvery: o.CheckpointEvery,
 		Faults:          o.Faults,
 		SuperstepHook:   o.SuperstepHook,
 		Cancel:          o.Cancel,
 		Frontier:        frontier,
-		Columnar:        &pregel.ColumnarOps{Bytes: columnarBytes},
 	}
-	eng := pregel.NewEngine[deltaVtx, deltaPing](pregel.GraphTopology{G: g}, driver, cfg)
+	eng := pregel.NewEngine(g, driver, cfg)
 	if err := eng.Run(); err != nil {
 		s.wholeNext = true
 		return nil, err

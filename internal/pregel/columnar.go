@@ -1,12 +1,12 @@
 package pregel
 
-// The columnar message plane: instead of boxing every message as an M value
-// with its own heap-allocated payload, batched programs copy payloads into
-// views carved from recycled []float32 pages, alongside parallel
-// dst/kind/src/count columns. One send buffer exists per (sender, receiver)
-// worker pair and recycles across supersteps through a per-pair free list,
-// so a steady-state superstep performs no per-message allocation and, once
-// the pages of the first two generations exist, no page allocation either:
+// The columnar message plane: instead of boxing every message with its own
+// heap-allocated payload, programs copy payloads into views carved from
+// recycled []float32 pages, alongside parallel dst/kind/src/count columns.
+// One send buffer exists per (sender, receiver) worker pair and recycles
+// across supersteps through a per-pair free list, so a steady-state
+// superstep performs no per-message allocation and, once the pages of the
+// first two generations exist, no page allocation either:
 // the cost of messaging scales with the bytes moved, not the number of
 // messages created.
 //
@@ -23,36 +23,14 @@ package pregel
 // snapshots are immutable after capture; every writer (send append, combine,
 // recycle) targets engine-owned buffers only.
 
-// ColumnarOps opts a vertex program into the columnar message plane (set
-// Config.Columnar to a non-nil value). In columnar mode the program sends
-// with Context.SendColumnar / SendColumnarToWorker and reads with
-// Context.ColumnarInbox / ColumnarWorkerMail; Compute's msgs argument is
-// always nil, and Config.Combiner / Config.MessageBytes are ignored. Send
-// buffers size themselves: payload pages grow by appending a page and are
-// kept for the pair's later generations, and header columns are sized from
-// the pair's previous generation, so a program states no volume hints.
-type ColumnarOps struct {
-	// Combine merges an in-flight payload into the payload view acc of an
-	// earlier message for the same destination, in place — Pregel's
-	// sender-side combining without the boxed path's per-merge allocation.
-	// It is only invoked when the two messages carry the same kind byte and
-	// payload length; acc and pay are both payLen long. Returning the merged
-	// count and true commits the merge; returning false declines it, leaving
-	// both messages to be delivered individually (later messages for the
-	// same destination still attempt to merge with the first one, matching
-	// the boxed combiner's behaviour). nil disables combining.
-	Combine func(kind uint8, acc, pay []float32, accCount, payCount int32) (int32, bool)
-	// Bytes estimates the wire size of a message from its kind byte and
-	// payload length, feeding the IO accounting. Defaults to 4*payloadLen+16
-	// when nil.
-	Bytes func(kind uint8, payloadLen int) int
-}
-
-// Batch is a zero-copy columnar view of the messages addressed to one
-// vertex (Context.ColumnarInbox) or one worker (Context.ColumnarWorkerMail).
+// Batch is a zero-copy columnar view of messages: a worker's inbox
+// (BatchContext.InboxCSR) or its mailbox (BatchContext.ColumnarWorkerMail).
 // All columns share indexing; Payloads entries are views into the send
-// buffers' pages, valid only for the duration of the current superstep and never to
-// be mutated.
+// buffers' pages, valid only for the duration of the current superstep and
+// never to be mutated. Send buffers size themselves — payload pages grow by
+// appending a page and are kept for the pair's later generations, and
+// header columns are sized from the pair's previous generation — so a
+// program states no volume hints.
 type Batch struct {
 	Kinds    []uint8
 	Srcs     []int32
@@ -204,10 +182,9 @@ func (b *colBuf) addAlias(dst int32, kind uint8, src, count int32, pay []float32
 // the common hot path. Shared rows — a fan view other rows may alias — first
 // materialize a private copy in a freshly carved view, so the combine
 // cannot corrupt sibling messages or the pristine payload later aliases
-// read; the materialized row is exclusive from then on. This is the paged
-// form of the boxed combiner's copy-on-first-merge, and it produces the
-// same merged values: the fold runs on an identical copy of the same
-// accumulator.
+// read; the materialized row is exclusive from then on. It produces the
+// same merged values as a per-edge send would: the fold runs on an
+// identical copy of the same accumulator.
 func (b *colBuf) mergeTarget(i int32) []float32 {
 	if !b.shared[i] {
 		return b.pays[i]

@@ -23,7 +23,7 @@ const (
 	// buffers are lost work that recovery must discard.
 	FaultMidPipeline
 	// FaultAtBarrier crashes after the barrier's delivery/merge has rebuilt
-	// the inboxes but before the superstep commits (totals, aggregators, the
+	// the inboxes but before the superstep commits (totals, the
 	// send-buffer generation shift) — the freshly delivered inbox is lost.
 	FaultAtBarrier
 	// FaultDuringCheckpoint crashes while the checkpoint following the given
@@ -108,7 +108,7 @@ func buildFaults(plan *FaultPlan) []faultState {
 }
 
 // faultAt reports whether an armed fault targets (step, p), consuming it.
-func (e *Engine[V, M]) faultAt(step int, p FaultPoint) bool {
+func (e *Engine) faultAt(step int, p FaultPoint) bool {
 	for i := range e.faults {
 		f := &e.faults[i]
 		if !f.fired && f.Superstep == step && f.Point == p {

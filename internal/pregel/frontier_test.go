@@ -4,31 +4,17 @@ import (
 	"testing"
 )
 
-// hopProg records the first superstep each vertex computed at (1-based so
-// zero means "never computed") and relays a token along its out-edges, then
-// halts. With a seeded frontier, computation floods outward one hop per
-// superstep — the activation pattern the incremental GNN drivers rely on.
-type hopProg struct{ hops int }
-
-func (p *hopProg) Compute(ctx *Context[int, int], msgs []int) {
-	if *ctx.Value == 0 {
-		*ctx.Value = ctx.Superstep + 1
-	}
-	if ctx.Superstep < p.hops {
-		dsts, _ := ctx.OutEdges()
-		for _, d := range dsts {
-			ctx.SendMessage(d, 1)
-		}
-	}
-	ctx.VoteToHalt()
-}
+// The frontier tests run testProg with halt set: every computed vertex
+// halts after its superstep, so computation floods outward from the seeded
+// frontier one hop per superstep, relaying while the superstep is below
+// rounds — the activation pattern incremental GNN refreshes rely on.
 
 func TestFrontierFloodsFromSeeds(t *testing.T) {
 	const n = 12
-	topo := ringTopology(t, n)
+	g := ringGraph(n)
+	p := testProg{rounds: 3, halt: true}
 	for _, workers := range []int{1, 3} {
-		prog := &hopProg{hops: 3}
-		eng := NewEngine[int, int](topo, prog, Config[int]{
+		eng, prog := newProgEngine(g, p, Config{
 			NumWorkers: workers, MaxSupersteps: 10, Frontier: []int32{0},
 		})
 		if err := eng.Run(); err != nil {
@@ -36,10 +22,11 @@ func TestFrontierFloodsFromSeeds(t *testing.T) {
 		}
 		// Vertex v on the ring first computes at superstep v, for v <= hops
 		// (relaying stops at superstep hops); later vertices never run.
-		for v, got := range eng.Values() {
-			want := 0
+		_, first := prog.values(eng)
+		for v, got := range first {
+			want := int32(0)
 			if v <= 3 {
-				want = v + 1
+				want = int32(v + 1)
 			}
 			if got != want {
 				t.Fatalf("workers=%d vertex %d first-computed %d, want %d", workers, v, got, want)
@@ -55,21 +42,21 @@ func TestFrontierFloodsFromSeeds(t *testing.T) {
 				t.Fatalf("superstep %d: %d active vertices, want 1", s, active)
 			}
 		}
+		checkRef(t, "ring", eng, prog, refRun(g, p, []int32{0}, 10, workers))
 	}
 }
 
 func TestFrontierMultipleSeeds(t *testing.T) {
 	const n = 10
-	topo := ringTopology(t, n)
-	prog := &hopProg{hops: 1}
-	eng := NewEngine[int, int](topo, prog, Config[int]{
+	eng, prog := newProgEngine(ringGraph(n), testProg{rounds: 1, halt: true}, Config{
 		NumWorkers: 2, MaxSupersteps: 5, Frontier: []int32{2, 7},
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := map[int]int{2: 1, 7: 1, 3: 2, 8: 2}
-	for v, got := range eng.Values() {
+	want := map[int]int32{2: 1, 7: 1, 3: 2, 8: 2}
+	_, first := prog.values(eng)
+	for v, got := range first {
 		if got != want[v] {
 			t.Fatalf("vertex %d first-computed %d, want %d", v, got, want[v])
 		}
@@ -77,8 +64,7 @@ func TestFrontierMultipleSeeds(t *testing.T) {
 }
 
 func TestFrontierEmptyTerminatesImmediately(t *testing.T) {
-	topo := ringTopology(t, 8)
-	eng := NewEngine[int, int](topo, &hopProg{hops: 3}, Config[int]{
+	eng, prog := newProgEngine(ringGraph(8), testProg{rounds: 3, halt: true}, Config{
 		NumWorkers: 2, MaxSupersteps: 5, Frontier: []int32{},
 	})
 	if err := eng.Run(); err != nil {
@@ -87,9 +73,9 @@ func TestFrontierEmptyTerminatesImmediately(t *testing.T) {
 	if eng.Supersteps() != 0 {
 		t.Fatalf("supersteps = %d, want 0", eng.Supersteps())
 	}
-	for v, got := range eng.Values() {
-		if got != 0 {
-			t.Fatalf("vertex %d computed (%d) despite empty frontier", v, got)
+	for w, first := range prog.first {
+		if first != nil {
+			t.Fatalf("worker %d computed despite empty frontier", w)
 		}
 	}
 }
@@ -100,51 +86,29 @@ func TestFrontierOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic on out-of-range frontier vertex")
 		}
 	}()
-	NewEngine[int, int](ringTopology(t, 4), &hopProg{}, Config[int]{
-		NumWorkers: 1, Frontier: []int32{9},
-	})
-}
-
-// sparseProg keeps only a tiny moving frontier sending: vertex k sends to
-// its out-neighbors at superstep k, everyone else stays halted, so every
-// superstep delivers a handful of messages from sources far apart in the id
-// space.
-type sparseProg struct{ rounds int }
-
-func (p *sparseProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float32) {
-	if ctx.Superstep > 0 {
-		in := ctx.ColumnarInbox()
-		for i := 0; i < in.Len(); i++ {
-			*ctx.Value += in.Payloads[i][0]
-		}
-	}
-	if ctx.Superstep < p.rounds && int(ctx.ID) == ctx.Superstep*37%97 {
-		dsts, _ := ctx.OutEdges()
-		pay := [3]float32{float32(ctx.ID) + 1, float32(ctx.ID), 1}
-		for _, d := range dsts {
-			ctx.SendColumnar(d, 0, ctx.ID, 1, pay[:])
-		}
-	}
-	ctx.VoteToHalt()
+	NewEngine(ringGraph(4), &testProg{}, Config{NumWorkers: 1, Frontier: []int32{9}})
 }
 
 // TestSparseFrontierMatchesSingleWorker: supersteps that carry a few
 // messages over a large id space deliver the same values and traffic at
 // any worker count, parallel or not.
 func TestSparseFrontierMatchesSingleWorker(t *testing.T) {
-	topo := randomTopology(t, 400, 1600, 23)
-	run := func(workers int, parallel bool) ([]float32, int64) {
-		eng := NewEngine[float32, [3]float32](topo, &sparseProg{rounds: 10}, Config[[3]float32]{
-			NumWorkers: workers, Parallel: parallel, MaxSupersteps: 12, Columnar: &ColumnarOps{},
+	g := randomGraph(400, 1600, 23)
+	p := testProg{rounds: 2, halt: true}
+	frontier := []int32{5, 200, 390}
+	run := func(workers int, parallel bool) ([]int32, int64) {
+		eng, prog := newProgEngine(g, p, Config{
+			NumWorkers: workers, Parallel: parallel, MaxSupersteps: 12, Frontier: frontier,
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		var recv int64
-		for _, m := range eng.TotalMetrics() {
-			recv += m.MessagesReceived
-		}
-		return append([]float32(nil), eng.Values()...), recv
+		ref := refRun(g, p, frontier, 12, workers)
+		checkRef(t, "sparse", eng, prog, ref)
+		vals, _ := prog.values(eng)
+		// Vertex-addressed messages only: worker mail grows with the
+		// worker count.
+		return vals, sumMetrics(eng).MessagesReceived - ref.sent[[2]int{int(kindMail), 2}]
 	}
 	ref, refRecv := run(1, false)
 	if refRecv == 0 {

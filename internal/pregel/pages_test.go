@@ -5,41 +5,10 @@ import (
 	"unsafe"
 )
 
-// pageWidth is the payload width of pageProg: a power of two, so payloads
-// tile every page exactly and the capacity bound below has no tail slack.
+// pageWidth is the kindSum payload width of the pages run: a power of two,
+// so payloads tile every page exactly and the capacity bound below has no
+// tail slack.
 const pageWidth = 32
-
-// pageProg sends the same message pattern every superstep: a fan of one
-// payload along every out-edge (combined into, so shared views are
-// materialized), one exclusive payload to the first out-edge, and from
-// vertex 0 one payload longer than maxPage.
-type pageProg struct{ long []float32 }
-
-func (p *pageProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float32) {
-	if ctx.Superstep == 0 {
-		*ctx.Value = float32(int(ctx.ID)%7 + 1)
-	} else {
-		in := ctx.ColumnarInbox()
-		var s float32
-		for i := 0; i < in.Len(); i++ {
-			s += in.Payloads[i][0]
-		}
-		*ctx.Value = float32(int(s) % sumMod)
-	}
-	dsts, _ := ctx.OutEdges()
-	if len(dsts) == 0 {
-		return
-	}
-	var pay [pageWidth]float32
-	for i := range pay {
-		pay[i] = *ctx.Value + float32(i)
-	}
-	ctx.SendColumnarFan(dsts, 0, ctx.ID, 1, pay[:])
-	ctx.SendColumnar(dsts[0], 1, ctx.ID, 1, pay[:])
-	if ctx.ID == 0 {
-		ctx.SendColumnar(dsts[0], 2, ctx.ID, 1, p.long)
-	}
-}
 
 // bufPages returns every page b owns, regular and oversized.
 func bufPages(b *colBuf) [][]float32 {
@@ -47,16 +16,17 @@ func bufPages(b *colBuf) [][]float32 {
 }
 
 // TestSendBufferPages checks the paged send buffers after every superstep
-// of a run whose traffic repeats each superstep: every payload view lies
+// of a run whose traffic repeats each superstep — fans of pageWidth-float
+// payloads combined into (so shared views are materialized), and from
+// vertex 0 one payload longer than maxPage: every payload view lies
 // inside one page, a buffer's pages hold at most one maxPage beyond the
 // floats carved from them, and from generation 2 on (when each pair gets
 // back its generation-0 buffer) no superstep allocates a page.
 func TestSendBufferPages(t *testing.T) {
 	for _, workers := range []int{2, 3} {
-		topo := randomTopology(t, 2000, 10000, 23)
-		eng := NewEngine[float32, [3]float32](topo, &pageProg{long: make([]float32, maxPage+8)},
-			Config[[3]float32]{NumWorkers: workers, MaxSupersteps: 10,
-				Columnar: &ColumnarOps{Combine: colSumCombiner}})
+		eng, _ := newProgEngine(randomGraph(2000, 10000, 23),
+			testProg{rounds: 10, width: pageWidth, fan: true, long: maxPage + 8},
+			Config{NumWorkers: workers, MaxSupersteps: 10, Combine: sumCombine})
 		seen := map[*float32]bool{}
 		maxPages, bigPages, combined := 0, 0, int64(0)
 		for step := 0; step < 5; step++ {

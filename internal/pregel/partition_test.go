@@ -6,62 +6,25 @@ import (
 	"inferturbo/internal/graph"
 )
 
-// ldgFor builds an LDG placement of the test topology (adapted back to the
-// underlying graph).
-func ldgFor(t *testing.T, topo Topology, workers int) graph.Partitioner {
-	t.Helper()
-	gt, ok := topo.(GraphTopology)
-	if !ok {
-		t.Fatal("test topology must wrap a graph")
-	}
-	return graph.LDG{}.Partition(gt.G, workers)
-}
-
 // TestPlacementDoesNotChangeValues: the engine's headline invariant for
 // pluggable partitioning — an integer-exact program produces identical
 // values under hash and LDG placements, at every worker count, with and
-// without combining, on both message planes.
+// without combining.
 func TestPlacementDoesNotChangeValues(t *testing.T) {
-	topo := randomTopology(t, 80, 400, 21)
-	_, ref := runColSum(t, topo, 1, false, false)
+	g := randomGraph(80, 400, 21)
+	p := testProg{rounds: 4}
+	_, ref := runProg(t, g, p, Config{NumWorkers: 1})
 	for _, workers := range []int{2, 4, 8} {
 		for _, combine := range []bool{false, true} {
-			part := ldgFor(t, topo, workers)
-			ops := &ColumnarOps{}
+			cfg := Config{NumWorkers: workers, Partitioner: graph.LDG{}.Partition(g, workers), Parallel: true}
 			if combine {
-				ops.Combine = colSumCombiner
+				cfg.Combine = sumCombine
 			}
-			ce := NewEngine[float32, [3]float32](topo, &colSumProg{rounds: 4}, Config[[3]float32]{
-				NumWorkers: workers, Columnar: ops, Partitioner: part, Parallel: true,
-			})
-			if err := ce.Run(); err != nil {
-				t.Fatal(err)
-			}
-			be := NewEngine[float32, [3]float32](topo, &boxedSumProg{rounds: 4}, Config[[3]float32]{
-				NumWorkers:   workers,
-				Partitioner:  part,
-				MessageBytes: func(m [3]float32) int { return 4*len(m) + 16 },
-			})
-			if combine {
-				// Rebuild with the combiner (Config is by value).
-				be = NewEngine[float32, [3]float32](topo, &boxedSumProg{rounds: 4}, Config[[3]float32]{
-					NumWorkers:   workers,
-					Partitioner:  part,
-					Combiner:     boxedSumCombiner,
-					MessageBytes: func(m [3]float32) int { return 4*len(m) + 16 },
-				})
-			}
-			if err := be.Run(); err != nil {
-				t.Fatal(err)
-			}
+			_, got := runProg(t, g, p, cfg)
 			for v := range ref {
-				if ce.Values()[v] != ref[v] {
-					t.Fatalf("workers=%d combine=%v: LDG columnar value[%d] = %v, hash-1-worker %v",
-						workers, combine, v, ce.Values()[v], ref[v])
-				}
-				if be.Values()[v] != ref[v] {
-					t.Fatalf("workers=%d combine=%v: LDG boxed value[%d] = %v, hash-1-worker %v",
-						workers, combine, v, be.Values()[v], ref[v])
+				if got[v] != ref[v] {
+					t.Fatalf("workers=%d combine=%v: LDG value[%d] = %v, hash-1-worker %v",
+						workers, combine, v, got[v], ref[v])
 				}
 			}
 		}
@@ -72,30 +35,47 @@ func TestPlacementDoesNotChangeValues(t *testing.T) {
 // globally ascending source id order (emission order within a source),
 // independent of worker count and placement.
 func TestDeliveryOrderIsCanonical(t *testing.T) {
-	topo := ringTopology(t, 13)
-	want := make([]int32, 0, 13*3)
-	for src := int32(0); src < 13; src++ {
-		for s := int32(0); s < 3; s++ {
-			want = append(want, src*4+s)
+	// Every vertex sends to vertex 0 three times and to its ring successor.
+	const n = 13
+	b := graph.NewBuilder(n)
+	for v := int32(0); v < n; v++ {
+		for range 3 {
+			b.AddEdge(v, 0, nil)
 		}
+		b.AddEdge(v, (v+1)%n, nil)
 	}
-	run := func(workers int, part graph.Partitioner) []int32 {
-		cp := &orderProgCol{}
-		ce := NewEngine[int, [3]float32](topo, cp, Config[[3]float32]{
-			NumWorkers: workers, MaxSupersteps: 4, Parallel: true,
-			Columnar: &ColumnarOps{}, Partitioner: part,
-		})
-		if err := ce.Run(); err != nil {
-			t.Fatal(err)
+	g := b.Build()
+	// The serial reference of vertex 0's inbox, read straight off the graph:
+	// each source's kindSum sends, then its kindHash sends.
+	type row struct {
+		src  int32
+		kind uint8
+	}
+	var want []row
+	for src := int32(0); src < n; src++ {
+		for _, kind := range []uint8{kindSum, kindHash} {
+			for _, d := range g.OutNeighbors(src) {
+				if d == 0 {
+					want = append(want, row{src, kind})
+				}
+			}
 		}
-		return cp.got
 	}
 	for _, workers := range []int{1, 2, 4, 5} {
 		for name, part := range map[string]graph.Partitioner{
 			"hash": nil,
-			"ldg":  ldgFor(t, topo, workers),
+			"ldg":  graph.LDG{}.Partition(g, workers),
 		} {
-			got := run(workers, part)
+			eng, _ := newProgEngine(g, testProg{rounds: 2}, Config{
+				NumWorkers: workers, Parallel: true, Partitioner: part,
+			})
+			eng.runSuperstep(0)
+			w, li := eng.part.WorkerFor(0), eng.part.LocalIndex(0)
+			in := &eng.colIn[w]
+			var got []row
+			for i := in.off[li]; i < in.off[li+1]; i++ {
+				got = append(got, row{in.cols.srcs[i], in.cols.kinds[i]})
+			}
 			if len(got) != len(want) {
 				t.Fatalf("workers=%d %s: received %d messages, want %d", workers, name, len(got), len(want))
 			}
@@ -124,23 +104,15 @@ func TestRemoteTrafficAccounting(t *testing.T) {
 	}
 	b.AddEdge(0, 20, nil)
 	b.AddEdge(20, 0, nil)
-	topo := GraphTopology{G: b.Build()}
+	g := b.Build()
 
 	totals := func(part graph.Partitioner, workers int) (sent, remote int64) {
-		eng := NewEngine[float32, [3]float32](topo, &colSumProg{rounds: 3}, Config[[3]float32]{
-			NumWorkers: workers, Columnar: &ColumnarOps{}, Partitioner: part,
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range eng.TotalMetrics() {
-			sent += m.MessagesSent
-			remote += m.RemoteMessagesSent
-		}
-		return sent, remote
+		eng, _ := runProg(t, g, testProg{rounds: 3}, Config{NumWorkers: workers, Partitioner: part})
+		m := sumMetrics(eng)
+		return m.MessagesSent, m.RemoteMessagesSent
 	}
 	hashSent, hashRemote := totals(nil, 2)
-	ldgSent, ldgRemote := totals(ldgFor(t, topo, 2), 2)
+	ldgSent, ldgRemote := totals(graph.LDG{}.Partition(g, 2), 2)
 	if hashSent != ldgSent {
 		t.Fatalf("placement changed total traffic: %d vs %d", hashSent, ldgSent)
 	}
@@ -155,13 +127,10 @@ func TestRemoteTrafficAccounting(t *testing.T) {
 // TestPartitionerWorkerCountMismatchPanics: a partitioner built for a
 // different worker count is a configuration bug the engine rejects.
 func TestPartitionerWorkerCountMismatchPanics(t *testing.T) {
-	topo := ringTopology(t, 6)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewEngine[int, int](topo, &echoProgram{}, Config[int]{
-		NumWorkers: 3, Partitioner: graph.NewPartitioner(2),
-	})
+	NewEngine(ringGraph(6), &testProg{}, Config{NumWorkers: 3, Partitioner: graph.NewPartitioner(2)})
 }

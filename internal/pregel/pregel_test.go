@@ -1,256 +1,101 @@
 package pregel
 
 import (
-	"math"
 	"testing"
 
 	"inferturbo/internal/datagen"
-	"inferturbo/internal/graph"
-	"inferturbo/internal/tensor"
 )
 
-func ringTopology(t *testing.T, n int) Topology {
-	t.Helper()
-	b := graph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		b.AddEdge(int32(v), int32((v+1)%n), nil)
-	}
-	return GraphTopology{G: b.Build()}
-}
-
-func randomTopology(t *testing.T, n, e int, seed int64) Topology {
-	t.Helper()
-	rng := tensor.NewRNG(seed)
-	b := graph.NewBuilder(n)
-	for i := 0; i < e; i++ {
-		b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)), nil)
-	}
-	return GraphTopology{G: b.Build()}
-}
-
-func TestPageRankMatchesReference(t *testing.T) {
-	topo := randomTopology(t, 100, 500, 1)
-	prog := &PageRankProgram{NumVertices: 100, Iterations: 20}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-		NumWorkers: 4, MaxSupersteps: 25, Combiner: PageRankCombiner,
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := ReferencePageRank(topo, 20)
-	for v, got := range eng.Values() {
-		if math.Abs(got-want[v]) > 1e-9 {
-			t.Fatalf("rank[%d] = %v, want %v", v, got, want[v])
-		}
-	}
-}
-
-func TestPageRankRanksSum(t *testing.T) {
-	topo := ringTopology(t, 50)
-	prog := &PageRankProgram{NumVertices: 50, Iterations: 10}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{NumWorkers: 3})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, r := range eng.Values() {
-		sum += r
-	}
-	// On a ring (every vertex has out-degree 1) rank mass is conserved.
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("total rank = %v, want 1", sum)
-	}
-}
-
-func TestPageRankIndependentOfWorkerCount(t *testing.T) {
-	topo := randomTopology(t, 80, 400, 2)
-	run := func(workers int) []float64 {
-		prog := &PageRankProgram{NumVertices: 80, Iterations: 15}
-		eng := NewEngine[float64, float64](topo, prog, Config[float64]{NumWorkers: workers})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, 80)
-		copy(out, eng.Values())
-		return out
-	}
-	a, b := run(1), run(7)
-	for v := range a {
-		if math.Abs(a[v]-b[v]) > 1e-9 {
-			t.Fatalf("rank[%d] differs across worker counts: %v vs %v", v, a[v], b[v])
-		}
-	}
-}
-
-func TestSSSPMatchesBFS(t *testing.T) {
-	topo := randomTopology(t, 120, 400, 3)
-	prog := &SSSPProgram{Source: 0}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-		NumWorkers: 5, MaxSupersteps: 200, Combiner: SSSPCombiner,
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := ReferenceSSSP(topo, 0)
-	for v, got := range eng.Values() {
-		if got != want[v] && !(math.IsInf(got, 1) && math.IsInf(want[v], 1)) {
-			t.Fatalf("dist[%d] = %v, want %v", v, got, want[v])
-		}
-	}
-}
-
-func TestSSSPHaltsBeforeMaxSupersteps(t *testing.T) {
-	topo := ringTopology(t, 10)
-	prog := &SSSPProgram{Source: 0}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{NumWorkers: 2, MaxSupersteps: 100})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// A 10-ring needs ~11 supersteps; the engine must not run to the cap.
-	if eng.Supersteps() > 15 {
-		t.Fatalf("supersteps = %d, expected early halt", eng.Supersteps())
-	}
-}
-
+// TestCombinerReducesTraffic: on a star, one worker's messages for the hub
+// merge into the first row until the combiner declines, after which every
+// message travels on its own — and each merge is counted.
 func TestCombinerReducesTraffic(t *testing.T) {
-	// Star graph: all vertices point at 0 — a combiner should merge each
-	// worker's messages to a single one per superstep.
-	b := graph.NewBuilder(101)
-	for v := int32(1); v <= 100; v++ {
-		b.AddEdge(v, 0, nil)
+	eng, _ := runProg(t, starGraph(101), testProg{rounds: 1}, Config{NumWorkers: 1, Combine: sumCombine})
+	m := eng.Metrics()[0][0]
+	// The first kindSum row absorbs combineCap messages; the other
+	// 100-combineCap kindSum messages, 100 kindHash messages and one mail
+	// row are sent as they are.
+	if want := int64(combineCap - 1); m.CombinedAway != want {
+		t.Fatalf("combined away %d messages, want %d", m.CombinedAway, want)
 	}
-	topo := GraphTopology{G: b.Build()}
+	if want := int64(1 + (100 - combineCap) + 100 + 1); m.MessagesSent != want {
+		t.Fatalf("sent %d messages, want %d", m.MessagesSent, want)
+	}
+}
 
-	run := func(combine bool) (sent int64, combined int64) {
-		prog := &PageRankProgram{NumVertices: 101, Iterations: 2}
-		cfg := Config[float64]{NumWorkers: 4}
+// TestColumnarCombinerReducesTraffic: a star graph where each sending
+// worker's messages for the hub merge in place into one payload view —
+// less traffic, the same values.
+func TestColumnarCombinerReducesTraffic(t *testing.T) {
+	g := starGraph(101)
+	p := testProg{rounds: 2}
+	run := func(combine bool) (vals []int32, sent, combined int64) {
+		cfg := Config{NumWorkers: 4}
 		if combine {
-			cfg.Combiner = PageRankCombiner
+			cfg.Combine = sumCombine
 		}
-		eng := NewEngine[float64, float64](topo, prog, cfg)
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range eng.TotalMetrics() {
-			sent += m.MessagesSent
-			combined += m.CombinedAway
-		}
-		return sent, combined
+		eng, vals := runProg(t, g, p, cfg)
+		m := sumMetrics(eng)
+		return vals, m.MessagesSent, m.CombinedAway
 	}
-	plainSent, _ := run(false)
-	combSent, combined := run(true)
+	plainVals, plainSent, _ := run(false)
+	combVals, combSent, combined := run(true)
 	if combSent >= plainSent {
 		t.Fatalf("combiner did not reduce traffic: %d vs %d", combSent, plainSent)
 	}
-	if combined == 0 {
-		t.Fatal("combiner merges not counted")
+	if combined == 0 || combSent+combined != plainSent {
+		t.Fatalf("combiner merges miscounted: %d sent + %d combined, %d without combining", combSent, combined, plainSent)
+	}
+	for v := range plainVals {
+		if plainVals[v] != combVals[v] {
+			t.Fatalf("combining changed value[%d]: %v vs %v", v, combVals[v], plainVals[v])
+		}
 	}
 }
 
 func TestMetricsBalance(t *testing.T) {
-	topo := randomTopology(t, 60, 300, 4)
-	prog := &PageRankProgram{NumVertices: 60, Iterations: 5}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{NumWorkers: 3})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	eng, _ := runProg(t, randomGraph(60, 300, 4), testProg{rounds: 5}, Config{NumWorkers: 3})
+	m := sumMetrics(eng)
+	if m.MessagesSent != m.MessagesReceived {
+		t.Fatalf("sent %d != received %d", m.MessagesSent, m.MessagesReceived)
 	}
-	var sent, received int64
-	for _, m := range eng.TotalMetrics() {
-		sent += m.MessagesSent
-		received += m.MessagesReceived
-	}
-	if sent != received {
-		t.Fatalf("sent %d != received %d", sent, received)
+	if m.BytesSent != m.BytesReceived {
+		t.Fatalf("sent %d bytes != received %d", m.BytesSent, m.BytesReceived)
 	}
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
-	topo := randomTopology(t, 100, 600, 5)
-	run := func(parallel bool) []float64 {
-		prog := &PageRankProgram{NumVertices: 100, Iterations: 10}
-		eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-			NumWorkers: 8, Parallel: parallel, Combiner: PageRankCombiner,
+	g := randomGraph(100, 600, 5)
+	run := func(parallel bool) (*Engine, []int32) {
+		return runProg(t, g, testProg{rounds: 10}, Config{
+			NumWorkers: 8, Parallel: parallel, Combine: sumCombine, MaxSupersteps: 12,
 		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, 100)
-		copy(out, eng.Values())
-		return out
 	}
-	seq, par := run(false), run(true)
+	seqEng, seq := run(false)
+	parEng, par := run(true)
 	for v := range seq {
 		if seq[v] != par[v] {
-			t.Fatalf("parallel execution changed rank[%d]: %v vs %v", v, seq[v], par[v])
+			t.Fatalf("parallel execution changed value[%d]: %v vs %v", v, seq[v], par[v])
+		}
+	}
+	sm, pm := seqEng.TotalMetrics(), parEng.TotalMetrics()
+	for w := range sm {
+		if sm[w] != pm[w] {
+			t.Fatalf("worker %d metrics diverge:\nserial   %+v\nparallel %+v", w, sm[w], pm[w])
 		}
 	}
 }
 
-// echoProgram exercises aggregators and worker mailboxes: superstep 0
-// publishes vertex 0's id via the aggregator and a worker message; superstep
-// 1 reads them.
-type echoProgram struct {
-	sawAggregator bool
-	sawWorkerMail bool
-}
-
-func (p *echoProgram) Compute(ctx *Context[int, int], msgs []int) {
-	switch ctx.Superstep {
-	case 0:
-		if ctx.ID == 0 {
-			ctx.AggregatorPut("hello", []float32{42})
-			for w := 0; w < ctx.NumWorkers(); w++ {
-				ctx.SendToWorker(w, 7)
-			}
-		}
-		// Stay active for one more superstep.
-	case 1:
-		if v, ok := ctx.AggregatorGet("hello"); ok && v[0] == 42 {
-			p.sawAggregator = true
-		}
-		ctx.VoteToHalt()
-	default:
-		ctx.VoteToHalt()
-	}
-}
-
-func TestAggregatorVisibleNextSuperstep(t *testing.T) {
-	topo := ringTopology(t, 6)
-	prog := &echoProgram{}
-	eng := NewEngine[int, int](topo, prog, Config[int]{NumWorkers: 3, MaxSupersteps: 4})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !prog.sawAggregator {
-		t.Fatal("aggregator value not visible in the following superstep")
-	}
-	// Worker mailboxes were delivered and accounted.
-	var received int64
-	for _, m := range eng.TotalMetrics() {
-		received += m.MessagesReceived
-	}
-	if received < 3 {
-		t.Fatalf("worker mail not delivered: received=%d", received)
-	}
-}
-
+// TestMessageBytesAccounting: with Config.Bytes unset every message is
+// charged 4*payloadLen+16 bytes, sent and received.
 func TestMessageBytesAccounting(t *testing.T) {
-	topo := ringTopology(t, 4)
-	prog := &PageRankProgram{NumVertices: 4, Iterations: 1}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-		NumWorkers:   2,
-		MessageBytes: func(float64) int { return 8 },
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var sentMsgs, sentBytes int64
-	for _, m := range eng.TotalMetrics() {
-		sentMsgs += m.MessagesSent
-		sentBytes += m.BytesSent
-	}
-	if sentBytes != sentMsgs*8 {
-		t.Fatalf("bytes = %d for %d msgs", sentBytes, sentMsgs)
+	g := ringGraph(4)
+	p := testProg{rounds: 1}
+	eng, _ := runProg(t, g, p, Config{NumWorkers: 2})
+	want := refRun(g, p, nil, 64, 2).bytes(func(_ uint8, n int) int { return 4*n + 16 })
+	m := sumMetrics(eng)
+	if m.BytesSent != want || m.BytesReceived != want {
+		t.Fatalf("bytes sent %d, received %d, want %d", m.BytesSent, m.BytesReceived, want)
 	}
 }
 
@@ -260,27 +105,23 @@ func TestEngineRejectsBadWorkerCount(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewEngine[int, int](ringTopology(t, 3), &echoProgram{}, Config[int]{NumWorkers: 0})
+	NewEngine(ringGraph(3), &testProg{}, Config{NumWorkers: 0})
 }
 
 func TestEngineOnPowerLawGraph(t *testing.T) {
 	// Smoke: the engine handles a skewed graph and cost accounting piles up
 	// on the hub's worker.
 	ds := datagen.PowerLaw(500, datagen.SkewOut, 6)
-	topo := GraphTopology{G: ds.Graph}
-	prog := &PageRankProgram{NumVertices: ds.Graph.NumNodes, Iterations: 3}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{NumWorkers: 10})
+	p := testProg{rounds: 3}
+	eng, prog := newProgEngine(ds.Graph, p, Config{NumWorkers: 10})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	checkRef(t, "power-law", eng, prog, refRun(ds.Graph, p, nil, 64, 10))
 	var maxCost, minCost int64 = 0, 1 << 62
 	for _, m := range eng.TotalMetrics() {
-		if m.ComputeCost > maxCost {
-			maxCost = m.ComputeCost
-		}
-		if m.ComputeCost < minCost {
-			minCost = m.ComputeCost
-		}
+		maxCost = max(maxCost, m.ComputeCost)
+		minCost = min(minCost, m.ComputeCost)
 	}
 	if maxCost <= minCost {
 		t.Fatal("expected compute skew across workers on a power-law graph")

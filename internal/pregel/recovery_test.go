@@ -1,7 +1,6 @@
 package pregel
 
 import (
-	"math"
 	"testing"
 )
 
@@ -13,42 +12,10 @@ func crashBefore(step int) *FaultPlan {
 	return &FaultPlan{Crashes: []Fault{{Superstep: step, Point: FaultBeforeSuperstep}}}
 }
 
-func TestRecoveryReproducesPageRank(t *testing.T) {
-	topo := randomTopology(t, 80, 400, 9)
-	run := func(faults *FaultPlan, checkpointEvery int) ([]float64, int) {
-		prog := &PageRankProgram{NumVertices: 80, Iterations: 12}
-		eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-			NumWorkers:      4,
-			Combiner:        PageRankCombiner,
-			CheckpointEvery: checkpointEvery,
-			Faults:          faults,
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, 80)
-		copy(out, eng.Values())
-		return out, eng.Recoveries()
-	}
-	clean, rec0 := run(nil, 3)
-	if rec0 != 0 {
-		t.Fatal("clean run must not recover")
-	}
-	failed, rec1 := run(crashBefore(7), 3)
-	if rec1 != 1 {
-		t.Fatalf("recoveries = %d, want 1", rec1)
-	}
-	for v := range clean {
-		if clean[v] != failed[v] {
-			t.Fatalf("rank[%d] differs after recovery: %v vs %v", v, clean[v], failed[v])
-		}
-	}
-}
-
 func TestRecoveryAtCheckpointBoundary(t *testing.T) {
-	topo := ringTopology(t, 20)
-	prog := &PageRankProgram{NumVertices: 20, Iterations: 8}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
+	g := ringGraph(20)
+	p := testProg{rounds: 8}
+	eng, prog := newProgEngine(g, p, Config{
 		NumWorkers:      3,
 		CheckpointEvery: 4,
 		Faults:          crashBefore(4), // fails exactly on the checkpointed superstep
@@ -59,19 +26,11 @@ func TestRecoveryAtCheckpointBoundary(t *testing.T) {
 	if eng.Recoveries() != 1 {
 		t.Fatalf("recoveries = %d", eng.Recoveries())
 	}
-	var sum float64
-	for _, r := range eng.Values() {
-		sum += r
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("rank mass after recovery = %v", sum)
-	}
+	checkRef(t, "recovered", eng, prog, refRun(g, p, nil, 64, 3))
 }
 
 func TestFailureWithoutCheckpointErrors(t *testing.T) {
-	topo := ringTopology(t, 10)
-	prog := &PageRankProgram{NumVertices: 10, Iterations: 5}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
+	eng, _ := newProgEngine(ringGraph(10), testProg{rounds: 5}, Config{
 		NumWorkers: 2,
 		Faults:     crashBefore(2), // no CheckpointEvery configured
 	})
@@ -81,20 +40,12 @@ func TestFailureWithoutCheckpointErrors(t *testing.T) {
 }
 
 func TestRecoveryMetricsDiscardLostWork(t *testing.T) {
-	topo := randomTopology(t, 40, 150, 10)
+	g := randomGraph(40, 150, 10)
 	run := func(faults *FaultPlan) int64 {
-		prog := &PageRankProgram{NumVertices: 40, Iterations: 6}
-		eng := NewEngine[float64, float64](topo, prog, Config[float64]{
+		eng, _ := runProg(t, g, testProg{rounds: 6}, Config{
 			NumWorkers: 3, CheckpointEvery: 2, Faults: faults,
 		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		var sent int64
-		for _, m := range eng.TotalMetrics() {
-			sent += m.MessagesSent
-		}
-		return sent
+		return sumMetrics(eng).MessagesSent
 	}
 	clean := run(nil)
 	recovered := run(crashBefore(5))
@@ -105,97 +56,19 @@ func TestRecoveryMetricsDiscardLostWork(t *testing.T) {
 	}
 }
 
-func TestGNNStyleValueSurvivesSnapshot(t *testing.T) {
-	// Vertex programs that replace (not mutate) their value contents must
-	// round-trip snapshots: exercise with a slice-valued program.
-	type vec struct{ h []float64 }
-	topo := ringTopology(t, 6)
-	prog := progFunc[vec, int](func(ctx *Context[vec, int], msgs []int) {
-		if ctx.Superstep >= 3 {
-			ctx.VoteToHalt()
-			return
-		}
-		ctx.Value.h = append([]float64(nil), float64(ctx.Superstep))
-		dsts, _ := ctx.OutEdges()
-		for _, d := range dsts {
-			ctx.SendMessage(d, ctx.Superstep)
-		}
-	})
-	eng := NewEngine[vec, int](topo, prog, Config[int]{
-		NumWorkers: 2, CheckpointEvery: 1, Faults: crashBefore(2), MaxSupersteps: 10,
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 6; v++ {
-		if got := eng.VertexValue(int32(v)).h[0]; got != 2 {
-			t.Fatalf("vertex %d value = %v, want 2", v, got)
-		}
-	}
-}
-
-// progFunc adapts a function to VertexProgram.
-type progFunc[V, M any] func(ctx *Context[V, M], msgs []M)
-
-func (f progFunc[V, M]) Compute(ctx *Context[V, M], msgs []M) { f(ctx, msgs) }
-
-// scratchSumProg is colSumProg sending every payload from one per-worker
-// scratch buffer it mutates between (and after) sends: sound only because
-// SendColumnar copies into the send buffer at send time. Combined with failure
-// injection it exercises the checkpoint deep-copy rule end to end.
-type scratchSumProg struct {
-	rounds  int
-	scratch [][3]float32 // one slot per worker
-}
-
-func newScratchSumProg(rounds, workers int) *scratchSumProg {
-	return &scratchSumProg{rounds: rounds, scratch: make([][3]float32, workers)}
-}
-
-func (p *scratchSumProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float32) {
-	if ctx.Superstep == 0 {
-		*ctx.Value = float32(int(ctx.ID)%5 + 1)
-	} else {
-		in := ctx.ColumnarInbox()
-		var s float32
-		for i := 0; i < in.Len(); i++ {
-			s += in.Payloads[i][0] + in.Payloads[i][2]
-		}
-		*ctx.Value = float32(int(s) % sumMod)
-	}
-	if ctx.Superstep >= p.rounds {
-		ctx.VoteToHalt()
-		return
-	}
-	scratch := &p.scratch[ctx.WorkerID()]
-	dsts, _ := ctx.OutEdges()
-	for _, d := range dsts {
-		*scratch = [3]float32{*ctx.Value, float32(ctx.ID), 1}
-		ctx.SendColumnar(d, 0, ctx.ID, 1, scratch[:])
-		*scratch = [3]float32{-1, -1, -1} // must not reach any receiver
-	}
-}
-
-// TestColumnarRecoveryByteIdentical: a columnar run that checkpoints, loses
-// a superstep to an injected failure, and replays must be bit-identical to
-// the failure-free run — the in-flight payloads restored from the
-// snapshot are the ones that were live at the checkpoint, not whatever the
-// recycled pages hold by the time the failure hits.
+// TestColumnarRecoveryByteIdentical: a run that checkpoints, loses a
+// superstep to an injected failure, and replays must be bit-identical to
+// the failure-free run — the in-flight payloads restored from the snapshot
+// are the ones that were live at the checkpoint, not whatever the recycled
+// pages (or the program's scribbled send scratch) hold by the time the
+// failure hits.
 func TestColumnarRecoveryByteIdentical(t *testing.T) {
-	topo := randomTopology(t, 70, 300, 21)
-	run := func(faults *FaultPlan) ([]float32, int) {
-		eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), Config[[3]float32]{
-			NumWorkers:      4,
-			Parallel:        true,
-			MaxSupersteps:   10,
-			CheckpointEvery: 2,
-			Faults:          faults,
-			Columnar:        &ColumnarOps{Combine: colSumCombiner},
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return append([]float32(nil), eng.Values()...), eng.Recoveries()
+	g := randomGraph(70, 300, 21)
+	run := func(faults *FaultPlan) ([]int32, int) {
+		cfg := faultConfig(true)
+		cfg.Faults = faults
+		eng, vals := runProg(t, g, testProg{rounds: 6}, cfg)
+		return vals, eng.Recoveries()
 	}
 	clean, rec0 := run(nil)
 	if rec0 != 0 {
@@ -212,14 +85,45 @@ func TestColumnarRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
+// TestBatchedRecoveryByteIdentical: a run that loses a superstep must
+// replay to the failure-free result, which requires the engine to
+// checkpoint the program-owned slabs through ProgramStater.
+func TestBatchedRecoveryByteIdentical(t *testing.T) {
+	g := randomGraph(70, 300, 21)
+	p := testProg{rounds: 6, fan: true}
+	run := func(faults *FaultPlan) (vals, first []int32, restores int) {
+		cfg := faultConfig(true)
+		cfg.Faults = faults
+		eng, prog := newProgEngine(g, p, cfg)
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		vals, first = prog.values(eng)
+		return vals, first, prog.restores
+	}
+	cleanVals, cleanFirst, rec0 := run(nil)
+	if rec0 != 0 {
+		t.Fatal("clean run must not restore program state")
+	}
+	vals, first, rec1 := run(crashBefore(5)) // fails one superstep past the step-4 checkpoint
+	if rec1 != 1 {
+		t.Fatalf("program state restored %d times, want 1", rec1)
+	}
+	for v := range cleanVals {
+		if cleanVals[v] != vals[v] || cleanFirst[v] != first[v] {
+			t.Fatalf("vertex %d differs after recovery: (%v, %v) vs (%v, %v)",
+				v, cleanVals[v], cleanFirst[v], vals[v], first[v])
+		}
+	}
+}
+
 // TestCheckpointDeepCopiesArenas is the direct aliasing regression test:
 // take a checkpoint, scribble over every page of every live send buffer (as
 // superstep recycling will), and verify a restore reproduces the original
 // inbox payloads byte for byte from the snapshot's own storage.
 func TestCheckpointDeepCopiesArenas(t *testing.T) {
-	topo := randomTopology(t, 40, 200, 22)
-	eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 3), Config[[3]float32]{
-		NumWorkers: 3, MaxSupersteps: 10, Columnar: &ColumnarOps{},
+	eng, _ := newProgEngine(randomGraph(40, 200, 22), testProg{rounds: 6, fan: true}, Config{
+		NumWorkers: 3, MaxSupersteps: 10,
 	})
 	eng.runSuperstep(0) // fills the inbox consumed by superstep 1
 	eng.takeCheckpoint(1)
