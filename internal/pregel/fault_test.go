@@ -2,6 +2,8 @@ package pregel
 
 import (
 	"testing"
+
+	"inferturbo/internal/graph"
 )
 
 // faultConfig is the standard fault-test config: 4 workers, combining, a
@@ -93,6 +95,107 @@ func TestFaultAtSuperstepZero(t *testing.T) {
 		for v := range clean {
 			if clean[v] != failed[v] {
 				t.Fatalf("%v at superstep 0: value[%d] differs", p, v)
+			}
+		}
+	}
+}
+
+// mailRingProg sends along every out-edge and has every vertex v mail
+// worker (v+1) mod NumWorkers each superstep, so every worker's mailbox
+// holds rows from many sources and sender workers. Its fold hashes the
+// mailbox in delivery order.
+type mailRingProg struct {
+	g      *graph.Graph
+	rounds int
+	vals   [][]int32 // per worker, by local index
+}
+
+func (p *mailRingProg) ComputeBatch(ctx *BatchContext) {
+	w, step := ctx.WorkerID(), ctx.Superstep
+	owned := ctx.Owned()
+	if step == 0 {
+		p.vals[w] = make([]int32, len(owned))
+	}
+	mail := ctx.ColumnarWorkerMail()
+	h := int64(0)
+	for i := 0; i < mail.Len(); i++ {
+		h = (h*31 + int64(mail.Srcs[i]) + int64(mail.Payloads[i][0])) % valMod
+	}
+	off, in := ctx.InboxCSR()
+	for li, v := range owned {
+		if step == 0 {
+			p.vals[w][li] = v%9 + 1
+		} else {
+			s := h
+			for i := off[li]; i < off[li+1]; i++ {
+				s += int64(in.Payloads[i][0])
+			}
+			p.vals[w][li] = int32(s % valMod)
+		}
+		if step >= p.rounds {
+			ctx.Halt(li)
+			continue
+		}
+		pay := []float32{float32(p.vals[w][li] + v%7)}
+		for _, d := range p.g.OutNeighbors(v) {
+			ctx.SendColumnar(d, 0, v, 1, pay)
+		}
+		ctx.SendColumnarToWorker((int(v)+1)%len(p.vals), 1, v, 0, []float32{float32(step)})
+	}
+}
+
+// SnapshotProgState implements ProgramStater.
+func (p *mailRingProg) SnapshotProgState() any {
+	snap := make([][]int32, len(p.vals))
+	for w, vs := range p.vals {
+		snap[w] = append([]int32(nil), vs...)
+	}
+	return snap
+}
+
+// RestoreProgState implements ProgramStater.
+func (p *mailRingProg) RestoreProgState(snap any) {
+	for w, vs := range snap.([][]int32) {
+		p.vals[w] = append([]int32(nil), vs...)
+	}
+}
+
+// TestBoxedPlaneFaultRecovery keeps the mail pattern of the fault test the
+// boxed message plane had: every vertex mails a worker each superstep, and
+// mailboxes and vertex messages in flight at a rollback must replay to the
+// failure-free values and message totals.
+func TestBoxedPlaneFaultRecovery(t *testing.T) {
+	g := randomGraph(60, 240, 17)
+	run := func(plan *FaultPlan) ([]int32, int, int64) {
+		prog := &mailRingProg{g: g, rounds: 6, vals: make([][]int32, 4)}
+		eng := NewEngine(g, prog, Config{
+			NumWorkers: 4, Parallel: true, MaxSupersteps: 10, CheckpointEvery: 2, Faults: plan,
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]int32, g.NumNodes)
+		for v := range vals {
+			vals[v] = prog.vals[eng.part.WorkerFor(int32(v))][eng.part.LocalIndex(int32(v))]
+		}
+		return vals, eng.Recoveries(), sumMetrics(eng).MessagesSent
+	}
+	clean, _, sent0 := run(nil)
+	for name, faults := range map[string][]Fault{
+		"mid":     {{Superstep: 3, Point: FaultMidPipeline}},
+		"barrier": {{Superstep: 5, Point: FaultAtBarrier}},
+		"multi":   {{Superstep: 1, Point: FaultAtBarrier}, {Superstep: 5, Point: FaultMidPipeline}},
+	} {
+		failed, rec, sent := run(&FaultPlan{Crashes: faults})
+		if rec != len(faults) {
+			t.Fatalf("%s: recoveries = %d, want %d", name, rec, len(faults))
+		}
+		if sent != sent0 {
+			t.Fatalf("%s: message totals differ: clean %d vs %d", name, sent0, sent)
+		}
+		for v := range clean {
+			if clean[v] != failed[v] {
+				t.Fatalf("%s: value[%d] differs after recovery: %v vs %v", name, v, clean[v], failed[v])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"fmt"
 	"testing"
 
 	"inferturbo/internal/graph"
@@ -252,6 +253,11 @@ type refResult struct {
 	// sent counts the messages sent before combining by (kind, payload
 	// length); worker mail counts once per receiving worker.
 	sent map[[2]int]int64
+	// Per superstep: the vertices computed, the messages sent before
+	// combining, and the compute cost charged.
+	stepActive []int
+	stepSent   []int64
+	stepCost   []int64
 }
 
 // msgs returns the reference's message total.
@@ -308,10 +314,17 @@ func refRun(g *graph.Graph, p testProg, frontier []int32, maxSteps, workers int)
 		next := make([]Batch, n)
 		var nextMail Batch
 		h0 := mailTerm(mail)
+		var stepActive int
+		var stepSent, stepCost int64
+		count := func(kind uint8, payLen int, msgs int64) {
+			res.sent[[2]int{int(kind), payLen}] += msgs
+			stepSent += msgs
+		}
 		for v := int32(0); int(v) < n; v++ {
 			if !active[v] && inbox[v].Len() == 0 {
 				continue
 			}
+			stepActive++
 			if res.first[v] == 0 {
 				res.first[v] = int32(step + 1)
 			}
@@ -325,23 +338,27 @@ func refRun(g *graph.Graph, p testProg, frontier []int32, maxSteps, workers int)
 				continue
 			}
 			dsts := g.OutNeighbors(v)
+			stepCost += int64(len(dsts))
 			send := func(kind uint8, pay []float32) {
 				for _, d := range dsts {
 					push(&next[d], kind, v, 1, pay)
 				}
-				res.sent[[2]int{int(kind), len(pay)}] += int64(len(dsts))
+				count(kind, len(pay), int64(len(dsts)))
 			}
 			send(kindSum, sumPayload(make([]float32, p.payWidth()), res.vals[v]))
 			send(kindHash, hashPayload(make([]float32, 2), v, res.vals[v]))
 			if p.long > 0 && v == 0 && len(dsts) > 0 {
 				push(&next[dsts[0]], kindLong, v, 1, longPayload(make([]float32, p.long), res.vals[v]))
-				res.sent[[2]int{int(kindLong), p.long}]++
+				count(kindLong, p.long, 1)
 			}
 			if v == 0 {
 				push(&nextMail, kindMail, v, 0, mailPayload(make([]float32, 2), step))
-				res.sent[[2]int{int(kindMail), 2}] += int64(workers)
+				count(kindMail, 2, int64(workers))
 			}
 		}
+		res.stepActive = append(res.stepActive, stepActive)
+		res.stepSent = append(res.stepSent, stepSent)
+		res.stepCost = append(res.stepCost, stepCost)
 		inbox, mail = next, nextMail
 	}
 	return res
@@ -453,6 +470,54 @@ func TestProgramMatchesSerialReference(t *testing.T) {
 					if combine != (m.CombinedAway > 0) {
 						t.Fatalf("%s workers=%d parallel=%v: %d messages combined", name, workers, parallel, m.CombinedAway)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestBatchedMatchesPerVertex: one ComputeBatch call per worker is a pure
+// dispatch change. Superstep by superstep, the vertices computed, the
+// messages sent and combined away, and the compute cost charged equal a
+// serial execution that computes one vertex at a time — at every worker
+// count, serial and parallel, with and without combining, while halted
+// vertices wake only on messages.
+func TestBatchedMatchesPerVertex(t *testing.T) {
+	g := randomGraph(60, 240, 11)
+	p := testProg{rounds: 4, halt: true}
+	for _, workers := range []int{1, 2, 4, 8} {
+		ref := refRun(g, p, nil, 64, workers)
+		for _, combine := range []bool{false, true} {
+			for _, parallel := range []bool{false, true} {
+				cfg := Config{NumWorkers: workers, Parallel: parallel}
+				if combine {
+					cfg.Combine = sumCombine
+				}
+				eng, prog := newProgEngine(g, p, cfg)
+				if err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("workers=%d combine=%v parallel=%v", workers, combine, parallel)
+				checkRef(t, name, eng, prog, ref)
+				var prevSent int64
+				for step, ms := range eng.Metrics() {
+					var active int
+					var sent, combined, received, cost int64
+					for _, m := range ms {
+						active += m.ActiveVertices
+						sent += m.MessagesSent
+						combined += m.CombinedAway
+						received += m.MessagesReceived
+						cost += m.ComputeCost
+					}
+					if active != ref.stepActive[step] || sent+combined != ref.stepSent[step] || cost != ref.stepCost[step] {
+						t.Fatalf("%s: superstep %d computed %d, sent %d + combined %d, cost %d; per-vertex %d, %d, %d",
+							name, step, active, sent, combined, cost, ref.stepActive[step], ref.stepSent[step], ref.stepCost[step])
+					}
+					if received != prevSent {
+						t.Fatalf("%s: superstep %d received %d, superstep %d sent %d", name, step, received, step-1, prevSent)
+					}
+					prevSent = sent
 				}
 			}
 		}

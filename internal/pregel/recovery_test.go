@@ -2,6 +2,8 @@ package pregel
 
 import (
 	"testing"
+
+	"inferturbo/internal/graph"
 )
 
 // Fault tolerance: a failure mid-run plus checkpoint recovery must produce
@@ -10,6 +12,96 @@ import (
 // crashBefore is a one-entry plan crashing before superstep step.
 func crashBefore(step int) *FaultPlan {
 	return &FaultPlan{Crashes: []Fault{{Superstep: step, Point: FaultBeforeSuperstep}}}
+}
+
+func TestRecoveryReproducesPageRank(t *testing.T) {
+	g := randomGraph(80, 400, 9)
+	run := func(faults *FaultPlan) ([]float64, int) {
+		eng, ranks := runPageRank(t, g, 12, Config{
+			NumWorkers:      4,
+			Combine:         pageRankCombine,
+			CheckpointEvery: 3,
+			Faults:          faults,
+		})
+		return ranks, eng.Recoveries()
+	}
+	clean, rec0 := run(nil)
+	if rec0 != 0 {
+		t.Fatal("clean run must not recover")
+	}
+	failed, rec1 := run(crashBefore(7))
+	if rec1 != 1 {
+		t.Fatalf("recoveries = %d, want 1", rec1)
+	}
+	for v := range clean {
+		if clean[v] != failed[v] {
+			t.Fatalf("rank[%d] differs after recovery: %v vs %v", v, clean[v], failed[v])
+		}
+	}
+}
+
+// vecProg keeps a slice per vertex and replaces it (never mutates it) each
+// superstep, as GNN programs replace their embeddings: h[v] = {superstep}.
+type vecProg struct {
+	g *graph.Graph
+	h [][][]float64 // per worker, by local index
+}
+
+func (p *vecProg) ComputeBatch(ctx *BatchContext) {
+	w := ctx.WorkerID()
+	owned := ctx.Owned()
+	if p.h[w] == nil {
+		p.h[w] = make([][]float64, len(owned))
+	}
+	if ctx.Superstep >= 3 {
+		ctx.HaltAll()
+		return
+	}
+	for li, v := range owned {
+		p.h[w][li] = append([]float64(nil), float64(ctx.Superstep))
+		for _, d := range p.g.OutNeighbors(v) {
+			ctx.SendColumnar(d, 0, v, 1, []float32{float32(ctx.Superstep)})
+		}
+	}
+}
+
+// SnapshotProgState implements ProgramStater: the outer slices are copied,
+// the replaced-never-mutated inner ones shared.
+func (p *vecProg) SnapshotProgState() any {
+	snap := make([][][]float64, len(p.h))
+	for w, hs := range p.h {
+		snap[w] = append([][]float64(nil), hs...)
+	}
+	return snap
+}
+
+// RestoreProgState implements ProgramStater.
+func (p *vecProg) RestoreProgState(snap any) {
+	for w, hs := range snap.([][][]float64) {
+		p.h[w] = append([][]float64(nil), hs...)
+	}
+}
+
+// TestGNNStyleValueSurvivesSnapshot: program state that replaces (not
+// mutates) its per-vertex slices must round-trip checkpoints through
+// ProgramStater and replay to the failure-free result.
+func TestGNNStyleValueSurvivesSnapshot(t *testing.T) {
+	g := ringGraph(6)
+	prog := &vecProg{g: g, h: make([][][]float64, 2)}
+	eng := NewEngine(g, prog, Config{
+		NumWorkers: 2, CheckpointEvery: 1, Faults: crashBefore(2), MaxSupersteps: 10,
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Recoveries() != 1 {
+		t.Fatalf("recoveries = %d, want 1", eng.Recoveries())
+	}
+	for v := int32(0); v < 6; v++ {
+		if got := prog.h[eng.part.WorkerFor(v)][eng.part.LocalIndex(v)][0]; got != 2 {
+			t.Fatalf("vertex %d value = %v, want 2", v, got)
+		}
+	}
 }
 
 func TestRecoveryAtCheckpointBoundary(t *testing.T) {
