@@ -1,11 +1,11 @@
 // Command infer runs full-graph InferTurbo inference of a trained signature
-// file over a dataset, on either backend, with the skew strategies
+// file over a dataset on the Pregel engine, with the skew strategies
 // selectable, and prints predictions, traffic stats and the simulated
 // cluster cost.
 //
 // Usage:
 //
-//	infer -data graph.bin -model model.json -backend pregel \
+//	infer -data graph.bin -model model.json \
 //	      -workers 100 -partial-gather -broadcast -shadow-nodes
 package main
 
@@ -23,14 +23,12 @@ func main() {
 	var (
 		data    = flag.String("data", "graph.bin", "dataset path")
 		model   = flag.String("model", "model.json", "signature file")
-		backend = flag.String("backend", "pregel", "pregel | mapreduce")
 		workers = flag.Int("workers", 16, "partition count")
 		pg      = flag.Bool("partial-gather", false, "enable partial-gather")
 		bc      = flag.Bool("broadcast", false, "enable broadcast for hub out-edges")
 		sn      = flag.Bool("shadow-nodes", false, "enable shadow-nodes preprocessing")
 		part    = flag.String("partitioner", "hash", "vertex placement: hash | degree | ldg | fennel")
 		lambda  = flag.Float64("lambda", 0.1, "hub threshold heuristic λ")
-		spill   = flag.String("spill", "", "disk-spill dir (mapreduce backend)")
 		outPath = flag.String("out", "", "optional predictions output (one class id per line)")
 
 		parallel  = flag.Bool("parallel", true, "run workers on goroutines (results identical either way)")
@@ -53,38 +51,21 @@ func main() {
 	}
 	opts := inferturbo.InferOptions{
 		NumWorkers: *workers, PartialGather: *pg, Broadcast: *bc, Partitioner: strat,
-		ShadowNodes: *sn, Lambda: *lambda, SpillDir: *spill, Parallel: *parallel,
+		ShadowNodes: *sn, Lambda: *lambda, Parallel: *parallel,
 	}
 
-	var res *inferturbo.InferResult
-	var spec inferturbo.ClusterSpec
-	switch *backend {
-	case "pregel":
-		res, err = runGuarded(func() (*inferturbo.InferResult, error) {
-			return inferturbo.InferPregel(m, g, opts)
-		})
-		spec = inferturbo.PregelCluster()
-	case "mapreduce":
-		res, err = runGuarded(func() (*inferturbo.InferResult, error) {
-			return inferturbo.InferMapReduce(m, g, opts)
-		})
-		spec = inferturbo.MapReduceCluster()
-	default:
-		fatalf("unknown backend %q", *backend)
-	}
+	res, err := runGuarded(func() (*inferturbo.InferResult, error) {
+		return inferturbo.InferPregel(m, g, opts)
+	})
 	if err != nil {
 		fatalf("inference: %v", err)
 	}
 
 	st := res.Stats
-	fmt.Printf("inferred %d nodes in %d supersteps on %s\n", g.NumNodes, st.Supersteps, *backend)
+	fmt.Printf("inferred %d nodes in %d supersteps\n", g.NumNodes, st.Supersteps)
 	fmt.Printf("messages sent      %d\n", st.MessagesSent)
 	fmt.Printf("bytes sent         %d\n", st.BytesSent)
-	if *backend == "pregel" {
-		// The MapReduce shuffle does not attribute producers to reducers,
-		// so remote traffic is only metered on the Pregel backend.
-		fmt.Printf("cross-worker bytes %d (placement: %s)\n", st.RemoteBytes, *part)
-	}
+	fmt.Printf("cross-worker bytes %d (placement: %s)\n", st.RemoteBytes, *part)
 	if len(st.StepActive) > 0 {
 		// Frontier size per superstep: a full pass holds at NumNodes; a delta
 		// pass would show the change-set flood collapsing step by step.
@@ -94,6 +75,7 @@ func main() {
 	fmt.Printf("broadcast hubs     %d node-steps\n", st.BroadcastHubs)
 	fmt.Printf("shadow mirrors     %d\n", st.ShadowMirrors)
 
+	spec := inferturbo.PregelCluster()
 	rep, err := inferturbo.SimulateCluster(spec, res)
 	if err != nil {
 		fatalf("cluster pricing: %v", err)

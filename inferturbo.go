@@ -3,15 +3,14 @@
 // Inference of Graph Neural Network over Huge Graphs", ICDE 2023).
 //
 // The library trains GNN models mini-batch over sampled k-hop neighborhoods
-// and runs them full-graph, sampling-free, on either of two distributed
-// execution backends — a Pregel-like graph processing engine or a MapReduce
-// batch engine — with the paper's three skew strategies (partial-gather,
-// broadcast, shadow-nodes) and pluggable, locality-aware vertex placement
+// and runs them full-graph, sampling-free, on a Pregel-like graph processing
+// engine, with the paper's three skew strategies (partial-gather, broadcast,
+// shadow-nodes) and pluggable, locality-aware vertex placement
 // (InferOptions.Partitioner: hash, degree-balanced, streaming LDG, Fennel).
-// The Pregel engine runs strict BSP: each superstep gathers, applies and
-// scatters, and one barrier delivers its messages before the next begins.
+// The engine runs strict BSP: each superstep gathers, applies and scatters,
+// and one barrier delivers its messages before the next begins.
 // Predictions are deterministic: identical across runs, worker counts,
-// vertex placements, backends and strategy combinations — including the
+// vertex placements and strategy combinations — including the
 // goroutine-parallel compute kernels, which are bit-identical at any
 // KernelTuning ("parallel over owned row blocks, serial within a
 // reduction"; see DESIGN.md).
@@ -150,7 +149,7 @@ type (
 // Built-in placement strategies. Placement trades cross-worker traffic
 // only; predictions are bit-identical under every strategy (under
 // PartialGather, whose combiner folds per sending worker, cross-placement
-// agreement is tolerance-level like cross-backend agreement).
+// agreement is tolerance-level, like agreement with ReferenceForward).
 func PartitionHash() PartitionStrategy           { return graph.Hash{} }
 func PartitionDegreeBalanced() PartitionStrategy { return graph.DegreeBalanced{} }
 func PartitionLDG() PartitionStrategy            { return graph.LDG{} }
@@ -243,18 +242,13 @@ func SaveGraphFile(g *Graph, path string) error { return g.SaveFile(path) }
 // LoadGraphFile reads a serialized graph from path.
 func LoadGraphFile(path string) (*Graph, error) { return graph.LoadFile(path) }
 
-// InferPregel runs full-graph inference on the Pregel-like backend.
+// InferPregel runs full-graph inference on the Pregel-like engine.
 func InferPregel(m *Model, g *Graph, opts InferOptions) (*InferResult, error) {
 	return inference.RunPregel(m, g, opts)
 }
 
-// InferMapReduce runs full-graph inference on the MapReduce backend.
-func InferMapReduce(m *Model, g *Graph, opts InferOptions) (*InferResult, error) {
-	return inference.RunMapReduce(m, g, opts)
-}
-
 // ReferenceForward computes the exact full-graph logits in-process — the
-// oracle the distributed backends are verified against.
+// oracle distributed inference is verified against.
 func ReferenceForward(m *Model, g *Graph) *Matrix {
 	return inference.ReferenceForward(m, g)
 }
@@ -299,7 +293,6 @@ func SimulateCluster(spec ClusterSpec, res *InferResult) (*ClusterReport, error)
 
 // Paper cluster presets.
 var (
-	PregelCluster    = cluster.PregelCluster
-	MapReduceCluster = cluster.MapReduceCluster
-	BaselineCluster  = cluster.BaselineCluster
+	PregelCluster   = cluster.PregelCluster
+	BaselineCluster = cluster.BaselineCluster
 )

@@ -6,8 +6,8 @@ import (
 )
 
 // TestEndToEndPublicAPI exercises the whole public surface the way the
-// README quickstart does: generate → train → save/load → infer on both
-// backends → verify against the reference forward.
+// README quickstart does: generate → train → save/load → infer → verify
+// against the reference forward.
 func TestEndToEndPublicAPI(t *testing.T) {
 	ds := Generate(DatasetConfig{
 		Name: "e2e", Nodes: 400, AvgDegree: 8, Skew: SkewIn, Exponent: 1.8,
@@ -39,12 +39,8 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := InferMapReduce(loaded, g, InferOptions{NumWorkers: 6, PartialGather: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Logits.AllClose(want, 2e-3) || !mr.Logits.AllClose(want, 2e-3) {
-		t.Fatal("backends diverge from reference through the public API")
+	if !p.Logits.AllClose(want, 2e-3) {
+		t.Fatal("inference diverges from reference through the public API")
 	}
 
 	rep, err := SimulateCluster(PregelCluster(), p)

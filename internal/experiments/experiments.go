@@ -113,29 +113,30 @@ type ourRun struct {
 	report *cluster.Report
 }
 
-// runBackend executes model over g on the named backend and prices it.
-func runBackend(m *gas.Model, g *graph.Graph, backend string, opts inference.Options) (*ourRun, error) {
-	var res *inference.Result
-	var spec cluster.Spec
-	var err error
-	switch backend {
-	case "pregel":
-		res, err = inference.RunPregel(m, g, opts)
-		spec = cluster.PregelCluster()
-	case "mapreduce":
-		res, err = inference.RunMapReduce(m, g, opts)
-		spec = cluster.MapReduceCluster()
-	default:
-		return nil, fmt.Errorf("experiments: unknown backend %q", backend)
-	}
+// runPregel executes model over g on the Pregel driver and prices it.
+func runPregel(m *gas.Model, g *graph.Graph, opts inference.Options) (*ourRun, error) {
+	res, err := inference.RunPregel(m, g, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Spread the logical workers over the simulated cluster: the run used
-	// opts.NumWorkers partitions standing in for spec.Workers instances, so
-	// scale the pricing spec down to the partition count while keeping
-	// per-instance rates.
-	spec.Workers = opts.NumWorkers
+	return price(res, cluster.PregelCluster(), opts.NumWorkers)
+}
+
+// runMapReduce executes model over g on the MapReduce driver with the given
+// reduce-task count and prices it.
+func runMapReduce(m *gas.Model, g *graph.Graph, workers int) (*ourRun, error) {
+	res, err := inference.RunMapReduce(m, g, workers)
+	if err != nil {
+		return nil, err
+	}
+	return price(res, cluster.MapReduceCluster(), workers)
+}
+
+// price prices a run on spec. The run used workers logical partitions
+// standing in for spec.Workers instances, so the pricing spec is scaled down
+// to the partition count while keeping per-instance rates.
+func price(res *inference.Result, spec cluster.Spec, workers int) (*ourRun, error) {
+	spec.Workers = workers
 	rep, err := cluster.Simulate(spec, res.Phases)
 	if err != nil {
 		return nil, err

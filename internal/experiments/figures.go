@@ -65,23 +65,28 @@ func Fig7(s Scale) (*Table, *Fig7Result, error) {
 	}
 
 	// Ours: two runs on each backend; the histogram must be all-ones. The
-	// runs deliberately vary the kernel tuning — serial vs. 8-way parallel
-	// kernels — extending the consistency claim to the parallel compute
-	// layer: worker count must never change a prediction.
-	tunings := []tensor.Tuning{{Workers: 1}, {Workers: 8}}
+	// runs deliberately vary the process-wide kernel tuning — serial vs.
+	// 8-way parallel kernels — extending the consistency claim to the
+	// parallel compute layer: worker count must never change a prediction.
+	ours := func(tu tensor.Tuning) ([][]int32, error) {
+		defer tensor.SetTuning(tensor.SetTuning(tu))
+		p, err := inference.RunPregel(m, g, defaultOpts(s))
+		if err != nil {
+			return nil, err
+		}
+		mr, err := inference.RunMapReduce(m, g, s.Workers)
+		if err != nil {
+			return nil, err
+		}
+		return [][]int32{p.Classes, mr.Classes}, nil
+	}
 	var ourRuns [][]int32
-	for run := 0; run < 2; run++ {
-		opts := defaultOpts(s)
-		opts.Tuning = tunings[run]
-		p, err := inference.RunPregel(m, g, opts)
+	for _, tu := range []tensor.Tuning{{Workers: 1}, {Workers: 8}} {
+		runs, err := ours(tu)
 		if err != nil {
 			return nil, nil, err
 		}
-		mr, err := inference.RunMapReduce(m, g, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		ourRuns = append(ourRuns, p.Classes, mr.Classes)
+		ourRuns = append(ourRuns, runs...)
 	}
 	out.Ours = countClasses(ourRuns)
 
@@ -109,7 +114,7 @@ type Fig8Result struct {
 }
 
 // Fig8 reproduces the scalability experiment (paper Fig 8): time and
-// resource vs data scale on the MapReduce backend with a 2-layer GAT.
+// resource vs data scale on the MapReduce driver with a 2-layer GAT.
 func Fig8(s Scale) (*Table, *Fig8Result, error) {
 	out := &Fig8Result{}
 	t := &Table{
@@ -124,7 +129,7 @@ func Fig8(s Scale) (*Table, *Fig8Result, error) {
 		if err := maybeTrain(m, ds); err != nil {
 			return nil, nil, err
 		}
-		run, err := runBackend(m, g, "mapreduce", defaultOpts(s))
+		run, err := runMapReduce(m, g, s.Workers)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -191,11 +196,11 @@ func Fig9(s Scale) (*Table, *Fig9Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	base, err := runBackend(m, ds.Graph, "pregel", inference.Options{NumWorkers: s.Workers})
+	base, err := runPregel(m, ds.Graph, inference.Options{NumWorkers: s.Workers})
 	if err != nil {
 		return nil, nil, err
 	}
-	pg, err := runBackend(m, ds.Graph, "pregel", inference.Options{NumWorkers: s.Workers, PartialGather: true})
+	pg, err := runPregel(m, ds.Graph, inference.Options{NumWorkers: s.Workers, PartialGather: true})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -249,7 +254,7 @@ func Fig10(s Scale) (*Table, *Fig10Result, error) {
 		PaperTL: "SN and BC both cut variance vs base; BC slightly better; SN+BC best for SAGE",
 	}
 	for _, c := range configs {
-		run, err := runBackend(m, ds.Graph, "pregel", c.opts)
+		run, err := runPregel(m, ds.Graph, c.opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -278,11 +283,11 @@ func Fig11(s Scale) (*Table, *Fig11Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	base, err := runBackend(m, ds.Graph, "pregel", inference.Options{NumWorkers: s.Workers})
+	base, err := runPregel(m, ds.Graph, inference.Options{NumWorkers: s.Workers})
 	if err != nil {
 		return nil, nil, err
 	}
-	pg, err := runBackend(m, ds.Graph, "pregel", inference.Options{NumWorkers: s.Workers, PartialGather: true})
+	pg, err := runPregel(m, ds.Graph, inference.Options{NumWorkers: s.Workers, PartialGather: true})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -385,7 +390,7 @@ func Fig12(s Scale) (*Table, *Fig12Result, error) {
 			opts.HubThreshold = th
 			name = fmtInt(int64(th))
 		}
-		run, err := runBackend(m, ds.Graph, "pregel", opts)
+		run, err := runPregel(m, ds.Graph, opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -453,7 +458,7 @@ func Fig13(s Scale) (*Table, *Fig13Result, error) {
 			opts.HubThreshold = th
 			name = fmtInt(int64(th))
 		}
-		run, err := runBackend(m, ds.Graph, "pregel", opts)
+		run, err := runPregel(m, ds.Graph, opts)
 		if err != nil {
 			return nil, nil, err
 		}

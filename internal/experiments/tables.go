@@ -93,7 +93,7 @@ func Table2(s Scale) (*Table, *Table2Result, error) {
 			}
 
 			// Ours: full-graph inference, no sampling.
-			ours, err := runBackend(m, g, "pregel", defaultOpts(s))
+			ours, err := runPregel(m, g, defaultOpts(s))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -186,12 +186,12 @@ func Table3(s Scale) (*Table, *Table3Result, error) {
 			record(b.name, rep)
 		}
 
-		mr, err := runBackend(m, g, "mapreduce", defaultOpts(s))
+		mr, err := runMapReduce(m, g, s.Workers)
 		if err != nil {
 			return nil, nil, err
 		}
 		record("on-mr", mr.report)
-		pr, err := runBackend(m, g, "pregel", defaultOpts(s))
+		pr, err := runPregel(m, g, defaultOpts(s))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -275,7 +275,7 @@ func Table4(s Scale) (*Table, *Table4Result, error) {
 	out.Time["ours"] = make([]float64, 4)
 	out.Resource["ours"] = make([]float64, 4)
 	for hops := 1; hops <= 3; hops++ {
-		run, err := runBackend(models[hops], g, "mapreduce", defaultOpts(s))
+		run, err := runMapReduce(models[hops], g, s.Workers)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -16,7 +16,7 @@ import (
 // worker, and no shadow rewrite, which moves a hub's messages behind every
 // original source — its logits are ReferenceForward's bit for bit, at every
 // worker count, serial and parallel. Everywhere else they agree with the
-// reference and the MapReduce backend to the standing tolerance, and the
+// reference and the MapReduce driver to the standing tolerance, and the
 // predicted classes match exactly.
 
 // exactOrder reports whether opts keeps the reference forward's fold order.
@@ -78,7 +78,7 @@ func TestBatchedPlaneBitIdenticalAllStrategies(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 230)
 	m := sageModel(t)
 	ref := ReferenceForward(m, g)
-	mr, err := RunMapReduce(m, g, Options{NumWorkers: 4})
+	mr, err := RunMapReduce(m, g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +87,8 @@ func TestBatchedPlaneBitIdenticalAllStrategies(t *testing.T) {
 			res := runSerialParallel(t, m, g, opts)
 			requireReference(t, comboName(opts), res, ref, exactOrder(opts))
 			// MapReduce folds each key group in shuffle-sort order, not
-			// Pregel's sender-worker delivery order, so cross-backend
-			// agreement is the repo's standing AllClose contract (see
+			// Pregel's sender-worker delivery order, so agreement between
+			// the drivers is the repo's standing AllClose contract (see
 			// TestBackendsAgree).
 			if !res.Logits.AllClose(mr.Logits, logitTol) {
 				t.Fatalf("%s: logits diverge from MapReduce: max diff %v",

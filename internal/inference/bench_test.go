@@ -33,7 +33,7 @@ func BenchmarkBackendMapReduce(b *testing.B) {
 	m, ds := benchSetup(b, datagen.SkewIn)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunMapReduce(m, ds.Graph, Options{NumWorkers: 8, PartialGather: true}); err != nil {
+		if _, err := RunMapReduce(m, ds.Graph, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,19 +32,6 @@ func TestEmitEmbeddingsPregel(t *testing.T) {
 	}
 }
 
-func TestEmitEmbeddingsMapReduce(t *testing.T) {
-	g := testGraph(t, datagen.SkewIn, 200)
-	m := gatModel(t)
-	res, err := RunMapReduce(m, g, Options{NumWorkers: 5, EmitEmbeddings: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := referenceEmbeddings(m, g)
-	if !res.Embeddings.AllClose(want, logitTol) {
-		t.Fatalf("MR embeddings diverge: %v", res.Embeddings.MaxAbsDiff(want))
-	}
-}
-
 func TestEmitEmbeddingsOneLayerModelReturnsFeatures(t *testing.T) {
 	g := testGraph(t, datagen.SkewNone, 80)
 	m := gas.NewSAGEModel("one", gas.TaskSingleLabel, 8, 8, 4, 1, 0, tensor.NewRNG(3))
@@ -72,7 +59,7 @@ func TestEmbeddingsOffByDefault(t *testing.T) {
 func TestEmbeddingsWithShadowNodes(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 300)
 	m := sageModel(t)
-	res, err := RunMapReduce(m, g, Options{NumWorkers: 4, ShadowNodes: true, HubThreshold: 10, EmitEmbeddings: true})
+	res, err := RunPregel(m, g, Options{NumWorkers: 4, ShadowNodes: true, HubThreshold: 10, EmitEmbeddings: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package inference
 
 import (
-	"strings"
 	"testing"
 
 	"inferturbo/internal/datagen"
@@ -11,18 +10,6 @@ import (
 // crashBefore is a one-entry fault plan crashing before superstep step.
 func crashBefore(step int) *pregel.FaultPlan {
 	return &pregel.FaultPlan{Crashes: []pregel.Fault{{Superstep: step, Point: pregel.FaultBeforeSuperstep}}}
-}
-
-// TestMapReduceRejectsDurableOptions: the MapReduce backend has no
-// checkpoint boundary to recover from, so a fault plan must fail loudly,
-// not silently no-op.
-func TestMapReduceRejectsDurableOptions(t *testing.T) {
-	g := testGraph(t, datagen.SkewNone, 60)
-	m := sageModel(t)
-	opts := Options{NumWorkers: 2, Faults: &pregel.FaultPlan{Crashes: []pregel.Fault{{Superstep: 1}}}}
-	if _, err := RunMapReduce(m, g, opts); err == nil || !strings.Contains(err.Error(), "Pregel backend") {
-		t.Fatalf("durable options not rejected: %v", err)
-	}
 }
 
 // TestFaultPlanInference: a multi-crash fault plan — including a superstep-0

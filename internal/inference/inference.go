@@ -1,15 +1,18 @@
 // Package inference is InferTurbo's core: full-graph, sampling-free GNN
-// inference drivers over the two backends (internal/pregel and
-// internal/mapreduce), implementing the paper's three skew strategies —
-// partial-gather, broadcast, and shadow-nodes — plus the threshold heuristic
-// that activates the out-degree strategies.
+// inference over the Pregel engine (internal/pregel), implementing the
+// paper's three skew strategies — partial-gather, broadcast, and
+// shadow-nodes — plus the threshold heuristic that activates the out-degree
+// strategies, and the incremental Session that keeps a pass's state resident
+// across graph mutations.
 //
-// Both drivers execute the same gas.Model a k-hop trainer produced: one GNN
-// layer per superstep (Pregel) or per reduce round (MapReduce). Every node
-// is computed exactly once per layer, eliminating the k-hop redundant
-// computation of traditional pipelines, and no sampling happens anywhere, so
-// predictions are identical across runs — the consistency guarantee the
-// tests enforce against the single-process reference forward.
+// The drivers execute the same gas.Model a k-hop trainer produced, one GNN
+// layer per superstep. Every node is computed exactly once per layer,
+// eliminating the k-hop redundant computation of traditional pipelines, and
+// no sampling happens anywhere, so predictions are identical across runs —
+// the consistency guarantee the tests enforce against the single-process
+// reference forward. RunMapReduce runs the same model on the batch engine
+// (internal/mapreduce) in one fixed configuration, for the paper's
+// batch-backend experiments.
 package inference
 
 import (
@@ -26,10 +29,10 @@ import (
 
 // Options configures a full-graph inference run.
 type Options struct {
-	// NumWorkers is the partition count (Pregel workers / MR reducers).
+	// NumWorkers is the partition count (Pregel workers).
 	NumWorkers int
 	// Partitioner selects the vertex-placement strategy (nil = the mod-N
-	// hash). Strategies run once up front over the graph the backend
+	// hash). Strategies run once up front over the graph the engine
 	// executes — the shadow rewrite when ShadowNodes is set, so mirrors get
 	// first-class placement. Placement changes traffic only: predictions
 	// are bit-identical under every strategy (the engine's source-merged
@@ -38,8 +41,8 @@ type Options struct {
 	// cross-worker bytes. Composes with all three skew strategies, with one
 	// scope note: under PartialGather the sender-side combiner folds
 	// partial sums per sending worker, so cross-placement agreement is
-	// tolerance-level there (like cross-backend agreement), not bitwise;
-	// every fixed configuration remains deterministic.
+	// tolerance-level there (like agreement with ReferenceForward), not
+	// bitwise; every fixed configuration remains deterministic.
 	Partitioner graph.Strategy
 	// PartialGather enables sender-side aggregation for layers whose reduce
 	// obeys the commutative/associative laws.
@@ -59,14 +62,12 @@ type Options struct {
 	Parallel bool
 	// CheckpointEvery snapshots Pregel engine state (including the driver's
 	// per-worker state slabs) every n supersteps, enabling recovery
-	// from a worker failure. 0 disables checkpointing. MapReduce ignores
-	// this.
+	// from a worker failure. 0 disables checkpointing.
 	CheckpointEvery int
-	// Faults schedules deterministic injected crashes for the Pregel
-	// backend — the chaos-test surface. Each entry fires once at its
-	// superstep and lifecycle point; the engine recovers from the latest
-	// checkpoint and results stay bit-identical to a failure-free run.
-	// MapReduce rejects this.
+	// Faults schedules deterministic injected crashes — the chaos-test
+	// surface. Each entry fires once at its superstep and lifecycle point;
+	// the engine recovers from the latest checkpoint and results stay
+	// bit-identical to a failure-free run.
 	Faults *pregel.FaultPlan
 	// CheckpointSync selects the durability level of SessionDir's bases and
 	// links and of the serving layer's mutation WAL:
@@ -79,15 +80,13 @@ type Options struct {
 	// superstep — the deterministic kill point the serving layer's
 	// process-kill tests use.
 	SuperstepHook func(step int)
-	// Cancel, when non-nil, is polled by the Pregel backend at the start of
-	// every superstep; a non-nil return aborts the run with that error.
+	// Cancel, when non-nil, is polled at the start of every superstep; a
+	// non-nil return aborts the run with that error.
 	// Superstep granularity means an abort never leaves partially delivered
 	// state behind. The serving layer uses this to propagate request
 	// deadlines from HTTP through micro-batching into the compute plane
-	// (partial-batch cancellation). MapReduce rejects this.
+	// (partial-batch cancellation).
 	Cancel func() error
-	// SpillDir routes MapReduce shuffles through disk when non-empty.
-	SpillDir string
 	// EmitEmbeddings additionally returns each node's penultimate-layer
 	// state (the paper's final superstep "outputs node embeddings or
 	// scores"). One-layer models emit the input features.
@@ -106,8 +105,7 @@ type Options struct {
 	// changed and the batches applied since the previous link. Files are
 	// CRC-checksummed checkpoint epochs. ResumeSession reconstructs a
 	// primed Session from the newest valid base and its chain after a
-	// crash. Honors CheckpointSync. Ignored by one-shot
-	// RunPregel/RunMapReduce.
+	// crash. Honors CheckpointSync. Ignored by one-shot RunPregel.
 	SessionDir string
 	// SessionPersistBeginHook, when non-nil, runs on the persister goroutine
 	// immediately before each base or link write, receiving the replay mark
@@ -202,7 +200,7 @@ func (o Options) threshold(g *graph.Graph) int {
 }
 
 // partition places g's vertices per the selected strategy (hash when none
-// was chosen). g must be the graph the backend will actually execute.
+// was chosen). g must be the graph the engine will actually execute.
 func (o Options) partition(g *graph.Graph) graph.Partitioner {
 	s := o.Partitioner
 	if s == nil {
@@ -213,8 +211,8 @@ func (o Options) partition(g *graph.Graph) graph.Partitioner {
 
 // vectorizeAggregateInto reduces n resolved payload vectors into a single
 // destination's aggregate a per the layer's reduce annotation — the
-// one-destination gather of MapReduce's aggregate and the Session's delta
-// recompute. payload(i) returns the i-th incoming message (always exactly
+// one-destination gather of the MapReduce driver's aggregate and the
+// Session's delta recompute. payload(i) returns the i-th incoming message (always exactly
 // dim long by construction: scatter builds payloads at the layer's message
 // width and the combiners preserve length) and its folded contribution
 // count. a is caller-owned, so per-vertex hot loops reuse one scratch
@@ -283,10 +281,9 @@ func vectorizeAggregateInto(a *gas.Aggregated, kind gas.ReduceKind, dim, n int, 
 	return a
 }
 
-// bcIndex is a dense broadcast-payload lookup replacing the per-superstep
-// map[int32][]float32 tables of both backends: payload views append to pays
-// in mailbox order and slot[src] records their position, valid iff
-// stamp[src] == cur. cur increments each rebuild, so no clearing pass — and
+// bcIndex is a dense broadcast-payload lookup replacing a per-superstep
+// map[int32][]float32 table: payload views append to pays in mailbox order
+// and slot[src] records their position, valid iff stamp[src] == cur. cur increments each rebuild, so no clearing pass — and
 // no allocation or hashing — happens on the gather hot path. The slot/stamp
 // arrays are 8 bytes x NumVertices per worker, the same deliberate
 // footprint-for-branch-free-O(1) trade the engine's combiner index makes;
@@ -380,14 +377,14 @@ type Stats struct {
 	BytesReceived int64
 	// RemoteMessages / RemoteBytes count only cross-worker traffic — the
 	// share vertex placement controls; the Sent totals include worker-local
-	// delivery. Pregel backend only (the MapReduce engine's shuffle does
+	// delivery. The MapReduce driver leaves them zero (its shuffle does
 	// not attribute producers to reducers).
 	RemoteMessages int64
 	RemoteBytes    int64
 	CombinedAway   int64 // messages eliminated by partial-gather
 	BroadcastHubs  int64 // node-steps that used the broadcast path
 	ShadowMirrors  int64 // extra vertices created by shadow-nodes
-	// Fault-tolerance counters (Pregel backend).
+	// Fault-tolerance counters.
 	Recoveries       int   // injected crashes recovered in-run
 	Checkpoints      int   // in-memory snapshots committed
 	CheckpointWallNs int64 // snapshot capture time on the superstep critical path
@@ -427,8 +424,8 @@ func (r *Result) finalize(m *gas.Model) {
 }
 
 // ReferenceForward computes the exact full-graph logits in a single process
-// by materializing the whole graph as one gas.Context — the oracle both
-// backends are tested against.
+// by materializing the whole graph as one gas.Context — the oracle every
+// driver is tested against.
 func ReferenceForward(m *gas.Model, g *graph.Graph) *tensor.Matrix {
 	src, dst := g.EdgeList()
 	ctx := &gas.Context{

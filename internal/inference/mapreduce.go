@@ -10,24 +10,20 @@ import (
 	"inferturbo/internal/tensor"
 )
 
-// Record kinds flowing between MapReduce rounds. Unlike the Pregel backend,
+// Record kinds flowing between MapReduce rounds. Unlike the Pregel driver,
 // nothing stays resident between rounds: a node's state and its out-edge
 // table are re-sent to itself every round, exactly the data flow the paper
-// describes for this backend.
+// describes for a batch-processing backend.
 const (
-	mrSelf      uint8 = iota // the node's own state (or final logits)
-	mrMsg                    // an in-edge message (possibly partially aggregated)
-	mrOutEdges               // the node's out-edge structure + edge features
-	mrBCPayload              // broadcast payload addressed to a reducer (negative key)
-	mrBCRef                  // broadcast reference: look up Src in the task table
+	mrSelf     uint8 = iota // the node's own state (or final logits)
+	mrMsg                   // an in-edge message (possibly partially aggregated)
+	mrOutEdges              // the node's out-edge structure + edge features
 )
 
-// mrVal is the MapReduce record value. Fields are exported for gob encoding
-// on the disk-spill path.
+// mrVal is the MapReduce record value.
 type mrVal struct {
 	Kind    uint8
 	Reduce  uint8
-	Src     int32
 	Count   int32
 	Payload []float32
 	// Msg rides on a self record: the node's own emitted row, for a next
@@ -35,17 +31,13 @@ type mrVal struct {
 	Msg          []float32
 	OutDsts      []int32
 	OutEdgeFeats []float32 // flattened rows aligned with OutDsts
-	OrigOutDeg   int32     // original out-degree (degree-scaled layers)
 }
 
 func mrValBytes(v mrVal) int {
-	if v.Kind == mrBCRef {
-		return refBytes
-	}
 	return 4*len(v.Payload) + 4*len(v.Msg) + 4*len(v.OutDsts) + 4*len(v.OutEdgeFeats) + 16
 }
 
-// mrCombine implements partial-gather on this backend: within one producing
+// mrCombine is partial-gather on the batch engine: within one producing
 // task, mrMsg records for the same destination merge when their reduce obeys
 // the commutative/associative laws. Everything else passes through.
 func mrCombine(_ int32, values []mrVal) []mrVal {
@@ -60,7 +52,6 @@ func mrCombine(_ int32, values []mrVal) []mrVal {
 		if !ok {
 			cp := v
 			cp.Payload = append([]float32(nil), v.Payload...)
-			cp.Src = -1
 			merged[v.Reduce] = len(out)
 			out = append(out, cp)
 			continue
@@ -85,21 +76,9 @@ func mrCombine(_ int32, values []mrVal) []mrVal {
 	return out
 }
 
-// mrDriver holds per-run state for the MapReduce backend.
+// mrDriver holds per-run state for the MapReduce driver.
 type mrDriver struct {
-	model     *gas.Model
-	sg        *ShadowGraph
-	opts      Options
-	threshold int
-	part      graph.Partitioner
-
-	// Per-task broadcast indexes for the current round: the dense bcIndex
-	// replaces the per-round map[int32][]float32 tables, so resolving a
-	// broadcast reference in the aggregate hot path is a branch-free array
-	// read instead of a hash lookup. Reset per round (generation bump, no
-	// clearing pass); each reduce task touches only its own slot, so the
-	// parallel round execution stays race-free.
-	tabs []bcIndex
+	model *gas.Model
 	// Per-task buffer pools: per-key aggregate and apply_node scratch
 	// recycles here instead of allocating for every reduced key.
 	pools []*tensor.Pool
@@ -107,17 +86,6 @@ type mrDriver struct {
 	// (the streaming-reducer memory model).
 	roundFlops [][]int64
 	roundPeak  [][]int64
-	bcHubs     int64
-}
-
-// reducerFor mirrors the Pregel backend's vertex placement, including the
-// negative-key convention used to address broadcast payloads to reducers
-// directly (reducer r is key -(r+1)).
-func (d *mrDriver) reducerFor(key int32) int {
-	if key < 0 {
-		return int(-key-1) % d.opts.NumWorkers
-	}
-	return d.part.WorkerFor(key)
 }
 
 // wireMsg returns a node's wire message for Layers[k] from its state h and
@@ -144,143 +112,89 @@ func (d *mrDriver) selfRecord(h, msg []float32, k int) mrVal {
 	return rec
 }
 
-// aggregate vectorizes a node's incoming records into the layer's aggregate.
-func (d *mrDriver) aggregate(task int, layer gas.Conv, values []mrVal) (*gas.Aggregated, int, error) {
-	dim := layer.InDim()
+// aggregate vectorizes a node's incoming messages into the layer's
+// aggregate, returning it with the message count.
+func (d *mrDriver) aggregate(task int, layer gas.Conv, values []mrVal) (*gas.Aggregated, int) {
 	var payloads [][]float32
 	var counts []int32
 	for _, v := range values {
-		switch v.Kind {
-		case mrMsg:
+		if v.Kind == mrMsg {
 			payloads = append(payloads, v.Payload)
 			counts = append(counts, v.Count)
-		case mrBCRef:
-			p, ok := d.tabs[task].get(v.Src)
-			if !ok {
-				return nil, 0, fmt.Errorf("inference: broadcast payload for node %d missing on reducer %d", v.Src, task)
-			}
-			payloads = append(payloads, p)
-			counts = append(counts, 1)
 		}
 	}
-
-	a := vectorizeAggregateInto(&gas.Aggregated{}, layer.Reduce(), dim, len(payloads), func(i int) ([]float32, int32) {
+	a := vectorizeAggregateInto(&gas.Aggregated{}, layer.Reduce(), layer.InDim(), len(payloads), func(i int) ([]float32, int32) {
 		return payloads[i], counts[i]
 	}, d.pools[task])
-	return a, len(payloads), nil
+	return a, len(payloads)
 }
 
 // RunMapReduce executes full-graph inference of model over g on the
-// MapReduce backend: one map round plus one reduce round per GNN layer.
-func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+// MapReduce engine with the given reduce-task count: one map round plus one
+// reduce round per GNN layer. It is the batch-processing backend the paper's
+// Table III/IV and Fig 7/8 compare against the Pregel driver, in the one
+// configuration those experiments run: hash placement, the partial-gather
+// combiner always on, shuffles in memory, reduce tasks one after another.
+// Logits agree with ReferenceForward to float tolerance (the combiner and
+// the shuffle fold messages in their own order).
+func RunMapReduce(model *gas.Model, g *graph.Graph, workers int) (*Result, error) {
+	if workers <= 0 {
+		return nil, fmt.Errorf("inference: invalid worker count %d", workers)
+	}
 	if err := validateModelGraph(model, g); err != nil {
 		return nil, err
 	}
-	// Fault injection is Pregel-only: rounds here have no checkpoint
-	// boundary to recover from, so silently ignoring a plan would
-	// miscommunicate fault tolerance the backend doesn't provide.
-	if opts.Faults != nil {
-		return nil, fmt.Errorf("inference: fault plans require the Pregel backend")
-	}
-	// Cancellation is Pregel-only too: rounds here have no superstep
-	// boundary to poll it at.
-	if opts.Cancel != nil {
-		return nil, fmt.Errorf("inference: Cancel requires the Pregel backend")
-	}
-	defer applyTuning(opts)()
-	threshold := opts.threshold(g)
 
-	sg := IdentityShadow(g)
-	if opts.ShadowNodes {
-		sg = BuildShadowGraph(g, threshold)
-	}
-
-	d := &mrDriver{
-		model:     model,
-		sg:        sg,
-		opts:      opts,
-		threshold: threshold,
-		part:      opts.partition(sg.G),
-		tabs:      make([]bcIndex, opts.NumWorkers),
-		pools:     make([]*tensor.Pool, opts.NumWorkers),
-	}
+	d := &mrDriver{model: model, pools: make([]*tensor.Pool, workers)}
 	for i := range d.pools {
 		d.pools[i] = tensor.NewPool()
 	}
-
-	cfg := mapreduce.Config[int32, mrVal]{
-		NumReducers: opts.NumWorkers,
+	eng := mapreduce.New(mapreduce.Config[int32, mrVal]{
+		NumReducers: workers,
+		Combine:     mrCombine,
 		ValueBytes:  mrValBytes,
-		Partition:   d.reducerFor,
-		SpillDir:    opts.SpillDir,
-		Parallel:    opts.Parallel,
-	}
-	if opts.PartialGather {
-		cfg.Combine = mrCombine
-	}
-	eng := mapreduce.New(cfg)
+		Partition:   graph.NewPartitioner(workers).WorkerFor,
+	})
 
 	// Map phase: initialize h^0, keep self/out-edge records cycling, and
 	// scatter the first layer's messages.
-	nodes := make([]int32, sg.G.NumNodes)
+	nodes := make([]int32, g.NumNodes)
 	for v := range nodes {
 		nodes[v] = int32(v)
 	}
-	hasEdgeFeat := sg.G.EdgeFeatures != nil
+	hasEdgeFeat := g.EdgeFeatures != nil
 	mapPool := tensor.NewPool() // MapRound runs its mappers one after another
-	current := mapreduce.MapRound(nodes, opts.NumWorkers, func(v int32, emit mapreduce.Emitter[int32, mrVal]) {
-		h := sg.G.Features.Row(int(v))
-		msg := d.wireMsg(h, 0, sg.OrigOutDeg[v], mapPool)
+	current := mapreduce.MapRound(nodes, workers, func(v int32, emit mapreduce.Emitter[int32, mrVal]) {
+		h := g.Features.Row(int(v))
+		msg := d.wireMsg(h, 0, int32(g.OutDegree(v)), mapPool)
 		emit(v, d.selfRecord(h, msg, 0))
 		var rec *mrVal
-		if dsts := sg.G.OutNeighbors(v); len(dsts) > 0 {
-			rec = &mrVal{Kind: mrOutEdges, OutDsts: dsts, OrigOutDeg: sg.OrigOutDeg[v]}
+		if dsts := g.OutNeighbors(v); len(dsts) > 0 {
+			rec = &mrVal{Kind: mrOutEdges, OutDsts: dsts}
 			if hasEdgeFeat {
-				eids := sg.G.OutEdgeIDs(v)
-				flat := make([]float32, 0, len(eids)*sg.G.EdgeFeatureDim())
+				eids := g.OutEdgeIDs(v)
+				flat := make([]float32, 0, len(eids)*g.EdgeFeatureDim())
 				for _, e := range eids {
-					flat = append(flat, sg.G.EdgeFeatures.Row(int(e))...)
+					flat = append(flat, g.EdgeFeatures.Row(int(e))...)
 				}
 				rec.OutEdgeFeats = flat
 			}
 			emit(v, *rec)
 		}
-		d.scatterEmit(v, msg, 0, rec, emit)
+		d.scatterEmit(msg, 0, rec, emit)
 	})
-	mapPhase := mapPhaseLoad(current, opts.NumWorkers, d)
+	mapPhase := mapPhaseLoad(current, workers)
 
 	numLayers := model.NumLayers()
-	var embeddings *tensor.Matrix
-	if opts.EmitEmbeddings {
-		embDim := model.InDim()
-		if numLayers > 1 {
-			embDim = model.Layers[numLayers-2].OutDim()
-		}
-		embeddings = tensor.New(g.NumNodes, embDim)
-	}
 	for round := 1; round <= numLayers; round++ {
 		layer := model.Layers[round-1]
 		last := round == numLayers
-		for i := range d.tabs {
-			d.tabs[i].reset()
-		}
-		flops := make([]int64, opts.NumWorkers)
-		peaks := make([]int64, opts.NumWorkers)
+		flops := make([]int64, workers)
+		peaks := make([]int64, workers)
 		var reduceErr error
 
-		next, _, err := eng.Round(fmt.Sprintf("layer-%d", round), current,
+		next, _ := eng.Round(fmt.Sprintf("layer-%d", round), current,
 			func(task int, key int32, values []mrVal, emit mapreduce.Emitter[int32, mrVal]) {
-				if key < 0 {
-					// Broadcast payloads for this reducer: negative keys sort
-					// first, so the index is complete before any node key.
-					for _, v := range values {
-						if v.Kind == mrBCPayload {
-							d.tabs[task].put(sg.G.NumNodes, v.Src, v.Payload)
-						}
-					}
-					return
-				}
 				var groupBytes int64
 				for _, v := range values {
 					groupBytes += int64(mrValBytes(v))
@@ -303,17 +217,7 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 					reduceErr = fmt.Errorf("inference: node %d lost its state in round %d", key, round)
 					return
 				}
-				if last && embeddings != nil && int(key) < sg.NumOriginal {
-					// The final round's input state is the penultimate
-					// layer's output. Rows are disjoint per key, so the
-					// parallel write is safe.
-					embeddings.SetRow(int(key), selfState)
-				}
-				aggr, numMsgs, err := d.aggregate(task, layer, values)
-				if err != nil {
-					reduceErr = err
-					return
-				}
+				aggr, numMsgs := d.aggregate(task, layer, values)
 				state := tensor.FromSlice(1, len(selfState), selfState)
 				if keepsEmit(layer) {
 					aggr.Self = tensor.FromSlice(1, len(selfMsg), selfMsg)
@@ -331,18 +235,15 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 				}
 				var deg int32 // a node without out-edges has out-degree 0
 				if outEdges != nil {
-					deg = outEdges.OrigOutDeg
+					deg = int32(len(outEdges.OutDsts))
 				}
 				msg := d.wireMsg(h, round, deg, d.pools[task])
 				emit(key, d.selfRecord(h, msg, round))
 				if outEdges != nil {
 					emit(key, *outEdges)
 				}
-				d.scatterEmit(key, msg, round, outEdges, emit)
+				d.scatterEmit(msg, round, outEdges, emit)
 			})
-		if err != nil {
-			return nil, err
-		}
 		if reduceErr != nil {
 			return nil, reduceErr
 		}
@@ -351,23 +252,19 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 		current = next
 	}
 
-	// Assemble logits from the final round's self records (originals only).
-	res := &Result{Logits: tensor.New(g.NumNodes, model.NumClasses), Embeddings: embeddings}
+	// Assemble logits from the final round's self records.
+	res := &Result{Logits: tensor.New(g.NumNodes, model.NumClasses)}
 	filled := make([]bool, g.NumNodes)
 	for _, part := range current {
 		for _, p := range part {
-			if p.Value.Kind != mrSelf || p.Key < 0 {
+			if p.Value.Kind != mrSelf {
 				continue
-			}
-			orig := sg.Origin[p.Key]
-			if int(p.Key) >= sg.NumOriginal {
-				continue // mirror: original carries the same logits
 			}
 			if len(p.Value.Payload) != model.NumClasses {
 				return nil, fmt.Errorf("inference: node %d finished with dim %d, want %d", p.Key, len(p.Value.Payload), model.NumClasses)
 			}
-			res.Logits.SetRow(int(orig), p.Value.Payload)
-			filled[orig] = true
+			res.Logits.SetRow(int(p.Key), p.Value.Payload)
+			filled[p.Key] = true
 		}
 	}
 	for v, ok := range filled {
@@ -376,52 +273,30 @@ func RunMapReduce(model *gas.Model, g *graph.Graph, opts Options) (*Result, erro
 		}
 	}
 	res.finalize(model)
-	res.Stats, res.Phases = mrStats(eng, d, mapPhase, opts, sg)
+	res.Stats, res.Phases = mrStats(eng, d, mapPhase, workers)
 	return res, nil
 }
 
 // scatterEmit is apply_edge + scatter of wire message h (see wireMsg) for
-// the messages Layers[k] consumes next round, including the broadcast
-// strategy. It reads the out-edge record that travels with the node (the MR
-// data flow), never the resident topology; rec is nil for a node without
-// out-edges.
-func (d *mrDriver) scatterEmit(v int32, h []float32, k int, rec *mrVal, emit mapreduce.Emitter[int32, mrVal]) {
+// the messages Layers[k] consumes next round. It reads the out-edge record
+// that travels with the node (the MR data flow), never the resident
+// topology; rec is nil for a node without out-edges.
+func (d *mrDriver) scatterEmit(h []float32, k int, rec *mrVal, emit mapreduce.Emitter[int32, mrVal]) {
 	if rec == nil {
 		return // no out-edges
 	}
 	sendLayer := d.model.Layers[k]
 	dsts := rec.OutDsts
-
-	if d.opts.Broadcast && sendLayer.BroadcastSafe() && len(dsts) > d.threshold {
-		d.bcHubs++
-		seen := make([]bool, d.opts.NumWorkers)
-		for _, dst := range dsts {
-			seen[d.reducerFor(dst)] = true
-		}
-		for r, ok := range seen {
-			if ok {
-				emit(int32(-(r + 1)), mrVal{Kind: mrBCPayload, Src: v, Payload: h})
-			}
-		}
-		for _, dst := range dsts {
-			emit(dst, mrVal{Kind: mrBCRef, Src: v, Reduce: uint8(sendLayer.Reduce())})
-		}
-		return
-	}
-
 	reduce := uint8(sendLayer.Reduce())
 	if sendLayer.BroadcastSafe() {
-		m := mrVal{Kind: mrMsg, Reduce: reduce, Src: v, Count: 1, Payload: h}
+		m := mrVal{Kind: mrMsg, Reduce: reduce, Count: 1, Payload: h}
 		for _, dst := range dsts {
 			emit(dst, m)
 		}
 		return
 	}
 	state := tensor.FromSlice(1, len(h), h)
-	edgeDim := 0
-	if len(dsts) > 0 {
-		edgeDim = len(rec.OutEdgeFeats) / len(dsts)
-	}
+	edgeDim := len(rec.OutEdgeFeats) / len(dsts)
 	for i, dst := range dsts {
 		var ef *tensor.Matrix
 		if edgeDim > 0 {
@@ -431,12 +306,12 @@ func (d *mrDriver) scatterEmit(v int32, h []float32, k int, rec *mrVal, emit map
 		payload := sendLayer.ApplyEdge(state, ef)
 		out := make([]float32, payload.Cols)
 		copy(out, payload.Row(0))
-		emit(dst, mrVal{Kind: mrMsg, Reduce: reduce, Src: v, Count: 1, Payload: out})
+		emit(dst, mrVal{Kind: mrMsg, Reduce: reduce, Count: 1, Payload: out})
 	}
 }
 
 // mapPhaseLoad prices the map phase from its actual emissions.
-func mapPhaseLoad(mapped [][]mapreduce.Pair[int32, mrVal], workers int, d *mrDriver) cluster.Phase {
+func mapPhaseLoad(mapped [][]mapreduce.Pair[int32, mrVal], workers int) cluster.Phase {
 	ph := cluster.Phase{Name: "map", Workers: make([]cluster.WorkerLoad, workers)}
 	for m, part := range mapped {
 		var bytes int64
@@ -454,19 +329,17 @@ func mapPhaseLoad(mapped [][]mapreduce.Pair[int32, mrVal], workers int, d *mrDri
 }
 
 // mrStats converts round metrics into run stats and cluster phases.
-func mrStats(eng *mapreduce.Engine[int32, mrVal], d *mrDriver, mapPhase cluster.Phase, opts Options, sg *ShadowGraph) (Stats, []cluster.Phase) {
+func mrStats(eng *mapreduce.Engine[int32, mrVal], d *mrDriver, mapPhase cluster.Phase, workers int) (Stats, []cluster.Phase) {
 	st := Stats{
-		ShadowMirrors:   int64(sg.Mirrors),
-		BroadcastHubs:   d.bcHubs,
-		WorkerBytesIn:   make([]int64, opts.NumWorkers),
-		WorkerBytesOut:  make([]int64, opts.NumWorkers),
-		WorkerFlops:     make([]int64, opts.NumWorkers),
-		WorkerInRecords: make([]int64, opts.NumWorkers),
+		WorkerBytesIn:   make([]int64, workers),
+		WorkerBytesOut:  make([]int64, workers),
+		WorkerFlops:     make([]int64, workers),
+		WorkerInRecords: make([]int64, workers),
 	}
 	phases := []cluster.Phase{mapPhase}
 	for r, round := range eng.Rounds() {
 		st.Supersteps++
-		ph := cluster.Phase{Name: round.Name, Workers: make([]cluster.WorkerLoad, opts.NumWorkers)}
+		ph := cluster.Phase{Name: round.Name, Workers: make([]cluster.WorkerLoad, workers)}
 		var roundCombined int64
 		for _, tm := range round.Reducers {
 			roundCombined += tm.CombinedAway
@@ -476,7 +349,7 @@ func mrStats(eng *mapreduce.Engine[int32, mrVal], d *mrDriver, mapPhase cluster.
 			flops := d.roundFlops[r][w]
 			// Combiner flops are spread across producers; attribute evenly.
 			if roundCombined > 0 && r < d.model.NumLayers() {
-				flops += roundCombined * layerMsgFlops(d.model.Layers[r]) / int64(opts.NumWorkers)
+				flops += roundCombined * layerMsgFlops(d.model.Layers[r]) / int64(workers)
 			}
 			ph.Workers[w] = cluster.WorkerLoad{
 				Flops:    flops,

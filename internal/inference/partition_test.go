@@ -94,25 +94,6 @@ func TestPlacementNeutralUnderSkewStrategies(t *testing.T) {
 	}
 }
 
-// TestMapReduceHonorsPartitioner: the MR backend places reduce keys with
-// the same strategy and still matches the reference.
-func TestMapReduceHonorsPartitioner(t *testing.T) {
-	g := communityDataset(t, 250, datagen.SkewIn)
-	m := sageModel(t)
-	res, err := RunMapReduce(m, g, Options{NumWorkers: 5, Partitioner: graph.LDG{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesReference(t, m, g, res)
-	pr, err := RunPregel(m, g, Options{NumWorkers: 5, Partitioner: graph.LDG{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Logits.AllClose(pr.Logits, logitTol) {
-		t.Fatalf("backends diverge under LDG: %v", res.Logits.MaxAbsDiff(pr.Logits))
-	}
-}
-
 // TestLDGReducesRemoteTraffic: the point of the subsystem — on a
 // homophilous power-law graph, LDG placement must cut cross-worker bytes
 // well below hash while leaving results and total message counts untouched.

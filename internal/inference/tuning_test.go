@@ -8,11 +8,10 @@ import (
 	"inferturbo/internal/tensor"
 )
 
-// These tests enforce the PR's headline acceptance criterion: every entry
-// point of the inference stack — ReferenceForward, InferPregel (RunPregel),
-// InferMapReduce (RunMapReduce) — produces bit-identical (Matrix.Equal, not
-// AllClose) logits between serial kernels (Tuning{Workers:1}) and 8-way
-// parallel kernels (Tuning{Workers:8}), for every conv type.
+// Every entry point of the inference stack — ReferenceForward, RunPregel,
+// RunMapReduce — produces bit-identical (Matrix.Equal, not AllClose) logits
+// between serial kernels (Tuning{Workers:1}) and 8-way parallel kernels
+// (Tuning{Workers:8}), for every conv type.
 
 func testModels(t *testing.T) map[string]*gas.Model {
 	t.Helper()
@@ -55,7 +54,10 @@ func TestBackendsBitIdenticalAcrossTuning(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s pregel: %v", name, err)
 			}
-			mr, err := RunMapReduce(m, g, opts)
+			// RunMapReduce takes no Options: scope the process tuning.
+			prev := tensor.SetTuning(tu)
+			mr, err := RunMapReduce(m, g, opts.NumWorkers)
+			tensor.SetTuning(prev)
 			if err != nil {
 				t.Fatalf("%s mapreduce: %v", name, err)
 			}
@@ -63,10 +65,10 @@ func TestBackendsBitIdenticalAcrossTuning(t *testing.T) {
 			mrRuns = append(mrRuns, mr.Logits)
 		}
 		if !pregelRuns[0].Equal(pregelRuns[1]) {
-			t.Fatalf("%s: InferPregel logits differ between Workers:1 and Workers:8", name)
+			t.Fatalf("%s: RunPregel logits differ between Workers:1 and Workers:8", name)
 		}
 		if !mrRuns[0].Equal(mrRuns[1]) {
-			t.Fatalf("%s: InferMapReduce logits differ between Workers:1 and Workers:8", name)
+			t.Fatalf("%s: RunMapReduce logits differ between Workers:1 and Workers:8", name)
 		}
 	}
 }

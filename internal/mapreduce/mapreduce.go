@@ -1,24 +1,19 @@
 // Package mapreduce implements a batch-processing engine in the MapReduce
 // mold: rounds of map → combine → shuffle → reduce over key/value pairs,
 // with deterministic grouping, optional sender-side combining (the hook the
-// paper's partial-gather uses on this backend), optional disk-spilled
-// shuffles (the "messages are exchanged with external storage" property that
-// lets the backend scale past memory), and per-task IO accounting that feeds
-// the cluster cost model.
+// paper's partial-gather uses on this backend), in-memory shuffles, and
+// per-task IO accounting that feeds the cluster cost model.
 //
-// InferTurbo's second backend chains k+1 rounds of this engine to execute a
-// k-layer GNN; wordcount in the tests validates the engine itself.
+// inference.RunMapReduce chains k+1 rounds of this engine to execute a
+// k-layer GNN for the paper's batch-backend experiments; wordcount in the
+// tests validates the engine itself.
 package mapreduce
 
 import (
 	"cmp"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"sort"
-	"sync"
 )
 
 // Pair is one key/value record flowing between rounds.
@@ -38,17 +33,10 @@ type Config[K cmp.Ordered, V any] struct {
 	// task before shuffle — MapReduce's combiner.
 	Combine func(key K, values []V) []V
 	// ValueBytes estimates a record's wire size for IO accounting; a
-	// constant 64 bytes when nil. Ignored when SpillDir is set (real
-	// serialized sizes are used instead).
+	// constant 64 bytes when nil.
 	ValueBytes func(V) int
 	// Partition overrides the key → reducer mapping (default: FNV hash).
 	Partition func(K) int
-	// SpillDir, when non-empty, routes every shuffle through gob-encoded
-	// files under the directory, so a round's working set never has to fit
-	// in one task's memory. Byte metrics then reflect real encoded sizes.
-	SpillDir string
-	// Parallel runs reduce tasks on goroutines.
-	Parallel bool
 }
 
 // TaskMetrics records one task's activity during one round.
@@ -67,7 +55,6 @@ type RoundMetrics struct {
 	Name         string
 	Reducers     []TaskMetrics
 	ShuffleBytes int64
-	SpilledFiles int
 }
 
 // Engine executes rounds. The zero value is unusable; construct with New.
@@ -138,11 +125,10 @@ func MapRound[I any, K cmp.Ordered, V any](inputs []I, numMappers int, mapFn fun
 
 // Round shuffles producer-partitioned inputs by key and runs reduce over
 // each key group, returning the reducer-partitioned outputs (which can feed
-// the next Round) and this round's metrics. Keys within a reduce task are
-// processed in ascending order, so sentinel keys that sort low (e.g.
-// negative broadcast keys) are guaranteed to be seen before node keys; the
-// task id lets reducers keep per-task scratch state across key groups.
-func (e *Engine[K, V]) Round(name string, inputs [][]Pair[K, V], reduce func(task int, key K, values []V, emit Emitter[K, V])) ([][]Pair[K, V], RoundMetrics, error) {
+// the next Round) and this round's metrics. Reduce tasks run one after
+// another, each over its keys in ascending order; the task id lets reducers
+// keep per-task scratch state across key groups.
+func (e *Engine[K, V]) Round(name string, inputs [][]Pair[K, V], reduce func(task int, key K, values []V, emit Emitter[K, V])) ([][]Pair[K, V], RoundMetrics) {
 	r := e.cfg.NumReducers
 	metrics := RoundMetrics{Name: name, Reducers: make([]TaskMetrics, r)}
 	for i := range metrics.Reducers {
@@ -166,29 +152,12 @@ func (e *Engine[K, V]) Round(name string, inputs [][]Pair[K, V], reduce func(tas
 		}
 	}
 
-	// Optionally spill each bucket through disk, measuring true sizes.
-	if e.cfg.SpillDir != "" {
-		for i := range buckets {
-			size, restored, err := spillRoundTrip(e.cfg.SpillDir, name, i, buckets[i])
-			if err != nil {
-				return nil, metrics, err
-			}
-			buckets[i] = restored
-			metrics.Reducers[i].InputBytes += size
-			metrics.ShuffleBytes += size
-			metrics.SpilledFiles++
-		}
-	}
-
 	outputs := make([][]Pair[K, V], r)
-	var wg sync.WaitGroup
-	runTask := func(i int) {
+	for i := 0; i < r; i++ {
 		tm := &metrics.Reducers[i]
 		tm.InputRecords = int64(len(buckets[i]))
-		if e.cfg.SpillDir == "" {
-			for _, p := range buckets[i] {
-				tm.InputBytes += int64(e.cfg.ValueBytes(p.Value))
-			}
+		for _, p := range buckets[i] {
+			tm.InputBytes += int64(e.cfg.ValueBytes(p.Value))
 		}
 		// Group by key deterministically: first-seen order collection, then
 		// sorted-key iteration.
@@ -210,28 +179,10 @@ func (e *Engine[K, V]) Round(name string, inputs [][]Pair[K, V], reduce func(tas
 			tm.KeysProcessed++
 			reduce(i, k, groups[k], emit)
 		}
-	}
-	if e.cfg.Parallel {
-		for i := 0; i < r; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runTask(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < r; i++ {
-			runTask(i)
-		}
-	}
-	if e.cfg.SpillDir == "" {
-		for i := range metrics.Reducers {
-			metrics.ShuffleBytes += metrics.Reducers[i].InputBytes
-		}
+		metrics.ShuffleBytes += tm.InputBytes
 	}
 	e.rounds = append(e.rounds, metrics)
-	return outputs, metrics, nil
+	return outputs, metrics
 }
 
 // Rounds returns the metrics of every round executed so far.
@@ -255,56 +206,4 @@ func combineTask[K cmp.Ordered, V any](records []Pair[K, V], combine func(K, []V
 		}
 	}
 	return out, int64(len(records) - len(out))
-}
-
-// spillRoundTrip writes records to a gob file and reads them back, returning
-// the encoded size. The file is removed afterwards.
-func spillRoundTrip[K cmp.Ordered, V any](dir, round string, task int, records []Pair[K, V]) (int64, []Pair[K, V], error) {
-	if records == nil {
-		records = []Pair[K, V]{}
-	}
-	path := filepath.Join(dir, fmt.Sprintf("shuffle-%s-%d.gob", sanitize(round), task))
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, nil, fmt.Errorf("mapreduce: spill create: %w", err)
-	}
-	enc := gob.NewEncoder(f)
-	if err := enc.Encode(records); err != nil {
-		f.Close()
-		return 0, nil, fmt.Errorf("mapreduce: spill encode: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, nil, err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	rf, err := os.Open(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer os.Remove(path)
-	defer rf.Close()
-	var restored []Pair[K, V]
-	if err := gob.NewDecoder(rf).Decode(&restored); err != nil {
-		return 0, nil, fmt.Errorf("mapreduce: spill decode: %w", err)
-	}
-	if restored == nil {
-		restored = []Pair[K, V]{}
-	}
-	return info.Size(), restored, nil
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }
