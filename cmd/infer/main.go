@@ -80,8 +80,8 @@ func main() {
 	if err != nil {
 		fatalf("cluster pricing: %v", err)
 	}
-	fmt.Printf("simulated wall     %.2fs on %q rates\n", rep.WallSeconds, spec.Name)
-	fmt.Printf("simulated cpu·min  %.2f\n", rep.CPUMinutes)
+	fmt.Printf("simulated wall     %.3gs on %q rates\n", rep.WallSeconds, spec.Name)
+	fmt.Printf("simulated cpu·min  %.3g\n", rep.CPUMinutes)
 
 	if res.Classes != nil {
 		hist := map[int32]int{}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"inferturbo"
@@ -66,8 +68,18 @@ func TestWorkerCountsByteIdentical(t *testing.T) {
 	parallelBin := filepath.Join(work, "parallel.bin")
 	base := []string{"-data", dataPath, "-model", modelPath}
 
-	if out, err := runInfer(t, append(base, "-workers", "1", "-parallel=false", "-out-logits", serialBin)...); err != nil {
+	out, err := runInfer(t, append(base, "-workers", "1", "-parallel=false", "-out-logits", serialBin)...)
+	if err != nil {
 		t.Fatalf("serial run: %v\n%s", err, out)
+	}
+	// The cluster cost print keeps significant digits at laptop scale.
+	var wall float64
+	i := strings.Index(out, "simulated wall")
+	if i < 0 {
+		t.Fatalf("no simulated wall line in output:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(out[i:], "simulated wall %gs", &wall); err != nil || !(wall > 0) {
+		t.Fatalf("simulated wall %g (%v), want > 0, in output:\n%s", wall, err, out)
 	}
 	if out, err := runInfer(t, append(base, "-workers", "4", "-parallel", "-partitioner", "ldg", "-out-logits", parallelBin)...); err != nil {
 		t.Fatalf("parallel run: %v\n%s", err, out)

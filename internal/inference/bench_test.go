@@ -5,6 +5,7 @@ import (
 
 	"inferturbo/internal/datagen"
 	"inferturbo/internal/gas"
+	"inferturbo/internal/graph"
 	"inferturbo/internal/tensor"
 )
 
@@ -113,4 +114,52 @@ func BenchmarkGATPregel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSessionDeltaRefresh is a wide-shaped delta refresh at half the
+// benchmark harness's scale: uniform degree 5, a 2-layer 256-wide GCN,
+// 8 parallel workers. Each iteration rewrites four feature rows and
+// refreshes through the delta pass; rows/op is how many vertex rows the
+// pass computed across its supersteps.
+func BenchmarkSessionDeltaRefresh(b *testing.B) {
+	ds := datagen.Generate(datagen.Config{
+		Name: "wide-bench", Nodes: 4000, AvgDegree: 5, Skew: datagen.SkewNone,
+		FeatureDim: 256, NumClasses: 8, Seed: 5,
+	})
+	m := gas.NewGCNModel("wide-bench", gas.TaskSingleLabel, 256, 256, 8, 2, tensor.NewRNG(6))
+	sess, err := NewSession(m, ds.Graph, Options{NumWorkers: 8, Parallel: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := sess.Refresh(); err != nil {
+		b.Fatal(err)
+	}
+	rng := tensor.NewRNG(7)
+	var rows int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var d graph.Delta
+		for j := 0; j < 4; j++ {
+			row := make([]float32, 256)
+			for c := range row {
+				row[c] = rng.Float32()*2 - 1
+			}
+			d.Features = append(d.Features, graph.FeatureUpdate{Node: int32(rng.Intn(ds.Graph.NumNodes)), Features: row})
+		}
+		if _, err := sess.Mutate(d); err != nil {
+			b.Fatal(err)
+		}
+		res, kind, err := sess.Refresh()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if kind != RefreshDelta {
+			b.Fatalf("refresh kind %v, want delta", kind)
+		}
+		for _, n := range res.Stats.StepActive[1:] {
+			rows += n
+		}
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }

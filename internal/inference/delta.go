@@ -56,59 +56,30 @@ type deltaDriver struct {
 
 	// Per-worker scratch, same discipline as pregelDriver: each worker
 	// touches only its own slot.
-	aggrs     []gas.Aggregated
-	stateMats []tensor.Matrix
-	payMats   []tensor.Matrix
-	efMats    []tensor.Matrix
-	degs      [][1]int32
-	pools     []*tensor.Pool
+	batches []deltaBatch
+	pools   []*tensor.Pool
+}
+
+// deltaBatch is one worker's reusable frontier scratch for a superstep: the
+// rows it recomputes and their inbox CSR over the resident message slab.
+type deltaBatch struct {
+	rows   []int32     // vertices to recompute, in owned order
+	srcs   []int32     // in-edge sources, row by row in delivery order
+	eids   []int32     // their edge ids (edge-dependent layers only)
+	off    []int32     // row r's in-edges are srcs[off[r]:off[r+1]]
+	pays   [][]float32 // the in-edges' message views
+	counts []int32     // all ones: no message here is pre-combined
+	aggr   gas.Aggregated
 }
 
 // pingTag is the columnar kind byte of an activation ping.
 const pingTag = msgState
-
-func newDeltaDriver(model *gas.Model, g *graph.Graph, gi *graph.GatherIndex, layers, msgs []*tensor.Matrix, emits []bool, seedState, seedInbox, seedPinned []bool, dirtyStep []int32, numWorkers int) *deltaDriver {
-	d := &deltaDriver{
-		model: model, g: g, gi: gi,
-		layers: layers, msgs: msgs, emits: emits,
-		seedState: seedState, seedInbox: seedInbox, seedPinned: seedPinned,
-		dirtyStep: dirtyStep,
-		aggrs:     make([]gas.Aggregated, numWorkers),
-		stateMats: make([]tensor.Matrix, numWorkers),
-		payMats:   make([]tensor.Matrix, numWorkers),
-		efMats:    make([]tensor.Matrix, numWorkers),
-		degs:      make([][1]int32, numWorkers),
-		pools:     make([]*tensor.Pool, numWorkers),
-	}
-	for i := range d.pools {
-		d.pools[i] = tensor.NewPool()
-	}
-	return d
-}
 
 // ping activates v's out-neighbors for the next superstep. Pings carry no
 // payload — receivers pull values from the resident slabs — so the send
 // buffers store headers only.
 func (d *deltaDriver) ping(ctx *pregel.BatchContext, v int32) {
 	ctx.SendColumnarFan(d.g.OutNeighbors(v), colTag(pingTag, 0), v, 1, nil)
-}
-
-// step runs one vertex's superstep-k (k >= 1) transition and returns whether
-// the vertex votes to halt. pinged reports a non-empty inbox.
-func (d *deltaDriver) step(ctx *pregel.BatchContext, w int, v int32, k int, pinged bool) (halt bool) {
-	numLayers := d.model.NumLayers()
-	needs := pinged || d.seedInbox[v] || d.dirtyStep[v] == int32(k-1)
-	changed := false
-	if needs {
-		changed = d.recompute(w, v, k)
-	}
-	if k == numLayers {
-		return true
-	}
-	if changed || (d.seedPinned[v] && degreeScaled(d.model.Layers[k])) {
-		d.ping(ctx, v)
-	}
-	return !(d.seedInbox[v] || d.seedPinned[v] || changed)
 }
 
 // seedStep is the superstep-0 transition: seeds announce their already-stale
@@ -125,99 +96,157 @@ func (d *deltaDriver) seedStep(ctx *pregel.BatchContext, v int32) {
 	}
 }
 
-// recompute regenerates v's layer-k state (layer = Layers[k-1]) by pulling
-// its whole inbox from the resident message slab in delivery order, then
-// re-applying the node update. Returns whether the resident row changed.
-// Comparison is bitwise, the exact notion the from-scratch equivalence is
-// stated in: value-equal rows with different bits (-0 vs +0) count as
-// changed and propagate.
-func (d *deltaDriver) recompute(w int, v int32, k int) bool {
-	layer := d.model.Layers[k-1]
-	srcs, eids := d.gi.InEdges(v)
-	pool := d.pools[w]
-	prev := d.msgs[k-1]
-
-	var aggr *gas.Aggregated
-	if layer.BroadcastSafe() {
-		aggr = vectorizeAggregateInto(&d.aggrs[w], layer.Reduce(), layer.InDim(), len(srcs), func(i int) ([]float32, int32) {
-			return prev.Row(int(srcs[i])), 1
-		}, pool)
-	} else {
-		// Edge-dependent messages: re-run apply_edge per in-edge, exactly the
-		// op the sender's scatter ran in the full pass. The previous pooled
-		// payload recycles one call later — the fold has consumed it by then.
-		var pend *tensor.Matrix
-		aggr = vectorizeAggregateInto(&d.aggrs[w], layer.Reduce(), layer.InDim(), len(srcs), func(i int) ([]float32, int32) {
-			if pend != nil {
-				pool.Put(pend)
-				pend = nil
-			}
-			base := rowMat(&d.payMats[w], prev.Row(int(srcs[i])))
-			var ef *tensor.Matrix
-			if d.g.EdgeFeatures != nil {
-				ef = rowMat(&d.efMats[w], d.g.EdgeFeatures.Row(int(eids[i])))
-			}
-			p := gas.ApplyEdgePooled(layer, base, ef, pool)
-			if p != base {
-				pend = p
-			}
-			return p.Row(0), 1
-		}, pool)
-		if pend != nil {
-			pool.Put(pend)
-		}
-	}
-
-	if keepsEmit(layer) {
-		aggr.Self = rowMat(&d.payMats[w], prev.Row(int(v)))
-	}
-	state := rowMat(&d.stateMats[w], d.layers[k-1].Row(int(v)))
-	out := gas.ApplyNodePooled(layer, state, aggr, pool)
-	releaseAggregated(pool, aggr)
-	row := d.layers[k].Row(int(v))
-	changed := !sameBits(row, out.Row(0))
-	if changed {
-		copy(row, out.Row(0))
-		if k < d.model.NumLayers() && d.emits[k] {
-			deg := d.degs[w][:]
-			deg[0] = int32(d.g.OutDegree(v))
-			emitRow(emitterOf(d.model.Layers[k]), &d.payMats[w], &d.stateMats[w], d.msgs[k].Row(int(v)), row, deg, pool)
-		}
-		d.dirtyStep[v] = int32(k)
-	}
-	pool.Put(out)
-	return changed
-}
-
 // ComputeBatch implements pregel.BatchProgram. The frontier restricts it to
 // computed (active or pinged) rows of the partition; everything else keeps
 // its resident slab rows untouched. Work per superstep is proportional to
 // the surviving wave, not the partition.
+//
+// At superstep k >= 1 a computed vertex needs layer k recomputed when it was
+// pinged, is inbox-dirty, or its own h^(k-1) changed; the worker recomputes
+// all such rows as one batch (see recomputeRows). Afterwards a vertex whose
+// row changed, or a pinned vertex at a degree-scaled layer, pings its
+// out-neighbors; inbox-dirty and pinned vertices stay active to the end.
 func (d *deltaDriver) ComputeBatch(ctx *pregel.BatchContext) {
 	w, k := ctx.WorkerID(), ctx.Superstep
 	owned := ctx.Owned()
 	if k == 0 {
 		for li, v := range owned {
-			if !ctx.Computed(li) {
-				continue
+			if ctx.Computed(li) {
+				d.seedStep(ctx, v)
 			}
-			d.seedStep(ctx, v)
 		}
 		return
 	}
+	layer := d.model.Layers[k-1]
 	off, _ := ctx.InboxCSR()
+	b := &d.batches[w]
+	b.rows = b.rows[:0]
 	var cost int64
 	for li, v := range owned {
 		if !ctx.Computed(li) {
 			continue
 		}
-		pinged := off[li+1] > off[li]
-		if d.step(ctx, w, v, k, pinged) {
-			ctx.Halt(li)
+		if off[li+1] > off[li] || d.seedInbox[v] || d.dirtyStep[v] == int32(k-1) {
+			b.rows = append(b.rows, v)
 		}
-		cost += layerNodeFlops(d.model.Layers[k-1]) + int64(d.g.InDegree(v))*layerMsgFlops(d.model.Layers[k-1])
+		cost += layerNodeFlops(layer) + int64(d.g.InDegree(v))*layerMsgFlops(layer)
 	}
 	ctx.AddCost(cost)
+	d.recomputeRows(w, k)
+	if k == d.model.NumLayers() {
+		ctx.HaltAll()
+		return
+	}
+	pinsNext := degreeScaled(d.model.Layers[k])
+	for li, v := range owned {
+		if !ctx.Computed(li) {
+			continue
+		}
+		changed := d.dirtyStep[v] == int32(k) // written by recomputeRows just now
+		if changed || (d.seedPinned[v] && pinsNext) {
+			d.ping(ctx, v)
+		}
+		if !(d.seedInbox[v] || d.seedPinned[v] || changed) {
+			ctx.Halt(li)
+		}
+	}
+}
+
+// recomputeRows regenerates layer k's state (layer = Layers[k-1]) for worker
+// w's batch rows with the full pass's gather and apply: each row pulls its
+// whole inbox from the resident message slab through the GatherIndex, whose
+// per-destination order is the engine's delivery order; aggregateInto folds
+// the batch's CSR and one apply_node runs over its state rows. A row whose
+// bits changed is written back, marked dirtyStep = k and, when Layers[k]
+// emits, re-emitted with the other changed rows in one call.
+//
+// Every step is row-independent — the segment kernels, apply_edge,
+// apply_node and Emit compute a row's bits the same whichever rows share the
+// call — so each row equals the full pass's row bit for bit. Comparison is
+// bitwise, the exact notion the from-scratch equivalence is stated in:
+// value-equal rows with different bits (-0 vs +0) count as changed and
+// propagate.
+func (d *deltaDriver) recomputeRows(w, k int) {
+	b := &d.batches[w]
+	if len(b.rows) == 0 {
+		return
+	}
+	layer := d.model.Layers[k-1]
+	pool := d.pools[w]
+	prev := d.msgs[k-1]
+	edgeDep := !layer.BroadcastSafe()
+
+	b.srcs, b.eids = b.srcs[:0], b.eids[:0]
+	b.off = append(b.off[:0], 0)
+	for _, v := range b.rows {
+		srcs, eids := d.gi.InEdges(v)
+		b.srcs = append(b.srcs, srcs...)
+		if edgeDep {
+			b.eids = append(b.eids, eids...)
+		}
+		b.off = append(b.off, int32(len(b.srcs)))
+	}
+	ne := len(b.srcs)
+	b.pays = b.pays[:0]
+	for len(b.counts) < ne {
+		b.counts = append(b.counts, 1)
+	}
+	var edgeMsgs, applied *tensor.Matrix
+	if edgeDep && ne > 0 {
+		// Edge-dependent messages: re-run apply_edge over every in-edge of
+		// the batch in one call, the op each sender's scatter ran per
+		// out-edge in the full pass.
+		edgeMsgs = pooledRows(pool, prev, b.srcs)
+		var ef *tensor.Matrix
+		if d.g.EdgeFeatures != nil {
+			ef = pooledRows(pool, d.g.EdgeFeatures, b.eids)
+		}
+		applied = gas.ApplyEdgePooled(layer, edgeMsgs, ef, pool)
+		pool.Put(ef)
+		for i := 0; i < ne; i++ {
+			b.pays = append(b.pays, applied.Row(i))
+		}
+	} else {
+		for _, u := range b.srcs {
+			b.pays = append(b.pays, prev.Row(int(u)))
+		}
+	}
+
+	aggr := aggregateInto(&b.aggr, layer, b.off, b.pays, b.counts[:ne], len(b.rows), pool)
+	if keepsEmit(layer) {
+		aggr.Self = pooledRows(pool, prev, b.rows)
+	}
+	state := pooledRows(pool, d.layers[k-1], b.rows)
+	out := gas.ApplyNodePooled(layer, state, aggr, pool)
+	releaseAggregated(pool, aggr)
+	pool.Put(aggr.Self)
+	pool.Put(state)
+	if applied != edgeMsgs {
+		pool.Put(applied)
+	}
+	pool.Put(edgeMsgs)
+
+	// Write back the changed rows, compacting them and their vertex ids to
+	// the front of out and b.rows for the emit.
+	nc := 0
+	for i, v := range b.rows {
+		row := d.layers[k].Row(int(v))
+		if sameBits(row, out.Row(i)) {
+			continue
+		}
+		copy(row, out.Row(i))
+		d.dirtyStep[v] = int32(k)
+		if nc != i {
+			copy(out.Row(nc), out.Row(i))
+			b.rows[nc] = v
+		}
+		nc++
+	}
+	if nc > 0 && k < d.model.NumLayers() && d.emits[k] {
+		h := &tensor.Matrix{Rows: nc, Cols: out.Cols, Data: out.Data[:nc*out.Cols]}
+		emitRows(emitterOf(d.model.Layers[k]), d.g, d.msgs[k], h, b.rows[:nc], pool)
+	}
+	pool.Put(out)
 }
 
 // deltaSnap is the checkpointed form of the delta pass's program-owned state:

@@ -108,7 +108,8 @@ func goldenGraph() *graph.Graph {
 
 // assertGolden checks ReferenceForward's logits CRC against want on amd64
 // and every plane's logits against ReferenceForward, plus the planes in
-// extra (PartialGather where its folds are exact).
+// extra (PartialGather where its folds are exact) and a Session's delta
+// refresh (see assertSessionGolden).
 func assertGolden(t *testing.T, m *gas.Model, want uint32, extra ...Options) {
 	t.Helper()
 	g := goldenGraph()
@@ -137,6 +138,51 @@ func assertGolden(t *testing.T, m *gas.Model, want uint32, extra ...Options) {
 		if got := logitsCRC(res.Logits); got != ref {
 			t.Errorf("%s: logits CRC %#08x, ReferenceForward %#08x", tc.name, got, ref)
 		}
+	}
+	assertSessionGolden(t, m, g, ref)
+}
+
+// assertSessionGolden is every golden's delta leg: a Session primed on g
+// with a few feature rows perturbed — the top out-degree hub among them —
+// gets them written back and must refresh through the delta pass to
+// ReferenceForward's logits CRC ref.
+func assertSessionGolden(t *testing.T, m *gas.Model, g *graph.Graph, ref uint32) {
+	t.Helper()
+	hub := int32(0)
+	for v := int32(1); v < int32(g.NumNodes); v++ {
+		if g.OutDegree(v) > g.OutDegree(hub) {
+			hub = v
+		}
+	}
+	var perturb, restore graph.Delta
+	for _, v := range []int32{hub, 17, 301, int32(g.NumNodes - 1)} {
+		orig := slices.Clone(g.Features.Row(int(v)))
+		moved := make([]float32, len(orig))
+		for j, x := range orig {
+			moved[j] = 0.5 - x
+		}
+		perturb.Features = append(perturb.Features, graph.FeatureUpdate{Node: v, Features: moved})
+		restore.Features = append(restore.Features, graph.FeatureUpdate{Node: v, Features: orig})
+	}
+	sess, err := NewSession(m, g, Options{NumWorkers: 4, DeltaCutover: 1.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Mutate(perturb); err != nil {
+		t.Fatal(err)
+	}
+	if _, kind, err := sess.Refresh(); err != nil || kind != RefreshFull {
+		t.Fatalf("session prime: kind=%v err=%v", kind, err)
+	}
+	if _, err := sess.Mutate(restore); err != nil {
+		t.Fatal(err)
+	}
+	res, kind, err := sess.Refresh()
+	if err != nil || kind != RefreshDelta {
+		t.Fatalf("session restore: kind=%v err=%v", kind, err)
+	}
+	if got := logitsCRC(res.Logits); got != ref {
+		t.Errorf("session delta: logits CRC %#08x, ReferenceForward %#08x", got, ref)
 	}
 }
 

@@ -209,73 +209,64 @@ func (o Options) partition(g *graph.Graph) graph.Partitioner {
 	return s.Partition(g, o.NumWorkers)
 }
 
-// vectorizeAggregateInto reduces n resolved payload vectors into a single
-// destination's aggregate a per the layer's reduce annotation — the
-// one-destination gather of the MapReduce driver's aggregate and the
-// Session's delta recompute. payload(i) returns the i-th incoming message (always exactly
-// dim long by construction: scatter builds payloads at the layer's message
-// width and the combiners preserve length) and its folded contribution
-// count. a is caller-owned, so per-vertex hot loops reuse one scratch
-// Aggregated (and its backing arrays) per worker; it must not be reused
-// until apply_node has consumed it. Buffers come from pool; callers release
-// them with releaseAggregated.
-func vectorizeAggregateInto(a *gas.Aggregated, kind gas.ReduceKind, dim, n int, payload func(i int) ([]float32, int32), pool *tensor.Pool) *gas.Aggregated {
-	a.Kind = kind
-	a.Pooled, a.Self = nil, nil
-	a.Counts, a.Msgs, a.Dst = a.Counts[:0], a.Msgs[:0], a.Dst[:0]
-	switch kind {
+// aggregateInto is the aggregate half of gather for every pass — the full
+// and induced Pregel passes, the Session's delta pass and the MapReduce
+// reducer (one row) all reduce through it. Row r's messages are the payload
+// views pays[off[r]:off[r+1]] in delivery order, counts their folded
+// contribution counts; the nRows-row aggregate lands in a per layer's reduce
+// annotation. Sum, mean and extreme reduces fold each row's views through
+// the segment kernels in view order from a zero start (an empty row
+// aggregates to zeros), so a row's bits do not depend on which rows share
+// the call. Union keeps the views themselves, with destinations in row
+// indices. a is caller-owned scratch, reused per worker; it must not be
+// reused until apply_node has consumed it. Buffers come from pool; callers
+// release them with releaseAggregated.
+func aggregateInto(a *gas.Aggregated, layer gas.Conv, off []int32, pays [][]float32, counts []int32, nRows int, pool *tensor.Pool) *gas.Aggregated {
+	n := len(pays)
+	a.Kind = layer.Reduce()
+	a.Pooled, a.Msgs, a.Self = nil, nil, nil
+	a.Counts, a.Dst = a.Counts[:0], a.Dst[:0]
+	switch kind := layer.Reduce(); kind {
 	case gas.ReduceUnion:
-		// The payload views themselves; nothing is copied.
-		for i := 0; i < n; i++ {
-			p, _ := payload(i)
-			a.Msgs = append(a.Msgs, p)
-		}
-		// All rows aggregate into local row 0.
 		if cap(a.Dst) < n {
 			a.Dst = make([]int32, n)
 		} else {
 			a.Dst = a.Dst[:n]
-			for i := range a.Dst {
-				a.Dst[i] = 0
+		}
+		for r := 0; r < nRows; r++ {
+			for i := off[r]; i < off[r+1]; i++ {
+				a.Dst[i] = int32(r)
 			}
 		}
+		a.Msgs = pays
 	case gas.ReduceSum, gas.ReduceMean:
-		pooled := pool.Get(1, dim)
-		sum := pooled.Row(0)
-		var count int32
-		for i := 0; i < n; i++ {
-			p, c := payload(i)
-			for j, v := range p {
-				sum[j] += v
-			}
-			count += c
+		pooled := pool.GetNoZero(nRows, layer.InDim())
+		tensor.SegmentSumViewsInto(pooled, off, pays)
+		if cap(a.Counts) < nRows {
+			a.Counts = make([]int32, nRows)
+		} else {
+			a.Counts = a.Counts[:nRows]
 		}
-		if kind == gas.ReduceMean && count > 0 {
-			inv := 1 / float32(count)
-			for j := range sum {
-				sum[j] *= inv
+		for r := 0; r < nRows; r++ {
+			var c int32
+			for i := off[r]; i < off[r+1]; i++ {
+				c += counts[i]
+			}
+			a.Counts[r] = c
+			if kind == gas.ReduceMean && c > 0 {
+				// Same op order as the reference fold: multiply by the
+				// reciprocal, never divide.
+				inv := 1 / float32(c)
+				row := pooled.Row(r)
+				for j := range row {
+					row[j] *= inv
+				}
 			}
 		}
 		a.Pooled = pooled
-		a.Counts = append(a.Counts, count)
 	case gas.ReduceMax, gas.ReduceMin:
-		pooled := pool.Get(1, dim)
-		acc := pooled.Row(0)
-		for i := 0; i < n; i++ {
-			p, _ := payload(i)
-			if i == 0 {
-				copy(acc, p)
-				continue
-			}
-			for j, v := range p {
-				if kind == gas.ReduceMax && v > acc[j] {
-					acc[j] = v
-				}
-				if kind == gas.ReduceMin && v < acc[j] {
-					acc[j] = v
-				}
-			}
-		}
+		pooled := pool.GetNoZero(nRows, layer.InDim())
+		tensor.SegmentExtremeViewsInto(pooled, off, pays, kind == gas.ReduceMax)
 		a.Pooled = pooled
 	}
 	return a
@@ -362,11 +353,26 @@ func rowMat(m *tensor.Matrix, row []float32) *tensor.Matrix {
 	return m
 }
 
-// emitRow writes em's wire message of one node — state h, out-degree
-// outDeg[0] — into msg through the serial 1-row kernel, wrapping both rows
-// in the caller's reusable headers mm and hm.
-func emitRow(em gas.Emitter, mm, hm *tensor.Matrix, msg, h []float32, outDeg []int32, p *tensor.Pool) {
-	em.Emit(rowMat(mm, msg), rowMat(hm, h), outDeg, p)
+// emitRows writes em's wire messages of vertices vs — states the rows of h,
+// out-degrees read from g — into their rows of the message slab msgs, in one
+// Emit call. Emit is row-independent, so each row gets the bits a one-row
+// call would write.
+func emitRows(em gas.Emitter, g *graph.Graph, msgs, h *tensor.Matrix, vs []int32, p *tensor.Pool) {
+	degs := make([]int32, len(vs))
+	for i, v := range vs {
+		degs[i] = int32(g.OutDegree(v))
+	}
+	e := p.GetNoZero(len(vs), em.MsgDim())
+	em.Emit(e, h, degs, p)
+	for i, v := range vs {
+		copy(msgs.Row(int(v)), e.Row(i))
+	}
+	p.Put(e)
+}
+
+// pooledRows copies m's rows idx, in order, into a matrix drawn from p.
+func pooledRows(p *tensor.Pool, m *tensor.Matrix, idx []int32) *tensor.Matrix {
+	return tensor.GatherRowsInto(p.GetNoZero(len(idx), m.Cols), m, idx)
 }
 
 // Stats aggregates run-wide counters for the experiment harness.

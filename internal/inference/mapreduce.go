@@ -97,7 +97,7 @@ func (d *mrDriver) wireMsg(h []float32, k int, outDeg int32, p *tensor.Pool) []f
 		return h
 	}
 	msg := make([]float32, em.MsgDim())
-	emitRow(em, new(tensor.Matrix), new(tensor.Matrix), msg, h, []int32{outDeg}, p)
+	em.Emit(tensor.FromSlice(1, len(msg), msg), tensor.FromSlice(1, len(h), h), []int32{outDeg}, p)
 	return msg
 }
 
@@ -112,8 +112,9 @@ func (d *mrDriver) selfRecord(h, msg []float32, k int) mrVal {
 	return rec
 }
 
-// aggregate vectorizes a node's incoming messages into the layer's
-// aggregate, returning it with the message count.
+// aggregate folds a node's incoming messages into the layer's aggregate —
+// one row, through the same aggregateInto every Pregel pass uses — and
+// returns it with the message count.
 func (d *mrDriver) aggregate(task int, layer gas.Conv, values []mrVal) (*gas.Aggregated, int) {
 	var payloads [][]float32
 	var counts []int32
@@ -123,10 +124,8 @@ func (d *mrDriver) aggregate(task int, layer gas.Conv, values []mrVal) (*gas.Agg
 			counts = append(counts, v.Count)
 		}
 	}
-	a := vectorizeAggregateInto(&gas.Aggregated{}, layer.Reduce(), layer.InDim(), len(payloads), func(i int) ([]float32, int32) {
-		return payloads[i], counts[i]
-	}, d.pools[task])
-	return a, len(payloads)
+	off := []int32{0, int32(len(payloads))}
+	return aggregateInto(&gas.Aggregated{}, layer, off, payloads, counts, 1, d.pools[task]), len(payloads)
 }
 
 // RunMapReduce executes full-graph inference of model over g on the

@@ -226,7 +226,7 @@ func (d *pregelDriver) vertexMsg(w int, v int32, h []float32, k int) []float32 {
 		d.msgRows[w] = make([]float32, em.MsgDim())
 	}
 	msg := d.msgRows[w][:em.MsgDim()]
-	emitRow(em, &d.auxMats[w], &d.stateMats[w], msg, h, d.sg.OrigOutDeg[v:v+1], d.pools[w])
+	em.Emit(rowMat(&d.auxMats[w], msg), rowMat(&d.stateMats[w], h), d.sg.OrigOutDeg[v:v+1], d.pools[w])
 	return msg
 }
 
@@ -378,17 +378,13 @@ func runPregel(model *gas.Model, g *graph.Graph, opts Options, ind *graph.Induce
 			}
 		}
 	}
-	res.Stats.Recoveries = eng.Recoveries()
-	cs := eng.CheckpointStats()
-	res.Stats.Checkpoints = cs.Checkpoints
-	res.Stats.CheckpointWallNs = cs.SnapshotNs
 	return res, nil
 }
 
 // pregelStats converts engine metrics into run stats and cluster phases.
 func pregelStats(eng *pregel.Engine, driver *pregelDriver, model *gas.Model, sg *ShadowGraph, opts Options) (Stats, []cluster.Phase) {
 	resident := residentBytes(sg.G, driver.part, model, opts.NumWorkers)
-	st, phases := statsFromMetrics(eng.Metrics(), eng.Supersteps(), model, resident, opts.NumWorkers)
+	st, phases := statsFromMetrics(eng, model, resident, opts.NumWorkers)
 	st.ShadowMirrors = int64(sg.Mirrors)
 	for _, n := range driver.bcHubs {
 		st.BroadcastHubs += n
@@ -412,20 +408,23 @@ func residentBytes(g *graph.Graph, part graph.Partitioner, model *gas.Model, num
 	return resident
 }
 
-// statsFromMetrics converts engine step metrics into run stats and cluster
-// phases — shared by the one-shot drivers and the incremental Session's
-// delta passes (whose engine is instantiated over different type parameters,
-// hence the plain-metrics signature).
-func statsFromMetrics(metrics [][]pregel.StepMetrics, supersteps int, model *gas.Model, resident []int64, numWorkers int) (Stats, []cluster.Phase) {
+// statsFromMetrics converts a finished engine's step metrics, recoveries
+// and checkpoint counters into run stats and cluster phases — shared by the
+// one-shot drivers and the incremental Session's delta passes.
+func statsFromMetrics(eng *pregel.Engine, model *gas.Model, resident []int64, numWorkers int) (Stats, []cluster.Phase) {
+	cs := eng.CheckpointStats()
 	st := Stats{
-		Supersteps:      supersteps,
-		WorkerBytesIn:   make([]int64, numWorkers),
-		WorkerBytesOut:  make([]int64, numWorkers),
-		WorkerFlops:     make([]int64, numWorkers),
-		WorkerInRecords: make([]int64, numWorkers),
+		Supersteps:       eng.Supersteps(),
+		Recoveries:       eng.Recoveries(),
+		Checkpoints:      cs.Checkpoints,
+		CheckpointWallNs: cs.SnapshotNs,
+		WorkerBytesIn:    make([]int64, numWorkers),
+		WorkerBytesOut:   make([]int64, numWorkers),
+		WorkerFlops:      make([]int64, numWorkers),
+		WorkerInRecords:  make([]int64, numWorkers),
 	}
 	var phases []cluster.Phase
-	for _, step := range metrics {
+	for _, step := range eng.Metrics() {
 		s := step[0].Superstep // robust under checkpoint replays
 		for len(st.StepActive) <= s {
 			st.StepActive = append(st.StepActive, 0)

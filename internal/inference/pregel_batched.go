@@ -118,10 +118,10 @@ func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext) {
 
 // gatherBatch is gather_nbrs + aggregate for the whole partition in one
 // shot: resolve every inbox message to a payload view (broadcast references
-// through the worker's dense index), then segment-reduce the CSR directly
-// into an N_local x D aggregate. No payload is copied for pooled reduces —
-// the kernels read the payload views in place, in delivery order. On a
-// pruned pass the aggregate covers the live slab rows only (see
+// through the worker's dense index), then aggregate the CSR directly into an
+// N_local x D aggregate (see aggregateInto). No payload is copied for pooled
+// reduces — the kernels read the payload views in place, in delivery order.
+// On a pruned pass the aggregate covers the live slab rows only (see
 // liveRows.compact). It also returns how many messages the aggregate folds.
 func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext, layer gas.Conv, off []int32, in pregel.Batch) (*gas.Aggregated, int) {
 	w := ctx.WorkerID()
@@ -176,58 +176,7 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext, layer gas.Conv, off
 		off, pays, counts, nLocal = d.live[w].compact(ctx.Superstep, off, pays, counts)
 		n = len(pays)
 	}
-	dim := layer.InDim()
-	a := &d.aggrs[w]
-	a.Kind = layer.Reduce()
-	a.Pooled, a.Msgs, a.Self = nil, nil, nil
-	a.Counts, a.Dst = a.Counts[:0], a.Dst[:0]
-	switch kind := layer.Reduce(); kind {
-	case gas.ReduceUnion:
-		// Union (GAT): the partition's payload views — emitted rows, read in
-		// place — with destinations in local indices, the partition-local
-		// form of the reference forward's edge-message data.
-		if cap(a.Dst) < n {
-			a.Dst = make([]int32, n)
-		} else {
-			a.Dst = a.Dst[:n]
-		}
-		for li := 0; li < nLocal; li++ {
-			for i := off[li]; i < off[li+1]; i++ {
-				a.Dst[i] = int32(li)
-			}
-		}
-		a.Msgs = pays
-	case gas.ReduceSum, gas.ReduceMean:
-		pooled := pool.GetNoZero(nLocal, dim)
-		tensor.SegmentSumViewsInto(pooled, off, pays)
-		if cap(a.Counts) < nLocal {
-			a.Counts = make([]int32, nLocal)
-		} else {
-			a.Counts = a.Counts[:nLocal]
-		}
-		for li := 0; li < nLocal; li++ {
-			var c int32
-			for i := off[li]; i < off[li+1]; i++ {
-				c += counts[i]
-			}
-			a.Counts[li] = c
-			if kind == gas.ReduceMean && c > 0 {
-				// Same op order as the reference fold: multiply by the
-				// reciprocal, never divide.
-				inv := 1 / float32(c)
-				row := pooled.Row(li)
-				for j := range row {
-					row[j] *= inv
-				}
-			}
-		}
-		a.Pooled = pooled
-	case gas.ReduceMax, gas.ReduceMin:
-		pooled := pool.GetNoZero(nLocal, dim)
-		tensor.SegmentExtremeViewsInto(pooled, off, pays, kind == gas.ReduceMax)
-		a.Pooled = pooled
-	}
-	return a, n
+	return aggregateInto(&d.aggrs[w], layer, off, pays, counts, nLocal, pool), n
 }
 
 // scatterBatch walks the partition's slab rows in owned-vertex order through

@@ -58,6 +58,7 @@ type Session struct {
 	emits     []bool // Layers[k] owns a wire-message slab msgs[k]
 	anyDegree bool   // some layer's wire message depends on out-degree
 	dirtyStep []int32
+	pools     []*tensor.Pool // per-worker delta-pass scratch, kept across passes
 
 	pendState  []bool
 	pendInbox  []bool
@@ -99,7 +100,10 @@ func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error
 			return nil, fmt.Errorf("inference: incremental Session does not support %s", name)
 		}
 	}
-	s := &Session{model: model, opts: opts, ed: graph.NewEditor(g)}
+	s := &Session{model: model, opts: opts, ed: graph.NewEditor(g), pools: make([]*tensor.Pool, opts.NumWorkers)}
+	for w := range s.pools {
+		s.pools[w] = tensor.NewPool()
+	}
 	s.emits = make([]bool, model.NumLayers())
 	for k, l := range model.Layers {
 		s.emits[k] = emitterOf(l) != nil
@@ -243,8 +247,14 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	o := s.opts
 	defer applyTuning(o)()
 	part := o.partition(g)
-	driver := newDeltaDriver(s.model, g, s.gi, s.layers, s.msgs, s.emits,
-		s.pendState, s.pendInbox, s.pendPinned, s.dirtyStep, o.NumWorkers)
+	driver := &deltaDriver{
+		model: s.model, g: g, gi: s.gi,
+		layers: s.layers, msgs: s.msgs, emits: s.emits,
+		seedState: s.pendState, seedInbox: s.pendInbox, seedPinned: s.pendPinned,
+		dirtyStep: s.dirtyStep,
+		batches:   make([]deltaBatch, o.NumWorkers),
+		pools:     s.pools,
+	}
 	cfg := pregel.Config{
 		NumWorkers:      o.NumWorkers,
 		Partitioner:     part,
@@ -264,12 +274,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	}
 
 	res := s.residentResult()
-	res.Stats, res.Phases = statsFromMetrics(eng.Metrics(), eng.Supersteps(), s.model,
-		residentBytes(g, part, s.model, o.NumWorkers), o.NumWorkers)
-	res.Stats.Recoveries = eng.Recoveries()
-	cs := eng.CheckpointStats()
-	res.Stats.Checkpoints = cs.Checkpoints
-	res.Stats.CheckpointWallNs = cs.SnapshotNs
+	res.Stats, res.Phases = statsFromMetrics(eng, s.model, residentBytes(g, part, s.model, o.NumWorkers), o.NumWorkers)
 	if s.dur != nil {
 		s.persistResident(g, s.dirtyRows(g.NumNodes, added), false)
 	}
@@ -278,7 +283,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 }
 
 // repairMessages rewrites the resident wire messages whose inputs the pending
-// mutations changed outside a pass: h^0 rewrites (an emitting layer 0 reads
+// mutations changed outside a pass, one emit per emitting layer: h^0 rewrites (an emitting layer 0 reads
 // the new feature row), out-degree changes (every degree-scaled layer's row
 // of that vertex scales by the new degree) and vertices added since the
 // last pass (ids >= added), whose zero state rows emit a message that need
@@ -289,18 +294,25 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 // refresh against the materialized graph writes the same bits as repairing
 // after every batch would have.
 func (s *Session) repairMessages(g *graph.Graph, added int) {
-	var mm, hm tensor.Matrix
-	p := tensor.NewPool()
-	emit := func(k, v int) {
-		deg := []int32{int32(g.OutDegree(int32(v)))}
-		emitRow(emitterOf(s.model.Layers[k]), &mm, &hm, s.msgs[k].Row(v), s.layers[k].Row(v), deg, p)
-	}
-	for v := range s.pendState {
-		for k, e := range s.emits {
-			if e && (v >= added || (k == 0 && s.pendState[v]) || (s.pendPinned[v] && degreeScaled(s.model.Layers[k]))) {
-				emit(k, v)
+	p := s.pools[0] // the engine has not started: worker 0's pool is idle
+	var vs []int32
+	for k, e := range s.emits {
+		if !e {
+			continue
+		}
+		pins := degreeScaled(s.model.Layers[k])
+		vs = vs[:0]
+		for v := range s.pendState {
+			if v >= added || (k == 0 && s.pendState[v]) || (pins && s.pendPinned[v]) {
+				vs = append(vs, int32(v))
 			}
 		}
+		if len(vs) == 0 {
+			continue
+		}
+		h := pooledRows(p, s.layers[k], vs)
+		emitRows(emitterOf(s.model.Layers[k]), g, s.msgs[k], h, vs, p)
+		p.Put(h)
 	}
 }
 

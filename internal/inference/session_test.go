@@ -75,14 +75,18 @@ func sessionTestGraph(seed int64, edgeFeatures bool) *graph.Graph {
 // TestSessionDeltaMatchesScratch is the property test of the incremental
 // mode: random mutation batches followed by delta refreshes stay bit-
 // identical to a from-scratch full pass on the mutated graph, across models
-// (degree-scaled GCN, GIN, SAGE with edge-dependent messages, GAT's emitted
-// rows), serial and parallel, and worker counts.
+// (degree-scaled GCN, GIN, SAGE with edge-dependent messages under mean and
+// max reduces, GAT's emitted rows), serial and parallel, and worker counts.
 func TestSessionDeltaMatchesScratch(t *testing.T) {
 	models := map[string]*gas.Model{
 		"gcn":     gas.NewGCNModel("s-gcn", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(21)),
 		"gin":     gas.NewGINModel("s-gin", gas.TaskSingleLabel, 6, 9, 3, 2, tensor.NewRNG(22)),
 		"sage-ef": gas.NewSAGEModel("s-sage", gas.TaskSingleLabel, 6, 9, 3, 2, 4, tensor.NewRNG(23)),
 		"gat":     gas.NewGATModel("s-gat", gas.TaskSingleLabel, 6, 4, 2, 3, 2, tensor.NewRNG(24)),
+		"sage-max": {Name: "s-sage-max", Task: gas.TaskSingleLabel, NumClasses: 3, Layers: []gas.Conv{
+			gas.NewSAGEConv(gas.SAGEConfig{InDim: 6, OutDim: 9, EdgeDim: 4, Reduce: gas.ReduceMax, Activation: gas.ActReLU}, tensor.NewRNG(25)),
+			gas.NewSAGEConv(gas.SAGEConfig{InDim: 9, OutDim: 3, EdgeDim: 4, Reduce: gas.ReduceMax, Activation: gas.ActNone}, tensor.NewRNG(26)),
+		}},
 	}
 	planes := []Options{
 		{NumWorkers: 1},
