@@ -57,12 +57,13 @@ type deltaDriver struct {
 	// Per-worker scratch, same discipline as pregelDriver: each worker
 	// touches only its own slot.
 	batches []deltaBatch
-	pools   []*tensor.Pool
 }
 
-// deltaBatch is one worker's reusable frontier scratch for a superstep: the
-// rows it recomputes and their inbox CSR over the resident message slab.
+// deltaBatch is one worker's frontier scratch, kept by the Session across
+// passes: its buffer pool, and the rows it recomputes in a superstep with
+// their inbox CSR over the resident message slab.
 type deltaBatch struct {
+	pool   *tensor.Pool
 	rows   []int32     // vertices to recompute, in owned order
 	srcs   []int32     // in-edge sources, row by row in delivery order
 	eids   []int32     // their edge ids (edge-dependent layers only)
@@ -172,7 +173,7 @@ func (d *deltaDriver) recomputeRows(w, k int) {
 		return
 	}
 	layer := d.model.Layers[k-1]
-	pool := d.pools[w]
+	pool := b.pool
 	prev := d.msgs[k-1]
 	edgeDep := !layer.BroadcastSafe()
 
@@ -225,6 +226,7 @@ func (d *deltaDriver) recomputeRows(w, k int) {
 		pool.Put(applied)
 	}
 	pool.Put(edgeMsgs)
+	clear(b.pays) // keeps no slab a later growSlabs replaces alive
 
 	// Write back the changed rows, compacting them and their vertex ids to
 	// the front of out and b.rows for the emit.

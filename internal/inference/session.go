@@ -58,7 +58,7 @@ type Session struct {
 	emits     []bool // Layers[k] owns a wire-message slab msgs[k]
 	anyDegree bool   // some layer's wire message depends on out-degree
 	dirtyStep []int32
-	pools     []*tensor.Pool // per-worker delta-pass scratch, kept across passes
+	batches   []deltaBatch // per-worker delta-pass scratch
 
 	pendState  []bool
 	pendInbox  []bool
@@ -100,9 +100,9 @@ func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error
 			return nil, fmt.Errorf("inference: incremental Session does not support %s", name)
 		}
 	}
-	s := &Session{model: model, opts: opts, ed: graph.NewEditor(g), pools: make([]*tensor.Pool, opts.NumWorkers)}
-	for w := range s.pools {
-		s.pools[w] = tensor.NewPool()
+	s := &Session{model: model, opts: opts, ed: graph.NewEditor(g), batches: make([]deltaBatch, opts.NumWorkers)}
+	for w := range s.batches {
+		s.batches[w].pool = tensor.NewPool()
 	}
 	s.emits = make([]bool, model.NumLayers())
 	for k, l := range model.Layers {
@@ -251,9 +251,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 		model: s.model, g: g, gi: s.gi,
 		layers: s.layers, msgs: s.msgs, emits: s.emits,
 		seedState: s.pendState, seedInbox: s.pendInbox, seedPinned: s.pendPinned,
-		dirtyStep: s.dirtyStep,
-		batches:   make([]deltaBatch, o.NumWorkers),
-		pools:     s.pools,
+		dirtyStep: s.dirtyStep, batches: s.batches,
 	}
 	cfg := pregel.Config{
 		NumWorkers:      o.NumWorkers,
@@ -282,19 +280,19 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	return res, nil
 }
 
-// repairMessages rewrites the resident wire messages whose inputs the pending
-// mutations changed outside a pass, one emit per emitting layer: h^0 rewrites (an emitting layer 0 reads
-// the new feature row), out-degree changes (every degree-scaled layer's row
-// of that vertex scales by the new degree) and vertices added since the
-// last pass (ids >= added), whose zero state rows emit a message that need
-// not be zero (GAT's carries the projection bias) and that a recompute
-// leaving the row zero would never rewrite. Non-emitting layers' slabs
-// alias the state slabs and need nothing. A row depends only on the
-// vertex's current state and current out-degree, so repairing once per
-// refresh against the materialized graph writes the same bits as repairing
-// after every batch would have.
+// repairMessages rewrites, in one emit per emitting layer, the resident wire
+// messages whose inputs the pending mutations changed outside a pass: h^0
+// rewrites (an emitting layer 0 reads the new feature row), out-degree
+// changes (every degree-scaled layer's row of that vertex scales by the new
+// degree) and vertices added since the last pass (ids >= added), whose zero
+// state rows emit a message that need not be zero (GAT's carries the
+// projection bias) and that a recompute leaving the row zero would never
+// rewrite. Non-emitting layers' slabs alias the state slabs and need
+// nothing. A row depends only on the vertex's current state and current
+// out-degree, so repairing once per refresh against the materialized graph
+// writes the same bits as repairing after every batch would have.
 func (s *Session) repairMessages(g *graph.Graph, added int) {
-	p := s.pools[0] // the engine has not started: worker 0's pool is idle
+	p := s.batches[0].pool // the engine has not started: worker 0's pool is idle
 	var vs []int32
 	for k, e := range s.emits {
 		if !e {
