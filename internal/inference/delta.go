@@ -55,15 +55,16 @@ type deltaDriver struct {
 	dirtyStep  []int32
 
 	// Per-worker scratch, same discipline as pregelDriver: each worker
-	// touches only its own slot.
+	// touches only its own slot. The pools live for one pass, so the
+	// batch-sized buffers of a large pass are not kept between refreshes.
 	batches []deltaBatch
+	pools   []*tensor.Pool
 }
 
 // deltaBatch is one worker's frontier scratch, kept by the Session across
-// passes: its buffer pool, and the rows it recomputes in a superstep with
-// their inbox CSR over the resident message slab.
+// passes: the rows it recomputes in a superstep and their inbox CSR over
+// the resident message slab.
 type deltaBatch struct {
-	pool   *tensor.Pool
 	rows   []int32     // vertices to recompute, in owned order
 	srcs   []int32     // in-edge sources, row by row in delivery order
 	eids   []int32     // their edge ids (edge-dependent layers only)
@@ -173,7 +174,7 @@ func (d *deltaDriver) recomputeRows(w, k int) {
 		return
 	}
 	layer := d.model.Layers[k-1]
-	pool := b.pool
+	pool := d.pools[w]
 	prev := d.msgs[k-1]
 	edgeDep := !layer.BroadcastSafe()
 

@@ -101,9 +101,6 @@ func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error
 		}
 	}
 	s := &Session{model: model, opts: opts, ed: graph.NewEditor(g), batches: make([]deltaBatch, opts.NumWorkers)}
-	for w := range s.batches {
-		s.batches[w].pool = tensor.NewPool()
-	}
 	s.emits = make([]bool, model.NumLayers())
 	for k, l := range model.Layers {
 		s.emits[k] = emitterOf(l) != nil
@@ -234,7 +231,11 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 		s.gi = graph.BuildGatherIndex(g)
 	}
 	added := s.growSlabs(g)
-	s.repairMessages(g, added)
+	pools := make([]*tensor.Pool, s.opts.NumWorkers)
+	for w := range pools {
+		pools[w] = tensor.NewPool()
+	}
+	s.repairMessages(g, added, pools[0]) // the engine has not started: worker 0's pool is idle
 	for i := range s.dirtyStep {
 		s.dirtyStep[i] = -1
 	}
@@ -251,7 +252,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 		model: s.model, g: g, gi: s.gi,
 		layers: s.layers, msgs: s.msgs, emits: s.emits,
 		seedState: s.pendState, seedInbox: s.pendInbox, seedPinned: s.pendPinned,
-		dirtyStep: s.dirtyStep, batches: s.batches,
+		dirtyStep: s.dirtyStep, batches: s.batches, pools: pools,
 	}
 	cfg := pregel.Config{
 		NumWorkers:      o.NumWorkers,
@@ -291,8 +292,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 // nothing. A row depends only on the vertex's current state and current
 // out-degree, so repairing once per refresh against the materialized graph
 // writes the same bits as repairing after every batch would have.
-func (s *Session) repairMessages(g *graph.Graph, added int) {
-	p := s.batches[0].pool // the engine has not started: worker 0's pool is idle
+func (s *Session) repairMessages(g *graph.Graph, added int, p *tensor.Pool) {
 	var vs []int32
 	for k, e := range s.emits {
 		if !e {
