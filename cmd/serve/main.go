@@ -57,10 +57,8 @@ func main() {
 		parallel = flag.Bool("parallel", true, "run refresh workers on goroutines (results identical either way)")
 		part     = flag.String("partitioner", "hash", "vertex placement for refresh passes: hash | degree | ldg | fennel")
 
-		queryWorkers  = flag.Int("query-workers", 2, "partition count for k-hop query batches")
+		queryWorkers  = flag.Int("query-workers", 2, "partition count for what-if and cold-start k-hop queries")
 		queryParallel = flag.Bool("query-parallel", false, "run query workers on goroutines")
-		hops          = flag.Int("hops", 0, "k-hop query depth (0 = the model's layer count)")
-		maxBatch      = flag.Int("max-batch", 16, "max roots coalesced into one query micro-batch")
 		queueDepth    = flag.Int("queue-depth", 64, "admission queue bound; beyond it requests shed with 429")
 		maxLatency    = flag.Duration("max-latency", 250*time.Millisecond, "default per-request deadline (the serving SLO window)")
 		refreshEvery  = flag.Duration("refresh-every", 0, "periodic refresh interval (0 = on demand via POST /v1/refresh)")
@@ -136,9 +134,8 @@ func main() {
 	}
 	cfg := serve.Config{
 		Model: m, Graph: g, Refresh: refresh,
-		Hops:         *hops,
 		QueryWorkers: *queryWorkers, QueryParallel: *queryParallel,
-		MaxBatchSize: *maxBatch, QueueDepth: *queueDepth, MaxLatency: *maxLatency,
+		QueueDepth: *queueDepth, MaxLatency: *maxLatency,
 		RefreshEvery:       *refreshEvery,
 		DisableIncremental: *noIncremental,
 		SessionDir:         *sessionDir,

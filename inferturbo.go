@@ -110,12 +110,13 @@ type (
 // standalone binary and DESIGN.md for the serving architecture).
 type (
 	// Server is a long-lived inference service: a resident full-graph
-	// prediction store refreshed by background passes, plus micro-batched
-	// k-hop queries for what-if overrides and cold-start nodes.
+	// prediction store refreshed by background passes, which answers
+	// plain-root queries, plus k-hop queries for what-if overrides and
+	// cold-start nodes.
 	Server = serve.Server
-	// ServeConfig wires a Server: model, graph, refresh options, the batch
-	// root cap and admission-control knobs. Queries batch naturally — one
-	// executor per core, no batching timer.
+	// ServeConfig wires a Server: model, graph, refresh options and
+	// admission-control knobs. One query executor per core runs each
+	// admitted query alone.
 	ServeConfig = serve.Config
 	// ServeStats is the JSON shape of GET /v1/stats.
 	ServeStats = serve.Stats

@@ -9,32 +9,26 @@ import (
 	"inferturbo/internal/inference"
 )
 
-// job is one admitted query traveling through the batcher. Its result
+// job is one admitted query traveling through an executor. Its result
 // channel is buffered so whichever side finishes a job never blocks, and
-// finish/deliver guarantee exactly one result wins even when the batcher
+// finish/deliver guarantee exactly one result wins even when the executor
 // races a timed-out handler.
 type job struct {
 	ctx context.Context
 	// roots are existing-node ids to answer (validated in-range by the
 	// handler).
 	roots []int32
-	// overrides replaces node features for a what-if query. Forces a
-	// singleton batch: overridden features must not leak into batch mates'
-	// answers.
+	// overrides replaces node features for a what-if query.
 	overrides map[int32][]float32
-	// cold is a cold-start virtual root; also forces a singleton batch.
+	// cold is a cold-start virtual root.
 	cold *graph.VirtualRoot
 	res  chan jobResult
 }
 
-// singleton reports whether the job must execute alone: overrides and
-// virtual roots mutate the induced subgraph, so sharing one with other jobs
-// would contaminate their answers.
-func (j *job) singleton() bool { return len(j.overrides) > 0 || j.cold != nil }
-
-// pureRoots reports whether the store can stand in for this job's answer —
-// only lookups of existing, unmodified nodes have a resident fallback.
-func (j *job) pureRoots() bool { return !j.singleton() }
+// plain reports whether the resident store holds this job's answer: a
+// lookup of existing, unmodified nodes. What-if overrides and virtual roots
+// change what the model sees, so only they compute.
+func (j *job) plain() bool { return len(j.overrides) == 0 && j.cold == nil }
 
 type jobResult struct {
 	status  int
@@ -53,12 +47,16 @@ type Answer struct {
 	// models.
 	MultiLabel []float32 `json:"multi_label,omitempty"`
 	// Stale marks a degraded answer served from the resident store after
-	// the fresh pass missed the request deadline; Epoch says which store.
+	// the query missed its deadline.
 	Stale bool `json:"stale"`
-	// Epoch is the resident-store epoch for store-served answers, 0 for
-	// fresh compute.
+	// Epoch is the resident-store epoch the answer belongs to: the snapshot
+	// a plain root was read from, the one whose graph a what-if or
+	// cold-start query was induced from, or the one a degraded answer fell
+	// back to.
 	Epoch int64 `json:"epoch,omitempty"`
-	// Source is "fresh" or "store".
+	// Source is "fresh" for an answer for the current epoch — a plain root
+	// read from the store or a computed what-if/cold-start row — and
+	// "store" for a degraded fallback (and every /v1/nodes lookup).
 	Source string `json:"source"`
 }
 
@@ -89,20 +87,17 @@ func (s *Server) finish(j *job, r jobResult) {
 	s.counted()
 }
 
-// runBatcher is one batch executor; Start runs s.executors of them on the
-// shared admission queue. An executor sleeps on the queue, and on the first
-// arrival takes — without waiting — whatever else is already queued, up to
-// MaxBatchSize roots, and runs the batch: a lone query dispatches at once,
-// and batches grow only while every executor is busy computing. Singleton
-// jobs (what-if / cold-start) execute alone; one met mid-drain closes the
-// open batch first, then runs by itself.
+// runExecutor is one query executor; Start runs s.executors of them on the
+// shared admission queue. An executor sleeps on the queue and runs one job
+// per dequeue: a plain-root job is a copy out of the resident store, a
+// what-if or cold-start job one k-hop induced-subgraph pass.
 //
 // Admission order across executors is not a contract: jobs are independent
 // (what-if overrides touch only their own induced copy), so two executors
 // may finish queued jobs in either order. Memory is bounded by the executor
 // count: at most s.executors induced subgraphs and query engines are alive
 // at once, each no larger than the graph.
-func (s *Server) runBatcher() {
+func (s *Server) runExecutor() {
 	defer s.wg.Done()
 	for {
 		select {
@@ -117,91 +112,66 @@ func (s *Server) runBatcher() {
 					return
 				}
 			}
-		case first := <-s.queue:
-			if first.singleton() {
-				s.execBatch([]*job{first})
-				continue
-			}
-			batch := []*job{first}
-			size := len(first.roots)
-		collect:
-			for size < s.cfg.MaxBatchSize {
-				select {
-				case j := <-s.queue:
-					if j.singleton() {
-						s.execBatch(batch)
-						batch = []*job{j}
-						break collect
-					}
-					batch = append(batch, j)
-					size += len(j.roots)
-				default:
-					break collect
-				}
-			}
-			s.execBatch(batch)
+		case j := <-s.queue:
+			s.exec(j)
 		}
 	}
 }
 
-// execBatch answers every job in batch: members whose deadline already
-// expired degrade to the store immediately, the rest share one canonical
-// induced subgraph and one compute pass. A panic in the shared pass is
-// isolated by splitting the batch and retrying members individually, so one
-// poisoned query cannot take its batch mates (or the server) down.
-func (s *Server) execBatch(batch []*job) {
-	s.m.batches.Add(1)
-	s.m.batchedJobs.Add(int64(len(batch)))
-
-	live := batch[:0:len(batch)]
-	for _, j := range batch {
-		if j.ctx.Err() != nil {
-			s.degrade(j, "deadline expired while queued")
-			continue
-		}
-		live = append(live, j)
-	}
-	if len(live) == 0 {
+// exec answers one job. A job whose deadline expired while queued degrades
+// at once; otherwise it runs behind a recover fence, so a poisoned query
+// 500s alone and the executor survives.
+func (s *Server) exec(j *job) {
+	s.m.executed.Add(1)
+	if j.ctx.Err() != nil {
+		s.finish(j, s.degradeResult(j, "deadline expired while queued"))
 		return
 	}
+	s.finish(j, s.answer(j))
+}
 
-	ind, rootLocal, err := s.induce(live)
+// answer runs execHook, then reads a plain job's rows out of the store or
+// computes a what-if/cold-start job. A panic in either becomes a 500.
+func (s *Server) answer(j *job) (r jobResult) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.m.panics.Add(1)
+			r = jobResult{status: 500, errMsg: fmt.Sprintf("query panicked: %v", p), metric: metricError}
+		}
+	}()
+	if s.execHook != nil {
+		s.execHook(j)
+	}
+	if j.plain() {
+		return s.storeResult(j, false, "")
+	}
+	return s.compute(j)
+}
+
+// compute answers a what-if or cold-start job with one k-hop pass over the
+// current snapshot's graph at the model's depth. The request deadline flows
+// into the engine, which polls Cancel each superstep and aborts once it
+// has passed.
+func (s *Server) compute(j *job) jobResult {
+	snap := s.snap.Load() // executors start after the first refresh publishes one
+	ind, err := s.induce(snap.Graph, j)
 	if err != nil {
 		// Induce validates request-derived data; its errors are the
 		// caller's (bad neighbor ids, wrong dims).
-		for _, j := range live {
-			s.finish(j, jobResult{status: 400, errMsg: err.Error(), metric: metricError})
-		}
-		return
+		return jobResult{status: 400, errMsg: err.Error(), metric: metricError}
 	}
-
-	res, err, panicked := s.compute(live, ind)
-	if panicked {
-		s.m.panics.Add(1)
-		if len(live) > 1 {
-			for _, j := range live {
-				s.execBatch([]*job{j})
-			}
-			return
-		}
-		s.finish(live[0], jobResult{status: 500, errMsg: "query compute panicked: " + err.Error(), metric: metricError})
-		return
-	}
+	res, err := inference.RunInduced(s.cfg.Model, ind, inference.Options{
+		NumWorkers: s.cfg.QueryWorkers,
+		Parallel:   s.cfg.QueryParallel,
+		Cancel:     j.ctx.Err,
+	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Every live member's deadline expired mid-pass and the engine
-			// aborted at a superstep boundary: degrade them all.
 			s.m.cancelAborts.Add(1)
 			s.counted()
-			for _, j := range live {
-				s.degrade(j, "deadline exceeded during compute")
-			}
-			return
+			return s.degradeResult(j, "deadline exceeded during compute")
 		}
-		for _, j := range live {
-			s.finish(j, jobResult{status: 500, errMsg: err.Error(), metric: metricError})
-		}
-		return
+		return jobResult{status: 500, errMsg: err.Error(), metric: metricError}
 	}
 	var applied int64
 	for _, n := range res.Stats.StepActive[1:] { // superstep 0 applies no layer
@@ -209,75 +179,55 @@ func (s *Server) execBatch(batch []*job) {
 	}
 	s.m.inducedRows.Add(int64(ind.G.NumNodes * s.cfg.Model.NumLayers()))
 	s.m.appliedRows.Add(applied)
-
-	for _, j := range live {
-		if j.ctx.Err() != nil {
-			// The pass finished, but too late for this member.
-			s.degrade(j, "deadline exceeded during compute")
-			continue
-		}
-		answers := make([]Answer, 0, len(j.roots)+1)
-		for _, r := range j.roots {
-			answers = append(answers, s.freshAnswer(res, rootLocal[r], r))
-		}
-		if j.cold != nil {
-			answers = append(answers, s.freshAnswer(res, ind.Virtual, -1))
-		}
-		s.finish(j, jobResult{status: 200, answers: answers, metric: metricFresh})
+	if j.ctx.Err() != nil {
+		// The pass finished, but too late.
+		return s.degradeResult(j, "deadline exceeded during compute")
 	}
+
+	answers := make([]Answer, 0, len(j.roots)+1)
+	for i, r := range j.roots {
+		answers = append(answers, freshAnswer(res, ind.Roots[i], r, snap.Epoch))
+	}
+	if j.cold != nil {
+		answers = append(answers, freshAnswer(res, ind.Virtual, -1, snap.Epoch))
+	}
+	return jobResult{status: 200, answers: answers, metric: metricFresh}
 }
 
-// induce merges the live jobs' roots (plus any cold-start neighbors) into
-// one deduplicated root set, extracts the k-hop neighborhood, and builds the
-// canonical executable subgraph. Feature overrides are applied to the
-// induced graph's own gathered feature matrix — never to the resident
-// graph.
-func (s *Server) induce(live []*job) (*graph.Induced, map[int32]int32, error) {
-	var uniq []int32
-	seen := make(map[int32]bool)
-	add := func(r int32) {
-		if !seen[r] {
+// induce extracts the job's k-hop neighborhood of g and builds the canonical
+// executable subgraph. Feature overrides are applied to the induced graph's
+// own gathered feature matrix — never to the resident graph.
+func (s *Server) induce(g *graph.Graph, j *job) (*graph.Induced, error) {
+	roots := j.roots
+	if j.cold != nil {
+		// The virtual root's neighbors must be present with complete k-1
+		// neighborhoods; rooting the BFS at them guarantees it. They follow
+		// the requested roots, so ind.Roots[i] is still j.roots[i]'s.
+		roots = append([]int32(nil), j.roots...)
+		seen := make(map[int32]bool, len(roots)+len(j.cold.InNeighbors))
+		for _, r := range roots {
 			seen[r] = true
-			uniq = append(uniq, r)
 		}
-	}
-	var cold *graph.VirtualRoot
-	for _, j := range live {
-		for _, r := range j.roots {
-			add(r)
-		}
-		if j.cold != nil {
-			cold = j.cold
-			// The virtual root's neighbors must be present with complete
-			// k-1 neighborhoods; rooting the BFS at them guarantees it.
-			for _, u := range j.cold.InNeighbors {
-				add(u)
+		for _, u := range j.cold.InNeighbors {
+			if !seen[u] {
+				seen[u] = true
+				roots = append(roots, u)
 			}
 		}
 	}
-
-	// One consistent graph for extraction and induction: the snapshot's,
-	// which advances as mutations land (node ids only ever grow, so roots
-	// validated against an older epoch stay valid).
-	g := s.currentGraph()
-	sub := graph.KHop(g, uniq, graph.KHopOptions{Hops: s.hops})
-	ind, err := sub.Induce(g, cold)
+	sub := graph.KHop(g, roots, graph.KHopOptions{Hops: s.cfg.Model.NumLayers()})
+	ind, err := sub.Induce(g, j.cold)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rootLocal := make(map[int32]int32, len(uniq))
-	for i, r := range uniq {
-		rootLocal[r] = ind.Roots[i]
-	}
-
-	if len(live) == 1 && len(live[0].overrides) > 0 {
+	if len(j.overrides) > 0 {
 		local := make(map[int32]int32, len(ind.Nodes))
 		for id, global := range ind.Nodes {
 			if global >= 0 {
 				local[global] = int32(id)
 			}
 		}
-		for node, feat := range live[0].overrides {
+		for node, feat := range j.overrides {
 			if id, ok := local[node]; ok {
 				copy(ind.G.Features.Row(int(id)), feat)
 			}
@@ -285,42 +235,12 @@ func (s *Server) induce(live []*job) (*graph.Induced, map[int32]int32, error) {
 			// influence any answer; skipping it is exact, not approximate.
 		}
 	}
-	return ind, rootLocal, nil
+	return ind, nil
 }
 
-// compute runs the shared pass with deadline propagation: the engine polls
-// Cancel each superstep and aborts only once every live member's context is
-// done — one surviving deadline keeps the whole batch running so its answer
-// stays fresh. The recover fence converts a poisoned query's panic into a
-// report the caller uses to split the batch.
-func (s *Server) compute(live []*job, ind *graph.Induced) (res *inference.Result, err error, panicked bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err, panicked = nil, fmt.Errorf("%v", p), true
-		}
-	}()
-	if s.execHook != nil {
-		s.execHook(live)
-	}
-	cancel := func() error {
-		for _, j := range live {
-			if j.ctx.Err() == nil {
-				return nil
-			}
-		}
-		return context.Canceled
-	}
-	res, err = inference.RunInduced(s.cfg.Model, ind, inference.Options{
-		NumWorkers: s.cfg.QueryWorkers,
-		Parallel:   s.cfg.QueryParallel,
-		Cancel:     cancel,
-	})
-	return res, err, false
-}
-
-// freshAnswer scatters one node's row out of a completed pass.
-func (s *Server) freshAnswer(res *inference.Result, local int32, global int32) Answer {
-	a := Answer{Node: global, Source: "fresh"}
+// freshAnswer copies one node's row out of a completed query pass.
+func freshAnswer(res *inference.Result, local, global int32, epoch int64) Answer {
+	a := Answer{Node: global, Epoch: epoch, Source: "fresh"}
 	a.Logits = append([]float32(nil), res.Logits.Row(int(local))...)
 	if res.Classes != nil {
 		a.Class = res.Classes[local]
@@ -331,37 +251,48 @@ func (s *Server) freshAnswer(res *inference.Result, local int32, global int32) A
 	return a
 }
 
-// degrade answers j from the resident store, marked stale — the bottom rung
-// of the degradation ladder for queries that missed their deadline. What-if
-// and cold-start queries have no resident answer and fail with 504 instead.
-func (s *Server) degrade(j *job, reason string) {
-	s.finish(j, s.degradeResult(j, reason))
-}
-
-// degradeResult builds the store-fallback result without delivering it, so
-// the HTTP handler can race it against the batcher through finish.
+// degradeResult answers j from the resident store, marked stale — the bottom
+// rung of the degradation ladder for queries that missed their deadline.
+// What-if and cold-start queries have no resident answer and fail with 504
+// instead. The result is not delivered here, so the HTTP handler can race it
+// against the executor through finish.
 func (s *Server) degradeResult(j *job, reason string) jobResult {
-	if !j.pureRoots() {
+	if !j.plain() {
 		return jobResult{
 			status: 504,
 			errMsg: reason + " (what-if and cold-start queries have no store fallback)",
 			metric: metricError,
 		}
 	}
+	return s.storeResult(j, true, reason)
+}
+
+// storeResult answers a plain job's roots out of one snapshot, so every
+// row of a reply belongs to the same epoch: fresh when the executor reads
+// it, stale when it stands in for a missed deadline.
+func (s *Server) storeResult(j *job, stale bool, reason string) jobResult {
 	snap := s.snap.Load()
 	if snap == nil {
-		return jobResult{status: 503, errMsg: reason + "; resident store empty", metric: metricError}
+		msg := "resident store empty"
+		if reason != "" {
+			msg = reason + "; " + msg
+		}
+		return jobResult{status: 503, errMsg: msg, metric: metricError}
+	}
+	source, metric := "fresh", metricFresh
+	if stale {
+		source, metric = "store", metricDegraded
 	}
 	answers := make([]Answer, len(j.roots))
 	for i, r := range j.roots {
-		answers[i] = storeAnswer(snap, r, true)
+		answers[i] = storeAnswer(snap, r, source, stale)
 	}
-	return jobResult{status: 200, answers: answers, metric: metricDegraded}
+	return jobResult{status: 200, answers: answers, metric: metric}
 }
 
 // storeAnswer reads one node out of an immutable snapshot.
-func storeAnswer(snap *Snapshot, node int32, stale bool) Answer {
-	a := Answer{Node: node, Stale: stale, Epoch: snap.Epoch, Source: "store"}
+func storeAnswer(snap *Snapshot, node int32, source string, stale bool) Answer {
+	a := Answer{Node: node, Stale: stale, Epoch: snap.Epoch, Source: source}
 	a.Logits = append([]float32(nil), snap.Logits.Row(int(node))...)
 	if snap.Classes != nil {
 		a.Class = snap.Classes[node]

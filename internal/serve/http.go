@@ -105,7 +105,7 @@ type MutateResponse struct {
 //	GET  /healthz       — liveness (process up)
 //	GET  /readyz        — readiness (store epoch present, queue has room)
 //	GET  /v1/nodes/{id} — resident-store lookup for one node
-//	POST /v1/query      — fresh k-hop inference (roots / what-if / cold-start)
+//	POST /v1/query      — roots from the store; what-if / cold-start by k-hop inference
 //	GET  /v1/stats      — serving counters + store epoch
 //	GET  /v1/logits     — raw little-endian float32 store dump (bit-level audits)
 //	POST /v1/refresh    — kick a background refresh pass
@@ -173,7 +173,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.storeServed.Add(1)
-	writeJSON(w, http.StatusOK, storeAnswer(snap, int32(id), false))
+	writeJSON(w, http.StatusOK, storeAnswer(snap, int32(id), "store", false))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -401,7 +401,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case res = <-j.res:
 	case <-ctx.Done():
 		// Deadline passed with the job still queued or mid-compute: degrade
-		// from the store. finish races the batcher; whichever delivery wins
+		// from the store. finish races the executor; whichever delivery wins
 		// is the response (the channel is guaranteed non-empty after).
 		s.finish(j, s.degradeResult(j, "deadline exceeded"))
 		res = <-j.res
@@ -415,7 +415,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // buildJob validates a query against the resident graph — the current
 // snapshot's, so freshly mutated-in nodes become queryable the moment their
-// refresh lands — and assembles the batcher job. All request-derived indices
+// refresh lands — and assembles the executor's job. All request-derived indices
 // and dimensions are checked here, at the boundary, so the compute path
 // never sees malformed input.
 func (s *Server) buildJob(req *QueryRequest) (*job, string) {

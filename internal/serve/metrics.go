@@ -7,13 +7,12 @@ import "sync/atomic"
 type counters struct {
 	requests        atomic.Int64 // queries accepted into a handler
 	shed            atomic.Int64 // rejected 429 at the admission queue
-	fresh           atomic.Int64 // answered by a k-hop compute pass
+	fresh           atomic.Int64 // answered for the current epoch: a store read or a k-hop pass
 	degraded        atomic.Int64 // answered from the store after a missed deadline
-	storeServed     atomic.Int64 // plain per-node store lookups
+	storeServed     atomic.Int64 // GET /v1/nodes lookups
 	errors          atomic.Int64 // queries that failed with an error status
-	panics          atomic.Int64 // compute panics contained by isolation
-	batches         atomic.Int64 // micro-batches executed
-	batchedJobs     atomic.Int64 // jobs carried by those batches
+	panics          atomic.Int64 // query panics contained by isolation
+	executed        atomic.Int64 // jobs an executor dequeued
 	cancelAborts    atomic.Int64 // passes aborted mid-run by deadline propagation
 	inducedRows     atomic.Int64 // completed query passes: induced nodes x layers
 	appliedRows     atomic.Int64 // completed query passes: rows a layer was applied to
@@ -38,7 +37,7 @@ type counters struct {
 
 // metricKind tags a jobResult with the counter to bump when it is actually
 // delivered — the delivery point is the only increment site, so a result
-// raced between the batcher and a timed-out handler is counted exactly once.
+// raced between the executor and a timed-out handler is counted exactly once.
 type metricKind int
 
 const (
@@ -54,18 +53,21 @@ type Stats struct {
 	Ready      bool  `json:"ready"`
 	QueueDepth int   `json:"queue_depth"`
 	QueueCap   int   `json:"queue_cap"`
-	// QueryExecutors is the number of batch executors answering /v1/query
-	// (GOMAXPROCS at construction): the server holds at most this many
-	// batches of MaxBatchSize roots in compute, plus QueueCap queued jobs.
+	// QueryExecutors is the number of query executors answering /v1/query
+	// (GOMAXPROCS at construction): the server holds at most this many jobs
+	// in execution, plus QueueCap queued jobs.
 	QueryExecutors int `json:"query_executors"`
 
-	Requests     int64 `json:"requests"`
-	Shed         int64 `json:"shed"`
-	Fresh        int64 `json:"fresh"`
-	Degraded     int64 `json:"degraded"`
-	StoreServed  int64 `json:"store_served"`
-	Errors       int64 `json:"errors"`
-	Panics       int64 `json:"panics"`
+	Requests    int64 `json:"requests"`
+	Shed        int64 `json:"shed"`
+	Fresh       int64 `json:"fresh"`
+	Degraded    int64 `json:"degraded"`
+	StoreServed int64 `json:"store_served"`
+	Errors      int64 `json:"errors"`
+	Panics      int64 `json:"panics"`
+	// Batches counts the jobs executors dequeued, and BatchedJobs the jobs
+	// those carried. Each executor runs one job per dequeue, so the two are
+	// equal; both stay because clients read their ratio.
 	Batches      int64 `json:"batches"`
 	BatchedJobs  int64 `json:"batched_jobs"`
 	CancelAborts int64 `json:"cancel_aborts"`
@@ -147,6 +149,7 @@ type Stats struct {
 
 // Metrics assembles a consistent-enough view of the serving counters.
 func (s *Server) Metrics() Stats {
+	executed := s.m.executed.Load()
 	st := Stats{
 		QueueDepth:     len(s.queue),
 		QueueCap:       cap(s.queue),
@@ -158,8 +161,8 @@ func (s *Server) Metrics() Stats {
 		StoreServed:    s.m.storeServed.Load(),
 		Errors:         s.m.errors.Load(),
 		Panics:         s.m.panics.Load(),
-		Batches:        s.m.batches.Load(),
-		BatchedJobs:    s.m.batchedJobs.Load(),
+		Batches:        executed,
+		BatchedJobs:    executed,
 		CancelAborts:   s.m.cancelAborts.Load(),
 
 		QueryInducedRows: s.m.inducedRows.Load(),

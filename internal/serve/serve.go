@@ -1,25 +1,23 @@
 // Package serve is InferTurbo's online inference service: a long-lived
 // server that loads graph and model once, keeps the latest full-graph pass
 // resident as an immutable prediction store behind an RCU-style atomic swap
-// (refreshes never block reads), and answers cold-start/what-if queries with
-// fresh k-hop induced-subgraph inference on the batched compute plane.
+// (refreshes never block reads), answers plain-root queries by reading that
+// store, and answers cold-start/what-if queries with fresh k-hop
+// induced-subgraph inference on the batched compute plane.
 //
 // Robustness is the design center, and it threads through every request:
 //
-//   - Natural micro-batching: one batch executor per core takes a query
-//     the moment it is idle, together with whatever else is already queued
-//     (up to MaxBatchSize roots), and runs them as one canonical induced
-//     subgraph with per-request result scatter. No timer: batches grow only
-//     while every executor is busy.
+//   - Executors per core: one query executor per core takes a job the
+//     moment it is idle and runs it alone — a copy of the roots' rows out of
+//     one store snapshot, or one k-hop pass for a what-if or cold start.
 //   - Bounded admission: a fixed-depth queue sheds excess load with 429 +
 //     Retry-After instead of growing goroutines without bound.
 //   - Deadline propagation: each request's context deadline flows through
-//     the batcher into the compute plane via inference.Options.Cancel; a
-//     batch whose every member died aborts at the next superstep.
-//   - Graceful degradation: a fresh query that misses its deadline falls
+//     the executor into the compute plane via inference.Options.Cancel; a
+//     pass whose caller's deadline passed aborts at the next superstep.
+//   - Graceful degradation: a plain query that misses its deadline falls
 //     back to the resident store's answer, marked stale with its epoch.
-//   - Panic isolation: a poisoned query 500s; batch mates are re-executed
-//     individually and the server survives.
+//   - Panic isolation: a poisoned query 500s alone and the server survives.
 //   - Health/readiness gated on store epoch and queue depth.
 //   - Incremental refresh: POST /v1/mutate stages graph deltas (feature
 //     updates, new nodes, edge changes) without blocking on a running pass;
@@ -27,9 +25,10 @@
 //     recomputes only the change set's L-hop flood — bit-identical to a
 //     full pass, falling back to one when the flood is too large.
 //
-// Fresh answers are bit-identical to the resident store's (enforced by the
-// k-hop identity property tests): degradation changes freshness, never
-// values, for any graph the store was computed on.
+// A k-hop pass over an unmodified neighborhood is bit-identical to the
+// resident store's rows (enforced by the k-hop identity property tests), so
+// answering plain roots from the store changes no value, and degradation
+// changes freshness, never values.
 package serve
 
 import (
@@ -55,17 +54,11 @@ type Config struct {
 	// Its pregel.FaultPlan is the in-process chaos surface: each refresh
 	// forwards the current plan into its pass.
 	Refresh inference.Options
-	// Hops is the induced-subgraph depth for fresh queries; 0 selects the
-	// model's layer count (the exact, information-complete neighborhood).
-	Hops int
-	// QueryWorkers is the partition count for query-batch inference
-	// (default 2 — query subgraphs are small).
+	// QueryWorkers is the partition count for what-if and cold-start
+	// inference (default 2 — query subgraphs are small).
 	QueryWorkers int
-	// QueryParallel runs query-batch workers on goroutines.
+	// QueryParallel runs query workers on goroutines.
 	QueryParallel bool
-	// MaxBatchSize caps the roots coalesced into one micro-batch
-	// (default 16).
-	MaxBatchSize int
 	// QueueDepth bounds the admission queue; a full queue sheds with 429
 	// (default 64).
 	QueueDepth int
@@ -127,10 +120,9 @@ type Snapshot struct {
 // background machinery with Start, serve s.Handler() over HTTP, stop with
 // Close.
 type Server struct {
-	cfg  Config
-	hops int
-	// executors is the number of batch executors Start runs: one per core
-	// the Go scheduler uses, so a query waits only while all of them compute.
+	cfg Config
+	// executors is the number of query executors Start runs: one per core
+	// the Go scheduler uses, so a query waits only while all of them work.
 	executors int
 
 	snap  atomic.Pointer[Snapshot]
@@ -161,10 +153,10 @@ type Server struct {
 
 	m counters
 
-	// execHook, when non-nil, runs inside the batch compute path (and its
-	// panic recovery) before inference — the test seam for slow and
-	// poisoned queries.
-	execHook func(batch []*job)
+	// execHook, when non-nil, runs on the executor inside a job's panic
+	// recovery, before its store read or compute — the test seam for slow
+	// and poisoned queries.
+	execHook func(j *job)
 	// admitHook and countHook, when non-nil, run after a query enters the
 	// admission queue and after a counter a test waits on is bumped (a
 	// delivered job's metric, a cancel abort, a published refresh): the
@@ -189,17 +181,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Graph.FeatureDim() != cfg.Model.InDim() {
 		return nil, fmt.Errorf("serve: graph features dim %d, model expects %d", cfg.Graph.FeatureDim(), cfg.Model.InDim())
 	}
-	if cfg.Hops == 0 {
-		cfg.Hops = cfg.Model.NumLayers()
-	}
-	if cfg.Hops < 0 {
-		return nil, fmt.Errorf("serve: negative hops %d", cfg.Hops)
-	}
 	if cfg.QueryWorkers <= 0 {
 		cfg.QueryWorkers = 2
-	}
-	if cfg.MaxBatchSize <= 0 {
-		cfg.MaxBatchSize = 16
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -209,7 +192,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         cfg,
-		hops:        cfg.Hops,
 		executors:   runtime.GOMAXPROCS(0),
 		queue:       make(chan *job, cfg.QueueDepth),
 		stop:        make(chan struct{}),
@@ -235,7 +217,7 @@ func New(cfg Config) (*Server, error) {
 // through the resident delta session.
 func (s *Server) Incremental() bool { return s.session != nil }
 
-// currentGraph is the graph queries validate and induce against: the latest
+// currentGraph is the graph queries validate against: the latest
 // snapshot's (it advances as mutations land), or the configured graph before
 // any pass has completed.
 func (s *Server) currentGraph() *graph.Graph {
@@ -247,7 +229,7 @@ func (s *Server) currentGraph() *graph.Graph {
 
 // Start runs the initial refresh synchronously — a full-graph pass, or, for
 // a server resumed from SessionDir, one delta pass over the re-staged WAL
-// records — and launches the batch executors plus the optional periodic
+// records — and launches the query executors plus the optional periodic
 // refresher.
 func (s *Server) Start() error {
 	if err := s.Refresh(); err != nil {
@@ -255,7 +237,7 @@ func (s *Server) Start() error {
 	}
 	s.wg.Add(s.executors)
 	for i := 0; i < s.executors; i++ {
-		go s.runBatcher()
+		go s.runExecutor()
 	}
 	if s.cfg.RefreshEvery > 0 {
 		s.wg.Add(1)

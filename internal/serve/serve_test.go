@@ -115,29 +115,28 @@ func recv(t *testing.T, ch <-chan outcome) outcome {
 // parkKey marks the context of the jobs parkExecutors injects.
 type parkKey struct{}
 
-// parked holds every batch executor inside execHook, so jobs queued while it
-// lasts wait in the admission queue and the batches they form are decided by
-// the backlog alone, not by arrival timing.
+// parked holds every query executor inside execHook, so jobs queued while it
+// lasts wait in the admission queue and run in queue order once released.
 type parked struct {
 	gate chan struct{}
 	once sync.Once
 }
 
-// parkExecutors installs an execHook that parks batches of injected jobs on
-// a gate and runs hook (when non-nil) for every other batch, then injects one
-// job per executor, each only after the previous one is parked — so it
-// returns once s.executors batches are inside execHook at the same time.
+// parkExecutors installs an execHook that parks injected jobs on a gate and
+// runs hook (when non-nil) for every other job, then injects one job per
+// executor, each only after the previous one is parked — so it returns once
+// s.executors jobs are inside execHook at the same time.
 // The gate always opens at cleanup, before the server closes, so a failing
 // test never leaves Close waiting on a parked executor.
-func parkExecutors(t *testing.T, s *Server, hook func([]*job)) *parked {
+func parkExecutors(t *testing.T, s *Server, hook func(*job)) *parked {
 	t.Helper()
 	p := &parked{gate: make(chan struct{})}
 	t.Cleanup(p.releaseAll)
 	entered := make(chan struct{}, s.executors) // one send per injected job
-	s.execHook = func(batch []*job) {
-		if batch[0].ctx.Value(parkKey{}) == nil {
+	s.execHook = func(j *job) {
+		if j.ctx.Value(parkKey{}) == nil {
 			if hook != nil {
-				hook(batch)
+				hook(j)
 			}
 			return
 		}
@@ -157,7 +156,7 @@ func parkExecutors(t *testing.T, s *Server, hook func([]*job)) *parked {
 }
 
 // releaseOne lets exactly one parked executor go: it alone drains the
-// backlog, in queue order, while the others stay parked.
+// backlog, one job at a time in queue order, while the others stay parked.
 func (p *parked) releaseOne() { p.gate <- struct{}{} }
 
 // releaseAll lets every parked executor go. Idempotent.
@@ -189,7 +188,7 @@ func armWake(t testing.TB, s *Server, ch chan struct{}, notify func()) {
 }
 
 // waitFor blocks until cond holds, re-checking it after every wake-up of s
-// — what it waits on completes on a serving goroutine (a handler, a batch
+// — what it waits on completes on a serving goroutine (a handler, a query
 // executor, the refresh loop or the session persister). The deadline only
 // bounds a failure.
 func waitFor(t testing.TB, s *Server, msg string, cond func() bool) {
@@ -223,9 +222,19 @@ func bitEqual(a, b []float32) bool {
 	return true
 }
 
-// Fresh k-hop answers must agree with the resident store bit for bit: same
-// model, same graph, so degradation can never change values — only
-// freshness metadata.
+// identityOverride is a what-if override that rewrites node's features to
+// the values the current snapshot's graph already holds: the query computes
+// a k-hop pass whose answers must equal the store's rows bit for bit.
+func identityOverride(s *Server, node int32) map[string][]float32 {
+	feat := s.Store().Graph.Features.Row(int(node))
+	return map[string][]float32{fmt.Sprint(node): append([]float32(nil), feat...)}
+}
+
+// Every /v1/query answer for existing nodes agrees with the resident store
+// bit for bit: a plain root is the store's row, and a what-if whose override
+// restates a node's current features runs the k-hop pass, which reproduces
+// the full-graph values exactly — so degradation can never change values,
+// only freshness metadata.
 func TestFreshAnswersMatchStoreBitwise(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	snap := s.Store()
@@ -233,30 +242,40 @@ func TestFreshAnswersMatchStoreBitwise(t *testing.T) {
 		t.Fatalf("store not populated after Start: %+v", snap)
 	}
 	for _, roots := range [][]int32{{0}, {5, 190}, {42, 7, 99}} {
-		status, qr, _ := postQuery(t, ts, QueryRequest{Roots: roots, DeadlineMs: 5000})
-		if status != 200 {
-			t.Fatalf("status %d: %s", status, qr.Error)
-		}
-		if len(qr.Answers) != len(roots) {
-			t.Fatalf("%d answers for %d roots", len(qr.Answers), len(roots))
-		}
-		for i, a := range qr.Answers {
-			if a.Source != "fresh" || a.Stale {
-				t.Fatalf("answer %+v not fresh", a)
+		for _, overrides := range []map[string][]float32{nil, identityOverride(s, roots[0])} {
+			status, qr, _ := postQuery(t, ts, QueryRequest{Roots: roots, DeadlineMs: 5000, Overrides: overrides})
+			if status != 200 {
+				t.Fatalf("status %d: %s", status, qr.Error)
 			}
-			if a.Node != roots[i] {
-				t.Fatalf("answer %d for node %d, want %d", i, a.Node, roots[i])
+			if len(qr.Answers) != len(roots) {
+				t.Fatalf("%d answers for %d roots", len(qr.Answers), len(roots))
 			}
-			if !bitEqual(a.Logits, snap.Logits.Row(int(roots[i]))) {
-				t.Fatalf("node %d: fresh logits %v != store %v", roots[i], a.Logits, snap.Logits.Row(int(roots[i])))
-			}
-			if a.Class != snap.Classes[roots[i]] {
-				t.Fatalf("node %d: class %d != store %d", roots[i], a.Class, snap.Classes[roots[i]])
+			for i, a := range qr.Answers {
+				if a.Source != "fresh" || a.Stale || a.Epoch != snap.Epoch {
+					t.Fatalf("answer %+v not fresh at epoch %d", a, snap.Epoch)
+				}
+				if a.Node != roots[i] {
+					t.Fatalf("answer %d for node %d, want %d", i, a.Node, roots[i])
+				}
+				if !bitEqual(a.Logits, snap.Logits.Row(int(roots[i]))) {
+					t.Fatalf("node %d (what-if %v): fresh logits %v != store %v", roots[i], overrides != nil, a.Logits, snap.Logits.Row(int(roots[i])))
+				}
+				if a.Class != snap.Classes[roots[i]] {
+					t.Fatalf("node %d: class %d != store %d", roots[i], a.Class, snap.Classes[roots[i]])
+				}
 			}
 		}
 	}
 	// Store lookups agree too.
-	resp, err := http.Get(ts.URL + "/v1/nodes/42")
+	if a := getNode(t, ts, 42); a.Stale || a.Epoch != 1 || !bitEqual(a.Logits, snap.Logits.Row(42)) {
+		t.Fatalf("store lookup mismatch: %+v", a)
+	}
+}
+
+// getNode is one GET /v1/nodes/{id}.
+func getNode(t *testing.T, ts *httptest.Server, node int32) Answer {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/nodes/%d", ts.URL, node))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +284,64 @@ func TestFreshAnswersMatchStoreBitwise(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&a); err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != 200 || a.Stale || a.Epoch != 1 || !bitEqual(a.Logits, snap.Logits.Row(42)) {
-		t.Fatalf("store lookup mismatch: status=%d answer=%+v", resp.StatusCode, a)
+	if resp.StatusCode != 200 {
+		t.Fatalf("node %d lookup: status %d", node, resp.StatusCode)
+	}
+	return a
+}
+
+// A plain-root query is a read of one store snapshot, not a k-hop pass: it
+// leaves the query-pass row counters where they were, carries that
+// snapshot's epoch, and its rows are bit-equal to /v1/nodes/{id} — on the
+// incremental server and on a full-pass server whose refresh folds messages
+// with the PartialGather combiner. The full-pass server is refreshed once,
+// so the epoch read is not the first one.
+func TestPlainRootQueryReadsStore(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func(*Config)
+	}{
+		{"incremental", nil},
+		{"full-pass-partial-gather", func(c *Config) {
+			c.Refresh = inference.Options{NumWorkers: 3, PartialGather: true}
+			c.DisableIncremental = true
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, tc.cfg)
+			if tc.cfg != nil {
+				if s.Incremental() {
+					t.Fatal("DisableIncremental ignored")
+				}
+				if err := s.Refresh(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			epoch := s.Store().Epoch
+			roots := []int32{0, 13, 77, 150, 199}
+			before := s.Metrics()
+			status, qr, _ := postQuery(t, ts, QueryRequest{Roots: roots, DeadlineMs: 5000})
+			if status != 200 || len(qr.Answers) != len(roots) {
+				t.Fatalf("query: status=%d answers=%d err=%q", status, len(qr.Answers), qr.Error)
+			}
+			after := s.Metrics()
+			if after.QueryInducedRows != before.QueryInducedRows || after.QueryAppliedRows != before.QueryAppliedRows {
+				t.Fatalf("plain query moved the pass counters: induced %d→%d applied %d→%d",
+					before.QueryInducedRows, after.QueryInducedRows, before.QueryAppliedRows, after.QueryAppliedRows)
+			}
+			if got := after.Fresh - before.Fresh; got != 1 {
+				t.Fatalf("fresh delta %d, want 1", got)
+			}
+			for i, a := range qr.Answers {
+				if a.Node != roots[i] || a.Source != "fresh" || a.Stale || a.Epoch != epoch {
+					t.Fatalf("answer %d: %+v, want fresh node %d at epoch %d", i, a, roots[i], epoch)
+				}
+				n := getNode(t, ts, roots[i])
+				if n.Epoch != epoch || !bitEqual(a.Logits, n.Logits) || a.Class != n.Class {
+					t.Fatalf("node %d: query %+v != lookup %+v", roots[i], a, n)
+				}
+			}
+		})
 	}
 }
 
@@ -337,12 +412,13 @@ func TestOverloadShedsWith429(t *testing.T) {
 	}
 }
 
-// A fresh query that misses its deadline degrades to the resident store's
+// A plain query that misses its deadline degrades to the resident store's
 // answer, marked stale with the store epoch — values identical, freshness
-// honest.
+// honest. What-if and cold-start queries have no store fallback: theirs is
+// an honest 504, never a silently wrong answer.
 func TestDeadlineDegradesToStaleStoreAnswer(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	s.execHook = func([]*job) { time.Sleep(300 * time.Millisecond) }
+	parkExecutors(t, s, nil) // every query waits out its deadline in the queue
 	status, qr, _ := postQuery(t, ts, QueryRequest{Roots: []int32{11}, DeadlineMs: 40})
 	if status != 200 {
 		t.Fatalf("status %d: %s", status, qr.Error)
@@ -355,176 +431,100 @@ func TestDeadlineDegradesToStaleStoreAnswer(t *testing.T) {
 		t.Fatal("degraded answer diverges from the store")
 	}
 	waitCounter(t, s, &s.m.degraded, 1)
-	// What-if queries have no store fallback: an expired deadline is an
-	// honest 504, never a silently wrong answer.
-	status, qr, _ = postQuery(t, ts, QueryRequest{
-		Roots: []int32{11}, DeadlineMs: 40,
-		Overrides: map[string][]float32{"11": {0, 0, 0, 0, 0, 0}},
-	})
-	if status != 504 || qr.Error == "" {
-		t.Fatalf("what-if past deadline: status=%d err=%q, want 504", status, qr.Error)
-	}
-}
-
-// Within one micro-batch, a member whose deadline expires degrades while a
-// member with headroom still gets the fresh result of the shared pass.
-func TestPartialBatchDeadline(t *testing.T) {
-	s, ts := newTestServer(t, nil)
-	p := parkExecutors(t, s, func([]*job) { time.Sleep(250 * time.Millisecond) })
-	short := queryAsync(ts, QueryRequest{Roots: []int32{20}, DeadlineMs: 80})
-	long := queryAsync(ts, QueryRequest{Roots: []int32{21}, DeadlineMs: 5000})
-	waitQueued(t, s, 2)
-	p.releaseOne() // one executor takes both jobs as one batch
-	so, lo := recv(t, short), recv(t, long)
-	if so.status != 200 || !so.qr.Answers[0].Stale || so.qr.Answers[0].Source != "store" {
-		t.Fatalf("short-deadline member: status=%d answers=%+v, want stale store answer", so.status, so.qr.Answers)
-	}
-	if lo.status != 200 || lo.qr.Answers[0].Stale || lo.qr.Answers[0].Source != "fresh" {
-		t.Fatalf("long-deadline member: status=%d answers=%+v, want fresh answer", lo.status, lo.qr.Answers)
-	}
-	if !bitEqual(lo.qr.Answers[0].Logits, s.Store().Logits.Row(21)) {
-		t.Fatal("fresh member's logits diverge from the store")
-	}
-}
-
-// When every member of a batch is past deadline, the propagated Cancel
-// aborts the pass at a superstep boundary instead of burning the compute
-// plane on answers nobody is waiting for.
-func TestFullBatchCancelAbortsCompute(t *testing.T) {
-	s, ts := newTestServer(t, nil)
-	// Deadlines outlive the queue wait (so the batch reaches compute) but
-	// expire during the injected sleep (so Cancel fires mid-pass).
-	p := parkExecutors(t, s, func([]*job) { time.Sleep(500 * time.Millisecond) })
-	var outs []<-chan outcome
-	for _, root := range []int32{30, 31} {
-		outs = append(outs, queryAsync(ts, QueryRequest{Roots: []int32{root}, DeadlineMs: 200}))
-	}
-	waitQueued(t, s, 2)
-	p.releaseOne()
-	for i, ch := range outs {
-		o := recv(t, ch)
-		if o.status != 200 || !o.qr.Answers[0].Stale || o.qr.Answers[0].Source != "store" {
-			t.Fatalf("member %d: status=%d answers=%+v, want a degraded 200 store answer", i, o.status, o.qr.Answers)
+	for _, req := range []QueryRequest{
+		{Roots: []int32{11}, DeadlineMs: 40, Overrides: map[string][]float32{"11": {0, 0, 0, 0, 0, 0}}},
+		{DeadlineMs: 40, ColdStart: &ColdStartRequest{Features: []float32{1, 0, 0, 0, 0, 0}, InNeighbors: []int32{11}}},
+	} {
+		status, qr, _ = postQuery(t, ts, req)
+		if status != 504 || qr.Error == "" {
+			t.Fatalf("what-if/cold-start past deadline: status=%d err=%q, want 504", status, qr.Error)
 		}
 	}
-	waitCounter(t, s, &s.m.cancelAborts, 1)
 }
 
-// A poisoned query panics its batch: the batch splits, mates re-execute
-// individually and succeed, the poisoned member 500s, and the server keeps
-// serving.
-func TestPanicIsolationSplitsBatch(t *testing.T) {
+// Deadlines are per job: a queued what-if whose deadline passes 504s while
+// the what-if queued beside it, with headroom, still gets its fresh answer.
+func TestDeadlineIsPerJob(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	p := parkExecutors(t, s, func(*job) { time.Sleep(250 * time.Millisecond) })
+	short := queryAsync(ts, QueryRequest{Roots: []int32{20}, DeadlineMs: 80, Overrides: identityOverride(s, 20)})
+	long := queryAsync(ts, QueryRequest{Roots: []int32{21}, DeadlineMs: 5000, Overrides: identityOverride(s, 21)})
+	waitQueued(t, s, 2)
+	p.releaseOne() // one executor runs both jobs, one after the other
+	so, lo := recv(t, short), recv(t, long)
+	if so.status != 504 || so.qr.Error == "" {
+		t.Fatalf("short-deadline what-if: status=%d err=%q, want 504", so.status, so.qr.Error)
+	}
+	if lo.status != 200 || lo.qr.Answers[0].Stale || lo.qr.Answers[0].Source != "fresh" {
+		t.Fatalf("long-deadline what-if: status=%d answers=%+v, want fresh answer", lo.status, lo.qr.Answers)
+	}
+	if !bitEqual(lo.qr.Answers[0].Logits, s.Store().Logits.Row(21)) {
+		t.Fatal("fresh what-if logits diverge from the store")
+	}
+}
+
+// When a computing job's deadline passes, the propagated Cancel aborts its
+// pass at a superstep boundary instead of burning the compute plane on an
+// answer nobody is waiting for. Each job is its executor's whole batch.
+func TestFullBatchCancelAbortsCompute(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	// The deadline outlives the queue wait (so the job reaches compute) but
+	// expires during the injected sleep (so Cancel fires in the pass).
+	p := parkExecutors(t, s, func(*job) { time.Sleep(500 * time.Millisecond) })
+	ch := queryAsync(ts, QueryRequest{Roots: []int32{30}, DeadlineMs: 200, Overrides: identityOverride(s, 30)})
+	waitQueued(t, s, 1)
+	p.releaseOne()
+	if o := recv(t, ch); o.status != 504 || o.qr.Error == "" {
+		t.Fatalf("what-if past deadline: status=%d err=%q, want 504", o.status, o.qr.Error)
+	}
+	waitCounter(t, s, &s.m.cancelAborts, 1)
+	if got := s.Metrics().QueryInducedRows; got != 0 {
+		t.Fatalf("aborted pass counted %d induced rows", got)
+	}
+}
+
+// A poisoned query panics inside its executor: it alone 500s — a what-if
+// and a plain root alike — the job queued beside it still gets its fresh
+// answer, and the server keeps serving.
+func TestPanicIsolation(t *testing.T) {
 	const poison = int32(13)
 	s, ts := newTestServer(t, nil)
-	p := parkExecutors(t, s, func(batch []*job) {
-		for _, j := range batch {
-			for _, r := range j.roots {
-				if r == poison {
-					panic("poisoned query")
-				}
+	p := parkExecutors(t, s, func(j *job) {
+		for _, r := range j.roots {
+			if r == poison {
+				panic("poisoned query")
 			}
 		}
 	})
-	mate := queryAsync(ts, QueryRequest{Roots: []int32{40}, DeadlineMs: 5000})
-	bad := queryAsync(ts, QueryRequest{Roots: []int32{poison}, DeadlineMs: 5000})
-	waitQueued(t, s, 2)
+	mate := queryAsync(ts, QueryRequest{Roots: []int32{40}, DeadlineMs: 5000, Overrides: identityOverride(s, 40)})
+	badWhatIf := queryAsync(ts, QueryRequest{Roots: []int32{poison}, DeadlineMs: 5000, Overrides: identityOverride(s, poison)})
+	badPlain := queryAsync(ts, QueryRequest{Roots: []int32{poison}, DeadlineMs: 5000})
+	waitQueued(t, s, 3)
 	p.releaseOne()
-	mo, bo := recv(t, mate), recv(t, bad)
-	if bo.status != 500 || bo.qr.Error == "" {
-		t.Fatalf("poisoned query: status=%d err=%q, want 500", bo.status, bo.qr.Error)
+	for _, ch := range []<-chan outcome{badWhatIf, badPlain} {
+		if o := recv(t, ch); o.status != 500 || o.qr.Error == "" {
+			t.Fatalf("poisoned query: status=%d err=%q, want 500", o.status, o.qr.Error)
+		}
 	}
-	if mo.status != 200 || mo.qr.Answers[0].Source != "fresh" {
-		t.Fatalf("batch mate: status=%d answers=%+v, want fresh 200", mo.status, mo.qr.Answers)
+	if mo := recv(t, mate); mo.status != 200 || mo.qr.Answers[0].Source != "fresh" {
+		t.Fatalf("job beside the poisoned ones: status=%d answers=%+v, want fresh 200", mo.status, mo.qr.Answers)
 	}
-	// The whole-batch panic plus the poisoned member's singleton retry.
 	if got := s.m.panics.Load(); got != 2 {
 		t.Fatalf("panics=%d, want 2", got)
 	}
-	// The server survived: a followup query answers normally.
-	if st, qr, _ := postQuery(t, ts, QueryRequest{Roots: []int32{41}, DeadlineMs: 5000}); st != 200 {
-		t.Fatalf("server did not survive the panic: %d %s", st, qr.Error)
-	}
-}
-
-// A backlog that formed while every executor was busy dispatches, with no
-// timer, as natural batches in queue order: the plain jobs ahead of a
-// what-if form one batch, the what-if runs alone, and the plain jobs behind
-// it form the next. Every plain answer stays bit-equal to the store.
-func TestNaturalBatchingCoalescesBacklog(t *testing.T) {
-	s, ts := newTestServer(t, nil)
-	type shape struct{ jobs, singletons int }
-	var (
-		mu     sync.Mutex
-		shapes []shape
-	)
-	p := parkExecutors(t, s, func(batch []*job) {
-		sh := shape{jobs: len(batch)}
-		for _, j := range batch {
-			if j.singleton() {
-				sh.singletons++
-			}
-		}
-		mu.Lock()
-		shapes = append(shapes, sh)
-		mu.Unlock()
-	})
-	before := s.Metrics()
-
-	const whatIfRoot = int32(60)
-	plain := []int32{3, 50, 77, 120, 150, 199}
-	var outs []<-chan outcome
-	for i, root := range plain {
-		outs = append(outs, queryAsync(ts, QueryRequest{Roots: []int32{root}, DeadlineMs: 5000}))
-		waitQueued(t, s, len(outs))
-		if i == 2 {
-			outs = append(outs, queryAsync(ts, QueryRequest{
-				Roots: []int32{whatIfRoot}, DeadlineMs: 5000,
-				Overrides: map[string][]float32{"60": {0, 0, 0, 0, 0, 0}},
-			}))
-			waitQueued(t, s, len(outs))
-		}
-	}
-	p.releaseOne()
-
-	store := s.Store()
-	for i, ch := range outs {
-		o := recv(t, ch)
-		if o.status != 200 || len(o.qr.Answers) != 1 || o.qr.Answers[0].Source != "fresh" {
-			t.Fatalf("job %d: status=%d answers=%+v, want one fresh answer", i, o.status, o.qr.Answers)
-		}
-		a := o.qr.Answers[0]
-		if a.Node == whatIfRoot {
-			if bitEqual(a.Logits, store.Logits.Row(int(whatIfRoot))) {
-				t.Fatal("what-if override did not change its answer")
-			}
-			continue
-		}
-		if !bitEqual(a.Logits, store.Logits.Row(int(a.Node))) {
-			t.Fatalf("node %d: fresh logits diverge from the store", a.Node)
-		}
-	}
-	after := s.Metrics()
-	if got := after.Batches - before.Batches; got != 3 {
-		t.Fatalf("batches delta %d, want 3", got)
-	}
-	if got := after.BatchedJobs - before.BatchedJobs; got != int64(len(outs)) {
-		t.Fatalf("batched_jobs delta %d, want %d", got, len(outs))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []shape{{3, 0}, {1, 1}, {3, 0}}
-	if len(shapes) != len(want) {
-		t.Fatalf("batch shapes %+v, want %+v", shapes, want)
-	}
-	for i := range want {
-		if shapes[i] != want[i] {
-			t.Fatalf("batch shapes %+v, want %+v", shapes, want)
+	// The server survived: followup queries answer normally.
+	for _, req := range []QueryRequest{
+		{Roots: []int32{41}, DeadlineMs: 5000},
+		{Roots: []int32{41}, DeadlineMs: 5000, Overrides: identityOverride(s, 41)},
+	} {
+		if st, qr, _ := postQuery(t, ts, req); st != 200 {
+			t.Fatalf("server did not survive the panic: %d %s", st, qr.Error)
 		}
 	}
 }
 
-// Start runs one batch executor per GOMAXPROCS and they compute at once:
-// parkExecutors returns only when every executor holds a batch inside
+// Start runs one query executor per GOMAXPROCS and they work at once:
+// parkExecutors returns only when every executor holds a job inside
 // execHook at the same time. /v1/stats reports the count, and a query that
 // arrives while all of them are busy waits in the queue for the first free
 // one.
@@ -549,7 +549,7 @@ func TestExecutorsRunConcurrently(t *testing.T) {
 	}
 
 	p := parkExecutors(t, s, nil)
-	ch := queryAsync(ts, QueryRequest{Roots: []int32{9}, DeadlineMs: 5000})
+	ch := queryAsync(ts, QueryRequest{Roots: []int32{9}, DeadlineMs: 5000, Overrides: identityOverride(s, 9)})
 	waitQueued(t, s, 1)
 	p.releaseOne()
 	o := recv(t, ch)
@@ -560,7 +560,8 @@ func TestExecutorsRunConcurrently(t *testing.T) {
 
 // BenchmarkQueryOneRoot is one closed-loop client sending single-root
 // /v1/query requests to an in-process server over loopback HTTP: ns/op is
-// the full round trip, HTTP plus one k-hop induce-and-infer.
+// the full round trip, HTTP plus one read of the root's row out of the
+// resident store.
 func BenchmarkQueryOneRoot(b *testing.B) {
 	s, ts := newTestServer(b, nil)
 	n := s.cfg.Graph.NumNodes
@@ -573,8 +574,7 @@ func BenchmarkQueryOneRoot(b *testing.B) {
 }
 
 // BenchmarkQuery16Roots is BenchmarkQueryOneRoot with 16 distinct roots per
-// request: one closed-loop client, so each request is one batch and ns/op
-// is the round trip of one 16-root k-hop induce-and-infer.
+// request: ns/op is the round trip of one 16-row store read.
 func BenchmarkQuery16Roots(b *testing.B) {
 	s, ts := newTestServer(b, nil)
 	n := s.cfg.Graph.NumNodes
@@ -590,19 +590,45 @@ func BenchmarkQuery16Roots(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryWhatIf is the compute path's round trip: single-root
+// what-if queries with one override, the root's own features, so ns/op is
+// HTTP plus one k-hop induce-and-infer at the model's depth.
+func BenchmarkQueryWhatIf(b *testing.B) {
+	s, ts := newTestServer(b, nil)
+	n := s.cfg.Graph.NumNodes
+	overrides := make([]map[string][]float32, n)
+	for v := range overrides {
+		overrides[v] = identityOverride(s, int32(v))
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		v := i % n
+		if st, qr, _ := postQuery(b, ts, QueryRequest{Roots: []int32{int32(v)}, DeadlineMs: 5000, Overrides: overrides[v]}); st != 200 {
+			b.Fatalf("query: %d %s", st, qr.Error)
+		}
+	}
+}
+
 // /v1/stats exposes how much of each query pass depth pruning skipped:
 // query_induced_rows grows by induced nodes x layers and
-// query_applied_rows by the rows of depth <= L-k summed over layers k.
+// query_applied_rows by the rows of depth <= L-k summed over layers k. The
+// pass is a what-if whose override restates node 4's features, so its
+// answers must also equal the store's rows bit for bit.
 func TestQueryStatsCountPrunedRows(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	g, m := s.cfg.Graph, s.cfg.Model
 	roots := []int32{4, 90, 161}
 	before := s.Metrics()
-	status, qr, _ := postQuery(t, ts, QueryRequest{Roots: roots, DeadlineMs: 5000})
+	status, qr, _ := postQuery(t, ts, QueryRequest{Roots: roots, DeadlineMs: 5000, Overrides: identityOverride(s, 4)})
 	if status != 200 {
 		t.Fatalf("query: %d %s", status, qr.Error)
 	}
 	after := s.Metrics()
+	for i, a := range qr.Answers {
+		if a.Node != roots[i] || !bitEqual(a.Logits, s.Store().Logits.Row(int(roots[i]))) {
+			t.Fatalf("answer %d (node %d): k-hop logits diverge from the store", i, a.Node)
+		}
+	}
 
 	ind, err := graph.KHop(g, roots, graph.KHopOptions{Hops: m.NumLayers()}).Induce(g, nil)
 	if err != nil {
@@ -672,9 +698,10 @@ func TestColdStartAndWhatIf(t *testing.T) {
 	if bitEqual(qr.Answers[0].Logits, s.Store().Logits.Row(55)) {
 		t.Fatal("override did not change the answer")
 	}
-	// ...without perturbing the resident graph: a plain query afterwards
-	// still matches the store bitwise.
-	status, qr, _ = postQuery(t, ts, QueryRequest{Roots: []int32{55}, DeadlineMs: 5000})
+	// ...without perturbing the resident graph: a later pass at 55 that
+	// overrides only node 0 (restating its features) reads 55's row from the
+	// graph and still matches the store bitwise.
+	status, qr, _ = postQuery(t, ts, QueryRequest{Roots: []int32{55}, DeadlineMs: 5000, Overrides: identityOverride(s, 0)})
 	if status != 200 || !bitEqual(qr.Answers[0].Logits, s.Store().Logits.Row(55)) {
 		t.Fatal("what-if leaked into the resident graph")
 	}
@@ -944,7 +971,8 @@ func TestMutateDeltaRefreshBitIdenticalOverHTTP(t *testing.T) {
 		t.Fatal("delta-refreshed store bytes differ from a from-scratch pass over HTTP")
 	}
 
-	// The new node answers: store lookup and fresh k-hop compute agree.
+	// The new node answers: store lookup, plain query and a k-hop pass over
+	// the mutated graph (a what-if restating its features) agree.
 	nresp, err := http.Get(ts.URL + fmt.Sprintf("/v1/nodes/%d", newID))
 	if err != nil {
 		t.Fatal(err)
@@ -957,9 +985,11 @@ func TestMutateDeltaRefreshBitIdenticalOverHTTP(t *testing.T) {
 	if nresp.StatusCode != 200 || !bitEqual(na.Logits, want.Logits.Row(int(newID))) {
 		t.Fatalf("new-node store lookup: status=%d answer=%+v", nresp.StatusCode, na)
 	}
-	qst, qr, _ := postQuery(t, ts, QueryRequest{Roots: []int32{newID}, DeadlineMs: 5000})
-	if qst != 200 || qr.Answers[0].Source != "fresh" || !bitEqual(qr.Answers[0].Logits, want.Logits.Row(int(newID))) {
-		t.Fatalf("new-node fresh query: status=%d answers=%+v", qst, qr.Answers)
+	for _, overrides := range []map[string][]float32{nil, identityOverride(s, newID)} {
+		qst, qr, _ := postQuery(t, ts, QueryRequest{Roots: []int32{newID}, DeadlineMs: 5000, Overrides: overrides})
+		if qst != 200 || qr.Answers[0].Source != "fresh" || !bitEqual(qr.Answers[0].Logits, want.Logits.Row(int(newID))) {
+			t.Fatalf("new-node fresh query (what-if %v): status=%d answers=%+v", overrides != nil, qst, qr.Answers)
+		}
 	}
 
 	// Stats surface the incremental observables.
