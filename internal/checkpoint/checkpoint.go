@@ -36,8 +36,10 @@ package checkpoint
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,6 +52,10 @@ import (
 type Segment struct {
 	Name string
 	Data []byte
+	// F32 is set only by LoadEpoch, for the segments its f32 argument
+	// names: the data decoded as raw little-endian floats (DecodeF32s).
+	// On little-endian hosts Data is then a view of F32's memory.
+	F32 []float32
 }
 
 const (
@@ -183,37 +189,80 @@ func epochSize(segs []Segment) int {
 	return size
 }
 
-// decode parses and validates one epoch file's bytes: magic, per-segment
-// CRCs, footer. Any mismatch returns an error — the caller treats the file
-// as torn and falls back.
+// decode parses and validates one epoch file of size bytes read from f:
+// magic, per-segment CRCs, footer. Any mismatch returns an error — the
+// caller treats the file as torn and falls back.
 //
-// Segment data aliases b, capacity-capped so an append to one segment
-// cannot overwrite the next: b is read fresh per load and never reused, so
-// a copy per segment would only double the load's memory traffic.
-func decode(b []byte) (step int, segs []Segment, err error) {
-	if len(b) < len(fileMagic)+len(footerMagic) || string(b[:len(fileMagic)]) != fileMagic {
+// Segments are read one by one, each into its own memory: a fresh byte
+// slice, or, for the names f32 reports (f32 may be nil), a fresh float
+// slice the bytes land in directly on little-endian hosts — so a slab is
+// read once into the memory that keeps it, never staged in a file-sized
+// buffer first.
+func decode(f io.ReaderAt, size int64, f32 func(name string) bool) (step int, segs []Segment, err error) {
+	body := size - int64(len(fileMagic)+len(footerMagic))
+	var magic [len(fileMagic)]byte
+	if body < 0 {
 		return 0, nil, fmt.Errorf("checkpoint: bad file magic")
 	}
-	if string(b[len(b)-len(footerMagic):]) != footerMagic {
+	if _, err := f.ReadAt(magic[:], 0); err != nil || string(magic[:]) != fileMagic {
+		return 0, nil, fmt.Errorf("checkpoint: bad file magic")
+	}
+	if _, err := f.ReadAt(magic[:], size-int64(len(footerMagic))); err != nil || string(magic[:]) != footerMagic {
 		return 0, nil, fmt.Errorf("checkpoint: missing footer (torn write)")
 	}
-	r := NewReader(b[len(fileMagic) : len(b)-len(footerMagic)])
-	step = int(r.U64())
-	n := int(r.U32())
+	r := io.NewSectionReader(f, int64(len(fileMagic)), body)
+	left := body
+	// read fills p from the body; a short body is a truncated file.
+	read := func(p []byte) bool {
+		if int64(len(p)) > left {
+			left = -1
+			return false
+		}
+		left -= int64(len(p))
+		_, err := io.ReadFull(r, p)
+		return err == nil
+	}
+	var hdr [12]byte
+	if !read(hdr[:12]) {
+		return 0, nil, fmt.Errorf("checkpoint: malformed epoch file")
+	}
+	step = int(binary.LittleEndian.Uint64(hdr[:8]))
+	n := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	for i := 0; i < n; i++ {
-		name := r.String()
-		dataLen := r.length(1)
-		sum := r.U32()
-		data := r.take(dataLen)
-		if r.Err() != nil {
+		ok := read(hdr[:8])
+		nameLen := binary.LittleEndian.Uint64(hdr[:8])
+		ok = ok && nameLen <= uint64(left)
+		var name []byte
+		if ok {
+			name = make([]byte, nameLen)
+			ok = read(name) && read(hdr[:12])
+		}
+		dataLen := binary.LittleEndian.Uint64(hdr[:8])
+		if !ok || dataLen > uint64(left) {
 			return 0, nil, fmt.Errorf("checkpoint: segment %d truncated", i)
 		}
-		if crc32.Checksum(data, castagnoli) != sum {
-			return 0, nil, fmt.Errorf("checkpoint: segment %q checksum mismatch", name)
+		sg := Segment{Name: string(name)}
+		if f32 != nil && dataLen%4 == 0 && f32(sg.Name) {
+			sg.F32 = make([]float32, dataLen/4)
+			if bulkF32 {
+				sg.Data = f32Mem(sg.F32)
+			}
 		}
-		segs = append(segs, Segment{Name: name, Data: data[:len(data):len(data)]})
+		if sg.Data == nil {
+			sg.Data = make([]byte, dataLen)
+		}
+		if !read(sg.Data) {
+			return 0, nil, fmt.Errorf("checkpoint: segment %d truncated", i)
+		}
+		if crc32.Checksum(sg.Data, castagnoli) != binary.LittleEndian.Uint32(hdr[8:12]) {
+			return 0, nil, fmt.Errorf("checkpoint: segment %q checksum mismatch", sg.Name)
+		}
+		if sg.F32 != nil && !bulkF32 {
+			DecodeF32s(sg.F32, sg.Data)
+		}
+		segs = append(segs, sg)
 	}
-	if r.Err() != nil || r.Remaining() != 0 {
+	if left != 0 {
 		return 0, nil, fmt.Errorf("checkpoint: malformed epoch file")
 	}
 	return step, segs, nil
@@ -256,7 +305,7 @@ func (s *Store) SaveLink(base, idx, step int, segs []Segment) error {
 // LoadLink reads and validates link idx of base epoch base. Any error —
 // missing, torn or corrupt — ends the chain there.
 func (s *Store) LoadLink(base, idx int) (step int, segs []Segment, err error) {
-	return loadFile(linkPath(s.dir, base, idx))
+	return loadFile(linkPath(s.dir, base, idx), nil)
 }
 
 // retry runs write with bounded exponential backoff between attempts.
@@ -405,13 +454,14 @@ func (s *Store) prune(latest int) {
 // a descending directory scan past any torn or corrupt files. found=false
 // means nothing recoverable exists (not an error — a cold start).
 func (s *Store) Load() (int, []Segment, bool, error) {
-	_, step, segs, found, err := s.LoadEpoch()
+	_, step, segs, found, err := s.LoadEpoch(nil)
 	return step, segs, found, err
 }
 
 // LoadEpoch is Load that also reports which epoch it returned — the base a
-// chain of links hangs off.
-func (s *Store) LoadEpoch() (epoch, step int, segs []Segment, found bool, err error) {
+// chain of links hangs off — and reads the segments f32 names (f32 may be
+// nil) straight into float memory, returned as their Segment.F32.
+func (s *Store) LoadEpoch(f32 func(name string) bool) (epoch, step int, segs []Segment, found bool, err error) {
 	tried := map[string]bool{}
 	epochs, err := s.listEpochs()
 	if err != nil {
@@ -423,7 +473,7 @@ func (s *Store) LoadEpoch() (epoch, step int, segs []Segment, found bool, err er
 			if filepath.Base(epochPath(s.dir, n)) != name {
 				continue
 			}
-			if step, segs, err := loadFile(epochPath(s.dir, n)); err == nil {
+			if step, segs, err := loadFile(epochPath(s.dir, n), f32); err == nil {
 				return n, step, segs, true, nil
 			}
 		}
@@ -433,7 +483,7 @@ func (s *Store) LoadEpoch() (epoch, step int, segs []Segment, found bool, err er
 		if tried[filepath.Base(path)] {
 			continue
 		}
-		if step, segs, err := loadFile(path); err == nil {
+		if step, segs, err := loadFile(path, f32); err == nil {
 			return epochs[i], step, segs, true, nil
 		}
 	}
@@ -448,12 +498,17 @@ func (s *Store) manifestTarget() string {
 	return strings.TrimSpace(string(b))
 }
 
-func loadFile(path string) (int, []Segment, error) {
-	b, err := os.ReadFile(path)
+func loadFile(path string, f32 func(name string) bool) (int, []Segment, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, nil, err
 	}
-	return decode(b)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, nil, err
+	}
+	return decode(f, fi.Size(), f32)
 }
 
 // writeFile writes b over path's existing pages (no O_TRUNC — truncating up

@@ -409,6 +409,38 @@ func TestF32CodecPathsBitExact(t *testing.T) {
 		dst := make([]float32, len(v))
 		DecodeF32s(dst, raw)
 		same("DecodeF32s", dst)
+
+		// LoadEpoch reads the segments it is asked to straight into floats;
+		// a segment whose length is no multiple of 4 stays bytes.
+		st, err := NewStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := []Segment{{Name: "slab", Data: raw}, {Name: "meta", Data: raw}, {Name: "odd", Data: raw[:5]}}
+		if err := st.Save(1, saved); err != nil {
+			t.Fatal(err)
+		}
+		_, _, segs, found, err := st.LoadEpoch(func(name string) bool { return name != "meta" })
+		if err != nil || !found || !segsEqual(segs, saved) {
+			t.Fatalf("bulk=%v LoadEpoch: found=%v err=%v", bulk, found, err)
+		}
+		same("LoadEpoch F32", segs[0].F32)
+		if segs[1].F32 != nil || segs[2].F32 != nil {
+			t.Fatalf("bulk=%v LoadEpoch decoded a segment it was not asked to, or an odd-length one", bulk)
+		}
+		// A flipped bit in a float segment fails its CRC like any other.
+		path := epochPath(st.Dir(), st.LastEpoch())
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file[bytes.Index(file, raw)] ^= 1 // the first copy of raw is the slab's
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, found, _ := st.LoadEpoch(func(name string) bool { return name == "slab" }); found {
+			t.Fatalf("bulk=%v LoadEpoch accepted a float segment that fails its CRC", bulk)
+		}
 	}
 }
 
@@ -428,7 +460,7 @@ func TestLinksLiveAndDieWithTheirBase(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	epoch, step, segs, found, err := s.LoadEpoch()
+	epoch, step, segs, found, err := s.LoadEpoch(nil)
 	if err != nil || !found || epoch != base || step != 10 || !segsEqual(segs, testSegs(1)) {
 		t.Fatalf("LoadEpoch: epoch=%d step=%d found=%v err=%v", epoch, step, found, err)
 	}

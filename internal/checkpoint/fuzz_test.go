@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -108,12 +109,18 @@ func FuzzCheckpointReader(f *testing.F) {
 		}
 		// Layer 1: the epoch-file parser. Success means every segment's CRC
 		// held, so segment data must round-trip through the Reader cleanly.
-		if _, segs, err := decode(data); err == nil {
+		if _, segs, err := decode(bytes.NewReader(data), int64(len(data)), nil); err == nil {
 			for _, sg := range segs {
 				r := NewReader(sg.Data)
 				_ = r.I64s()
 				_ = r.F32s()
 				_ = r.Err()
+			}
+			// Reading every segment as floats accepts the same file and
+			// yields the same bytes.
+			_, f32, err := decode(bytes.NewReader(data), int64(len(data)), func(string) bool { return true })
+			if err != nil || !segsEqual(segs, f32) {
+				t.Fatalf("float read of a valid file: err=%v", err)
 			}
 		}
 

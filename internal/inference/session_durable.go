@@ -56,6 +56,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -666,13 +667,20 @@ func ResumeSession(model *gas.Model, opts Options) (*Session, bool, error) {
 		return nil, false, err
 	}
 	start := time.Now()
-	epoch, _, segs, found, err := st.LoadEpoch()
+	// Slabs are read straight into the float memory that keeps them.
+	epoch, _, segs, found, err := st.LoadEpoch(isSlabSegment)
 	if err != nil || !found {
 		return nil, false, err
 	}
 	var timing ResumeTiming
 	timing.LoadNs = time.Since(start).Nanoseconds()
 	bySeg := segmentMap(segs)
+	slabs := make(map[string][]float32, len(segs))
+	for _, sg := range segs {
+		if sg.F32 != nil {
+			slabs[sg.Name] = sg.F32
+		}
+	}
 
 	r := checkpoint.NewReader(bySeg["session-meta"])
 	if v := r.U32(); v != sessionMetaVersion {
@@ -728,18 +736,21 @@ func ResumeSession(model *gas.Model, opts Options) (*Session, bool, error) {
 	}
 	timing.ChainNs = time.Since(start).Nanoseconds()
 
-	// Slabs are sized for the chain's final node count up front; rows the
-	// base does not hold start zero and every one of them is a link row.
+	// Slabs grow to the chain's final node count; rows the base does not
+	// hold start zero and every one of them is a link row.
 	start = time.Now()
 	layers := make([]*tensor.Matrix, L+1)
 	msgs := make([]*tensor.Matrix, L)
 	decode := func(name string, cols int) (*tensor.Matrix, error) {
-		data := bySeg[name]
-		if len(data) != 4*n*cols {
+		data := slabs[name]
+		if len(data) != n*cols {
 			return nil, fmt.Errorf("inference: session epoch slab %s malformed", name)
 		}
-		m := tensor.New(final, cols)
-		checkpoint.DecodeF32s(m.Data[:n*cols], data)
+		m := &tensor.Matrix{Rows: n, Cols: cols, Data: data}
+		if final > n {
+			m = tensor.New(final, cols)
+			copy(m.Data, data)
+		}
 		return m, nil
 	}
 	for k := 1; k <= L; k++ {
@@ -873,12 +884,16 @@ func segmentMap(segs []checkpoint.Segment) map[string][]byte {
 func layerSegment(k int) string { return fmt.Sprintf("layer-%d", k) }
 func msgsSegment(k int) string  { return fmt.Sprintf("msgs-%d", k) }
 
+func isSlabSegment(name string) bool {
+	return strings.HasPrefix(name, "layer-") || strings.HasPrefix(name, "msgs-")
+}
+
 // ResumeTiming decomposes ResumeSession's wall time into its phases. All
 // zero for a session that did not resume.
 type ResumeTiming struct {
-	LoadNs  int64 // newest valid base read and CRC-checked
+	LoadNs  int64 // newest valid base read, slabs included, and CRC-checked
 	GraphNs int64 // graph segment decoded and validated
-	SlabsNs int64 // layer and message slabs decoded
+	SlabsNs int64 // layer and message slabs checked and grown to the chain's node count
 	ChainNs int64 // links read, their batches re-applied and rows patched in
 }
 

@@ -138,9 +138,9 @@ type Stats struct {
 	SessionFolds          int64 `json:"session_folds"`
 	SessionEpochLastBytes int64 `json:"session_epoch_last_bytes"`
 	// ResumeLoadMs / ResumeGraphMs / ResumeSlabsMs / ResumeChainMs
-	// decompose the startup session resume: base read plus CRC, graph
-	// decode, slab decode, and the chain of links read and re-applied. All
-	// zero when the session started cold.
+	// decompose the startup session resume: base read (slabs included)
+	// plus CRC, graph decode, slab checks, and the chain of links read and
+	// re-applied. All zero when the session started cold.
 	ResumeLoadMs  float64 `json:"resume_load_ms"`
 	ResumeGraphMs float64 `json:"resume_graph_ms"`
 	ResumeSlabsMs float64 `json:"resume_slabs_ms"`
