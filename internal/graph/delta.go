@@ -11,9 +11,11 @@ package graph
 // GatherIndex is the pull-side mirror of the CSR: per-destination (source,
 // edge-id) lists in exactly the order the Pregel barrier would deliver
 // scattered messages, so a resident-state driver can regenerate any vertex's
-// inbox bit-identically without messages ever being sent.
+// inbox bit-identically without messages ever being sent. An Editor that was
+// asked for one splices it along with the adjacency.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -122,6 +124,10 @@ type Editor struct {
 	// featShared says a Graph can see its storage, so the next write copies.
 	feat       *tensor.Matrix
 	featShared bool
+
+	// gi is base's GatherIndex, nil until GatherIndex first asks for it;
+	// from then on every materialization splices it.
+	gi *GatherIndex
 
 	rebuilds int
 }
@@ -329,73 +335,173 @@ func (e *Editor) Graph() *Graph {
 	return g
 }
 
+// GatherIndex returns the delivery-order pull index of the graph Graph
+// returns now, materializing pending batches first. The first call builds it
+// in O(V+E); the Editor then keeps it and splices it at every later
+// materialization, so an Editor nobody asks for an index never builds one.
+// The index is immutable like the Graph it describes.
+func (e *Editor) GatherIndex() *GatherIndex {
+	g := e.Graph()
+	if e.gi == nil {
+		e.gi = BuildGatherIndex(g)
+	}
+	return e.gi
+}
+
 // rebuildEdges fills g's adjacency and edge features from the base's live
-// edges followed by the live appended ones, through the same counting sorts
-// Builder.Build uses, so rows come out in ascending edge-id order.
+// edges followed by the live appended ones. Rows are spliced, not re-sorted:
+// each new row is the base row minus its dead edges (ids remapped) followed
+// by the node's live appended edges in arrival order. Base rows are in
+// ascending edge-id order (Validate enforces it) and appended edges take ids
+// above every surviving base edge, so the result is array for array what
+// Builder.Build's counting sorts produce for the same edge list. An index
+// requested through GatherIndex is spliced the same way.
 func (e *Editor) rebuildEdges(g *Graph) {
 	b := e.base
-	// newID maps a base edge id to its id in g; nil while no base edge died.
-	var newID []int32
+	// No edge below the first dead one moves; from there up, live ids close
+	// the gaps.
+	m := idMap{cut: int32(b.NumEdges), dead: e.dead}
 	live := b.NumEdges
 	if e.numDead > 0 {
-		newID = make([]int32, b.NumEdges)
-		live = 0
-		for eid, dead := range e.dead {
-			newID[eid] = int32(live)
+		m.cut = int32(slices.Index(e.dead, true))
+		m.newID = make([]int32, b.NumEdges-int(m.cut))
+		live = int(m.cut)
+		for i, dead := range e.dead[m.cut:] {
+			m.newID[i] = int32(live)
 			if !dead {
 				live++
 			}
 		}
 	}
-	total := live
-	for _, dead := range e.addDead {
-		if !dead {
-			total++
-		}
-	}
-
-	src, dst := make([]int32, total), make([]int32, total)
-	for v := int32(0); v < int32(b.NumNodes); v++ {
-		for i := b.OutPtr[v]; i < b.OutPtr[v+1]; i++ {
-			id := b.OutEdge[i]
-			if newID != nil {
-				if e.dead[id] {
-					continue
-				}
-				id = newID[id]
-			}
-			src[id], dst[id] = v, b.OutDst[i]
-		}
-	}
-	var ef *tensor.Matrix
-	if b.EdgeFeatures != nil {
-		ef = tensor.New(total, b.EdgeFeatures.Cols)
-		if newID == nil {
-			copy(ef.Data, b.EdgeFeatures.Data)
-		} else {
-			for eid, dead := range e.dead {
-				if !dead {
-					ef.SetRow(int(newID[eid]), b.EdgeFeatures.Row(eid))
-				}
-			}
-		}
-	}
-	id := live
+	// The live appended edges with their new ids, keyed by source for the
+	// CSR.
+	var adds []addEdge
 	for j, dead := range e.addDead {
-		if dead {
-			continue
+		if !dead {
+			adds = append(adds, addEdge{key: e.addSrc[j], nbr: e.addDst[j], id: int32(live + len(adds))})
 		}
-		src[id], dst[id] = e.addSrc[j], e.addDst[j]
-		if ef != nil {
-			ef.SetRow(id, e.addFeat[j*ef.Cols:(j+1)*ef.Cols])
+	}
+	total := live + len(adds)
+
+	if b.EdgeFeatures != nil {
+		ef := tensor.New(total, b.EdgeFeatures.Cols)
+		copy(ef.Data, b.EdgeFeatures.Data[:int(m.cut)*ef.Cols])
+		for i, dead := range e.dead[min(int(m.cut), len(e.dead)):] {
+			if !dead {
+				ef.SetRow(int(m.newID[i]), b.EdgeFeatures.Row(int(m.cut)+i))
+			}
 		}
-		id++
+		id := live
+		for j, dead := range e.addDead {
+			if !dead {
+				ef.SetRow(id, e.addFeat[j*ef.Cols:(j+1)*ef.Cols])
+				id++
+			}
+		}
+		g.EdgeFeatures = ef
 	}
 
 	g.NumEdges = total
-	g.OutPtr, g.OutDst, g.OutEdge = buildAdj(g.NumNodes, src, dst)
-	g.InPtr, g.InSrc, g.InEdge = buildAdj(g.NumNodes, dst, src)
-	g.EdgeFeatures = ef
+	byKeyID := func(x, y addEdge) int { return cmp.Or(cmp.Compare(x.key, y.key), cmp.Compare(x.id, y.id)) }
+	slices.SortFunc(adds, byKeyID)
+	g.OutPtr, g.OutDst, g.OutEdge = spliceAdj(g.NumNodes, b.OutPtr, b.OutDst, b.OutEdge, b.OutEdge, m, adds, false, total)
+	for i := range adds {
+		adds[i].key, adds[i].nbr = adds[i].nbr, adds[i].key
+	}
+	slices.SortFunc(adds, byKeyID)
+	g.InPtr, g.InSrc, g.InEdge = spliceAdj(g.NumNodes, b.InPtr, b.InSrc, b.InEdge, b.InEdge, m, adds, false, total)
+	if old := e.gi; old != nil {
+		// Delivery order within a destination is (source, id); a row holds
+		// the same edges as the destination's CSC row, whose last id is its
+		// largest.
+		slices.SortFunc(adds, func(x, y addEdge) int {
+			return cmp.Or(cmp.Compare(x.key, y.key), cmp.Compare(x.nbr, y.nbr), cmp.Compare(x.id, y.id))
+		})
+		gi := &GatherIndex{}
+		gi.Ptr, gi.Src, gi.Edge = spliceAdj(g.NumNodes, old.Ptr, old.Src, old.Edge, b.InEdge, m, adds, true, total)
+		e.gi = gi
+	}
+}
+
+// idMap renumbers the base's edge ids for a splice: ids below cut keep
+// their value (no edge below cut died); from cut up, dead[id] marks the dead
+// ones and a live id becomes newID[id-cut].
+type idMap struct {
+	cut   int32
+	dead  []bool
+	newID []int32
+}
+
+// addEdge is a live appended edge as one adjacency side sees it: the row it
+// joins, the neighbor it names there and its id in the new graph.
+type addEdge struct{ key, nbr, id int32 }
+
+// spliceAdj builds one n-row adjacency side (ptr, neighbor and edge-id
+// arrays) from the old side's rows and the appended edges, which are sorted
+// by key and in their row's order within a key. Each old row keeps its
+// order minus its dead entries, with ids renumbered through m; the row's
+// appended edges follow it, or with byNbr are merged in before the first old
+// entry of a larger neighbor — the GatherIndex's (source, id) order, since
+// an appended id exceeds every old one. Rows at or past the old side's node
+// count hold appended edges only. maxID[ptr[v+1]-1] is the largest id in
+// old row v; a run of rows with no appended edge and no id at or above
+// m.cut is copied as one block.
+func spliceAdj(n int, ptr, nbr, eid, maxID []int32, m idMap, adds []addEdge, byNbr bool, total int) (optr, onbr, oeid []int32) {
+	optr = make([]int32, n+1)
+	onbr, oeid = make([]int32, total), make([]int32, total)
+	oldN := len(ptr) - 1
+	var p int32
+	run := 0 // old rows [run, v) are unchanged and not yet copied
+	flush := func(hi int) {
+		shift := p - ptr[run]
+		for u := run; u < hi; u++ {
+			optr[u] = ptr[u] + shift
+		}
+		copy(onbr[p:], nbr[ptr[run]:ptr[hi]])
+		p += int32(copy(oeid[p:], eid[ptr[run]:ptr[hi]]))
+		run = hi
+	}
+	a := 0
+	for v := 0; v < n; v++ {
+		end := a
+		for end < len(adds) && adds[end].key == int32(v) {
+			end++
+		}
+		if v < oldN {
+			lo, hi := ptr[v], ptr[v+1]
+			if a == end && (lo == hi || maxID[hi-1] < m.cut) {
+				continue
+			}
+			flush(v)
+			optr[v] = p
+			for i := lo; i < hi; i++ {
+				id := eid[i]
+				if id >= m.cut {
+					if m.dead[id] {
+						continue
+					}
+					id = m.newID[id-m.cut]
+				}
+				for ; byNbr && a < end && adds[a].nbr < nbr[i]; a++ {
+					onbr[p], oeid[p] = adds[a].nbr, adds[a].id
+					p++
+				}
+				onbr[p], oeid[p] = nbr[i], id
+				p++
+			}
+			run = v + 1
+		} else {
+			flush(oldN)
+			optr[v] = p
+		}
+		for ; a < end; a++ {
+			onbr[p], oeid[p] = adds[a].nbr, adds[a].id
+			p++
+		}
+	}
+	flush(oldN)
+	optr[n] = p
+	return optr, onbr, oeid
 }
 
 // ApplyDelta builds the mutated graph and its seed sets: one batch through a

@@ -202,3 +202,45 @@ func TestGatherIndexDeliveryOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestEditorGatherIndexSplice walks the splice through the cases its merge
+// has to get right, on the graph above: a dead base edge in a row that keeps
+// others, appended multi-edges, appended edges landing between existing
+// sources of their destination (with and without a death in the batch), an
+// edge from a new node, and node-only growth.
+// Each step's index must be BuildGatherIndex of the materialized graph, and
+// the graph must be Builder's.
+func TestEditorGatherIndexSplice(t *testing.T) {
+	b := NewBuilder(5)
+	for _, e := range [][2]int32{{3, 1}, {0, 1}, {2, 1}, {0, 1}, {4, 0}, {2, 4}, {1, 4}, {0, 4}} {
+		b.AddEdge(e[0], e[1], nil)
+	}
+	g := b.Build()
+	g.Features = tensor.New(5, 1)
+	ed := NewEditor(g)
+	if !reflect.DeepEqual(ed.GatherIndex(), BuildGatherIndex(g)) {
+		t.Fatal("fresh index differs from BuildGatherIndex")
+	}
+	for i, d := range []Delta{
+		{RemoveEdges: []EdgeKey{{2, 1}}, AddEdges: []EdgeAdd{{Src: 1, Dst: 1}, {Src: 1, Dst: 1}}},
+		{AddEdges: []EdgeAdd{{Src: 1, Dst: 4}, {Src: 3, Dst: 4}, {Src: 0, Dst: 4}}, RemoveEdges: []EdgeKey{{0, 1}}},
+		{AddNodes: []NodeAdd{{Features: []float32{1}}}, AddEdges: []EdgeAdd{{Src: 5, Dst: 0}, {Src: 5, Dst: 1}}},
+		{AddNodes: []NodeAdd{{Features: []float32{2}}, {Features: []float32{3}}}},
+		{AddEdges: []EdgeAdd{{Src: 2, Dst: 4}}}, // no death: merged between sources 2 and 3
+		{RemoveEdges: []EdgeKey{{5, 0}, {1, 4}}},
+	} {
+		want, _, ok := refApplyDelta(ed.Graph(), d)
+		if !ok {
+			t.Fatalf("step %d: reference rejects the batch", i)
+		}
+		if _, err := ed.Apply(d); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		gi := ed.GatherIndex()
+		got := ed.Graph()
+		requireSameGraph(t, "splice", got, want)
+		if !reflect.DeepEqual(gi, BuildGatherIndex(got)) {
+			t.Fatalf("step %d: spliced index\n%+v\nwant\n%+v", i, gi, BuildGatherIndex(got))
+		}
+	}
+}

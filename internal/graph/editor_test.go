@@ -221,7 +221,7 @@ func genDelta(pick picker, cur *Graph, prev Delta, lastNew int32) Delta {
 	if pick(3) == 0 && cur.Features != nil {
 		d.Features = append(d.Features, FeatureUpdate{Node: node(), Features: pickRow(pick, fdim)})
 	}
-	switch pick(8) {
+	switch pick(9) {
 	case 0: // an invalid piece riding on otherwise valid ones
 		switch pick(6) {
 		case 0:
@@ -284,6 +284,10 @@ func genDelta(pick picker, cur *Graph, prev Delta, lastNew int32) Delta {
 			v := node()
 			d.Features = append(d.Features, FeatureUpdate{Node: v, Features: pickRow(pick, fdim)}, FeatureUpdate{Node: v, Features: pickRow(pick, fdim)})
 		}
+	case 8: // node-only growth: new rows with no edges yet
+		if cur.Features != nil || pick(4) == 0 {
+			d.AddNodes = append(d.AddNodes, NodeAdd{Features: pickRow(pick, fdim)})
+		}
 	}
 	return d
 }
@@ -294,9 +298,25 @@ func genDelta(pick picker, cur *Graph, prev Delta, lastNew int32) Delta {
 // with the same effect; graphs are compared whenever pick asks for a
 // mid-sequence materialization and at the end, so a rejected batch that
 // leaked anything into the overlay shows as a difference.
+//
+// The Editor's GatherIndex rides along: pick asks for it before some
+// materializations (the first ask builds it, later materializations splice
+// it), and whenever the Editor holds one it must equal BuildGatherIndex of
+// the graph just materialized.
 func runEditorSequence(t *testing.T, base *Graph, pick picker, batches int) {
 	t.Helper()
 	ed := NewEditor(base)
+	materialize := func(label string) *Graph {
+		t.Helper()
+		if pick(3) == 0 {
+			ed.GatherIndex()
+		}
+		g := ed.Graph()
+		if ed.gi != nil && !reflect.DeepEqual(ed.gi, BuildGatherIndex(g)) {
+			t.Fatalf("%s: Editor's gather index differs from BuildGatherIndex:\n%+v\n%+v", label, ed.gi, BuildGatherIndex(g))
+		}
+		return g
+	}
 	fold, ref := base, base
 	var prev Delta
 	lastNew := int32(-1)
@@ -329,10 +349,10 @@ func runEditorSequence(t *testing.T, base *Graph, pick picker, batches int) {
 			fold, ref = gF, gR
 		}
 		if pick(5) == 0 {
-			requireSameGraph(t, "mid-sequence editor vs fold", ed.Graph(), fold)
+			requireSameGraph(t, "mid-sequence editor vs fold", materialize("mid-sequence"), fold)
 		}
 	}
-	got := ed.Graph()
+	got := materialize("end")
 	requireSameGraph(t, "editor vs fold", got, fold)
 	requireSameGraph(t, "editor vs reference", got, ref)
 	if err := got.Validate(); err != nil {

@@ -179,11 +179,11 @@ func (g *Graph) EdgeList() (src, dst []int32) {
 }
 
 // Validate checks internal consistency: pointer monotonicity, symmetric
-// edge counts between CSR and CSC, index bounds, array lengths and matrix
-// shapes. Intended for tests and dataset loaders — it must reject any
-// adversarial byte-level corruption a loader can hand it without panicking,
-// so every array access below is guarded by an explicit length or range
-// check first. Cost is O(V+E).
+// edge counts between CSR and CSC, index bounds, ascending edge ids within
+// every row, array lengths and matrix shapes. Intended for tests and
+// dataset loaders — it must reject any adversarial byte-level corruption a
+// loader can hand it without panicking, so every array access below is
+// guarded by an explicit length or range check first. Cost is O(V+E).
 func (g *Graph) Validate() error {
 	if g.NumNodes < 0 || g.NumEdges < 0 {
 		return fmt.Errorf("graph: negative counts (nodes=%d edges=%d)", g.NumNodes, g.NumEdges)
@@ -232,11 +232,15 @@ func (g *Graph) Validate() error {
 		}
 		seen[e] = true
 	}
-	// CSR and CSC must describe the same edge set.
+	// CSR and CSC must describe the same edge set, each row in ascending
+	// edge-id order (Builder's order, and the one Editor's splice keeps).
 	srcByEdge := make([]int32, g.NumEdges)
 	dstByEdge := make([]int32, g.NumEdges)
 	for v := int32(0); v < int32(g.NumNodes); v++ {
 		for i := g.OutPtr[v]; i < g.OutPtr[v+1]; i++ {
+			if i > g.OutPtr[v] && g.OutEdge[i-1] > g.OutEdge[i] {
+				return fmt.Errorf("graph: out-row of node %d not in edge-id order", v)
+			}
 			srcByEdge[g.OutEdge[i]] = v
 			dstByEdge[g.OutEdge[i]] = g.OutDst[i]
 		}
@@ -244,6 +248,9 @@ func (g *Graph) Validate() error {
 	for v := int32(0); v < int32(g.NumNodes); v++ {
 		for i := g.InPtr[v]; i < g.InPtr[v+1]; i++ {
 			e := g.InEdge[i]
+			if i > g.InPtr[v] && g.InEdge[i-1] > e {
+				return fmt.Errorf("graph: in-row of node %d not in edge-id order", v)
+			}
 			if dstByEdge[e] != v || srcByEdge[e] != g.InSrc[i] {
 				return fmt.Errorf("graph: CSR/CSC disagree on edge %d", e)
 			}

@@ -162,6 +162,32 @@ func TestDecodeRejectsHostileShapes(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnorderedRows: a base whose rows are consistent but not
+// in ascending edge-id order is refused — the Editor's splice keeps each
+// row's order and relies on it being the Builder's. One swapped pair in an
+// out-row, then in an in-row, each swapped in both arrays so CSR and CSC
+// still describe the same edges.
+func TestDecodeRejectsUnorderedRows(t *testing.T) {
+	swap := func(nbr, eid []int32, i int) {
+		nbr[i], nbr[i+1] = nbr[i+1], nbr[i]
+		eid[i], eid[i+1] = eid[i+1], eid[i]
+	}
+	for name, mangle := range map[string]func(g *Graph){
+		"out-row": func(g *Graph) { swap(g.OutDst, g.OutEdge, int(g.OutPtr[0])) }, // node 0: edges 0 and 6
+		"in-row":  func(g *Graph) { swap(g.InSrc, g.InEdge, int(g.InPtr[3])) },    // node 3: edges 5 and 6
+	} {
+		g := fuzzSeedGraph(false, false)
+		if _, err := Decode(g.AppendEncoding(nil)); err != nil {
+			t.Fatalf("%s: unmangled graph refused: %v", name, err)
+		}
+		mangle(g)
+		_, err := Decode(g.AppendEncoding(nil))
+		if err == nil || !strings.Contains(err.Error(), "edge-id order") {
+			t.Fatalf("%s: swapped row decoded (err %v)", name, err)
+		}
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode([]byte("not a graph")); err == nil {
 		t.Fatal("must reject garbage")

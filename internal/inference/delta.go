@@ -66,9 +66,9 @@ type deltaDriver struct {
 // the resident message slab.
 type deltaBatch struct {
 	rows   []int32     // vertices to recompute, in owned order
-	srcs   []int32     // in-edge sources, row by row in delivery order
-	eids   []int32     // their edge ids (edge-dependent layers only)
-	off    []int32     // row r's in-edges are srcs[off[r]:off[r+1]]
+	srcs   []int32     // edge-dependent layers: in-edge sources, row by row in delivery order
+	eids   []int32     // and their edge ids
+	off    []int32     // row r's in-edges are pays[off[r]:off[r+1]]
 	pays   [][]float32 // the in-edges' message views
 	counts []int32     // all ones: no message here is pre-combined
 	aggr   gas.Aggregated
@@ -178,40 +178,46 @@ func (d *deltaDriver) recomputeRows(w, k int) {
 	prev := d.msgs[k-1]
 	edgeDep := !layer.BroadcastSafe()
 
-	b.srcs, b.eids = b.srcs[:0], b.eids[:0]
 	b.off = append(b.off[:0], 0)
-	for _, v := range b.rows {
-		srcs, eids := d.gi.InEdges(v)
-		b.srcs = append(b.srcs, srcs...)
-		if edgeDep {
-			b.eids = append(b.eids, eids...)
-		}
-		b.off = append(b.off, int32(len(b.srcs)))
-	}
-	ne := len(b.srcs)
 	b.pays = b.pays[:0]
-	for len(b.counts) < ne {
-		b.counts = append(b.counts, 1)
-	}
 	var edgeMsgs, applied *tensor.Matrix
-	if edgeDep && ne > 0 {
-		// Edge-dependent messages: re-run apply_edge over every in-edge of
-		// the batch in one call, the op each sender's scatter ran per
-		// out-edge in the full pass.
-		edgeMsgs = pooledRows(pool, prev, b.srcs)
-		var ef *tensor.Matrix
-		if d.g.EdgeFeatures != nil {
-			ef = pooledRows(pool, d.g.EdgeFeatures, b.eids)
+	if edgeDep {
+		b.srcs, b.eids = b.srcs[:0], b.eids[:0]
+		for _, v := range b.rows {
+			srcs, eids := d.gi.InEdges(v)
+			b.srcs = append(b.srcs, srcs...)
+			b.eids = append(b.eids, eids...)
+			b.off = append(b.off, int32(len(b.srcs)))
 		}
-		applied = gas.ApplyEdgePooled(layer, edgeMsgs, ef, pool)
-		pool.Put(ef)
-		for i := 0; i < ne; i++ {
-			b.pays = append(b.pays, applied.Row(i))
+		if len(b.srcs) > 0 {
+			// Edge-dependent messages: re-run apply_edge over every in-edge
+			// of the batch in one call, the op each sender's scatter ran per
+			// out-edge in the full pass.
+			edgeMsgs = pooledRows(pool, prev, b.srcs)
+			var ef *tensor.Matrix
+			if d.g.EdgeFeatures != nil {
+				ef = pooledRows(pool, d.g.EdgeFeatures, b.eids)
+			}
+			applied = gas.ApplyEdgePooled(layer, edgeMsgs, ef, pool)
+			pool.Put(ef)
+			for i := range b.srcs {
+				b.pays = append(b.pays, applied.Row(i))
+			}
 		}
 	} else {
-		for _, u := range b.srcs {
-			b.pays = append(b.pays, prev.Row(int(u)))
+		// Broadcast-safe messages are the senders' resident rows: view them
+		// straight through the index.
+		for _, v := range b.rows {
+			srcs, _ := d.gi.InEdges(v)
+			for _, u := range srcs {
+				b.pays = append(b.pays, prev.Row(int(u)))
+			}
+			b.off = append(b.off, int32(len(b.pays)))
 		}
+	}
+	ne := len(b.pays)
+	for len(b.counts) < ne {
+		b.counts = append(b.counts, 1)
 	}
 
 	aggr := aggregateInto(&b.aggr, layer, b.off, b.pays, b.counts[:ne], len(b.rows), pool)

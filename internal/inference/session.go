@@ -49,8 +49,7 @@ type Session struct {
 	model *gas.Model
 	opts  Options
 
-	ed *graph.Editor      // the mutable graph: base snapshot + batches applied since
-	gi *graph.GatherIndex // delivery-order pull index; nil when stale
+	ed *graph.Editor // the mutable graph: base snapshot + batches applied since
 
 	primed    bool // a full pass has populated the resident slabs
 	layers    []*tensor.Matrix
@@ -149,9 +148,6 @@ func (s *Session) Mutate(d graph.Delta) (*graph.DeltaEffect, error) {
 	if err != nil || d.Empty() {
 		return eff, err
 	}
-	if eff.EdgesAdded+eff.EdgesRemoved > 0 || len(d.AddNodes) > 0 {
-		s.gi = nil // structure or node count changed; rebuilt lazily
-	}
 	s.pending = true
 	if s.dur != nil && s.primed && !s.wholeNext {
 		s.recordDelta(d)
@@ -227,9 +223,6 @@ func (s *Session) fullPass(g *graph.Graph) (*Result, error) {
 // deltaPass floods the pending seed set through a frontier-driven engine run
 // over the resident slabs and returns the refreshed logits.
 func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
-	if s.gi == nil {
-		s.gi = graph.BuildGatherIndex(g)
-	}
 	added := s.growSlabs(g)
 	pools := make([]*tensor.Pool, s.opts.NumWorkers)
 	for w := range pools {
@@ -249,7 +242,7 @@ func (s *Session) deltaPass(g *graph.Graph, frontier []int32) (*Result, error) {
 	defer applyTuning(o)()
 	part := o.partition(g)
 	driver := &deltaDriver{
-		model: s.model, g: g, gi: s.gi,
+		model: s.model, g: g, gi: s.ed.GatherIndex(),
 		layers: s.layers, msgs: s.msgs, emits: s.emits,
 		seedState: s.pendState, seedInbox: s.pendInbox, seedPinned: s.pendPinned,
 		dirtyStep: s.dirtyStep, batches: s.batches, pools: pools,

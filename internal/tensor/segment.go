@@ -291,7 +291,17 @@ func SegmentSumViewsInto(dst *Matrix, off []int32, rows [][]float32) *Matrix {
 	fold := func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			orow := dst.Row(s)
-			for _, drow := range rows[off[s]:off[s+1]] {
+			seg := rows[off[s]:off[s+1]]
+			// Four views per sweep: each element still takes its adds one
+			// view at a time, left to right, so the bits match the one-view
+			// loop while orow is loaded and stored a quarter as often.
+			for ; len(seg) >= 4; seg = seg[4:] {
+				a, b, c, d := seg[0][:len(orow)], seg[1][:len(orow)], seg[2][:len(orow)], seg[3][:len(orow)]
+				for j := range orow {
+					orow[j] = orow[j] + a[j] + b[j] + c[j] + d[j]
+				}
+			}
+			for _, drow := range seg {
 				for j, v := range drow {
 					orow[j] += v
 				}

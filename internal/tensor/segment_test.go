@@ -133,6 +133,64 @@ func TestSegmentViewsMatchSerialLoop(t *testing.T) {
 	}
 }
 
+// TestSegmentSumViewsFoldBits: the four-views-per-sweep fold must give every
+// element the one-view loop's bits, for segment lengths 0-9 (every
+// remainder mod 4, with and without full sweeps) and for values whose adds
+// are order-sensitive: NaN, ±Inf (whose sum is a NaN of its own), -0 (which
+// +0 absorbs) and denormals. Matrix.Equal cannot check this — it treats -0
+// as +0 and fails on NaN — so rows are compared as raw bits, at one worker
+// and at eight with the parallel path forced.
+func TestSegmentSumViewsFoldBits(t *testing.T) {
+	const cols = 11
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -3 * math.SmallestNonzeroFloat32,
+		0x1p-127, 1, -1, 0x1p24, 0.1,
+	}
+	rng := NewRNG(13)
+	off := []int32{0}
+	var rows [][]float32
+	for rep := 0; rep < 6; rep++ {
+		for n := 0; n <= 9; n++ {
+			for i := 0; i < n; i++ {
+				r := make([]float32, cols)
+				for j := range r {
+					if rng.Intn(3) == 0 {
+						r[j] = specials[rng.Intn(len(specials))]
+					} else {
+						r[j] = float32(math.Copysign(float64(rng.Float32()*4), float64(rng.Float32()-0.5)))
+					}
+				}
+				rows = append(rows, r)
+			}
+			off = append(off, int32(len(rows)))
+		}
+	}
+	nSeg := len(off) - 1
+	want := New(nSeg, cols)
+	for s := 0; s < nSeg; s++ {
+		orow := want.Row(s)
+		for _, r := range rows[off[s]:off[s+1]] {
+			for j, v := range r {
+				orow[j] += v
+			}
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		prev := SetTuning(Tuning{Workers: workers, ParallelThreshold: 1})
+		dst := New(nSeg, cols)
+		dst.Fill(float32(math.NaN())) // every element must be overwritten
+		got := SegmentSumViewsInto(dst, off, rows)
+		SetTuning(prev)
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("workers=%d: segment %d col %d = %#08x, one-view loop %#08x",
+					workers, i/cols, i%cols, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+			}
+		}
+	}
+}
+
 // TestSegmentViewsEdgeCases: empty segment sets, all-empty segments, and a
 // single over-heavy segment.
 func TestSegmentViewsEdgeCases(t *testing.T) {
